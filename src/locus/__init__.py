@@ -9,11 +9,10 @@ from .covering import (ExponentMatrixModQ, Hyperplane, Covered, Uncovered,
 from .errors import LocusError
 from .families import (cubic_quad, even_optimal, exceptional_pair, lifted,
                        odd_optimal, square_triple)
-from .prime_power import (decide_prime_power, exponentiate_classes,
-                          reduce_to_prime_case, skalba_oracle)
+from .prime_power import decide_prime_power, exponentiate_classes, skalba_oracle
 from .rationals import (FactoredRational, PowerClass, clear_denominators,
-                        factor, is_perfect_power, parse_rational, reduce_class,
-                        strip_power_layers)
+                        dedupe, factor, is_perfect_power, parse_rational,
+                        reduce_class, strip_power_layers)
 from .sieve import (SieveReport, find_counterexample, is_kth_power_mod_p,
                     scan, set_has_kth_power_mod_p)
 from .squares import decide_square, decide_two_power
@@ -26,10 +25,10 @@ __all__ = [
     "Hyperplane", "LocusError", "PowerClass", "SieveReport", "Uncovered",
     "Verdict", "build_hyperplanes", "classify_singleton", "clear_denominators",
     "covers", "cubic_quad", "decide", "decide_prime_power", "decide_q",
-    "decide_square", "decide_two_power", "even_optimal", "exceptional_pair",
-    "exponentiate_classes", "factor", "find_counterexample",
+    "decide_square", "decide_two_power", "dedupe", "even_optimal",
+    "exceptional_pair", "exponentiate_classes", "factor", "find_counterexample",
     "is_kth_power_mod_p", "is_perfect_power", "lifted", "match_exceptional_pair",
-    "odd_optimal", "parse_rational", "reduce_class", "reduce_to_prime_case",
-    "scan", "set_has_kth_power_mod_p", "skalba_oracle", "square_triple",
+    "odd_optimal", "parse_rational", "reduce_class", "scan",
+    "set_has_kth_power_mod_p", "skalba_oracle", "square_triple",
     "strip_power_layers", "verify_document",
 ]

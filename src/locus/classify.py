@@ -8,23 +8,20 @@ matches x exactly when x/c has a rational k-th root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalInconsistency, NotEven, WrongCardinality, ZeroInput
+from .prime_power import decide_prime_power
 from .primes import prime_power_split
-from .rationals import (FactoredRational, clear_denominators, factor,
+from .rationals import (FactoredRational, clear_denominators, dedupe, factor,
                         is_perfect_power)
-from .sieve import find_counterexample, scan
+from .sieve import default_exclusions, find_counterexample, scan
+from .squares import decide_square, decide_two_power
 from .verdicts import (FAILS, HOLDS, INCONCLUSIVE, ComponentFailure, Evidence,
                        ExceptionalFormCert, LiftedFamily, PerfectPowerMember,
                        Verdict, WangException)
-
-CASE_TAGS = (
-    "Wang8", "A0eq1", "A0eq2_neg2", "A0eq2_pj", "A0eq2_pj_neg2",
-    "A0ge3_2half", "A0ge3_pj", "A0ge3_pj_2", "A0ge3_2pj", "A0ge3_2pj_2",
-)
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,7 @@ def classify_singleton(a, n: int, *, want_counterexample: bool = True,
                        counterexample_bound: int = 10**4) -> Verdict:
     """One rational: perfect power, the 8|n exception, or failure."""
     x = factor(a)
-    excluded = frozenset({2} | set(x.support()) | {p for p, _ in prime_power_split(n)})
+    excluded = default_exclusions([x], n)
     if is_perfect_power(x, n):
         return Verdict(HOLDS, PerfectPowerMember(str(x), str(x.nth_root(n)), n),
                        excluded)
@@ -154,18 +151,6 @@ def classify_singleton(a, n: int, *, want_counterexample: bool = True,
                    Evidence(reason="grunwald_wang_singleton",
                             counterexample_prime=prime),
                    excluded)
-
-
-def _dedupe_by_class(xs: list[FactoredRational], n: int) -> list[FactoredRational]:
-    seen = set()
-    out = []
-    for x in xs:
-        sign = x.sign if n % 2 == 0 else 1
-        key = (sign, tuple((p, e % n) for p, e in x.factors if e % n))
-        if key not in seen:
-            seen.add(key)
-            out.append(x)
-    return out
 
 
 def _divisors(n: int) -> list[int]:
@@ -199,11 +184,12 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
            evidence_hi: int = 10**4) -> Verdict:
     """Does the set contain an n-th power in Q_p for almost every prime p?
 
-    Routing after clearing denominators and deduplicating classes mod
-    (Q^x)^n: perfect member, then singleton classification, then the exact
-    regimes (2-power n; even n with 2 elements; odd prime-power n; odd n
-    with at most smallest-prime-many elements), then necessary prime-power
-    components with a lifted-family fast path, else Inconclusive.
+    The only router: denominators are cleared, classes mod (Q^x)^n
+    deduplicated, and _route picks the exact regime; an inconclusive
+    verdict then tries the lifted-family fast path.  The leaves run without
+    a counterexample search of their own: a failing verdict gets its prime
+    here, searched over the whole cleared set, so that the support primes
+    of dropped duplicates stay excluded.
     """
     if n < 2:
         raise ValueError("exponent must be >= 2")
@@ -211,104 +197,69 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
     if not raw:
         raise ZeroInput("empty set has no verdict")
     cleared = clear_denominators(raw, n)
-    xs = _dedupe_by_class(cleared, n)
-    split = prime_power_split(n)
-    excluded = {2} | {p for p, _ in split}
-    for x in cleared:
-        excluded.update(x.support())
-    excluded = frozenset(excluded)
+    xs = dedupe(cleared, n)
+    v = _route(xs, n, ceiling, monte_carlo)
+    if v.status == INCONCLUSIVE:
+        v = _try_lift(xs, n, ceiling, monte_carlo) or v
 
-    def done(v: Verdict) -> Verdict:
-        v = v.with_excluded(excluded)
-        if attach_evidence:
-            report = scan(cleared, n, 2, evidence_hi)
-            v = v.with_evidence(report.to_json())
-            if v.holds() and report.failing_primes:
-                raise InternalInconsistency(
-                    f"holds verdict with sieve failures at {report.failing_primes[:5]}")
-        return v
+    if v.fails() and want_counterexample:
+        cert = v.certificate
+        if isinstance(cert, ComponentFailure):
+            prime = find_counterexample(cleared, cert.q**cert.m, counterexample_bound)
+            cert = replace(cert, inner=replace(cert.inner, counterexample_prime=prime))
+        else:
+            prime = find_counterexample(cleared, n, counterexample_bound)
+            cert = replace(cert, counterexample_prime=prime)
+        v = replace(v, certificate=cert)
+    v = v.with_excluded(default_exclusions(cleared, n))
+    if attach_evidence:
+        report = scan(cleared, n, 2, evidence_hi)
+        v = v.with_evidence(report.to_json())
+        if v.holds() and report.failing_primes:
+            raise InternalInconsistency(
+                f"holds verdict with sieve failures at {report.failing_primes[:5]}")
+    return v
 
+
+def _route(xs: list[FactoredRational], n: int, ceiling: int,
+           monte_carlo: bool) -> Verdict:
+    """Verdict for distinct integral classes, in this order: a perfect
+    member; one class; squares; an even-n pair; no criterion for three or
+    more classes and n = 2^a; an odd prime power; otherwise the necessary
+    prime-power components, then the odd small-set theorem."""
     for x in xs:
         if is_perfect_power(x, n):
-            return done(Verdict(HOLDS,
-                                PerfectPowerMember(str(x), str(x.nth_root(n)), n),
-                                excluded))
-
+            return Verdict(HOLDS, PerfectPowerMember(str(x), str(x.nth_root(n)), n))
     if len(xs) == 1:
-        return done(classify_singleton(xs[0], n,
-                                       want_counterexample=want_counterexample,
-                                       counterexample_bound=counterexample_bound))
-
-    a0 = dict(split).get(2, 0)
-    odd_parts = [(p, a) for p, a in split if p != 2]
-
-    from .squares import decide_two_power
-    from .prime_power import decide_prime_power
-
-    if not odd_parts:  # n = 2^a0
-        v = decide_two_power(xs, a0, want_counterexample=want_counterexample,
-                             counterexample_bound=counterexample_bound)
-        if v.status == INCONCLUSIVE:
-            lifted_v = _try_lift(xs, n, ceiling, monte_carlo)
-            if lifted_v is not None:
-                return done(lifted_v)
-        return done(v)
-
+        return classify_singleton(xs[0], n, want_counterexample=False)
+    if n == 2:
+        return decide_square(xs, want_counterexample=False)
     if n % 2 == 0 and len(xs) == 2:
         form = match_exceptional_pair(xs, n)
         if form is not None:
-            return done(Verdict(HOLDS, form_to_certificate(form, n), excluded))
-        prime = None
-        if want_counterexample:
-            prime = find_counterexample(xs, n, counterexample_bound)
-        return done(Verdict(FAILS,
-                            Evidence(reason="no_exceptional_template",
-                                     counterexample_prime=prime),
-                            excluded))
-
-    if n % 2 == 1 and len(split) == 1:  # odd prime power
+            return Verdict(HOLDS, form_to_certificate(form, n))
+        return Verdict(FAILS, Evidence(reason="no_exceptional_template"))
+    split = prime_power_split(n)
+    if len(split) == 1:
         q, a = split[0]
-        v = decide_prime_power(xs, q, a,
-                               want_counterexample=want_counterexample,
-                               counterexample_bound=counterexample_bound,
-                               ceiling=ceiling, monte_carlo=monte_carlo)
-        if v.status == INCONCLUSIVE:
-            lifted_v = _try_lift(xs, n, ceiling, monte_carlo)
-            if lifted_v is not None:
-                return done(lifted_v)
-        return done(v)
+        if q == 2:
+            return Verdict(INCONCLUSIVE,
+                           Evidence(reason="no_two_power_criterion_beyond_pairs"))
+        return decide_prime_power(xs, q, a, want_counterexample=False,
+                                  ceiling=ceiling, monte_carlo=monte_carlo)
 
-    # necessary conditions: an n-th power is a q^a-th power for each q^a || n
-    components = []
+    # an n-th power is a q^a-th power for each q^a || n
     for q, a in split:
         if q == 2:
-            comp = decide_two_power(xs, a, want_counterexample=want_counterexample,
-                                    counterexample_bound=counterexample_bound)
+            comp = decide_two_power(xs, a, want_counterexample=False)
         else:
-            comp = decide_prime_power(xs, q, a,
-                                      want_counterexample=want_counterexample,
-                                      counterexample_bound=counterexample_bound,
+            comp = decide_prime_power(xs, q, a, want_counterexample=False,
                                       ceiling=ceiling, monte_carlo=monte_carlo)
         if comp.fails():
-            return done(Verdict(FAILS,
-                                ComponentFailure(q, a, comp.certificate),
-                                excluded | comp.excluded_primes))
-        components.append((q, a, comp))
-
+            return Verdict(FAILS, ComponentFailure(q, a, comp.certificate),
+                           comp.excluded_primes)
     if n % 2 == 1 and len(xs) <= split[0][0]:
         # odd n, at most p1 classes, no perfect n-th power: fails outright;
-        # no component refutation exists in general, so attach sieve evidence
-        prime = find_counterexample(xs, n, counterexample_bound) \
-            if want_counterexample else None
-        return done(Verdict(FAILS,
-                            Evidence(reason="odd_small_set",
-                                     counterexample_prime=prime),
-                            excluded))
-
-    lifted = _try_lift(xs, n, ceiling, monte_carlo)
-    if lifted is not None:
-        return done(lifted)
-
-    return done(Verdict(INCONCLUSIVE,
-                        Evidence(reason="no_composite_criterion"),
-                        excluded))
+        # no component refutation exists in general
+        return Verdict(FAILS, Evidence(reason="odd_small_set"))
+    return Verdict(INCONCLUSIVE, Evidence(reason="no_composite_criterion"))

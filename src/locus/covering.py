@@ -15,8 +15,8 @@ from typing import Optional, Union
 
 from .errors import InstanceTooLarge, NotQFree, UnitElement
 from .primes import is_prime
-from .rationals import FactoredRational, factor, reduce_class
-from .sieve import find_counterexample
+from .rationals import dedupe, factor, reduce_class
+from .sieve import default_exclusions, find_counterexample
 from .verdicts import (FAILS, HOLDS, HyperplaneCover, PerfectPowerMember,
                        UncoveredPoint, Verdict)
 
@@ -32,9 +32,6 @@ class Hyperplane:
     def __post_init__(self):
         if not any(self.coeffs):
             raise ValueError("hyperplane needs a nonzero coefficient vector")
-
-    def contains(self, point, q: int) -> bool:
-        return sum(c * x for c, x in zip(self.coeffs, point)) % q == 0
 
 
 @dataclass(frozen=True)
@@ -93,12 +90,12 @@ def covers(hyperplanes, q: int, s: int, ceiling: int = ENUMERATION_CEILING) -> C
         raise ValueError("hyperplane list must be nonempty")
     if q**s > ceiling:
         raise InstanceTooLarge(f"q^s = {q**s} exceeds ceiling {ceiling}")
-    forms = {h.coeffs for h in hyperplanes}  # duplicates cannot change the union
+    forms = sorted({h.coeffs for h in hyperplanes})  # duplicates cannot change the union
     collect = q**s <= _WITNESS_MAP_LIMIT
     witness: dict = {} if collect else None
     for point in product(range(q), repeat=s):
         hit = None
-        for i, coeffs in enumerate(sorted(forms)):
+        for i, coeffs in enumerate(forms):
             if sum(c * x for c, x in zip(coeffs, point)) % q == 0:
                 hit = i
                 break
@@ -142,23 +139,14 @@ def decide_q(elements, q: int, *, want_counterexample: bool = True,
     xs = [factor(a) for a in elements]
     if not xs:
         raise ValueError("empty set has no verdict")
-    excluded = {2, q}
-    for x in xs:
-        excluded.update(x.support())
+    excluded = default_exclusions(xs, q)
 
-    reps: list[FactoredRational] = []
-    seen = set()
-    for x in xs:
-        rep = reduce_class(x, q).rep
-        if rep.is_one():
-            # trivial class: x itself is a perfect q-th power (odd q absorbs sign)
-            root = x.nth_root(q)
-            assert root is not None
-            return Verdict(HOLDS, PerfectPowerMember(str(x), str(root), q),
-                           frozenset(excluded))
-        if rep not in seen:
-            seen.add(rep)
-            reps.append(rep)
+    uniq = dedupe(xs, q)
+    for x in uniq:
+        root = x.nth_root(q)  # the trivial class: odd q absorbs the sign
+        if root is not None:
+            return Verdict(HOLDS, PerfectPowerMember(str(x), str(root), q), excluded)
+    reps = [reduce_class(x, q).rep for x in uniq]
 
     matrix, planes, _ = build_hyperplanes(reps, q)
     s = len(matrix.support)
@@ -169,7 +157,7 @@ def decide_q(elements, q: int, *, want_counterexample: bool = True,
             from .verdicts import Evidence, INCONCLUSIVE
             return Verdict(INCONCLUSIVE,
                            Evidence(reason="monte_carlo_no_miss_found"),
-                           frozenset(excluded))
+                           excluded)
         outcome: CoverOutcome = miss
     else:
         outcome = covers(planes, q, s, ceiling=ceiling)
@@ -178,7 +166,7 @@ def decide_q(elements, q: int, *, want_counterexample: bool = True,
         return Verdict(HOLDS,
                        HyperplaneCover(q, matrix.support, matrix.columns,
                                        reduction=reduction),
-                       frozenset(excluded))
+                       excluded)
 
     _verify_uncovered(outcome.point, [h.coeffs for h in planes], q)
     prime = None
@@ -186,4 +174,4 @@ def decide_q(elements, q: int, *, want_counterexample: bool = True,
         prime = find_counterexample(xs, q, counterexample_bound)
     cert = UncoveredPoint(q, matrix.support, matrix.columns, outcome.point,
                           reduction=reduction, counterexample_prime=prime)
-    return Verdict(FAILS, cert, frozenset(excluded))
+    return Verdict(FAILS, cert, excluded)

@@ -42,10 +42,6 @@ class InstanceTooLarge(LocusError):
     """Point enumeration q^s beyond the configured ceiling."""
 
 
-class PerfectPowerPresent(LocusError):
-    """Caller passed a perfect power where the reduction requires none."""
-
-
 class OracleLimitExceeded(LocusError):
     """Brute-force oracle invoked beyond its configured size limits."""
 

@@ -6,7 +6,6 @@ two-element templates for even n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -14,15 +13,6 @@ from .classify import ExceptionalForm, match_exceptional_pair
 from .errors import DegenerateParameters, InapplicableCase
 from .primes import is_prime, prime_power_split
 from .rationals import FactoredRational, factor
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    kind: str
-    parameters: dict
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "parameters": dict(self.parameters)}
 
 
 def _reject_degenerate(values: list[FactoredRational], expect: int,

@@ -14,33 +14,17 @@ from __future__ import annotations
 from itertools import product
 
 from .covering import decide_q
-from .errors import NonUnitExponent, OracleLimitExceeded, PerfectPowerPresent
+from .errors import NonUnitExponent, OracleLimitExceeded
 from .primes import is_prime
 from .rationals import (FactoredRational, factor, is_perfect_power,
                         reduce_class, strip_power_layers)
-from .sieve import find_counterexample
+from .sieve import default_exclusions, find_counterexample
 from .verdicts import (FAILS, HOLDS, INCONCLUSIVE, Evidence, OracleExhaustion,
                        PerfectPowerMember, SkalbaWitness, UncoveredPoint,
                        Verdict)
 
 ORACLE_ELEMENT_LIMIT = 8
 ORACLE_MODULUS_LIMIT = 27
-
-
-def reduce_to_prime_case(elements, q: int, m: int) -> list[FactoredRational]:
-    """Strip q-power layers and reduce mod (Q^x)^q, preserving cardinality.
-
-    Precondition: no element is a perfect q^m-th power (those short-circuit
-    the decision before any reduction).
-    """
-    out = []
-    for a in elements:
-        x = factor(a)
-        base, mu = strip_power_layers(x, q)
-        if mu >= m:
-            raise PerfectPowerPresent(f"{x} is a perfect {q}^{m}-th power")
-        out.append(reduce_class(base, q).rep)
-    return out
 
 
 def _strip_map(elements, q: int):
@@ -91,9 +75,7 @@ def skalba_oracle(elements, q: int, m: int, *,
     if l == 0:
         raise ValueError("empty set has no verdict")
 
-    excluded = {2, q}
-    for x in xs:
-        excluded.update(x.support())
+    excluded = default_exclusions(xs, qm)
     assignments = _oracle_assignments(l, q)
 
     # hot loop works on integer exponent vectors; this is the same factored
@@ -123,13 +105,13 @@ def skalba_oracle(elements, q: int, m: int, *,
             break
 
     if witness is None:
-        return Verdict(HOLDS, OracleExhaustion(q, m, checked), frozenset(excluded))
+        return Verdict(HOLDS, OracleExhaustion(q, m, checked), excluded)
 
     # re-verify through the public factored-rational route before emitting
     for signs in assignments:
         assert not is_perfect_power(_ratio(xs, witness, signs), qm), \
             "skalba witness admits a perfect-power pair; oracle bug"
-    return Verdict(FAILS, SkalbaWitness(tuple(witness), q, m), frozenset(excluded))
+    return Verdict(FAILS, SkalbaWitness(tuple(witness), q, m), excluded)
 
 
 def decide_prime_power(elements, q: int, m: int, *,
@@ -151,15 +133,12 @@ def decide_prime_power(elements, q: int, m: int, *,
     if not xs:
         raise ValueError("empty set has no verdict")
     qm = q**m
-    excluded = {2, q}
-    for x in xs:
-        excluded.update(x.support())
+    excluded = default_exclusions(xs, qm)
 
     for x in xs:
         if is_perfect_power(x, qm):
             root = x.nth_root(qm)
-            return Verdict(HOLDS, PerfectPowerMember(str(x), str(root), qm),
-                           frozenset(excluded))
+            return Verdict(HOLDS, PerfectPowerMember(str(x), str(root), qm), excluded)
 
     stripped = _strip_map(xs, q)
     for x, _, mu in stripped:
@@ -203,7 +182,7 @@ def decide_prime_power(elements, q: int, m: int, *,
     except OracleLimitExceeded:
         return Verdict(INCONCLUSIVE,
                        Evidence(reason="qm_reduction_not_conclusive"),
-                       frozenset(excluded))
+                       excluded)
     if oracle.fails() and want_counterexample:
         cert = oracle.certificate
         prime = find_counterexample(xs, qm, counterexample_bound)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Union
 
 from .errors import ParseError, UnitInput, ZeroInput
@@ -20,11 +19,6 @@ from .primes import factorize, is_prime
 RationalLike = Union[int, str, Fraction, "FactoredRational"]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-
-@lru_cache(maxsize=8192)
-def _certified_prime(p: int) -> bool:
-    return is_prime(p)
 
 
 @dataclass(frozen=True)
@@ -43,7 +37,7 @@ class FactoredRational:
                 raise ValueError("factor primes must be strictly increasing")
             if e == 0:
                 raise ValueError("zero exponents are not stored")
-            if not _certified_prime(p):
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             last = p
 
@@ -108,9 +102,6 @@ class FactoredRational:
         n, d = self.numerator, self.denominator
         return str(n) if d == 1 else f"{n}/{d}"
 
-    def sort_key(self):
-        return (self.denominator, abs(self.numerator), -self.sign)
-
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
@@ -163,9 +154,6 @@ class PowerClass:
 
     modulus: int
     rep: FactoredRational
-
-    def is_trivial(self) -> bool:
-        return self.rep.is_one()
 
 
 def parse_rational(text: str) -> Fraction:
@@ -235,6 +223,19 @@ def reduce_class(x: RationalLike, k: int) -> PowerClass:
     sign = 1 if k % 2 else fx.sign
     rep = FactoredRational.from_prime_powers(sign, {p: e % k for p, e in fx.factors})
     return PowerClass(k, rep)
+
+
+def dedupe(xs: Iterable[RationalLike], k: int) -> list[FactoredRational]:
+    """The first element of each class mod (Q^x)^k, in input order."""
+    seen = set()
+    out = []
+    for x in xs:
+        fx = factor(x)
+        rep = reduce_class(fx, k).rep
+        if rep not in seen:
+            seen.add(rep)
+            out.append(fx)
+    return out
 
 
 def strip_power_layers(x: RationalLike, q: int) -> tuple[FactoredRational, int]:

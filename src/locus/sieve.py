@@ -72,7 +72,8 @@ def set_has_kth_power_mod_p(elements, k: int, p: int) -> bool:
 
 
 def default_exclusions(elements, k: int) -> frozenset[int]:
-    """{2} plus primes dividing k plus all support primes."""
+    """The excluded primes of every verdict and scan: {2}, the primes
+    dividing k and all support primes."""
     out = {2}
     out.update(factorize(k))
     for a in elements:

@@ -1,18 +1,19 @@
-"""Squares and 2-power decisions.
+"""The squares criterion.
 
 A set contains a square in Z_p for almost every odd prime exactly when some
 odd-cardinality subset has a perfect-square product.  Over GF(2) that is a
 kernel vector of the (sign row + exponent-parity rows) matrix with odd
-weight, which Gaussian elimination finds directly.
+weight, which Gaussian elimination finds directly.  Other powers of 2 are
+routed by classify.decide.
 """
 
 from __future__ import annotations
 
 from .errors import ZeroInput
-from .rationals import FactoredRational, factor, is_perfect_power
-from .sieve import find_counterexample
-from .verdicts import (FAILS, HOLDS, INCONCLUSIVE, Evidence, OddSubsetWitness,
-                       ParityObstruction, PerfectPowerMember, Verdict)
+from .rationals import FactoredRational, dedupe, factor, is_perfect_power
+from .sieve import default_exclusions, find_counterexample
+from .verdicts import (FAILS, HOLDS, OddSubsetWitness, ParityObstruction,
+                       PerfectPowerMember, Verdict)
 
 _NULLSPACE_ENUM_LIMIT = 16
 
@@ -100,18 +101,8 @@ def decide_square(elements, *, want_counterexample: bool = True,
     xs = [factor(a) for a in elements]
     if not xs:
         raise ZeroInput("empty set has no verdict")
-    excluded = {2}
-    for x in xs:
-        excluded.update(x.support())
-
-    # dedupe by class mod squares, keeping first occurrences
-    seen = set()
-    uniq: list[FactoredRational] = []
-    for x in xs:
-        key = (x.sign, tuple((p, e % 2) for p, e in x.factors if e % 2))
-        if key not in seen:
-            seen.add(key)
-            uniq.append(x)
+    excluded = default_exclusions(xs, 2)
+    uniq = dedupe(xs, 2)
 
     l = len(uniq)
     rows, labels = _build_matrix(uniq)
@@ -130,7 +121,7 @@ def decide_square(elements, *, want_counterexample: bool = True,
             "odd-subset witness does not square; elimination bug"
         return Verdict(HOLDS,
                        OddSubsetWitness(tuple(j + 1 for j in indices), str(root)),
-                       frozenset(excluded))
+                       excluded)
 
     # infeasible: the all-ones functional is a combination of matrix rows
     combo = _solve_gf2(_transpose(rows, l), [1] * l, len(rows))
@@ -146,7 +137,7 @@ def decide_square(elements, *, want_counterexample: bool = True,
     if want_counterexample:
         prime = find_counterexample(xs, 2, counterexample_bound)
     return Verdict(FAILS, ParityObstruction(picked, counterexample_prime=prime),
-                   frozenset(excluded))
+                   excluded)
 
 
 def _transpose(rows: list[int], ncols: int) -> list[int]:
@@ -164,50 +155,17 @@ def decide_two_power(elements, a0: int, *, want_counterexample: bool = True,
                      counterexample_bound: int = 10**4) -> Verdict:
     """Decision for n = 2^a0.
 
-    a0 = 1 is the exact squares criterion for any cardinality; a0 >= 2 is
-    exact for at most 2 elements (singleton classification / pair templates)
-    and Inconclusive beyond that, where no criterion is known.
+    a0 = 1 is the exact squares criterion (a perfect square member first);
+    a0 >= 2 is classify.decide with n = 2^a0.
     """
-    from .classify import classify_singleton, match_exceptional_pair
-
+    if a0 >= 2:
+        from .classify import decide
+        return decide(elements, 2**a0, want_counterexample=want_counterexample,
+                      counterexample_bound=counterexample_bound)
     xs = [factor(a) for a in elements]
-    n = 2**a0
-    excluded = {2}
     for x in xs:
-        excluded.update(x.support())
-
-    for x in xs:
-        if is_perfect_power(x, n):
-            return Verdict(HOLDS, PerfectPowerMember(str(x), str(x.nth_root(n)), n),
-                           frozenset(excluded))
-    if a0 == 1:
-        return decide_square(xs, want_counterexample=want_counterexample,
-                             counterexample_bound=counterexample_bound)
-
-    seen = set()
-    uniq = []
-    for x in xs:
-        key = (x.sign, tuple((p, e % n) for p, e in x.factors if e % n))
-        if key not in seen:
-            seen.add(key)
-            uniq.append(x)
-
-    if len(uniq) == 1:
-        return classify_singleton(uniq[0], n,
-                                  want_counterexample=want_counterexample,
-                                  counterexample_bound=counterexample_bound)
-    if len(uniq) == 2:
-        form = match_exceptional_pair(uniq, n)
-        if form is not None:
-            from .classify import form_to_certificate
-            return Verdict(HOLDS, form_to_certificate(form, n), frozenset(excluded))
-        prime = None
-        if want_counterexample:
-            prime = find_counterexample(uniq, n, counterexample_bound)
-        return Verdict(FAILS,
-                       Evidence(reason="no_exceptional_template",
-                                counterexample_prime=prime),
-                       frozenset(excluded))
-    return Verdict(INCONCLUSIVE,
-                   Evidence(reason="no_two_power_criterion_beyond_pairs"),
-                   frozenset(excluded))
+        if is_perfect_power(x, 2):
+            return Verdict(HOLDS, PerfectPowerMember(str(x), str(x.nth_root(2)), 2),
+                           default_exclusions(xs, 2))
+    return decide_square(xs, want_counterexample=want_counterexample,
+                         counterexample_bound=counterexample_bound)

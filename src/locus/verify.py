@@ -34,6 +34,18 @@ def _class_key(x, n: int):
     return (sign, tuple((p, e % n) for p, e in fx.factors if e % n))
 
 
+def _dedupe(xs, n: int) -> list:
+    """The first element of each class mod (Q^x)^n, in input order."""
+    seen = set()
+    out = []
+    for x in xs:
+        key = _class_key(x, n)
+        if key not in seen:
+            seen.add(key)
+            out.append(x)
+    return out
+
+
 def verify_document(doc: dict) -> list[str]:
     """Re-check a verdict document; returns a list of problems (empty = valid)."""
     try:
@@ -60,7 +72,7 @@ def _verify(doc: dict):
     if evidence is not None:
         k = evidence["params"]["k"]
         for p in evidence["failing_primes"]:
-            _need(verify_failing_prime(doc["elements"], k, p),
+            _need(verify_failing_prime(elements, k, p),
                   f"claimed failing prime {p} does not fail")
         if status == HOLDS:
             _need(not evidence["failing_primes"],
@@ -122,7 +134,7 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
               "claimed uncovered point is covered")
         _verify_columns_from_set(cert, elements, n, q, support, coeffs)
         if "counterexample_prime" in cert:
-            _need(verify_failing_prime([str(x) for x in elements], n,
+            _need(verify_failing_prime(elements, n,
                                        cert["counterexample_prime"]),
                   "counterexample prime does not fail")
         return
@@ -130,7 +142,7 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
     if kind == "odd_subset_witness":
         idx = cert["indices"]
         _need(len(idx) % 2 == 1, "witness subset has even cardinality")
-        uniq = _square_uniq(cleared)
+        uniq = _dedupe(cleared, 2)
         _need(all(1 <= i <= len(uniq) for i in idx), "witness index out of range")
         prod = factor(1)
         for i in idx:
@@ -140,7 +152,7 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
         return
 
     if kind == "parity_obstruction":
-        uniq = _square_uniq(cleared)
+        uniq = _dedupe(cleared, 2)
         support = sorted({p for x in uniq for p in x.support()})
         rows = {"sign": [1 if x.sign == -1 else 0 for x in uniq]}
         for p in support:
@@ -151,7 +163,7 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
             acc = [a ^ b for a, b in zip(acc, rows[label])]
         _need(all(acc), "row combination does not witness the obstruction")
         if "counterexample_prime" in cert:
-            _need(verify_failing_prime([str(x) for x in elements], n,
+            _need(verify_failing_prime(elements, n,
                                        cert["counterexample_prime"]),
                   "counterexample prime does not fail")
         return
@@ -162,13 +174,7 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
         c = tuple(cert["c"])
         # the witness indexes either the raw list (direct oracle runs) or the
         # class-deduplicated list (the decision pipeline)
-        deduped = []
-        seen = set()
-        for x in cleared:
-            key = _class_key(x, n)
-            if key not in seen:
-                seen.add(key)
-                deduped.append(x)
+        deduped = _dedupe(cleared, n)
         if len(c) == len(cleared):
             xs = cleared
         elif len(c) == len(deduped):
@@ -180,7 +186,7 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
             _need(not is_perfect_power(_ratio(xs, c, signs), q**m),
                   "witness tuple admits a perfect-power subset pair")
         if "counterexample_prime" in cert:
-            _need(verify_failing_prime([str(x) for x in elements], n,
+            _need(verify_failing_prime(elements, n,
                                        cert["counterexample_prime"]),
                   "counterexample prime does not fail")
         return
@@ -205,23 +211,12 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
 
     if kind == "evidence":
         if "counterexample_prime" in cert:
-            _need(verify_failing_prime([str(x) for x in elements], n,
+            _need(verify_failing_prime(elements, n,
                                        cert["counterexample_prime"]),
                   "counterexample prime does not fail")
         return
 
     raise VerificationFailure(f"unknown certificate kind {kind}")
-
-
-def _square_uniq(cleared):
-    seen = set()
-    uniq = []
-    for x in cleared:
-        key = (x.sign, tuple((p, e % 2) for p, e in x.factors if e % 2))
-        if key not in seen:
-            seen.add(key)
-            uniq.append(x)
-    return uniq
 
 
 def _forms_cover(coeffs, q: int, s: int) -> bool:

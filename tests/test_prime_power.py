@@ -3,10 +3,9 @@ from itertools import product
 
 import pytest
 
-from locus.errors import (NonUnitExponent, OracleLimitExceeded,
-                          PerfectPowerPresent)
+from locus.errors import NonUnitExponent, OracleLimitExceeded
 from locus.prime_power import (decide_prime_power, exponentiate_classes,
-                               reduce_to_prime_case, skalba_oracle)
+                               skalba_oracle)
 
 from locus.verdicts import FAILS, HOLDS
 
@@ -52,15 +51,6 @@ def brute_skalba(elems, q, m):
         if not hit:
             return c
     return None
-
-
-def test_reduce_to_prime_case():
-    out = reduce_to_prime_case([512, 4, 18], 3, 3)
-    assert [x.value() for x in out] == [2, 4, 18]
-    out = reduce_to_prime_case([2, 4, 8], 3, 2)
-    assert [x.value() for x in out] == [2, 4, 2]
-    with pytest.raises(PerfectPowerPresent):
-        reduce_to_prime_case([512], 3, 2)  # 512 = 2^9 is a perfect 9th power
 
 
 def test_oracle_examples():

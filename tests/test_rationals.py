@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locus.errors import ParseError, UnitInput, ZeroInput
-from locus.rationals import (FactoredRational, clear_denominators, factor,
-                             is_perfect_power, parse_rational, reduce_class,
-                             strip_power_layers)
+from locus.rationals import (FactoredRational, clear_denominators, dedupe,
+                             factor, is_perfect_power, parse_rational,
+                             reduce_class, strip_power_layers)
+from locus.verify import _class_key
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6),
@@ -128,6 +129,24 @@ def test_reduce_class_invariants(x, k):
 def test_class_soundness_under_kth_power_shift(x, w, k):
     shifted = factor(x) * factor(w) ** k
     assert reduce_class(shifted, k) == reduce_class(x, k)
+
+
+# few primes and wide exponents, so that classes collide often
+colliding_rationals = st.builds(
+    lambda sign, e2, e3, e5: FactoredRational.from_prime_powers(
+        sign, {2: e2, 3: e3, 5: e5}),
+    st.sampled_from([1, -1]), st.integers(-9, 9), st.integers(-9, 9),
+    st.integers(-2, 2))
+
+
+@given(st.lists(colliding_rationals, max_size=8), st.sampled_from([2, 3, 4, 6, 8, 9]))
+@settings(max_examples=300, deadline=None)
+def test_dedupe_keeps_first_of_each_class(xs, k):
+    # the engine's class key and the verifier's independent one must agree
+    keys = [_class_key(x, k) for x in xs]
+    first = [x for i, x in enumerate(xs) if keys[i] not in keys[:i]]
+    assert dedupe(xs, k) == first
+    assert dedupe([str(x) for x in xs], k) == first
 
 
 def test_strip_power_layers_examples():

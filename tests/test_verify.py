@@ -36,6 +36,20 @@ def test_accepts_engine_output():
         assert problems == [], (elements, n, problems)
 
 
+def test_counterexample_prime_avoids_dropped_duplicates():
+    # each set has a duplicate class whose support prime is the least prime
+    # failing for the kept class alone
+    cases = [
+        (["2", "686"], 3),
+        (["3", "75"], 2),
+        (["178802", "338", "-3887", "-121", "-361"], 2),
+    ]
+    for elements, n in cases:
+        doc = doc_for(elements, n)
+        assert "counterexample_prime" in json.dumps(doc)
+        assert verify_document(doc) == [], (elements, n)
+
+
 def test_rejects_wrong_root():
     doc = doc_for([512, 5], 9)
     doc["certificate"]["root"] = "3"
