@@ -160,8 +160,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _try_lift(xs: list[FactoredRational], n: int, ceiling: int,
-              monte_carlo: bool) -> Optional[Verdict]:
+def _try_lift(xs: list[FactoredRational], n: int, ceiling: int) -> Optional[Verdict]:
     """A = {x^e} with the root family holding for n/e lifts to a Holds."""
     for e in _divisors(n):
         if e < 2 or e == n or (n // e) < 2:
@@ -169,8 +168,7 @@ def _try_lift(xs: list[FactoredRational], n: int, ceiling: int,
         roots = [x.nth_root(e) for x in xs]
         if any(r is None for r in roots):
             continue
-        base = decide(roots, n // e, want_counterexample=False,
-                      ceiling=ceiling, monte_carlo=monte_carlo)
+        base = decide(roots, n // e, want_counterexample=False, ceiling=ceiling)
         if base.holds():
             cert = LiftedFamily(e, tuple(str(r) for r in roots),
                                 base.certificate)
@@ -180,8 +178,7 @@ def _try_lift(xs: list[FactoredRational], n: int, ceiling: int,
 
 def decide(elements, n: int, *, want_counterexample: bool = True,
            counterexample_bound: int = 10**4, ceiling: int = 1 << 24,
-           monte_carlo: bool = False, attach_evidence: bool = False,
-           evidence_hi: int = 10**4) -> Verdict:
+           attach_evidence: bool = False, evidence_hi: int = 10**4) -> Verdict:
     """Does the set contain an n-th power in Q_p for almost every prime p?
 
     The only router: denominators are cleared, classes mod (Q^x)^n
@@ -198,9 +195,9 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
         raise ZeroInput("empty set has no verdict")
     cleared = clear_denominators(raw, n)
     xs = dedupe(cleared, n)
-    v = _route(xs, n, ceiling, monte_carlo)
+    v = _route(xs, n, ceiling)
     if v.status == INCONCLUSIVE:
-        v = _try_lift(xs, n, ceiling, monte_carlo) or v
+        v = _try_lift(xs, n, ceiling) or v
 
     if v.fails() and want_counterexample:
         cert = v.certificate
@@ -221,8 +218,7 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
     return v
 
 
-def _route(xs: list[FactoredRational], n: int, ceiling: int,
-           monte_carlo: bool) -> Verdict:
+def _route(xs: list[FactoredRational], n: int, ceiling: int) -> Verdict:
     """Verdict for distinct integral classes, in this order: a perfect
     member; one class; squares; an even-n pair; no criterion for three or
     more classes and n = 2^a; an odd prime power; otherwise the necessary
@@ -246,7 +242,7 @@ def _route(xs: list[FactoredRational], n: int, ceiling: int,
             return Verdict(INCONCLUSIVE,
                            Evidence(reason="no_two_power_criterion_beyond_pairs"))
         return decide_prime_power(xs, q, a, want_counterexample=False,
-                                  ceiling=ceiling, monte_carlo=monte_carlo)
+                                  ceiling=ceiling)
 
     # an n-th power is a q^a-th power for each q^a || n
     for q, a in split:
@@ -254,7 +250,7 @@ def _route(xs: list[FactoredRational], n: int, ceiling: int,
             comp = decide_two_power(xs, a, want_counterexample=False)
         else:
             comp = decide_prime_power(xs, q, a, want_counterexample=False,
-                                      ceiling=ceiling, monte_carlo=monte_carlo)
+                                      ceiling=ceiling)
         if comp.fails():
             return Verdict(FAILS, ComponentFailure(q, a, comp.certificate),
                            comp.excluded_primes)

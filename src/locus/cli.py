@@ -50,12 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_decide.add_argument("--n", type=int, required=True)
     add_elements(p_decide)
     p_decide.add_argument("--ceiling", type=int, default=1 << 24,
-                          help="covering enumeration ceiling for q^s")
+                          help="bound on the candidates the cover search tries")
     p_decide.add_argument("--evidence", action="store_true",
                           help="attach a sieve report to the verdict")
-    p_decide.add_argument("--monte-carlo", action="store_true",
-                          help="sample oversized covering instances "
-                               "(never emits holds)")
     p_decide.add_argument("--json", dest="json_path",
                           help="also write the JSON document to this path")
 
@@ -125,7 +122,6 @@ def _run_decide(args) -> int:
     if args.n < 2:
         raise ParseError("--n must be >= 2")
     verdict = decide(elements, args.n, ceiling=args.ceiling,
-                     monte_carlo=args.monte_carlo,
                      attach_evidence=args.evidence)
     normalized = [str(factor(e)) for e in elements]
     _emit(verdict.to_json(args.n, normalized), args.json_path)

@@ -8,9 +8,7 @@ forms cover all of F_q^s.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Union
 
 from .errors import InstanceTooLarge, NotQFree, UnitElement
@@ -45,7 +43,7 @@ class ExponentMatrixModQ:
 
 @dataclass(frozen=True)
 class Covered:
-    witness: Optional[dict] = None  # point -> first covering form index
+    """The kernels cover all of F_q^s."""
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,6 @@ class Uncovered:
 
 
 CoverOutcome = Union[Covered, Uncovered]
-
-_WITNESS_MAP_LIMIT = 512
 
 
 def build_hyperplanes(elements, q: int):
@@ -84,38 +80,124 @@ def build_hyperplanes(elements, q: int):
     return matrix, planes, trivial
 
 
+def _normalize(form, q: int) -> Optional[tuple[int, ...]]:
+    """The form scaled by F_q^* to a leading 1, or None for the zero form."""
+    for c in form:
+        if c % q:
+            inv = pow(c, -1, q)
+            return tuple(a * inv % q for a in form)
+    return None
+
+
+def _has_miss(forms, q: int, budget) -> bool:
+    """Does some point lie off the kernels of these forms?
+
+    The forms are nonzero and pairwise non-proportional.  At most q of them
+    never cover, since F_q^r is not a union of q proper subspaces.  Otherwise
+    r independent forms, found by elimination, become the coordinates y of
+    the image and every other form a combination lam . y.  A miss is a y in
+    {1} x (F_q^*)^(r-1) off every lam; the search assigns y one coordinate at
+    a time and drops a branch once a fully assigned combination vanishes.
+    Each value tried takes one item of budget.
+    """
+    if len(forms) <= q:
+        return True
+    width = len(forms[0])
+    pivots = []   # (column, row with 1 there, that row as a combination of y)
+    combos = []   # each dependent form as a combination of y
+    for form in forms:
+        row, lam = list(form), [0] * width
+        for col, prow, pcombo in pivots:
+            c = row[col]
+            if c:
+                row = [(a - c * b) % q for a, b in zip(row, prow)]
+                lam = [(a + c * b) % q for a, b in zip(lam, pcombo)]
+        col = next((i for i, a in enumerate(row) if a), None)
+        if col is None:
+            combos.append(lam)
+            continue
+        inv = pow(row[col], -1, q)
+        pcombo = [-inv * a % q for a in lam]
+        pcombo[len(pivots)] = inv
+        pivots.append((col, [a * inv % q for a in row], pcombo))
+
+    # coordinates no combination uses take any nonzero value; the others are
+    # assigned most used first, so that combinations complete early
+    uses = [sum(1 for lam in combos if lam[k]) for k in range(len(pivots))]
+    order = sorted((k for k in range(len(pivots)) if uses[k]), key=lambda k: -uses[k])
+    if not order:
+        return True
+    pos = {k: i for i, k in enumerate(order)}
+    checks = [[] for _ in order]  # combinations by their last assigned coordinate
+    for lam in combos:
+        terms = sorted((pos[k], a) for k, a in enumerate(lam) if a)
+        checks[terms[-1][0]].append(terms)
+
+    # a combination uses two coordinates or more, since no two forms are
+    # proportional; y[0] = 1 by scaling
+    y = [1] * len(order)
+    stack = [iter(range(1, q))]  # values left to try at coordinate len(stack)
+    while stack:
+        i = len(stack)
+        for v in stack[-1]:
+            if next(budget, None) is None:
+                raise InstanceTooLarge("cover search passed its candidate ceiling")
+            y[i] = v
+            if all(sum(a * y[j] for j, a in terms) % q for terms in checks[i]):
+                break
+        else:
+            stack.pop()
+            continue
+        if i + 1 == len(order):
+            return True
+        stack.append(iter(range(1, q)))
+    return False
+
+
+def _completable(forms, offsets, i: int, q: int, budget) -> bool:
+    """Does some point with a fixed first i coordinates lie off every kernel?
+
+    offsets[j] is the fixed coordinates' part a_j of form j.  Setting t = 1,
+    such a point is a miss of the homogenised arrangement {t} and
+    {a_j t + c'_j . x'}, where c'_j is form j on the free coordinates x'.
+    """
+    rests = [(a,) + form[i:] for a, form in zip(offsets, forms)]
+    if not all(any(g) for g in rests):
+        return False
+    if len(rests) < q:
+        return True  # with t at most q forms, which never cover
+    arrangement = {(1,) + (0,) * (len(forms[0]) - i)}
+    arrangement.update(_normalize(g, q) for g in rests)
+    return _has_miss(sorted(arrangement), q, budget)
+
+
 def covers(hyperplanes, q: int, s: int, ceiling: int = ENUMERATION_CEILING) -> CoverOutcome:
-    """Exhaustive point check; Uncovered returns the lexicographically least miss."""
+    """Covered, or Uncovered at the lexicographically least missed point.
+
+    The point is fixed one coordinate at a time, each time to the least value
+    whose prefix still extends to a miss.  ceiling bounds the coordinate
+    values the projective searches try in total; past it InstanceTooLarge.
+    """
     if not hyperplanes:
         raise ValueError("hyperplane list must be nonempty")
-    if q**s > ceiling:
-        raise InstanceTooLarge(f"q^s = {q**s} exceeds ceiling {ceiling}")
-    forms = sorted({h.coeffs for h in hyperplanes})  # duplicates cannot change the union
-    collect = q**s <= _WITNESS_MAP_LIMIT
-    witness: dict = {} if collect else None
-    for point in product(range(q), repeat=s):
-        hit = None
-        for i, coeffs in enumerate(forms):
-            if sum(c * x for c, x in zip(coeffs, point)) % q == 0:
-                hit = i
+    forms = {_normalize(h.coeffs, q) for h in hyperplanes}
+    if None in forms:
+        return Covered()
+    forms = sorted(forms)
+    budget = iter(range(ceiling))  # one item per candidate value tried
+    offsets = [0] * len(forms)
+    if not _completable(forms, offsets, 0, q, budget):
+        return Covered()
+    point = []
+    for i in range(s):
+        for v in range(q):
+            shifted = [(a + v * form[i]) % q for a, form in zip(offsets, forms)]
+            # some value extends the prefix, so the last one needs no test
+            if v == q - 1 or _completable(forms, shifted, i + 1, q, budget):
                 break
-        if hit is None:
-            return Uncovered(point)
-        if collect:
-            witness[point] = hit
-    return Covered(witness)
-
-
-def covers_sampled(hyperplanes, q: int, s: int, samples: int = 20000,
-                   seed: int = 0) -> Optional[Uncovered]:
-    """Monte Carlo miss search for oversized instances; never proves a cover."""
-    rng = random.Random(seed)
-    forms = sorted({h.coeffs for h in hyperplanes})
-    for _ in range(samples):
-        point = tuple(rng.randrange(q) for _ in range(s))
-        if all(sum(c * x for c, x in zip(coeffs, point)) % q != 0 for coeffs in forms):
-            return Uncovered(point)
-    return None
+        offsets = shifted
+        point.append(v)
+    return Uncovered(tuple(point))
 
 
 def _verify_uncovered(point, forms, q) -> None:
@@ -127,7 +209,6 @@ def _verify_uncovered(point, forms, q) -> None:
 def decide_q(elements, q: int, *, want_counterexample: bool = True,
              counterexample_bound: int = 10**4,
              ceiling: int = ENUMERATION_CEILING,
-             monte_carlo: bool = False,
              reduction=None) -> Verdict:
     """Does the set contain a q-th power in Z_p for almost every p (odd q)?
 
@@ -151,17 +232,7 @@ def decide_q(elements, q: int, *, want_counterexample: bool = True,
     matrix, planes, _ = build_hyperplanes(reps, q)
     s = len(matrix.support)
 
-    if monte_carlo and q**s > ceiling:
-        miss = covers_sampled(planes, q, s)
-        if miss is None:
-            from .verdicts import Evidence, INCONCLUSIVE
-            return Verdict(INCONCLUSIVE,
-                           Evidence(reason="monte_carlo_no_miss_found"),
-                           excluded)
-        outcome: CoverOutcome = miss
-    else:
-        outcome = covers(planes, q, s, ceiling=ceiling)
-
+    outcome = covers(planes, q, s, ceiling=ceiling)
     if isinstance(outcome, Covered):
         return Verdict(HOLDS,
                        HyperplaneCover(q, matrix.support, matrix.columns,

@@ -39,7 +39,7 @@ class UnitElement(LocusError):
 
 
 class InstanceTooLarge(LocusError):
-    """Point enumeration q^s beyond the configured ceiling."""
+    """Cover search past the configured bound on the candidates it tries."""
 
 
 class OracleLimitExceeded(LocusError):

@@ -117,8 +117,7 @@ def skalba_oracle(elements, q: int, m: int, *,
 def decide_prime_power(elements, q: int, m: int, *,
                        want_counterexample: bool = True,
                        counterexample_bound: int = 10**4,
-                       ceiling: int = 1 << 24,
-                       monte_carlo: bool = False) -> Verdict:
+                       ceiling: int = 1 << 24) -> Verdict:
     """Does the set contain a q^m-th power in Z_p for almost every p (odd q)?
 
     A Fails from the stripped covering test transfers to the original set
@@ -148,7 +147,7 @@ def decide_prime_power(elements, q: int, m: int, *,
     reps = [rep for _, rep, _ in stripped]
 
     base = decide_q(reps, q, want_counterexample=False, ceiling=ceiling,
-                    monte_carlo=monte_carlo, reduction=reduction)
+                    reduction=reduction)
 
     if base.fails():
         cert = base.certificate

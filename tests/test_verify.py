@@ -129,3 +129,87 @@ def test_evidence_failing_primes_rechecked():
 def test_round_trip_through_json():
     doc = doc_for([-27, 4], 6)
     assert verify_document(json.loads(json.dumps(doc))) == []
+
+
+def test_status_must_allow_the_certificate_kind():
+    # one genuine document per certificate kind, each with its status flipped
+    sources = [([8, 5], 3), ([16], 8), ([-27, 4], 6), ([2, 3, 6, 12], 3),
+               ([3, 5, 15], 2), ([4, 9, 36], 4), ([2, 3], 3), ([2, 3], 2),
+               ([2, 3, 6, 12], 9), ([2, 3, 5, 7], 15), ([2], 3)]
+    for elements, n in sources:
+        doc = doc_for(elements, n)
+        assert verify_document(doc) == []
+        doc["status"] = "fails" if doc["status"] == "holds" else "holds"
+        assert verify_document(doc), (elements, n)
+    holds_on_evidence = {"n": 3, "elements": ["2", "5"], "status": "holds",
+                         "certificate": {"kind": "evidence", "reason": "none"}}
+    assert verify_document(holds_on_evidence)
+
+
+def test_refutation_needs_every_column():
+    # {2, 3, 6, 12} holds for n = 3; a point off the first form alone is no refutation
+    doc = {"n": 3, "elements": ["2", "3", "6", "12"], "status": "fails",
+           "certificate": {"kind": "uncovered_point", "q": 3, "support": [2, 3],
+                           "coeffs": [[1, 0]], "point": [1, 0]}}
+    assert verify_document(doc)
+    # the same with a recorded reduction that leaves out three elements
+    doc = {"n": 9, "elements": ["8", "27", "216", "1728"], "status": "fails",
+           "certificate": {"kind": "uncovered_point", "q": 3, "support": [2, 3],
+                           "coeffs": [[1, 0]], "point": [1, 0],
+                           "reduction": [["8", "2"]]}}
+    assert verify_document(doc)
+
+
+def test_cover_recheck_has_a_work_bound(monkeypatch):
+    import locus.verify
+    doc = doc_for([2, 3, 6, 18], 3)
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 1)
+    assert verify_document(doc) == ["cover too large to re-check"]
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 2)
+    assert verify_document(doc) == []
+
+
+def test_cover_recheck_limit_spans_the_old_enumeration_range():
+    # every cover the engine once enumerated point by point (q^s <= 2^24)
+    # still re-checks: at most (q-1)^(s-1) candidates, worst at q = 7, s = 8
+    from locus.covering import ENUMERATION_CEILING
+    from locus.primes import sieve_upto
+    from locus.verify import COVER_RECHECK_LIMIT
+    need = max((q - 1) ** (s - 1) for q in sieve_upto(1 << 12)[1:]
+               for s in range(1, 25) if q**s <= ENUMERATION_CEILING)
+    assert need == 6**7 <= COVER_RECHECK_LIMIT
+
+
+def test_rejects_cover_modulo_a_prime_power():
+    # a "cover" mod 9 whose one-coordinate scaling misses the hole (3, 1);
+    # the elements do induce these columns mod 9
+    cols = [[1, 0], [0, 1]] + [[1, a] for a in (1, 2, 4, 5, 7, 8)] + [[3, 8], [3, 4]]
+    doc = {"n": 9, "status": "holds",
+           "elements": [str(2**a * 3**b) for a, b in cols],
+           "certificate": {"kind": "hyperplane_cover", "q": 9, "support": [2, 3],
+                           "coeffs": cols}}
+    assert verify_document(doc) == ["cover modulus 9 is not an odd prime"]
+    doc["status"] = "fails"
+    doc["certificate"].update(kind="uncovered_point", point=[3, 1])
+    assert verify_document(doc) == ["cover modulus 9 is not an odd prime"]
+
+
+def test_rejects_wide_cover_of_unit_forms():
+    from locus.primes import sieve_upto
+    primes = sieve_upto(200)[:40]
+    doc = {"n": 3, "elements": [str(p) for p in primes], "status": "holds",
+           "certificate": {"kind": "hyperplane_cover", "q": 3, "support": primes,
+                           "coeffs": [[int(i == j) for j in range(40)]
+                                      for i in range(40)]}}
+    assert verify_document(doc) == ["claimed cover has a hole"]
+
+
+def test_accepts_cofactors_above_the_deterministic_bound():
+    # 16 * 1000003^8 and the cleared 440177981 * 4455611 * 59982049^5 pass
+    # the Miller-Rabin bound but are proven composite
+    doc = doc_for(["16", str(16 * 1000003**8)], 8)
+    assert doc["status"] == "holds"
+    assert verify_document(doc) == []
+    doc = doc_for(["1961261854101391", "5/59982049"], 5)
+    assert doc["certificate"]["kind"] == "uncovered_point"
+    assert verify_document(doc) == []
