@@ -46,6 +46,10 @@ class OracleLimitExceeded(LocusError):
     """Brute-force oracle invoked beyond its configured size limits."""
 
 
+class OracleBudgetExceeded(OracleLimitExceeded):
+    """Oracle search past its work budget."""
+
+
 class NonUnitExponent(LocusError):
     """Exponent vector entry divisible by q where units mod q are required."""
 

@@ -1,12 +1,20 @@
 """Deciding q^m-th powers for odd q: layer stripping plus the covering
-test, with a brute-force subset-product oracle as the exact fallback.
+test, with an exhaustive subset-product oracle as the exact fallback.
 
-The oracle enumerates every exponent tuple c in (Z/q^m)^l and looks for
-disjoint index sets B, C with |B| != |C| mod q whose weighted product ratio
-is a perfect q^m-th power.  It exists to be dumb and trustworthy; the only
-liberties taken are that tuples are enumerated mod q^m (a^(q^m) is itself a
-perfect q^m-th power) and that B, C may be assumed disjoint (shared indices
-cancel from the ratio and shift |B|, |C| equally).
+The oracle walks every exponent tuple c in (Z/q^m)^l in lexicographic order
+and looks for disjoint index sets B, C with |B| != |C| mod q whose weighted
+product ratio is a perfect q^m-th power; the first tuple with no such pair
+is the witness.  It exists to be dumb and trustworthy; the only liberties
+taken are these:
+- tuples are enumerated mod q^m: a^(q^m) is itself a perfect q^m-th power;
+- B, C may be assumed disjoint: shared indices cancel from the ratio and
+  shift |B|, |C| equally;
+- tuples sharing a prefix share the sums of the prefix's sign vectors: the
+  ratio's exponent vector is the sum of the prefix's terms and the rest's;
+- a prefix that some pair already satisfies skips its subtree: the same pair
+  with no later index satisfies every completion.
+The search stops past ORACLE_WORK_BUDGET reach entries, and a witness is
+re-checked through the factored rationals before it is emitted.
 """
 
 from __future__ import annotations
@@ -14,7 +22,8 @@ from __future__ import annotations
 from itertools import product
 
 from .covering import decide_q
-from .errors import NonUnitExponent, OracleLimitExceeded
+from .errors import (NonUnitExponent, OracleBudgetExceeded,
+                     OracleLimitExceeded)
 from .primes import is_prime
 from .rationals import (FactoredRational, factor, is_perfect_power,
                         reduce_class, strip_power_layers)
@@ -25,6 +34,10 @@ from .verdicts import (FAILS, HOLDS, INCONCLUSIVE, Evidence, OracleExhaustion,
 
 ORACLE_ELEMENT_LIMIT = 8
 ORACLE_MODULUS_LIMIT = 27
+# reach entries the oracle's search may touch: 2^20 take about 3 s on eight
+# elements over four primes (Python 3.11); no tier-1 or benchmark instance
+# needs more than 1,500
+ORACLE_WORK_BUDGET = 1 << 20
 
 
 def _strip_map(elements, q: int):
@@ -36,27 +49,26 @@ def _strip_map(elements, q: int):
     return pairs
 
 
-def _oracle_assignments(l: int, q: int):
-    """(signs, |B|-|C|) for every disjoint B, C with |B| != |C| mod q,
-    cheapest first."""
-    out = []
-    for signs in product((0, 1, -1), repeat=l):
-        nb = sum(1 for s in signs if s == 1)
-        nc = sum(1 for s in signs if s == -1)
-        if (nb - nc) % q != 0:
-            out.append(signs)
-    out.sort(key=lambda signs: sum(1 for s in signs if s))
+def _oracle_assignments(l: int, q: int) -> list:
+    """The sign vectors of every disjoint B, C with |B| != |C| mod q (1 on
+    B, -1 on C), cheapest first."""
+    out = [s for s in product((0, 1, -1), repeat=l)
+           if (s.count(1) - s.count(-1)) % q]
+    out.sort(key=lambda signs: l - signs.count(0))
     return out
 
 
 def _ratio(elements, c, signs) -> FactoredRational:
-    acc = FactoredRational.one()
+    """prod_B a_j^(c_j) / prod_C a_j^(c_j), B and C the indices signed 1 and -1."""
+    sign = 1
+    exponents = {}
     for x, cj, s in zip(elements, c, signs):
-        if s == 1:
-            acc = acc * x**cj
-        elif s == -1:
-            acc = acc / x**cj
-    return acc
+        if s:
+            if x.sign == -1 and cj % 2:
+                sign = -sign
+            for p, e in x.factors:
+                exponents[p] = exponents.get(p, 0) + s * cj * e
+    return FactoredRational.from_prime_powers(sign, exponents)
 
 
 def skalba_oracle(elements, q: int, m: int, *,
@@ -76,42 +88,85 @@ def skalba_oracle(elements, q: int, m: int, *,
         raise ValueError("empty set has no verdict")
 
     excluded = default_exclusions(xs, qm)
-    assignments = _oracle_assignments(l, q)
-
-    # hot loop works on integer exponent vectors; this is the same factored
-    # arithmetic (multiplication adds exponents), just without object churn
+    # table[j][c] is the exponent vector of a_j^c mod q^m on the support:
+    # the same factored arithmetic (multiplication adds exponents), just
+    # without object churn
     support = sorted({p for x in xs for p in x.support()})
-    vecs = [tuple(x.exponent(p) for p in support) for x in xs]
-    width = len(support)
-
-    witness = None
-    checked = 0
-    for c in product(range(qm), repeat=l):
-        checked += 1
-        satisfied = False
-        for signs in assignments:
-            for i in range(width):
-                total = 0
-                for vj, cj, s in zip(vecs, c, signs):
-                    if s:
-                        total += s * cj * vj[i]
-                if total % qm:
-                    break
-            else:
-                satisfied = True
-                break
-        if not satisfied:
-            witness = c
-            break
+    table = [[tuple(c * x.exponent(p) % qm for p in support) for c in range(qm)]
+             for x in xs]
+    witness, checked = _first_witness(table, q, qm)
 
     if witness is None:
         return Verdict(HOLDS, OracleExhaustion(q, m, checked), excluded)
 
     # re-verify through the public factored-rational route before emitting
-    for signs in assignments:
+    for signs in _oracle_assignments(l, q):
         assert not is_perfect_power(_ratio(xs, witness, signs), qm), \
             "skalba witness admits a perfect-power pair; oracle bug"
-    return Verdict(FAILS, SkalbaWitness(tuple(witness), q, m), excluded)
+    return Verdict(FAILS, SkalbaWitness(witness, q, m), excluded)
+
+
+def _first_witness(table, q: int, qm: int):
+    """(the lexicographically first tuple c that no sign vector satisfies, or
+    None; the tuples up to and including it, or all (q^m)^l of them).
+
+    A sign vector s in {-1, 0, 1}^l satisfies c when sum s_j c_j v_j = 0 mod
+    q^m and its count #{s_j = 1} - #{s_j = -1} is nonzero mod q.  Depth first
+    over the prefixes of c that nothing satisfies yet, `reach` maps each
+    partial sum over the prefix to the bitmask of the counts mod q that reach
+    it; its zero vector reaches count 0 alone.
+    """
+    l = len(table)
+    full = (1 << q) - 1
+    ends_up = full & ~(1 << (q - 1))   # counts d with d + 1 != 0 mod q
+    ends_down = full & ~(1 << 1)       # counts d with d - 1 != 0 mod q
+    work = 0
+    checked = 0
+
+    def spend(entries):
+        nonlocal work
+        work += entries
+        if work > ORACLE_WORK_BUDGET:
+            raise OracleBudgetExceeded(
+                f"oracle work budget exceeded: {work} reach entries touched "
+                f"(budget {ORACLE_WORK_BUDGET}), {checked} tuples checked")
+
+    def walk(depth, reach):
+        nonlocal checked
+        # c_depth is satisfied, with signs 0 after it, exactly when its
+        # vector t completes some entry u to zero by s = +1 (t = -u) or
+        # s = -1 (t = u) with a nonzero count
+        spend(len(reach))
+        good = set()
+        for u, mask in reach.items():
+            if mask & ends_up:
+                good.add(tuple(-a % qm for a in u))
+            if mask & ends_down:
+                good.add(u)
+        rest = qm ** (l - depth - 1)
+        for c, t in enumerate(table[depth]):
+            if t in good:
+                checked += rest
+                continue
+            if depth == l - 1:
+                checked += 1
+                return (c,)
+            spend(len(reach))
+            nxt = dict(reach)
+            for u, mask in reach.items():
+                up = ((mask << 1) | (mask >> (q - 1))) & full
+                down = ((mask >> 1) | (mask << (q - 1))) & full
+                w = tuple((a + b) % qm for a, b in zip(u, t))
+                nxt[w] = nxt.get(w, 0) | up
+                w = tuple((a - b) % qm for a, b in zip(u, t))
+                nxt[w] = nxt.get(w, 0) | down
+            found = walk(depth + 1, nxt)
+            if found is not None:
+                return (c,) + found
+        return None
+
+    witness = walk(0, {table[0][0]: 1})  # the empty prefix: zero, count 0
+    return witness, checked
 
 
 def decide_prime_power(elements, q: int, m: int, *,
@@ -178,6 +233,9 @@ def decide_prime_power(elements, q: int, m: int, *,
 
     try:
         oracle = skalba_oracle(xs, q, m)
+    except OracleBudgetExceeded:
+        return Verdict(INCONCLUSIVE, Evidence(reason="oracle_budget_exceeded"),
+                       excluded)
     except OracleLimitExceeded:
         return Verdict(INCONCLUSIVE,
                        Evidence(reason="qm_reduction_not_conclusive"),

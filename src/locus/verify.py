@@ -3,13 +3,14 @@
 Given a verdict document (as produced by the CLI), re-check the certificate
 against the element set without trusting the engine's decision path.  Every
 check here recomputes from first principles: roots are re-raised, covers
-re-enumerated, witnesses re-searched, claimed failing primes re-tested.
-Certificate kinds are checked against the status they may support, and the
-cover re-check tries at most COVER_RECHECK_LIMIT candidate points.  Every
-element string is factored with primes.factorize, whose rho gives up on a
-composite above the Miller-Rabin bound once its cycle length passes
-primes.RHO_CYCLE_LIMIT, so a crafted element costs under a second per split
-attempt there.
+re-enumerated, witnesses and exhaustions re-searched, claimed failing primes
+re-tested.  Certificate kinds are checked against the status they may
+support, the cover re-check tries at most COVER_RECHECK_LIMIT candidate
+points, and the re-checks of an oracle witness or exhaustion make at most
+ORACLE_RECHECK_LIMIT (2^20) sign-vector tests.  Every element string is
+factored with primes.factorize, whose rho gives up on a composite above the
+Miller-Rabin bound once its cycle length passes primes.RHO_CYCLE_LIMIT, so a
+crafted element costs under a second per split attempt there.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ ALLOWED_KINDS = {
 # the engine could enumerate point by point (q^s <= 2^24) needs at most
 # (q-1)^(s-1) <= 6^7 of them
 COVER_RECHECK_LIMIT = 1 << 19
+
+# sign-vector tests an oracle witness or exhaustion re-check may make before
+# it gives up: about 3 s for an exhaustion
+ORACLE_RECHECK_LIMIT = 1 << 20
 
 
 class VerificationFailure(Exception):
@@ -195,7 +200,7 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
 
     if kind == "skalba_witness":
         q, m = cert["q"], cert["m"]
-        _need(q**m == n, "witness modulus differs from the verdict exponent")
+        _need_oracle_modulus(q, m, n)
         c = tuple(cert["c"])
         # the witness indexes either the raw list (direct oracle runs) or the
         # class-deduplicated list (the decision pipeline)
@@ -207,6 +212,8 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
         else:
             raise VerificationFailure("witness length matches neither the raw "
                                       "nor the deduplicated element list")
+        _need(3 ** len(xs) <= ORACLE_RECHECK_LIMIT,
+              "skalba witness too large to re-check")
         for signs in _oracle_assignments(len(xs), q):
             _need(not is_perfect_power(_ratio(xs, c, signs), q**m),
                   "witness tuple admits a perfect-power subset pair")
@@ -217,7 +224,18 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
         return
 
     if kind == "oracle_exhaustion":
-        return  # holds by exhaustion; nothing compact to re-check
+        q, m = cert["q"], cert["m"]
+        _need_oracle_modulus(q, m, n)
+        # as for a witness, the raw or the class-deduplicated list
+        xs = next((xs for xs in (cleared, _dedupe(cleared, n))
+                   if n ** len(xs) == cert["tuples_checked"]), None)
+        _need(xs is not None, "tuples checked are not (q^m)^l for the raw "
+                              "or the deduplicated element list")
+        _need(n ** len(xs) <= ORACLE_RECHECK_LIMIT,
+              "oracle exhaustion too large to re-check")
+        _need(_exhausted(xs, q, n),
+              "some exponent tuple admits no perfect-power subset pair")
+        return
 
     if kind == "component_failure":
         q, m = cert["q"], cert["m"]
@@ -242,6 +260,37 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
         return
 
     raise VerificationFailure(f"unknown certificate kind {kind}")
+
+
+def _need_oracle_modulus(q, m, n: int):
+    _need(q > 2 and is_prime(q), f"oracle modulus {q} is not an odd prime")
+    _need(1 <= m <= n.bit_length() and q**m == n,
+          "oracle modulus differs from the verdict exponent")
+
+
+def _exhausted(xs, q: int, qm: int) -> bool:
+    """Does every tuple c in (Z/q^m)^l admit disjoint B, C with |B| != |C|
+    mod q and prod_B a_j^(c_j) / prod_C a_j^(c_j) a perfect q^m-th power?
+
+    A plain loop over the tuples and the sign vectors of the pairs, on the
+    exponent vectors of the elements; past ORACLE_RECHECK_LIMIT sign-vector
+    tests the exhaustion counts as too large to re-check.
+    """
+    support = sorted({p for x in xs for p in x.support()})
+    vecs = [[x.exponent(p) for p in support] for x in xs]
+    assignments = _oracle_assignments(len(xs), q)
+    tests = 0
+    for c in product(range(qm), repeat=len(xs)):
+        for signs in assignments:
+            tests += 1
+            _need(tests <= ORACLE_RECHECK_LIMIT,
+                  "oracle exhaustion too large to re-check")
+            if all(sum(s * cj * v[i] for v, cj, s in zip(vecs, c, signs)) % qm == 0
+                   for i in range(len(support))):
+                break
+        else:
+            return False
+    return True
 
 
 def _forms_cover(coeffs, q: int) -> bool:

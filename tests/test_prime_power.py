@@ -2,12 +2,18 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import locus.prime_power
+from locus.classify import decide
+from locus.cli import main
 from locus.errors import NonUnitExponent, OracleLimitExceeded
 from locus.prime_power import (decide_prime_power, exponentiate_classes,
                                skalba_oracle)
-
-from locus.verdicts import FAILS, HOLDS
+from locus.rationals import FactoredRational
+from locus.verdicts import FAILS, HOLDS, INCONCLUSIVE
+from locus.verify import verify_document
 
 
 def brute_skalba(elems, q, m):
@@ -53,6 +59,20 @@ def brute_skalba(elems, q, m):
     return None
 
 
+def brute_vectors(vecs, q, m):
+    """Plain loop on exponent vectors: (first witness or None, tuples tried)."""
+    qm = q**m
+    pairs = [s for s in product((0, 1, -1), repeat=len(vecs))
+             if (s.count(1) - s.count(-1)) % q]
+    tried = 0
+    for c in product(range(qm), repeat=len(vecs)):
+        tried += 1
+        if not any(all(sum(sj * cj * v[i] for sj, cj, v in zip(s, c, vecs)) % qm == 0
+                       for i in range(len(vecs[0]))) for s in pairs):
+            return c, tried
+    return None, tried
+
+
 def test_oracle_examples():
     assert skalba_oracle([2, 3, 6, 18], 3, 1).status == HOLDS
     v = skalba_oracle([2, 3, 18], 3, 1)
@@ -85,6 +105,65 @@ def test_oracle_matches_bruteforce(elems, q, m):
     got = skalba_oracle(elems, q, m)
     want = brute_skalba(elems, q, m)
     assert got.fails() == (want is not None)
+    if want is None:
+        assert got.certificate.tuples_checked == (q**m) ** len(elems)
+    else:
+        assert got.certificate.c == want
+
+
+@st.composite
+def oracle_cases(draw):
+    q = draw(st.sampled_from([3, 5]))
+    m = draw(st.integers(1, 2))
+    width = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-2 * q**m, 2 * q**m), min_size=width, max_size=width)
+    # the plain loop takes seconds on 25^4 tuples
+    vecs = draw(st.lists(vec, min_size=1, max_size=3 if q**m == 25 else 4))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(vecs),
+                          max_size=len(vecs)))
+    return q, m, vecs, signs
+
+
+@given(oracle_cases())
+@settings(max_examples=150, deadline=None)
+def test_oracle_matches_plain_loop(case):
+    q, m, vecs, signs = case
+    xs = [FactoredRational.from_prime_powers(sign, dict(zip((2, 3, 7), v)))
+          for sign, v in zip(signs, vecs)]
+    got = skalba_oracle(xs, q, m)
+    want, tried = brute_vectors(vecs, q, m)
+    if want is None:
+        assert got.holds()
+        assert got.certificate.tuples_checked == tried == (q**m) ** len(vecs)
+    else:
+        assert got.fails() and got.certificate.c == want
+
+
+def test_oracle_work_budget(monkeypatch, capsys):
+    # the oracle settles {8, 5, 10, 50}, n = 9, after touching 53 reach
+    # entries
+    monkeypatch.setattr(locus.prime_power, "ORACLE_WORK_BUDGET", 1000)
+    assert decide_prime_power([8, 5, 10, 50], 3, 2).fails()
+    monkeypatch.setattr(locus.prime_power, "ORACLE_WORK_BUDGET", 10)
+    with pytest.raises(OracleLimitExceeded, match="reach entries touched"):
+        skalba_oracle([8, 5, 10, 50], 3, 2)
+    v = decide_prime_power([8, 5, 10, 50], 3, 2)
+    assert v.status == INCONCLUSIVE
+    assert v.certificate.reason == "oracle_budget_exceeded"
+    argv = ["oracle", "--n", "9"] + [a for e in (8, 5, 10, 50) for a in ("--elem", str(e))]
+    assert main(argv) == 4
+    assert "oracle work budget exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("elements,n", [
+    (["2", "3", "6", "12", "5", "10"], 27),
+    (["2", "7", "14", "98", "686", "4802"], 25),
+])
+def test_six_element_oracle_inputs_decide(elements, n):
+    # 27^6 and 25^6 tuples; the search settles each within 400 reach entries
+    v = decide(elements, n)
+    assert v.status == FAILS and v.certificate.kind == "skalba_witness"
+    assert verify_document(v.to_json(n, elements)) == []
 
 
 def test_decide_prime_power_perfect_member():

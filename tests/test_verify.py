@@ -213,3 +213,60 @@ def test_accepts_cofactors_above_the_deterministic_bound():
     doc = doc_for(["1961261854101391", "5/59982049"], 5)
     assert doc["certificate"]["kind"] == "uncovered_point"
     assert verify_document(doc) == []
+
+
+def oracle_doc(elements, q, m):
+    from locus.prime_power import skalba_oracle
+    return skalba_oracle(elements, q, m).to_json(q**m, [str(factor(e)) for e in elements])
+
+
+def test_rejects_forged_oracle_exhaustion():
+    # {2} fails for n = 3 (2 is not a cube mod 7); one tuple is not 3^1
+    doc = {"n": 3, "elements": ["2"], "status": "holds",
+           "certificate": {"kind": "oracle_exhaustion", "q": 3, "m": 1,
+                           "tuples_checked": 1},
+           "excluded_primes": [2, 3]}
+    assert verify_document(doc) == ["tuples checked are not (q^m)^l for the raw "
+                                    "or the deduplicated element list"]
+    doc["certificate"]["tuples_checked"] = 3
+    assert verify_document(doc) == ["some exponent tuple admits no perfect-power "
+                                    "subset pair"]
+    doc["certificate"].update(q=9, tuples_checked=9)
+    assert verify_document(doc) == ["oracle modulus 9 is not an odd prime"]
+    doc["certificate"].update(q=3, m=2, tuples_checked=9)
+    assert verify_document(doc) == ["oracle modulus differs from the verdict exponent"]
+
+
+def test_accepts_genuine_oracle_exhaustion(tmp_path, capsys):
+    from locus.cli import main
+    path = tmp_path / "cubic.json"
+    argv = ["oracle", "--n", "3", "--json", str(path)]
+    assert main(argv + [a for e in (2, 3, 6, 18) for a in ("--elem", str(e))]) == 0
+    capsys.readouterr()
+    assert main(["verify-certificate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"valid": True, "problems": []}
+    # a cubic quad lifted one layer holds for n = 9: 9^4 tuples
+    doc = oracle_doc([8, 125, 1000, 125000], 3, 2)
+    assert doc["certificate"] == {"kind": "oracle_exhaustion", "q": 3, "m": 2,
+                                  "tuples_checked": 6561}
+    assert verify_document(doc) == []
+    # the duplicate class 48 = 6 * 2^3 leaves five elements, 3^5 tuples
+    doc = oracle_doc([2, 3, 6, 18, 48, 5], 3, 1)
+    doc["certificate"]["tuples_checked"] = 3**5
+    assert verify_document(doc) == []
+
+
+def test_oracle_exhaustion_recheck_has_a_work_bound(monkeypatch):
+    import locus.verify
+    doc = oracle_doc([2, 3, 6, 18], 3, 1)
+    monkeypatch.setattr(locus.verify, "ORACLE_RECHECK_LIMIT", 10)
+    assert verify_document(doc) == ["oracle exhaustion too large to re-check"]
+
+
+def test_oracle_witness_recheck_has_a_work_bound():
+    # 3^13 sign vectors; the engine's oracle stops at 8 elements
+    from locus.primes import sieve_upto
+    primes = [str(p) for p in sieve_upto(50)[:13]]
+    doc = {"n": 3, "elements": primes, "status": "fails",
+           "certificate": {"kind": "skalba_witness", "c": [1] * 13, "q": 3, "m": 1}}
+    assert verify_document(doc) == ["skalba witness too large to re-check"]
