@@ -7,12 +7,18 @@ is exact below ~3.3e24; a probable prime above that raises rather than
 degrading to a probabilistic answer, because downstream verdicts assume
 complete factorizations.  Compositeness needs no bound: one failed witness
 proves it, so larger composites are still split.
+
+Enumeration: an Eratosthenes sieve over the odd numbers only, one bytearray
+flag per odd number, collected with itertools.compress; ranges above 2^22
+are sieved in segments and collected the same way.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
+from itertools import compress
 from typing import Optional
 
 from .errors import FactorizationCapacityExceeded, RangeTooLarge
@@ -40,15 +46,17 @@ def _trial_primes() -> list[int]:
 
 
 def sieve_upto(n: int) -> list[int]:
-    """All primes <= n by a plain Eratosthenes sieve."""
+    """All primes <= n by an Eratosthenes sieve over the odd numbers."""
     if n < 2:
         return []
-    flags = bytearray([1]) * (n + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, math.isqrt(n) + 1):
+    size = (n + 1) // 2  # flags[i] stands for 2i + 1
+    flags = bytearray([1]) * size
+    flags[0] = 0
+    for i in range(1, (math.isqrt(n) + 1) // 2):
         if flags[i]:
-            flags[i * i :: i] = bytearray(len(range(i * i, n + 1, i)))
-    return [i for i in range(2, n + 1) if flags[i]]
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, size, p)))
+    return [2, *compress(range(1, n + 1, 2), flags)]
 
 
 def _miller_rabin(n: int, bases) -> bool:
@@ -199,7 +207,8 @@ def prime_range(lo: int, hi: int) -> list[int]:
         return []
     lo = max(lo, 2)
     if hi <= 1 << 22:
-        return [p for p in sieve_upto(hi) if p >= lo]
+        primes = sieve_upto(hi)
+        return primes[bisect_left(primes, lo):]
     base = sieve_upto(math.isqrt(hi))
     out: list[int] = []
     start = lo
@@ -211,7 +220,7 @@ def prime_range(lo: int, hi: int) -> list[int]:
             if first > end:
                 continue
             flags[first - start :: p] = bytearray(len(range(first, end + 1, p)))
-        out.extend(start + i for i, b in enumerate(flags) if b and start + i >= 2)
+        out.extend(compress(range(start, end + 1), flags))
         start = end + 1
     return out
 

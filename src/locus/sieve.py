@@ -5,6 +5,14 @@ is a failure for (A, k) when no element of A is a k-th power residue mod p.
 Scans always exclude 2, primes dividing k, and primes dividing any support;
 finitely many exclusions are harmless for almost-every claims and dodge the
 Hensel edge cases.
+
+Kernel (Euler's criterion): with d = gcd(k, p-1), a unit r mod p is a k-th
+power exactly when r^((p-1)/d) = 1.  Each element is prepared once as its
+signed numerator and denominator; per prime, d = 1 makes every residue a
+k-th power, and otherwise num/den passes when num^e = den^e mod p with
+e = (p-1)/d, so the cost per prime does not grow with k.  scan,
+find_counterexample and the verifier's re-check (first_non_failing) all run
+this one kernel; is_kth_power_mod_p stays the per-element reference.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from fractions import Fraction
 
 from .errors import BadPrime
 from .primes import factorize, prime_range
-from .rationals import RationalLike, factor
+from .rationals import FactoredRational, RationalLike, factor
 
 
 @dataclass(frozen=True)
@@ -81,28 +89,36 @@ def default_exclusions(elements, k: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _failing(xs: list[FactoredRational], k: int, primes):
+    """The primes, in order, at which no element is a k-th power residue."""
+    pairs = [(x.numerator, x.denominator) for x in xs]
+    for p in primes:
+        d = math.gcd(k, p - 1)
+        if d == 1:
+            continue
+        e = (p - 1) // d
+        for num, den in pairs:
+            if pow(num, e, p) == (1 if den == 1 else pow(den, e, p)):
+                break
+        else:
+            yield p
+
+
 def scan(elements, k: int, lo: int, hi: int, excluded=frozenset()) -> SieveReport:
     """Test every non-excluded prime in [lo, hi]; deterministic for fixed input."""
     if lo > hi:
         raise ValueError("scan range is empty the wrong way round")
     xs = [factor(a) for a in elements]
     excl = frozenset(excluded) | default_exclusions(xs, k)
-    failing = []
-    tested = 0
-    for p in prime_range(lo, hi):
-        if p in excl:
-            continue
-        tested += 1
-        if not set_has_kth_power_mod_p(xs, k, p):
-            failing.append(p)
+    tested = [p for p in prime_range(lo, hi) if p not in excl]
     return SieveReport(
         elements=tuple(str(x) for x in xs),
         k=k,
         lo=lo,
         hi=hi,
         excluded=excl,
-        failing_primes=tuple(failing),
-        tested_count=tested,
+        failing_primes=tuple(_failing(xs, k, tested)),
+        tested_count=len(tested),
     )
 
 
@@ -110,17 +126,26 @@ def find_counterexample(elements, k: int, bound: int, excluded=frozenset()):
     """Least non-excluded prime <= bound where no element is a k-th residue."""
     xs = [factor(a) for a in elements]
     excl = frozenset(excluded) | default_exclusions(xs, k)
-    for p in prime_range(2, bound):
-        if p in excl:
-            continue
-        if not set_has_kth_power_mod_p(xs, k, p):
-            return p
-    return None
+    tested = (p for p in prime_range(2, bound) if p not in excl)
+    return next(_failing(xs, k, tested), None)
+
+
+def first_non_failing(elements, k: int, primes):
+    """The first of a sequence of claimed failing primes that does not fail,
+    or None when all of them fail.
+
+    A claim is void below 3 and at a prime dividing k or some element's
+    support.  The elements are factored and prepared once for the batch.
+    """
+    if k < 1:
+        raise ValueError("power degree must be >= 1")
+    xs = [factor(a) for a in elements]
+    bad = {p for x in xs for p in x.support()}
+    valid = [p for p in primes if p >= 3 and p not in bad and k % p]
+    failing = set(_failing(xs, k, valid))
+    return next((p for p in primes if p not in failing), None)
 
 
 def verify_failing_prime(elements, k: int, p: int) -> bool:
     """Re-check one claimed failing prime."""
-    xs = [factor(a) for a in elements]
-    if p == 2 or any(p in x.support() for x in xs) or k % p == 0:
-        return False
-    return not set_has_kth_power_mod_p(xs, k, p)
+    return first_non_failing(elements, k, (p,)) is None

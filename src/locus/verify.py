@@ -4,13 +4,17 @@ Given a verdict document (as produced by the CLI), re-check the certificate
 against the element set without trusting the engine's decision path.  Every
 check here recomputes from first principles: roots are re-raised, covers
 re-enumerated, witnesses and exhaustions re-searched, claimed failing primes
-re-tested.  Certificate kinds are checked against the status they may
-support, the cover re-check tries at most COVER_RECHECK_LIMIT candidate
-points, and the re-checks of an oracle witness or exhaustion make at most
-ORACLE_RECHECK_LIMIT (2^20) sign-vector tests.  Every element string is
-factored with primes.factorize, whose rho gives up on a composite above the
-Miller-Rabin bound once its cycle length passes primes.RHO_CYCLE_LIMIT, so a
-crafted element costs under a second per split attempt there.
+re-tested, all of a document's in one batch.  A counterexample prime must be
+prime; an evidence certificate without one backs a failure only through the
+Grunwald-Wang singleton theorem or the odd small-set theorem, whose
+hypotheses are re-checked here.  Certificate kinds are checked against the
+status they may support, the cover re-check tries at most
+COVER_RECHECK_LIMIT candidate points, and the re-checks of an oracle witness
+or exhaustion make at most ORACLE_RECHECK_LIMIT (2^20) sign-vector tests.
+Every element string is factored with primes.factorize, whose rho gives up
+on a composite above the Miller-Rabin bound once its cycle length passes
+primes.RHO_CYCLE_LIMIT, so a crafted element costs under a second per split
+attempt there.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from itertools import product
 
 from .classify import ExceptionalForm
 from .prime_power import _oracle_assignments, _ratio
-from .primes import is_prime
+from .primes import factorize, is_prime
 from .rationals import clear_denominators, factor, is_perfect_power, reduce_class
-from .sieve import verify_failing_prime
+from .sieve import first_non_failing, verify_failing_prime
 from .verdicts import FAILS, HOLDS, INCONCLUSIVE
 
 
@@ -96,13 +100,16 @@ def _verify(doc: dict):
         _need(is_prime(p), f"excluded entry {p} is not prime")
     evidence = doc.get("evidence")
     if evidence is not None:
-        k = evidence["params"]["k"]
-        for p in evidence["failing_primes"]:
-            _need(verify_failing_prime(elements, k, p),
-                  f"claimed failing prime {p} does not fail")
+        params, primes = evidence["params"], evidence["failing_primes"]
+        _need(params["k"] == n, "evidence exponent differs from the verdict")
+        _need(all(a < b for a, b in zip(primes, primes[1:])),
+              "claimed failing primes are not strictly ascending")
+        _need(not primes or params["lo"] <= primes[0] and primes[-1] <= params["hi"],
+              "claimed failing primes lie outside the scanned range")
+        p = first_non_failing(elements, n, primes)
+        _need(p is None, f"claimed failing prime {p} does not fail")
         if status == HOLDS:
-            _need(not evidence["failing_primes"],
-                  "holds verdict carries sieve failures; inconsistency")
+            _need(not primes, "holds verdict carries sieve failures; inconsistency")
 
 
 def _verify_certificate(cert: dict, elements, n: int, status: str):
@@ -163,10 +170,7 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
                   for col in coeffs if any(col)),
               "claimed uncovered point is covered")
         _verify_columns_from_set(cert, elements, n, q, support, coeffs)
-        if "counterexample_prime" in cert:
-            _need(verify_failing_prime(elements, n,
-                                       cert["counterexample_prime"]),
-                  "counterexample prime does not fail")
+        _need_counterexample(cert, elements, n)
         return
 
     if kind == "odd_subset_witness":
@@ -192,10 +196,7 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
             _need(label in rows, f"unknown row label {label}")
             acc = [a ^ b for a, b in zip(acc, rows[label])]
         _need(all(acc), "row combination does not witness the obstruction")
-        if "counterexample_prime" in cert:
-            _need(verify_failing_prime(elements, n,
-                                       cert["counterexample_prime"]),
-                  "counterexample prime does not fail")
+        _need_counterexample(cert, elements, n)
         return
 
     if kind == "skalba_witness":
@@ -217,10 +218,7 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
         for signs in _oracle_assignments(len(xs), q):
             _need(not is_perfect_power(_ratio(xs, c, signs), q**m),
                   "witness tuple admits a perfect-power subset pair")
-        if "counterexample_prime" in cert:
-            _need(verify_failing_prime(elements, n,
-                                       cert["counterexample_prime"]),
-                  "counterexample prime does not fail")
+        _need_counterexample(cert, elements, n)
         return
 
     if kind == "oracle_exhaustion":
@@ -253,13 +251,40 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
         return
 
     if kind == "evidence":
-        if "counterexample_prime" in cert:
-            _need(verify_failing_prime(elements, n,
-                                       cert["counterexample_prime"]),
-                  "counterexample prime does not fail")
+        if "counterexample_prime" not in cert:
+            _need_theorem(cert["reason"], cleared, n)
+        _need_counterexample(cert, elements, n)
         return
 
     raise VerificationFailure(f"unknown certificate kind {kind}")
+
+
+def _need_counterexample(cert: dict, elements, n: int):
+    """A recorded counterexample prime must be a prime where the set fails."""
+    if "counterexample_prime" in cert:
+        p = cert["counterexample_prime"]
+        _need(is_prime(p), f"counterexample prime {p} is not prime")
+        _need(verify_failing_prime(elements, n, p),
+              "counterexample prime does not fail")
+
+
+def _need_theorem(reason: str, cleared, n: int):
+    """Evidence without a counterexample prime backs a failure only through
+    a theorem whose hypotheses hold: Grunwald-Wang for one class that is
+    neither an n-th power nor, when 8 | n, 2^(n/2) b^n; or, for odd n, at
+    most q classes (q the least prime dividing n) and no n-th power."""
+    _need(reason in ("grunwald_wang_singleton", "odd_small_set"),
+          f"evidence {reason} needs a counterexample prime")
+    classes = _dedupe(cleared, n)
+    _need(not any(is_perfect_power(x, n) for x in classes),
+          "the set contains a perfect power")
+    if reason == "grunwald_wang_singleton":
+        _need(len(classes) == 1, "singleton evidence for more than one class")
+        _need(n % 8 or not is_perfect_power(classes[0] / factor(2) ** (n // 2), n),
+              "the member is 2^(n/2) b^n")
+    else:
+        _need(n % 2 == 1 and len(classes) <= min(factorize(n)),
+              "odd small-set evidence needs odd n and at most q classes")
 
 
 def _need_oracle_modulus(q, m, n: int):

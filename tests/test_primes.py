@@ -70,6 +70,33 @@ def test_prime_range_segmented_consistency():
     assert seg == direct
 
 
+def test_sieve_upto_matches_trial_division():
+    primes = [m for m in range(2, 2001) if all(m % d for d in range(2, int(m**0.5) + 1))]
+    for n in range(-1, 2001):
+        assert sieve_upto(n) == [p for p in primes if p <= n], n
+    assert len(sieve_upto(10**6)) == 78498
+
+
+def test_prime_range_at_segment_edges():
+    # above 2^22 prime_range sieves [lo, lo + 2^17) at a time; put lo and hi
+    # at +-1 of 2^22, where the direct sieve stops, and of segment edges that
+    # fall on a prime
+    direct = sieve_upto((1 << 22) + (1 << 19))
+    assert all(is_prime(p) for p in direct[-50:])
+
+    def want(lo, hi):
+        return [p for p in direct if lo <= p <= hi]
+    for lo, hi in [((1 << 22) - 1, (1 << 22) + 1), ((1 << 22) - 50, (1 << 22) + 50)]:
+        assert prime_range(lo, hi) == want(lo, hi), (lo, hi)
+    edge = next(p for p in direct if p > (1 << 22) + (1 << 18))
+    for d in (-1, 0, 1):
+        for lo, hi in [(edge - (1 << 17) + 1 + d, edge + 1),   # a segment ends at edge + d
+                       (edge - (1 << 17) + d, edge + 1),       # the next starts at edge + d
+                       (edge + d, edge + (1 << 17)),           # the first starts at edge + d
+                       (edge - 3, edge + d)]:                  # hi at edge + d
+            assert prime_range(lo, hi) == want(lo, hi), (lo, hi)
+
+
 def test_prime_range_ceiling():
     with pytest.raises(RangeTooLarge):
         prime_range(2, 10**9 + 1)

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locus.errors import BadPrime
-from locus.primes import sieve_upto
+from locus.primes import is_prime, prime_range, sieve_upto
 from locus.rationals import factor
-from locus.sieve import (find_counterexample, is_kth_power_mod_p, scan,
-                         set_has_kth_power_mod_p, verify_failing_prime)
+from locus.sieve import (find_counterexample, first_non_failing,
+                         is_kth_power_mod_p, scan, set_has_kth_power_mod_p,
+                         verify_failing_prime)
 
 
 def brute_residues(p, k):
@@ -112,3 +115,53 @@ def test_verify_failing_prime():
     assert not verify_failing_prime([2, 3, 12], 3, 11)
     assert not verify_failing_prime([2, 3, 12], 3, 2)
     assert not verify_failing_prime([2, 3, 12], 3, 3)  # divides support and k
+
+
+def test_first_non_failing():
+    assert first_non_failing([2, 3, 12], 3, [7, 37]) is None
+    assert first_non_failing([2, 3, 12], 3, [7, 11, 13, 37]) == 11
+    assert first_non_failing(["2", "3", "12"], 3, []) is None
+    # void claims: below 3, dividing k, dividing a support
+    for p in (-5, 0, 1, 2, 3):
+        assert first_non_failing([5, 7], 3, [p]) == p
+    assert first_non_failing([2, 3, 12], 3, [7, 37, 2]) == 2
+    assert first_non_failing([2, 3, 12], 3, [11, 2]) == 11
+    with pytest.raises(ValueError):
+        first_non_failing([2], 0, [7])
+
+
+SIGNED_RATIONALS = st.fractions(min_value=-10**4, max_value=10**4,
+                                max_denominator=60).filter(lambda f: f != 0)
+# ranges below 3000, and one window just above the segmented sieve's 2^22
+RANGES = st.one_of(
+    st.lists(st.integers(2, 3000), min_size=2, max_size=2).map(sorted),
+    st.just([(1 << 22) - 200, (1 << 22) + 2000]))
+
+
+@given(st.lists(SIGNED_RATIONALS, min_size=1, max_size=4),
+       st.one_of(st.integers(1, 24), st.sampled_from([10**5, 10**6])), RANGES)
+@settings(max_examples=200, deadline=1000)
+def test_kernel_matches_plain_loop(values, k, bounds):
+    # a cost growing with k (say, a precomputed num * den^(k-1)) shows as a
+    # missed deadline at k = 10^5 and 10^6
+    lo, hi = bounds
+    texts = [str(v) for v in values]
+    xs = [factor(v) for v in values]
+    start = 2 if hi <= 3000 else lo
+    tested = [p for p in range(start, hi + 1) if is_prime(p) and p != 2
+              and k % p and all(x.exponent(p) == 0 for x in xs)]
+    failing = [p for p in tested if not set_has_kth_power_mod_p(xs, k, p)]
+
+    rep = scan(texts, k, lo, hi)
+    assert rep.failing_primes == tuple(p for p in failing if p >= lo)
+    assert rep.tested_count == sum(p >= lo for p in tested)
+    if hi <= 3000:
+        assert find_counterexample(texts, k, hi) == next(iter(failing), None)
+    assert first_non_failing(texts, k, failing) is None
+    passing = [p for p in tested if p not in failing]
+    if passing:
+        claim = sorted(failing + passing[-1:])
+        assert first_non_failing(texts, k, claim) == passing[-1]
+        assert not verify_failing_prime(texts, k, passing[-1])
+    if failing:
+        assert verify_failing_prime(texts, k, failing[0])

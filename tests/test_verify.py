@@ -270,3 +270,78 @@ def test_oracle_witness_recheck_has_a_work_bound():
     doc = {"n": 3, "elements": primes, "status": "fails",
            "certificate": {"kind": "skalba_witness", "c": [1] * 13, "q": 3, "m": 1}}
     assert verify_document(doc) == ["skalba witness too large to re-check"]
+
+
+def test_counterexample_prime_must_be_prime():
+    # 8 = 2^3, so {8, 5} holds for n = 3; 15 is no prime at all
+    doc = {"n": 3, "elements": ["8", "5"], "status": "fails",
+           "certificate": {"kind": "evidence", "reason": "x", "counterexample_prime": 15}}
+    assert verify_document(doc) == ["counterexample prime 15 is not prime"]
+    for source in ([2, 3, 12], 3), ([2, 3], 2), ([8, 5, 10, 50], 9):
+        doc = doc_for(*source)
+        assert verify_document(doc) == []
+        doc["certificate"]["counterexample_prime"] = 7 * 13
+        assert verify_document(doc) == ["counterexample prime 91 is not prime"]
+
+
+def test_evidence_without_prime_needs_a_theorem():
+    forged = {"n": 3, "elements": ["8"], "status": "fails",
+              "certificate": {"kind": "evidence", "reason": "x"}}
+    assert verify_document(forged) == ["evidence x needs a counterexample prime"]
+    for reason in ("grunwald_wang_singleton", "odd_small_set"):
+        forged["certificate"]["reason"] = reason
+        assert verify_document(forged) == ["the set contains a perfect power"]
+    # the same reasons with their hypotheses broken
+    cases = [
+        (["2", "3"], 3, "grunwald_wang_singleton"),   # two classes
+        (["16"], 8, "grunwald_wang_singleton"),       # 2^(8/2) * 1^8
+        (["2", "3"], 4, "no_exceptional_template"),   # a theorem, but not re-checked
+        (["2", "3", "5", "7"], 15, "odd_small_set"),  # 4 classes, 3 | 15
+        (["2", "3"], 6, "odd_small_set"),             # even n
+    ]
+    for elements, n, reason in cases:
+        doc = {"n": n, "elements": elements, "status": "fails",
+               "certificate": {"kind": "evidence", "reason": reason}}
+        assert verify_document(doc), (elements, n, reason)
+    # genuine ones: no failing prime below 10^4 for 2 and n = 10007, and
+    # the theorems' own hypotheses
+    doc = doc_for([2], 10007)
+    assert doc["certificate"] == {"kind": "evidence", "reason": "grunwald_wang_singleton"}
+    assert verify_document(doc) == []
+    for elements, n, reason in [(["32", "8", "-1/2"], 15, "odd_small_set"),
+                                (["8", "32"], 15, "odd_small_set"),
+                                (["2"], 8, "grunwald_wang_singleton"),
+                                (["-3", "24"], 3, "grunwald_wang_singleton")]:
+        doc = doc_for(elements, n, want_counterexample=False)
+        assert doc["certificate"] == {"kind": "evidence", "reason": reason}
+        assert verify_document(doc) == [], (elements, n)
+
+
+def test_evidence_rule_uses_the_component_modulus():
+    # 8 is a cube, so its 3-component holds, though 8 is no 15th power
+    inner = {"kind": "evidence", "reason": "grunwald_wang_singleton"}
+    doc = {"n": 15, "elements": ["8"], "status": "fails",
+           "certificate": {"kind": "component_failure", "q": 3, "m": 1, "inner": inner}}
+    assert verify_document(doc) == ["the set contains a perfect power"]
+    doc["elements"] = ["2"]
+    assert verify_document(doc) == []
+    inner["reason"] = "x"
+    assert verify_document(doc) == ["evidence x needs a counterexample prime"]
+
+
+def test_evidence_parameters_must_match_the_document():
+    doc = doc_for([2, 3, 12], 3, attach_evidence=True, evidence_hi=100)
+    assert doc["evidence"]["failing_primes"] == [7, 37]
+    assert verify_document(doc) == []
+    bad = json.loads(json.dumps(doc))
+    bad["evidence"]["params"]["k"] = 6
+    assert verify_document(bad) == ["evidence exponent differs from the verdict"]
+    bad = json.loads(json.dumps(doc))
+    bad["evidence"]["failing_primes"] = [37, 7]
+    assert verify_document(bad) == ["claimed failing primes are not strictly ascending"]
+    bad["evidence"]["failing_primes"] = [7, 7, 37]
+    assert verify_document(bad) == ["claimed failing primes are not strictly ascending"]
+    for lo, hi in ((8, 100), (2, 36)):
+        bad = json.loads(json.dumps(doc))
+        bad["evidence"]["params"].update(lo=lo, hi=hi)
+        assert verify_document(bad) == ["claimed failing primes lie outside the scanned range"]
