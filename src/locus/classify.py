@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalInconsistency, NotEven, WrongCardinality, ZeroInput
-from .prime_power import decide_prime_power
+from .covering import decide_q
 from .primes import prime_power_split
 from .rationals import (FactoredRational, clear_denominators, dedupe, factor,
                         is_perfect_power)
@@ -220,42 +220,35 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
 
 def _route(xs: list[FactoredRational], n: int, ceiling: int) -> Verdict:
     """Verdict for distinct integral classes, in this order: a perfect
-    member; one class; squares; an even-n pair; no criterion for three or
-    more classes and n = 2^a; an odd prime power; otherwise the necessary
-    prime-power components, then the odd small-set theorem."""
+    member; one class; the cover test over Z/n for odd n; squares; an
+    even-n pair; no criterion for three or more classes and n = 2^a;
+    otherwise the necessary prime-power components."""
     for x in xs:
         if is_perfect_power(x, n):
             return Verdict(HOLDS, PerfectPowerMember(str(x), str(x.nth_root(n)), n))
     if len(xs) == 1:
         return classify_singleton(xs[0], n, want_counterexample=False)
+    if n % 2:
+        return decide_q(xs, n, want_counterexample=False, ceiling=ceiling)
     if n == 2:
         return decide_square(xs, want_counterexample=False)
-    if n % 2 == 0 and len(xs) == 2:
+    if len(xs) == 2:
         form = match_exceptional_pair(xs, n)
         if form is not None:
             return Verdict(HOLDS, form_to_certificate(form, n))
         return Verdict(FAILS, Evidence(reason="no_exceptional_template"))
     split = prime_power_split(n)
     if len(split) == 1:
-        q, a = split[0]
-        if q == 2:
-            return Verdict(INCONCLUSIVE,
-                           Evidence(reason="no_two_power_criterion_beyond_pairs"))
-        return decide_prime_power(xs, q, a, want_counterexample=False,
-                                  ceiling=ceiling)
+        return Verdict(INCONCLUSIVE,
+                       Evidence(reason="no_two_power_criterion_beyond_pairs"))
 
     # an n-th power is a q^a-th power for each q^a || n
     for q, a in split:
         if q == 2:
             comp = decide_two_power(xs, a, want_counterexample=False)
         else:
-            comp = decide_prime_power(xs, q, a, want_counterexample=False,
-                                      ceiling=ceiling)
+            comp = decide_q(xs, q**a, want_counterexample=False, ceiling=ceiling)
         if comp.fails():
             return Verdict(FAILS, ComponentFailure(q, a, comp.certificate),
                            comp.excluded_primes)
-    if n % 2 == 1 and len(xs) <= split[0][0]:
-        # odd n, at most p1 classes, no perfect n-th power: fails outright;
-        # no component refutation exists in general
-        return Verdict(FAILS, Evidence(reason="odd_small_set"))
     return Verdict(INCONCLUSIVE, Evidence(reason="no_composite_criterion"))

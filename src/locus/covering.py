@@ -1,13 +1,19 @@
-"""Hyperplane covering over F_q and the q-th power decision it encodes.
+"""Kernel covering over Z/n and the n-th power decision it encodes (odd n).
 
-Each q-free integer a_j with exponents (mu_1j, ..., mu_sj) over the joint
-support induces the linear form sum_i mu_ij x_i on F_q^s.  The set contains
-a q-th power in Z_p for almost every p exactly when the kernels of these
-forms cover all of F_q^s.
+Each element a_j with exponent vector e_j over the joint support induces the
+form x -> <x, e_j> mod n on (Z/n)^s.  For odd n the sign drops out and
+Gal(Q(zeta_n, A^(1/n))/Q) = (Z/n)^s x| (Z/n)^x (Schinzel), so by Chebotarev
+the set contains an n-th power in Q_p for almost every p exactly when the
+kernels of these forms cover (Z/n)^s.  `covers` decides a prime n on the
+projective image after elimination over F_q; `covers_mod` decides any odd n
+on the image of a diagonal form of the exponent matrix.  Both spend one
+budget of candidate values and raise InstanceTooLarge past it.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -23,7 +29,7 @@ ENUMERATION_CEILING = 1 << 24
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """Kernel of a nonzero linear form over F_q^s."""
+    """Kernel of a nonzero linear form over (Z/q)^s."""
 
     coeffs: tuple[int, ...]
 
@@ -43,7 +49,7 @@ class ExponentMatrixModQ:
 
 @dataclass(frozen=True)
 class Covered:
-    """The kernels cover all of F_q^s."""
+    """The kernels cover all of (Z/q)^s."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,7 @@ def build_hyperplanes(elements, q: int):
     """(matrix, hyperplanes, trivial_flag) for a set of q-free integers.
 
     Inputs must be q-free (exponents in [0, q)) and not +-1; the sign plays
-    no role for odd q since -1 is a q-th power.
+    no role for odd q since -1 is a q-th power.  q need not be prime.
     """
     xs = [factor(a) for a in elements]
     for x in xs:
@@ -200,49 +206,138 @@ def covers(hyperplanes, q: int, s: int, ceiling: int = ENUMERATION_CEILING) -> C
     return Uncovered(tuple(point))
 
 
-def _verify_uncovered(point, forms, q) -> None:
-    # certificate soundness: asserted before any Uncovered leaves the module
-    assert all(sum(c * x for c, x in zip(coeffs, point)) % q != 0 for coeffs in forms), \
-        "uncovered point is covered; internal covering bug"
+def _diagonal_form(columns, n: int):
+    """(m_k, r_k) per generator of the image {x . E : x in (Z/n)^s}, E the
+    s x l matrix with these columns: each image vector is x . E at
+    x = sum t_k r_k for exactly one t in prod Z/m_k.
 
-
-def decide_q(elements, q: int, *, want_counterexample: bool = True,
-             counterexample_bound: int = 10**4,
-             ceiling: int = ENUMERATION_CEILING,
-             reduction=None) -> Verdict:
-    """Does the set contain a q-th power in Z_p for almost every p (odd q)?
-
-    Pipeline: reduce each element mod (Q^x)^q, short-circuit on any trivial
-    class, otherwise build hyperplanes and test the cover.
+    Row and column operations over Z/n bring E to a diagonal D = R E C, by
+    Euclid on the least nonzero entry.  With r_k row k of R, r_k . E is d_k
+    times row k of C^-1, and t -> t d_k maps Z/m_k one to one onto the
+    multiples of gcd(d_k, n) = n / m_k.
     """
-    if q == 2 or not is_prime(q):
-        raise ValueError("decide_q needs an odd prime; squares live elsewhere")
+    s, l = len(columns[0]), len(columns)
+    a = [[col[p] % n for col in columns] for p in range(s)]
+    rows = [[int(i == j) for j in range(s)] for i in range(s)]  # R
+    out = []
+    for k in range(min(s, l)):
+        while True:
+            rest = [(a[i][j], i, j) for i in range(k, s) for j in range(k, l) if a[i][j]]
+            if not rest:
+                return out
+            d, i, j = min(rest)
+            a[k], a[i], rows[k], rows[i] = a[i], a[k], rows[i], rows[k]
+            for row in a:
+                row[k], row[j] = row[j], row[k]
+            for i in range(k + 1, s):  # row i -= c row k, leaving a[i][k] < d
+                c = a[i][k] // d
+                a[i] = [(x - c * y) % n for x, y in zip(a[i], a[k])]
+                rows[i] = [(x - c * y) % n for x, y in zip(rows[i], rows[k])]
+            for j in range(k + 1, l):  # column j -= c column k
+                c = a[k][j] // d
+                for row in a:
+                    row[j] = (row[j] - c * row[k]) % n
+            if not any(a[i][k] for i in range(k + 1, s)) and not any(a[k][k + 1:]):
+                break
+        out.append((n // math.gcd(d, n), rows[k]))
+    return out
+
+
+def covers_mod(columns, n: int, ceiling: int = ENUMERATION_CEILING) -> CoverOutcome:
+    """Covered, or Uncovered at a point of (Z/n)^s off every kernel of
+    x -> <x, col> mod n.
+
+    The search assigns the coordinates t of the image (_diagonal_form) most
+    used first and drops a branch once an assigned combination vanishes.
+    Points scale by units of Z/n, so while t is zero so far its next entry
+    is 0 or a divisor of its modulus m below m.  ceiling bounds the values
+    tried; past it InstanceTooLarge.
+    """
+    if not columns:
+        raise ValueError("column list must be nonempty")
+    gens = _diagonal_form(columns, n)
+    # column i of the image as a combination of the coordinates t_k
+    terms = [[(k, c) for k, (_, r) in enumerate(gens)
+              if (c := sum(x * y for x, y in zip(r, col)) % n)] for col in columns]
+    if not all(terms):
+        return Covered()  # a zero column: its kernel is everything
+    uses = Counter(k for ts in terms for k, _ in ts)
+    order = sorted(uses, key=lambda k: -uses[k])
+    pos = {k: i for i, k in enumerate(order)}
+    checks = [[] for _ in order]  # combinations by their last assigned coordinate
+    for ts in terms:
+        ts = sorted((pos[k], c) for k, c in ts)
+        checks[ts[-1][0]].append(ts)
+
+    def values(i, zero_so_far):
+        m = gens[order[i]][0]
+        return iter([0] + [d for d in range(1, m) if m % d == 0] if zero_so_far
+                    else range(m))
+
+    budget = iter(range(ceiling))
+    t = [0] * len(order)
+    stack = [values(0, True)]
+    while stack:
+        i = len(stack) - 1
+        for v in stack[-1]:
+            if next(budget, None) is None:
+                raise InstanceTooLarge("cover search passed its candidate ceiling")
+            t[i] = v
+            if all(sum(c * t[j] for j, c in ts) % n for ts in checks[i]):
+                break
+        else:
+            stack.pop()
+            continue
+        if i + 1 < len(order):
+            stack.append(values(i + 1, not any(t[:i + 1])))
+            continue
+        point = [0] * len(columns[0])
+        for k, v in zip(order, t):
+            point = [(x + v * y) % n for x, y in zip(point, gens[k][1])]
+        return Uncovered(tuple(point))
+    return Covered()
+
+
+def decide_q(elements, n: int, *, want_counterexample: bool = True,
+             counterexample_bound: int = 10**4,
+             ceiling: int = ENUMERATION_CEILING) -> Verdict:
+    """Does the set contain an n-th power in Z_p for almost every p (odd n)?
+
+    Pipeline: reduce each element mod (Q^x)^n, short-circuit on any trivial
+    class, otherwise test the cover of (Z/n)^s: by `covers` for prime n and
+    by `covers_mod` otherwise.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError("decide_q needs an odd n; squares live elsewhere")
     xs = [factor(a) for a in elements]
     if not xs:
         raise ValueError("empty set has no verdict")
-    excluded = default_exclusions(xs, q)
+    excluded = default_exclusions(xs, n)
 
-    uniq = dedupe(xs, q)
+    uniq = dedupe(xs, n)
     for x in uniq:
-        root = x.nth_root(q)  # the trivial class: odd q absorbs the sign
+        root = x.nth_root(n)  # the trivial class: odd n absorbs the sign
         if root is not None:
-            return Verdict(HOLDS, PerfectPowerMember(str(x), str(root), q), excluded)
-    reps = [reduce_class(x, q).rep for x in uniq]
+            return Verdict(HOLDS, PerfectPowerMember(str(x), str(root), n), excluded)
+    reps = [reduce_class(x, n).rep for x in uniq]
 
-    matrix, planes, _ = build_hyperplanes(reps, q)
+    matrix, planes, _ = build_hyperplanes(reps, n)
     s = len(matrix.support)
 
-    outcome = covers(planes, q, s, ceiling=ceiling)
+    if is_prime(n):
+        outcome = covers(planes, n, s, ceiling=ceiling)
+    else:
+        outcome = covers_mod(matrix.columns, n, ceiling=ceiling)
     if isinstance(outcome, Covered):
-        return Verdict(HOLDS,
-                       HyperplaneCover(q, matrix.support, matrix.columns,
-                                       reduction=reduction),
+        return Verdict(HOLDS, HyperplaneCover(n, matrix.support, matrix.columns),
                        excluded)
 
-    _verify_uncovered(outcome.point, [h.coeffs for h in planes], q)
+    # certificate soundness: asserted before any Uncovered leaves the module
+    assert all(sum(c * x for c, x in zip(col, outcome.point)) % n
+               for col in matrix.columns), "uncovered point is covered; internal covering bug"
     prime = None
     if want_counterexample:
-        prime = find_counterexample(xs, q, counterexample_bound)
-    cert = UncoveredPoint(q, matrix.support, matrix.columns, outcome.point,
-                          reduction=reduction, counterexample_prime=prime)
+        prime = find_counterexample(xs, n, counterexample_bound)
+    cert = UncoveredPoint(n, matrix.support, matrix.columns, outcome.point,
+                          counterexample_prime=prime)
     return Verdict(FAILS, cert, excluded)

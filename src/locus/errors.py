@@ -13,10 +13,6 @@ class ZeroInput(LocusError):
     """A zero element where only nonzero rationals are meaningful."""
 
 
-class UnitInput(LocusError):
-    """+1 or -1 passed to an operation that cannot handle units."""
-
-
 class FactorizationCapacityExceeded(LocusError):
     """A cofactor survived every configured factoring method, or is too
     large for the deterministic primality test."""
@@ -43,11 +39,7 @@ class InstanceTooLarge(LocusError):
 
 
 class OracleLimitExceeded(LocusError):
-    """Brute-force oracle invoked beyond its configured size limits."""
-
-
-class OracleBudgetExceeded(OracleLimitExceeded):
-    """Oracle search past its work budget."""
+    """Brute-force oracle invoked beyond its size limits or work budget."""
 
 
 class NonUnitExponent(LocusError):

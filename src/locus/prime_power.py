@@ -1,11 +1,12 @@
-"""Deciding q^m-th powers for odd q: layer stripping plus the covering
-test, with an exhaustive subset-product oracle as the exact fallback.
+"""Deciding q^m-th powers for odd q, and the subset-product oracle.
 
-The oracle walks every exponent tuple c in (Z/q^m)^l in lexicographic order
-and looks for disjoint index sets B, C with |B| != |C| mod q whose weighted
-product ratio is a perfect q^m-th power; the first tuple with no such pair
-is the witness.  It exists to be dumb and trustworthy; the only liberties
-taken are these:
+decide_prime_power is the cover test over Z/q^m (covering.decide_q).  The
+oracle, behind `locus oracle` and the tests' reference, is the paper's
+Skalba criterion: it walks every exponent tuple c in (Z/q^m)^l in
+lexicographic order and looks for disjoint index sets B, C with
+|B| != |C| mod q whose weighted product ratio is a perfect q^m-th power; the
+first tuple with no such pair is the witness.  It exists to be dumb and
+trustworthy; the only liberties taken are these:
 - tuples are enumerated mod q^m: a^(q^m) is itself a perfect q^m-th power;
 - B, C may be assumed disjoint: shared indices cancel from the ratio and
   shift |B|, |C| equally;
@@ -22,15 +23,11 @@ from __future__ import annotations
 from itertools import product
 
 from .covering import decide_q
-from .errors import (NonUnitExponent, OracleBudgetExceeded,
-                     OracleLimitExceeded)
+from .errors import NonUnitExponent, OracleLimitExceeded
 from .primes import is_prime
-from .rationals import (FactoredRational, factor, is_perfect_power,
-                        reduce_class, strip_power_layers)
-from .sieve import default_exclusions, find_counterexample
-from .verdicts import (FAILS, HOLDS, INCONCLUSIVE, Evidence, OracleExhaustion,
-                       PerfectPowerMember, SkalbaWitness, UncoveredPoint,
-                       Verdict)
+from .rationals import FactoredRational, factor, is_perfect_power
+from .sieve import default_exclusions
+from .verdicts import FAILS, HOLDS, OracleExhaustion, SkalbaWitness, Verdict
 
 ORACLE_ELEMENT_LIMIT = 8
 ORACLE_MODULUS_LIMIT = 27
@@ -38,15 +35,6 @@ ORACLE_MODULUS_LIMIT = 27
 # elements over four primes (Python 3.11); no tier-1 or benchmark instance
 # needs more than 1,500
 ORACLE_WORK_BUDGET = 1 << 20
-
-
-def _strip_map(elements, q: int):
-    pairs = []
-    for a in elements:
-        x = factor(a)
-        base, mu = strip_power_layers(x, q)
-        pairs.append((x, reduce_class(base, q).rep, mu))
-    return pairs
 
 
 def _oracle_assignments(l: int, q: int) -> list:
@@ -127,7 +115,7 @@ def _first_witness(table, q: int, qm: int):
         nonlocal work
         work += entries
         if work > ORACLE_WORK_BUDGET:
-            raise OracleBudgetExceeded(
+            raise OracleLimitExceeded(
                 f"oracle work budget exceeded: {work} reach entries touched "
                 f"(budget {ORACLE_WORK_BUDGET}), {checked} tuples checked")
 
@@ -173,79 +161,11 @@ def decide_prime_power(elements, q: int, m: int, *,
                        want_counterexample: bool = True,
                        counterexample_bound: int = 10**4,
                        ceiling: int = 1 << 24) -> Verdict:
-    """Does the set contain a q^m-th power in Z_p for almost every p (odd q)?
-
-    A Fails from the stripped covering test transfers to the original set
-    unconditionally.  A Holds transfers when m = 1 or when the elements that
-    were stripped m-1 full layers already cover by themselves; outside that,
-    stripping loses information and the subset-product oracle settles the
-    instance exactly (or the verdict is Inconclusive beyond oracle limits).
-    """
+    """Does the set contain a q^m-th power in Z_p for almost every p (odd q)?"""
     if q == 2 or not is_prime(q):
         raise ValueError("decide_prime_power needs an odd prime q")
-    xs = [factor(a) for a in elements]
-    if not xs:
-        raise ValueError("empty set has no verdict")
-    qm = q**m
-    excluded = default_exclusions(xs, qm)
-
-    for x in xs:
-        if is_perfect_power(x, qm):
-            root = x.nth_root(qm)
-            return Verdict(HOLDS, PerfectPowerMember(str(x), str(root), qm), excluded)
-
-    stripped = _strip_map(xs, q)
-    for x, _, mu in stripped:
-        if mu >= m:
-            raise AssertionError("perfect power survived the short-circuit")
-    reduction = tuple((str(x), str(rep)) for x, rep, _ in stripped)
-    reps = [rep for _, rep, _ in stripped]
-
-    base = decide_q(reps, q, want_counterexample=False, ceiling=ceiling,
-                    reduction=reduction)
-
-    if base.fails():
-        cert = base.certificate
-        prime = None
-        if want_counterexample:
-            prime = find_counterexample(xs, qm, counterexample_bound)
-        if isinstance(cert, UncoveredPoint):
-            cert = UncoveredPoint(cert.q, cert.support, cert.coeffs, cert.point,
-                                  reduction=reduction, counterexample_prime=prime)
-        return Verdict(FAILS, cert, excluded | base.excluded_primes)
-
-    if base.status == INCONCLUSIVE:
-        return Verdict(INCONCLUSIVE, base.certificate, excluded | base.excluded_primes)
-
-    if m == 1:
-        return Verdict(HOLDS, base.certificate, excluded | base.excluded_primes)
-
-    # m >= 2: a cover by the full stripped set only lifts back when witnessed
-    # by elements stripped exactly m-1 layers (x = b^(q^(m-1)) with b locally
-    # a q-th power makes x locally a q^m-th power)
-    deep = [(x, rep) for x, rep, mu in stripped if mu == m - 1]
-    if deep:
-        deep_reduction = tuple((str(x), str(rep)) for x, rep in deep)
-        sub = decide_q([rep for _, rep in deep], q, want_counterexample=False,
-                       ceiling=ceiling, reduction=deep_reduction)
-        if sub.holds():
-            return Verdict(HOLDS, sub.certificate, excluded | sub.excluded_primes)
-
-    try:
-        oracle = skalba_oracle(xs, q, m)
-    except OracleBudgetExceeded:
-        return Verdict(INCONCLUSIVE, Evidence(reason="oracle_budget_exceeded"),
-                       excluded)
-    except OracleLimitExceeded:
-        return Verdict(INCONCLUSIVE,
-                       Evidence(reason="qm_reduction_not_conclusive"),
-                       excluded)
-    if oracle.fails() and want_counterexample:
-        cert = oracle.certificate
-        prime = find_counterexample(xs, qm, counterexample_bound)
-        cert = SkalbaWitness(cert.c, cert.q, cert.m, counterexample_prime=prime)
-        return Verdict(FAILS, cert, excluded | oracle.excluded_primes)
-    return oracle.with_excluded(excluded)
+    return decide_q(elements, q**m, want_counterexample=want_counterexample,
+                    counterexample_bound=counterexample_bound, ceiling=ceiling)
 
 
 def exponentiate_classes(elements, c, q: int) -> list[FactoredRational]:

@@ -9,14 +9,14 @@ complete factorizations.  Compositeness needs no bound: one failed witness
 proves it, so larger composites are still split.
 
 Enumeration: an Eratosthenes sieve over the odd numbers only, one bytearray
-flag per odd number, collected with itertools.compress; ranges above 2^22
-are sieved in segments and collected the same way.
+flag per odd number (_odd_flags), collected with itertools.compress; ranges
+above 2^22 are sieved in segments by the same routine.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import compress
 from typing import Optional
@@ -33,30 +33,70 @@ TRIAL_DIVISION_BOUND = 10**6
 # length: enough for a least factor up to about 3*10^9, and a bound on the work
 RHO_CYCLE_LIMIT = 1 << 16
 PRIME_RANGE_CEILING = 10**9
+_DIRECT_SIEVE = 1 << 22  # prime_range sieves in one piece up to here
 _SEGMENT = 1 << 17
 
 _small_primes: list[int] | None = None
+_small_flags: bytearray | None = None  # per odd number below the bound: 1 on primes
 
 
 def _trial_primes() -> list[int]:
-    global _small_primes
+    global _small_primes, _small_flags
     if _small_primes is None:
-        _small_primes = sieve_upto(TRIAL_DIVISION_BOUND)
+        base = sieve_upto(math.isqrt(TRIAL_DIVISION_BOUND))[1:]
+        _small_flags = _odd_flags(1, TRIAL_DIVISION_BOUND, base)
+        _small_primes = [2, *compress(range(1, TRIAL_DIVISION_BOUND, 2), _small_flags)]
     return _small_primes
+
+
+def _odd_flags(lo: int, hi: int, base) -> bytearray:
+    """One flag per odd number lo, lo + 2, ... up to hi (lo odd): 1 unless
+    it is 1 or a multiple of an odd prime p in base and above p itself.
+
+    With base every odd prime up to sqrt(hi), the flags mark the primes.
+    """
+    flags = bytearray([1]) * max(0, (hi - lo) // 2 + 1)
+    if lo == 1:
+        flags[0] = 0
+    for p in base:
+        first = max(p * p, (lo + p - 1) // p * p)
+        if first % 2 == 0:
+            first += p
+        if first > hi:
+            continue
+        i = (first - lo) // 2  # odd multiples of p are p apart among the flags
+        flags[i::p] = bytes(len(range(i, len(flags), p)))
+    return flags
 
 
 def sieve_upto(n: int) -> list[int]:
     """All primes <= n by an Eratosthenes sieve over the odd numbers."""
     if n < 2:
         return []
-    size = (n + 1) // 2  # flags[i] stands for 2i + 1
-    flags = bytearray([1]) * size
-    flags[0] = 0
-    for i in range(1, (math.isqrt(n) + 1) // 2):
-        if flags[i]:
-            p = 2 * i + 1
-            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, size, p)))
+    flags = _odd_flags(1, n, sieve_upto(math.isqrt(n))[1:])
     return [2, *compress(range(1, n + 1, 2), flags)]
+
+
+def first_nonprime(numbers) -> Optional[int]:
+    """The first of the numbers that is not prime, or None.
+
+    Those up to 2^22 are looked up in odd-only sieve flags: below
+    TRIAL_DIVISION_BOUND the flags kept with the trial-division table, which
+    factorization builds anyway, and above it one sieve up to the largest of
+    them.  is_prime tests those above 2^22.
+    """
+    table = _trial_primes()
+    hi = max([TRIAL_DIVISION_BOUND] + [p for p in numbers if p <= _DIRECT_SIEVE])
+    flags = _small_flags + _odd_flags(TRIAL_DIVISION_BOUND + 1, hi,
+                                      table[1:bisect_right(table, math.isqrt(hi))])
+    for p in numbers:
+        if p > _DIRECT_SIEVE:
+            prime = is_prime(p)
+        else:
+            prime = p == 2 or (p > 2 and p % 2 == 1 and flags[p // 2] == 1)
+        if not prime:
+            return p
+    return None
 
 
 def _miller_rabin(n: int, bases) -> bool:
@@ -206,21 +246,15 @@ def prime_range(lo: int, hi: int) -> list[int]:
     if hi < lo or hi < 2:
         return []
     lo = max(lo, 2)
-    if hi <= 1 << 22:
+    if hi <= _DIRECT_SIEVE:
         primes = sieve_upto(hi)
         return primes[bisect_left(primes, lo):]
-    base = sieve_upto(math.isqrt(hi))
-    out: list[int] = []
-    start = lo
+    base = sieve_upto(math.isqrt(hi))[1:]
+    out = [2] if lo == 2 else []
+    start = lo | 1
     while start <= hi:
-        end = min(start + _SEGMENT - 1, hi)
-        flags = bytearray([1]) * (end - start + 1)
-        for p in base:
-            first = max(p * p, (start + p - 1) // p * p)
-            if first > end:
-                continue
-            flags[first - start :: p] = bytearray(len(range(first, end + 1, p)))
-        out.extend(compress(range(start, end + 1), flags))
+        end = min(start + _SEGMENT - 1, hi)  # _SEGMENT is even: start stays odd
+        out.extend(compress(range(start, end + 1, 2), _odd_flags(start, end, base)))
         start = end + 1
     return out
 

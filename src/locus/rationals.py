@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import ParseError, UnitInput, ZeroInput
+from .errors import ParseError, ZeroInput
 from .primes import factorize, is_prime
 
 RationalLike = Union[int, str, Fraction, "FactoredRational"]
@@ -237,14 +237,3 @@ def dedupe(xs: Iterable[RationalLike], k: int) -> list[FactoredRational]:
             out.append(fx)
     return out
 
-
-def strip_power_layers(x: RationalLike, q: int) -> tuple[FactoredRational, int]:
-    """Maximal mu with x = base^(q^mu) and base not a perfect q-th power."""
-    fx = factor(x)
-    if fx.is_unit():
-        raise UnitInput("power layers of +1/-1 are unbounded")
-    mu = 0
-    while is_perfect_power(fx, q):
-        fx = fx.nth_root(q)
-        mu += 1
-    return fx, mu

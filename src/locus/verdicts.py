@@ -8,7 +8,7 @@ locus.verify).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 HOLDS = "holds"
@@ -16,8 +16,28 @@ FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 
+class _Certificate:
+    """Serialization shared by the certificates: the kind, then each field
+    in order, tuples as lists and nested certificates as documents; an
+    optional field is left out while unset."""
+
+    def to_json(self) -> dict:
+        doc = {"kind": self.kind}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                doc[f.name] = _plain(value)
+        return doc
+
+
+def _plain(value):
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.to_json() if isinstance(value, _Certificate) else value
+
+
 @dataclass(frozen=True)
-class PerfectPowerMember:
+class PerfectPowerMember(_Certificate):
     """Some element is r^n outright."""
 
     kind = "perfect_power_member"
@@ -25,13 +45,9 @@ class PerfectPowerMember:
     root: str
     exponent: int
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "element": self.element, "root": self.root,
-                "exponent": self.exponent}
-
 
 @dataclass(frozen=True)
-class WangException:
+class WangException(_Certificate):
     """Singleton a = 2^(n/2) * b^n with 8 | n."""
 
     kind = "wang_exception"
@@ -39,12 +55,9 @@ class WangException:
     b: str
     n: int
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "element": self.element, "b": self.b, "n": self.n}
-
 
 @dataclass(frozen=True)
-class ExceptionalFormCert:
+class ExceptionalFormCert(_Certificate):
     """Two-element template match for even n."""
 
     kind = "exceptional_form"
@@ -54,65 +67,42 @@ class ExceptionalFormCert:
     alpha2: str
     n: int
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "case_tag": self.case_tag, "pj": self.pj,
-                "alpha1": self.alpha1, "alpha2": self.alpha2, "n": self.n}
-
 
 @dataclass(frozen=True)
-class HyperplaneCover:
-    """The element exponent vectors mod q induce forms whose kernels cover F_q^s."""
+class HyperplaneCover(_Certificate):
+    """The element exponent vectors mod q (the odd exponent n) induce forms
+    whose kernels cover (Z/q)^s."""
 
     kind = "hyperplane_cover"
     q: int
     support: tuple[int, ...]
     coeffs: tuple[tuple[int, ...], ...]
-    reduction: Optional[tuple[tuple[str, str], ...]] = None
-
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind, "q": self.q, "support": list(self.support),
-               "coeffs": [list(c) for c in self.coeffs]}
-        if self.reduction is not None:
-            doc["reduction"] = [[a, b] for a, b in self.reduction]
-        return doc
 
 
 @dataclass(frozen=True)
-class UncoveredPoint:
-    """A point of F_q^s missed by every hyperplane; refutes the covering."""
+class UncoveredPoint(_Certificate):
+    """A point of (Z/q)^s off every kernel, q the odd exponent n; refutes
+    the covering."""
 
     kind = "uncovered_point"
     q: int
     support: tuple[int, ...]
     coeffs: tuple[tuple[int, ...], ...]
     point: tuple[int, ...]
-    reduction: Optional[tuple[tuple[str, str], ...]] = None
     counterexample_prime: Optional[int] = None
-
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind, "q": self.q, "support": list(self.support),
-               "coeffs": [list(c) for c in self.coeffs], "point": list(self.point)}
-        if self.reduction is not None:
-            doc["reduction"] = [[a, b] for a, b in self.reduction]
-        if self.counterexample_prime is not None:
-            doc["counterexample_prime"] = self.counterexample_prime
-        return doc
 
 
 @dataclass(frozen=True)
-class OddSubsetWitness:
+class OddSubsetWitness(_Certificate):
     """Odd-cardinality subset whose product is a perfect square."""
 
     kind = "odd_subset_witness"
     indices: tuple[int, ...]  # 1-based into the deduplicated element list
     root: str
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "indices": list(self.indices), "root": self.root}
-
 
 @dataclass(frozen=True)
-class ParityObstruction:
+class ParityObstruction(_Certificate):
     """The all-ones functional lies in the row space of the square matrix,
     so no odd-cardinality kernel vector exists."""
 
@@ -120,15 +110,9 @@ class ParityObstruction:
     rows: tuple[str, ...]  # labels: "sign" or a support prime, XOR-ing to all-ones
     counterexample_prime: Optional[int] = None
 
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind, "rows": list(self.rows)}
-        if self.counterexample_prime is not None:
-            doc["counterexample_prime"] = self.counterexample_prime
-        return doc
-
 
 @dataclass(frozen=True)
-class SkalbaWitness:
+class SkalbaWitness(_Certificate):
     """Exponent tuple admitting no subset pair with perfect-power ratio."""
 
     kind = "skalba_witness"
@@ -137,15 +121,9 @@ class SkalbaWitness:
     m: int
     counterexample_prime: Optional[int] = None
 
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind, "c": list(self.c), "q": self.q, "m": self.m}
-        if self.counterexample_prime is not None:
-            doc["counterexample_prime"] = self.counterexample_prime
-        return doc
-
 
 @dataclass(frozen=True)
-class OracleExhaustion:
+class OracleExhaustion(_Certificate):
     """Every exponent tuple admitted a satisfying subset pair."""
 
     kind = "oracle_exhaustion"
@@ -153,13 +131,9 @@ class OracleExhaustion:
     m: int
     tuples_checked: int
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "q": self.q, "m": self.m,
-                "tuples_checked": self.tuples_checked}
-
 
 @dataclass(frozen=True)
-class ComponentFailure:
+class ComponentFailure(_Certificate):
     """A necessary prime-power component of n already fails."""
 
     kind = "component_failure"
@@ -167,13 +141,9 @@ class ComponentFailure:
     m: int
     inner: "Certificate"
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "q": self.q, "m": self.m,
-                "inner": self.inner.to_json()}
-
 
 @dataclass(frozen=True)
-class LiftedFamily:
+class LiftedFamily(_Certificate):
     """A = {x^e : x in B} and B holds for n/e, hence A holds for n."""
 
     kind = "lifted_family"
@@ -181,28 +151,15 @@ class LiftedFamily:
     base_elements: tuple[str, ...]
     base_certificate: "Certificate"
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "exponent": self.exponent,
-                "base_elements": list(self.base_elements),
-                "base_certificate": self.base_certificate.to_json()}
-
 
 @dataclass(frozen=True)
-class Evidence:
+class Evidence(_Certificate):
     """Sieve-backed evidence; carries a reason tag and optional scan data."""
 
     kind = "evidence"
     reason: str
     counterexample_prime: Optional[int] = None
     report: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        doc: dict = {"kind": self.kind, "reason": self.reason}
-        if self.counterexample_prime is not None:
-            doc["counterexample_prime"] = self.counterexample_prime
-        if self.report is not None:
-            doc["report"] = self.report
-        return doc
 
 
 Certificate = Union[

@@ -3,28 +3,33 @@
 Given a verdict document (as produced by the CLI), re-check the certificate
 against the element set without trusting the engine's decision path.  Every
 check here recomputes from first principles: roots are re-raised, covers
-re-enumerated, witnesses and exhaustions re-searched, claimed failing primes
-re-tested, all of a document's in one batch.  A counterexample prime must be
-prime; an evidence certificate without one backs a failure only through the
-Grunwald-Wang singleton theorem or the odd small-set theorem, whose
-hypotheses are re-checked here.  Certificate kinds are checked against the
-status they may support, the cover re-check tries at most
-COVER_RECHECK_LIMIT candidate points, and the re-checks of an oracle witness
-or exhaustion make at most ORACLE_RECHECK_LIMIT (2^20) sign-vector tests.
-Every element string is factored with primes.factorize, whose rho gives up
-on a composite above the Miller-Rabin bound once its cycle length passes
-primes.RHO_CYCLE_LIMIT, so a crafted element costs under a second per split
-attempt there.
+re-enumerated, uncovered points re-evaluated, witnesses and exhaustions
+re-searched, claimed failing primes tested for primality and re-tested, all
+of a document's in one batch.  A cover or an uncovered point is over Z/n
+for the document's odd n, on the exponent vectors mod n of the cleared set:
+a point is checked in O(l*s), and a cover re-enumerated by elimination over
+F_n for prime n, or else by a search over the image of the columns on the
+verifier's own echelon form.  A counterexample prime must be prime; an
+evidence certificate without one backs a failure only through the
+Grunwald-Wang singleton theorem, whose hypotheses are re-checked here.
+Certificate kinds are checked against the status they may support, the
+cover re-check tries at most COVER_RECHECK_LIMIT candidate values, and the
+re-checks of an oracle witness or exhaustion make at most
+ORACLE_RECHECK_LIMIT (2^20) sign-vector tests.  Every element string is
+factored with primes.factorize, whose rho gives up on a composite above the
+Miller-Rabin bound once its cycle length passes primes.RHO_CYCLE_LIMIT, so a
+crafted element costs under a second per split attempt there.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
 from .classify import ExceptionalForm
 from .prime_power import _oracle_assignments, _ratio
-from .primes import factorize, is_prime
+from .primes import first_nonprime, is_prime
 from .rationals import clear_denominators, factor, is_perfect_power, reduce_class
 from .sieve import first_non_failing, verify_failing_prime
 from .verdicts import FAILS, HOLDS, INCONCLUSIVE
@@ -40,8 +45,8 @@ ALLOWED_KINDS = {
 }
 
 # candidate points the cover re-check may try before it gives up; every cover
-# the engine could enumerate point by point (q^s <= 2^24) needs at most
-# (q-1)^(s-1) <= 6^7 of them
+# of prime modulus the engine could enumerate point by point (q^s <= 2^24)
+# needs at most (q-1)^(s-1) <= 6^7 of them
 COVER_RECHECK_LIMIT = 1 << 19
 
 # sign-vector tests an oracle witness or exhaustion re-check may make before
@@ -106,6 +111,8 @@ def _verify(doc: dict):
               "claimed failing primes are not strictly ascending")
         _need(not primes or params["lo"] <= primes[0] and primes[-1] <= params["hi"],
               "claimed failing primes lie outside the scanned range")
+        p = first_nonprime(primes)
+        _need(p is None, f"claimed failing prime {p} is not prime")
         p = first_non_failing(elements, n, primes)
         _need(p is None, f"claimed failing prime {p} does not fail")
         if status == HOLDS:
@@ -151,25 +158,22 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
               "substituted template does not reproduce the set as classes")
         return
 
-    if kind == "hyperplane_cover":
+    if kind in ("hyperplane_cover", "uncovered_point"):
         q = cert["q"]
-        _need(q > 2 and is_prime(q), f"cover modulus {q} is not an odd prime")
+        _need(q == n and n % 2 == 1 and n > 1,
+              f"cover modulus {q} is not the odd exponent {n}")
         support = list(cert["support"])
         coeffs = [tuple(c) for c in cert["coeffs"]]
-        _need(_forms_cover(coeffs, q), "claimed cover has a hole")
-        _verify_columns_from_set(cert, elements, n, q, support, coeffs)
-        return
-
-    if kind == "uncovered_point":
-        q = cert["q"]
-        _need(q > 2 and is_prime(q), f"cover modulus {q} is not an odd prime")
-        support = list(cert["support"])
-        coeffs = [tuple(c) for c in cert["coeffs"]]
+        _verify_columns_from_set(cert, elements, n, support, coeffs)
+        if kind == "hyperplane_cover":
+            covered = (_forms_cover(coeffs, n) if is_prime(n)
+                       else _covers_mod(coeffs, n))
+            _need(covered, "claimed cover has a hole")
+            return
         point = tuple(cert["point"])
-        _need(all(sum(c * x for c, x in zip(col, point)) % q != 0
+        _need(all(sum(c * x for c, x in zip(col, point)) % n != 0
                   for col in coeffs if any(col)),
               "claimed uncovered point is covered")
-        _verify_columns_from_set(cert, elements, n, q, support, coeffs)
         _need_counterexample(cert, elements, n)
         return
 
@@ -270,21 +274,16 @@ def _need_counterexample(cert: dict, elements, n: int):
 
 def _need_theorem(reason: str, cleared, n: int):
     """Evidence without a counterexample prime backs a failure only through
-    a theorem whose hypotheses hold: Grunwald-Wang for one class that is
-    neither an n-th power nor, when 8 | n, 2^(n/2) b^n; or, for odd n, at
-    most q classes (q the least prime dividing n) and no n-th power."""
-    _need(reason in ("grunwald_wang_singleton", "odd_small_set"),
+    the Grunwald-Wang theorem: one class that is neither an n-th power nor,
+    when 8 | n, 2^(n/2) b^n."""
+    _need(reason == "grunwald_wang_singleton",
           f"evidence {reason} needs a counterexample prime")
     classes = _dedupe(cleared, n)
     _need(not any(is_perfect_power(x, n) for x in classes),
           "the set contains a perfect power")
-    if reason == "grunwald_wang_singleton":
-        _need(len(classes) == 1, "singleton evidence for more than one class")
-        _need(n % 8 or not is_perfect_power(classes[0] / factor(2) ** (n // 2), n),
-              "the member is 2^(n/2) b^n")
-    else:
-        _need(n % 2 == 1 and len(classes) <= min(factorize(n)),
-              "odd small-set evidence needs odd n and at most q classes")
+    _need(len(classes) == 1, "singleton evidence for more than one class")
+    _need(n % 8 or not is_perfect_power(classes[0] / factor(2) ** (n // 2), n),
+          "the member is 2^(n/2) b^n")
 
 
 def _need_oracle_modulus(q, m, n: int):
@@ -359,63 +358,81 @@ def _forms_cover(coeffs, q: int) -> bool:
     return True
 
 
-def _verify_columns_from_set(cert, elements, n, q, support, coeffs):
-    """Check the recorded columns really come from the decided set.
+def _image_generators(cols, n: int):
+    """(h, m) pairs, h of additive order m, that generate the image
+    {x . E : x in (Z/n)^s} of the matrix E with these columns.
 
-    With a recorded reduction the columns must match the stripped bases;
-    otherwise they must match the elements' own classes mod q.  A cover may
-    use a subset of the set's columns; a refutation must use all of them, and
-    none may be zero.
+    Integer row operations keep the group the rows of E generate.  For each
+    column in turn, Euclid on the rows not yet taken leaves one of them
+    nonzero there, and that row becomes a generator.
+    """
+    rows = [[c % n for c in row] for row in zip(*cols)]
+    gens = []
+    for j in range(len(cols)):
+        while True:
+            live = sorted((r for r in rows if r[j]), key=lambda r: r[j])
+            if len(live) < 2:
+                break
+            for r in live[1:]:
+                c = r[j] // live[0][j]
+                r[:] = [(a - c * b) % n for a, b in zip(r, live[0])]
+        if live:
+            rows.remove(live[0])
+            gens.append((live[0], n // math.gcd(n, *live[0])))
+    return gens
+
+
+def _covers_mod(coeffs, n: int) -> bool:
+    """Do the kernels of x -> <x, c> mod n cover (Z/n)^s?
+
+    A point misses every kernel exactly when every entry of its image
+    x . E is nonzero, so the search runs over the image: sum t_k h_k for t
+    in prod Z/m_k (_image_generators), generators touching the most columns
+    first, each column tested once every generator touching it is set.  A
+    unit multiple of a miss is a miss, so while t is zero so far its next
+    entry is 0 or a divisor of m_k below m_k.  Past COVER_RECHECK_LIMIT
+    values tried the cover counts as too large to re-check.
+    """
+    cols = [col for col in coeffs if any(c % n for c in col)]
+    gens = sorted(_image_generators(cols, n), key=lambda g: -sum(map(bool, g[0])))
+    last = [max(k for k, (h, _) in enumerate(gens) if h[j]) for j in range(len(cols))]
+    checks = [[j for j, k_j in enumerate(last) if k_j == k] for k in range(len(gens))]
+    tried = 0
+
+    def miss(k, y, zero):
+        nonlocal tried
+        if k == len(gens):
+            return True
+        h, m = gens[k]
+        for v in ([0] + [d for d in range(1, m) if m % d == 0]) if zero else range(m):
+            tried += 1
+            _need(tried <= COVER_RECHECK_LIMIT, "cover too large to re-check")
+            z = [(a + v * b) % n for a, b in zip(y, h)]
+            if all(z[j] for j in checks[k]) and miss(k + 1, z, zero and not v):
+                return True
+        return False
+
+    return not miss(0, [0] * len(cols), True)
+
+
+def _verify_columns_from_set(cert, elements, n, support, coeffs):
+    """Check the recorded columns really come from the decided set: the
+    exponent vectors mod n of its cleared elements.  A cover may use a
+    subset of them; a refutation must use all of them, and none may be
+    zero.
     """
     refutes = cert["kind"] == "uncovered_point"
-    m = 0
-    qm = 1
-    while qm < n:
-        qm *= q
-        m += 1
-    _need(qm == n, f"cover certificate target {n} is not a power of {q}")
-
-    if "reduction" in cert:
-        pairs = [(factor(a), factor(b)) for a, b in cert["reduction"]]
-        pool = {_class_key(x, n) for x in elements} | \
-               {_class_key(x, n) for x in clear_denominators(elements, n)}
-        for orig, base in pairs:
-            _need(_class_key(orig, n) in pool,
-                  f"reduction source {orig} not among the elements")
-            stripped = orig
-            mu = 0
-            while is_perfect_power(stripped, q):
-                stripped = stripped.nth_root(q)
-                mu += 1
-            _need(reduce_class(stripped, q).rep == reduce_class(base, q).rep,
-                  f"recorded base {base} does not match stripping {orig}")
-            if cert["kind"] == "hyperplane_cover":
-                # a cover lifts from the q case to q^m only through elements
-                # stripped exactly m-1 layers
-                _need(mu == m - 1,
-                      f"{orig} was stripped {mu} layers; cover needs {m - 1}")
-        if refutes:
-            named = {_class_key(orig, n) for orig, _ in pairs}
-            _need(pool <= named, "the recorded reduction leaves out an element")
-        sources = [b for _, b in pairs]
-    else:
-        _need(m == 1, "cover for a higher power needs a recorded reduction")
-        sources = [reduce_class(x, q).rep for x in clear_denominators(elements, q)]
     want = set()
     index = {p: i for i, p in enumerate(support)}
-    for x in sources:
+    for x in clear_denominators(elements, n):
         col = [0] * len(support)
-        ok = True
-        for p, e in reduce_class(x, q).rep.factors:
-            if p not in index:
-                ok = False
-                break
-            col[index[p]] = e % q
-        _need(ok, f"element {x} uses a prime outside the recorded support")
+        for p, e in reduce_class(x, n).rep.factors:
+            _need(p in index, f"element {x} uses a prime outside the recorded support")
+            col[index[p]] = e % n
         if any(col):
             want.add(tuple(col))
         else:
-            _need(not refutes, f"element {x} is a {q}-th power class")
+            _need(not refutes, f"element {x} is an n-th power for n = {n}")
     got = {tuple(c) for c in coeffs if any(c)}
     if refutes:
         _need(got == want, "recorded columns differ from those the set induces")

@@ -2,12 +2,13 @@
 
 A document claims its status for its elements and n.  The status is
 re-derived here by brute force: for n = 2 an odd subset with a square
-product, for every odd prime power q^m dividing n the subset-product
-criterion on exponent vectors; the three holds of other exponents are
-classical (CLASSICAL_HOLDS).  A certificate kind that supports
+product; for odd n a plain loop over (Z/n)^s for a point off every kernel
+of x -> <x, e_j> mod n; for other even n the subset-product criterion on
+exponent vectors for every odd prime power q^m dividing n, and the three
+holds are classical (CLASSICAL_HOLDS).  A certificate kind that supports
 only the other status proves nothing.  For the kinds whose assertion the
 brute force can re-derive as well (hyperplane_cover and uncovered_point
-with n = q, skalba_witness, oracle_exhaustion), the claim also includes
+with q = n, skalba_witness, oracle_exhaustion), the claim also includes
 that assertion; a missing field makes it false.
 """
 
@@ -34,7 +35,9 @@ CLASSICAL_HOLDS = {(("16",), 8), (("-27", "4"), 6), (("4", "9", "36"), 4)}
 DECIDED = [(["8", "5"], 3), (["2", "3", "6", "18"], 3), (["2", "3", "12"], 3),
            (["2", "5", "7", "10", "14", "35"], 5), (["2", "3", "6", "18"], 9),
            (["3", "5", "15"], 2), (["2", "3"], 2), (["16"], 8), (["-27", "4"], 6),
-           (["4", "9", "36"], 4), (["2", "3", "5", "7"], 15), (["3", "4"], 6)]
+           (["4", "9", "36"], 4), (["2", "3", "5", "7"], 15), (["3", "4"], 6),
+           (["8", "125", "1000", "125000"], 9),
+           (["32", "3125", "100000", "312500000"], 15), (["2", "3", "7", "11"], 6)]
 ORACLE = [(["2", "3", "6", "18"], 3, 1), (["2", "3", "18"], 3, 1),
           (["8", "5", "10", "50"], 3, 2)]
 
@@ -83,12 +86,18 @@ def true_status(elements, n):
                     return "holds"
         return "fails"
     _, vecs = vectors(elements)
+    if n % 2:
+        return "fails" if uncovered(vecs, n) else "holds"
     for q, m in odd_prime_powers(n):
         if brute_vectors(vecs, q, m)[0] is not None:
             return "fails"
-    if any(n == q**m for q, m in odd_prime_powers(n)):
-        return "holds"
     return "holds" if (elements, n) in CLASSICAL_HOLDS else "fails"
+
+
+def uncovered(vecs, n):
+    """Is some x in (Z/n)^s off every kernel of x -> <x, v> mod n?"""
+    return any(all(sum(a * b for a, b in zip(v, x)) % n for v in vecs)
+               for x in product(range(n), repeat=len(vecs[0])))
 
 
 def admits_pair(vecs, c, q, qm):
@@ -104,7 +113,7 @@ def certificate_true(doc):
     support, vecs = vectors(doc["elements"])
     if cert["kind"] in ("hyperplane_cover", "uncovered_point"):
         q = cert["q"]
-        if q != n or any(p not in cert["support"] for p in support):
+        if q != n or n % 2 == 0 or any(p not in cert["support"] for p in support):
             return False
         at = [cert["support"].index(p) for p in support]
         induced = set()

@@ -5,6 +5,7 @@ import pytest
 from locus.classify import (ExceptionalForm, classify_singleton, decide,
                             match_exceptional_pair)
 from locus.errors import NotEven, WrongCardinality, ZeroInput
+from locus.sieve import scan
 from locus.verdicts import FAILS, HOLDS, INCONCLUSIVE
 
 
@@ -112,17 +113,43 @@ def test_decide_odd_small_sets_fail():
     # odd n, at most p1 classes, no perfect n-th power: always fails
     v = decide([32, 8], 15)
     assert v.status == FAILS
-    assert v.certificate.kind == "evidence"
+    assert v.certificate.kind == "uncovered_point"
     assert v.certificate.counterexample_prime == 61
 
     assert decide([2, 3, 5], 9).status == FAILS
     assert decide([4, 2], 3).status == FAILS
 
 
-def test_decide_odd_small_set_component_failure_preferred():
+def test_decide_odd_composite_refutes_with_a_point():
     v = decide([2, 3, 5], 15)
     assert v.status == FAILS
-    assert v.certificate.kind == "component_failure"
+    assert v.certificate.kind == "uncovered_point"
+    assert (v.certificate.q, v.certificate.point) == (15, (1, 1, 1))
+
+
+MOD_9_COLUMNS = [[1, 0], [0, 1]] + [[1, a] for a in (1, 2, 4, 5, 7, 8)] + [[3, 8], [3, 4]]
+N15_HOLDS = ["3200000", "100000", "32", "781250000000", "512", "78125000", "9765625"]
+
+
+@pytest.mark.parametrize("elements,n,status,prime", [
+    ([str(2**a * 3**b) for a, b in MOD_9_COLUMNS], 9, FAILS, 109),
+    (N15_HOLDS, 15, HOLDS, None),
+    (["2", "3", "6", "12", "5", "10"], 27, FAILS, 19),
+    (["2", "7", "14", "98", "686", "4802"], 25, FAILS, 101),
+])
+def test_cover_mod_n_verdicts_agree_with_the_sieve(elements, n, status, prime):
+    # layered sets mod prime powers, and a set mod 15 whose components both
+    # hold; the sieve to 2 * 10^5 agrees with each verdict
+    v = decide(elements, n)
+    assert v.status == status
+    assert v.certificate.kind == ("hyperplane_cover" if status == HOLDS
+                                  else "uncovered_point")
+    assert v.certificate.q == n
+    failing = scan(elements, n, 2, 2 * 10**5).failing_primes
+    if status == HOLDS:
+        assert failing == ()
+    else:
+        assert v.certificate.counterexample_prime == failing[0] == prime
 
 
 def test_decide_even_pair_iff():

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locus.covering import (Covered, Hyperplane, Uncovered, build_hyperplanes,
-                            covers, decide_q)
+                            covers, covers_mod, decide_q)
 from locus.errors import InstanceTooLarge, NotQFree, UnitElement
 from locus.verdicts import FAILS, HOLDS
-from locus.verify import _forms_cover
+from locus.verify import _covers_mod, _forms_cover
 
 
 def brute_uncovered(cols, q, s):
@@ -107,6 +107,81 @@ def test_covers_agrees_with_brute_force(case):
 def test_verifier_cover_check_agrees_with_brute_force(case):
     q, s, cols = case
     assert _forms_cover(cols, q) == (brute_uncovered(cols, q, s) is None)
+
+
+@st.composite
+def column_sets(draw):
+    n = draw(st.sampled_from([9, 15, 21, 25, 27, 45]))
+    s = draw(st.integers(1, 3))
+    # entries are often multiples of a divisor of n, so that some sets cover
+    entry = st.builds(lambda d, a: d * a % n,
+                      st.sampled_from([d for d in range(1, n) if n % d == 0]),
+                      st.integers(0, n - 1))
+    col = st.tuples(*[entry] * s)
+    return n, s, draw(st.lists(col, min_size=1, max_size=6))
+
+
+@given(column_sets())
+@settings(max_examples=300, deadline=None)
+def test_covers_mod_agrees_with_plain_loop(case):
+    n, s, cols = case
+    got = covers_mod(cols, n)
+    want = brute_uncovered(cols, n, s)
+    assert isinstance(got, Covered) == (want is None)
+    if isinstance(got, Uncovered):
+        assert len(got.point) == s
+        assert all(sum(c * x for c, x in zip(col, got.point)) % n for col in cols)
+
+
+@given(column_sets())
+@settings(max_examples=300, deadline=None)
+def test_verifier_cover_mod_check_agrees_with_plain_loop(case):
+    n, s, cols = case
+    cols = [c for c in cols if any(c)]  # a zero column counts for nothing there
+    assert _covers_mod(cols, n) == (brute_uncovered(cols, n, s) is None)
+
+
+def test_covers_mod_examples():
+    # the optimal family lifted by 3 covers (Z/9)^2; unlifted it misses (3, 1)
+    cols = [(3, 0), (0, 3), (3, 3), (3, 6)]
+    assert covers_mod(cols, 9) == Covered()
+    out = covers_mod([(1, 0), (0, 1), (1, 1), (1, 2)], 9)
+    assert isinstance(out, Uncovered)
+    assert all(sum(c * x for c, x in zip(col, out.point)) % 9
+               for col in [(1, 0), (0, 1), (1, 1), (1, 2)])
+    # sets whose every miss has a zero or a non-unit first coordinate in the
+    # search, that take Euclid two rounds on a pivot, or whose fifth prime's
+    # row lies outside the span of the four rows Euclid would otherwise take
+    for cols, n in [([(0, 2, 0), (1, 0, 2), (2, 1, 0), (1, 1, 1)], 3),
+                    ([(3, 0, 3, 3, 6), (0, 3, 3, 6, 6), (3, 3, 6, 0, 7),
+                      (3, 6, 0, 6, 7)], 9),
+                    ([(0, 2), (3, 6), (6, 6), (6, 0)], 9),
+                    ([(3, 6), (4, 3), (6, 6), (5, 3), (0, 6)], 9),
+                    ([(8, 0), (3, 6), (6, 6), (0, 3)], 9),
+                    ([(6, 0), (6, 3), (0, 4), (6, 6)], 9)]:
+        out = covers_mod(cols, n)
+        want = brute_uncovered(cols, n, len(cols[0]))
+        assert want and isinstance(out, Uncovered)
+        assert all(sum(c * x for c, x in zip(col, out.point)) % n for col in cols)
+        assert not _covers_mod(cols, n)
+    # a zero column covers everything; one column never does
+    assert covers_mod([(0, 0), (1, 2)], 15) == Covered()
+    assert isinstance(covers_mod([(5, 10, 3)], 15), Uncovered)
+    with pytest.raises(InstanceTooLarge):
+        covers_mod(cols, 9, ceiling=1)
+    with pytest.raises(ValueError):
+        covers_mod([], 9)
+
+
+def test_decide_q_composite_examples():
+    v = decide_q([8, 125, 1000, 125000], 9)
+    assert v.status == HOLDS and v.certificate.q == 9
+    assert v.certificate.coeffs == ((3, 0), (0, 3), (3, 3), (3, 6))
+    v = decide_q([2, 5, 10, 50], 15)
+    assert v.status == FAILS and v.certificate.q == 15
+    assert v.certificate.counterexample_prime == 31
+    v = decide_q([32, 3125, 100000, 312500000], 15)
+    assert v.status == HOLDS
 
 
 def test_decide_q_examples():

@@ -12,7 +12,7 @@ from locus.errors import NonUnitExponent, OracleLimitExceeded
 from locus.prime_power import (decide_prime_power, exponentiate_classes,
                                skalba_oracle)
 from locus.rationals import FactoredRational
-from locus.verdicts import FAILS, HOLDS, INCONCLUSIVE
+from locus.verdicts import FAILS, HOLDS
 from locus.verify import verify_document
 
 
@@ -141,15 +141,13 @@ def test_oracle_matches_plain_loop(case):
 
 def test_oracle_work_budget(monkeypatch, capsys):
     # the oracle settles {8, 5, 10, 50}, n = 9, after touching 53 reach
-    # entries
+    # entries; decide_prime_power never runs it
     monkeypatch.setattr(locus.prime_power, "ORACLE_WORK_BUDGET", 1000)
-    assert decide_prime_power([8, 5, 10, 50], 3, 2).fails()
+    assert skalba_oracle([8, 5, 10, 50], 3, 2).fails()
     monkeypatch.setattr(locus.prime_power, "ORACLE_WORK_BUDGET", 10)
     with pytest.raises(OracleLimitExceeded, match="reach entries touched"):
         skalba_oracle([8, 5, 10, 50], 3, 2)
-    v = decide_prime_power([8, 5, 10, 50], 3, 2)
-    assert v.status == INCONCLUSIVE
-    assert v.certificate.reason == "oracle_budget_exceeded"
+    assert decide_prime_power([8, 5, 10, 50], 3, 2).fails()
     argv = ["oracle", "--n", "9"] + [a for e in (8, 5, 10, 50) for a in ("--elem", str(e))]
     assert main(argv) == 4
     assert "oracle work budget exceeded" in capsys.readouterr().err
@@ -160,10 +158,52 @@ def test_oracle_work_budget(monkeypatch, capsys):
     (["2", "7", "14", "98", "686", "4802"], 25),
 ])
 def test_six_element_oracle_inputs_decide(elements, n):
-    # 27^6 and 25^6 tuples; the search settles each within 400 reach entries
+    # 27^6 and 25^6 oracle tuples; the cover test needs a handful of values
     v = decide(elements, n)
-    assert v.status == FAILS and v.certificate.kind == "skalba_witness"
+    assert v.status == FAILS and v.certificate.kind == "uncovered_point"
     assert verify_document(v.to_json(n, elements)) == []
+
+
+def test_decide_never_reaches_the_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decide reached the oracle")
+
+    monkeypatch.setattr(locus.prime_power, "skalba_oracle", refuse)
+    monkeypatch.setattr(locus.prime_power, "_first_witness", refuse)
+    cases = [([8, 5, 10, 50], 9), ([2, 3, 6, 18], 9), ([8, 125, 1000, 125000], 9),
+             ([512, 19683, 10077696, 198359290368], 27), ([2, 4, 8], 9),
+             ([2, 3, 5, 7], 15), ([32, 3125, 100000, 312500000], 15),
+             ([2, 3, 6, 12, 5, 10, 7, 14], 25), ([2, 3, 6, 18], 45)]
+    for elements, n in cases:
+        assert decide(elements, n).status in (HOLDS, FAILS), (elements, n)
+    assert decide_prime_power([8, 5, 10, 50], 3, 2).fails()
+    assert decide_prime_power([512, 19683, 10077696, 198359290368], 3, 3).holds()
+
+
+# The oracle exhausts no holding set of more than four elements mod 25 or 27
+# within its work budget: mod 25 the optimal family stays one layer deep,
+# and mod 27 it comes alone.
+@pytest.mark.parametrize("q,m,layers", [(5, 2, (1,)), (3, 3, (1, 3, 9))])
+def test_decide_agrees_with_oracle_mod_25_and_27(q, m, layers):
+    # random column sets over two primes, every other one replaced by the
+    # optimal family at a random layer with, mod 25, one random column more
+    import random
+    rng = random.Random(q**m)
+    qm = q**m
+    holds = 0
+    for i in range(40):
+        vecs = [[rng.choice((1, q, q, q * q % qm)) * rng.randrange(qm) % qm
+                 for _ in range(2)] for _ in range(rng.randrange(1, 4))]
+        if i % 2:
+            layer = rng.choice(layers)
+            vecs = vecs[:q // 5] + [[layer, 0], [0, layer]] + \
+                [[layer, j * layer] for j in range(1, q)]
+        elements = [2**a * 7**b for a, b in vecs if a or b] or [2]
+        got = decide(elements, qm, want_counterexample=False)
+        want = skalba_oracle(elements, q, m)
+        assert got.status == want.status, (elements, qm)
+        holds += got.holds()
+    assert holds == 0 if layers == (1,) else 0 < holds < 40
 
 
 def test_decide_prime_power_perfect_member():
@@ -176,8 +216,8 @@ def test_decide_prime_power_reduction_fails():
     v = decide_prime_power([2, 4, 8], 3, 2)
     assert v.status == FAILS
     assert v.certificate.counterexample_prime == 19
-    # the reduction map records the stripped bases
-    assert ("8", "2") in v.certificate.reduction
+    # the columns are the exponents mod 9 themselves
+    assert (v.certificate.q, v.certificate.coeffs) == (9, ((1,), (2,), (3,)))
 
 
 def test_decide_prime_power_uniform_lift_holds():
@@ -185,12 +225,12 @@ def test_decide_prime_power_uniform_lift_holds():
     assert v.status == HOLDS and v.certificate.kind == "hyperplane_cover"
 
 
-def test_decide_prime_power_mixed_layers_uses_oracle():
-    # stripped set covers, but the covering witness is only one layer deep;
-    # the oracle settles it as a failure
+def test_decide_prime_power_mixed_layers_fail_mod_q_m():
+    # the classes of 2, 5, 10 and 50 cover mod 3, but 8 = 2^3 is only one
+    # layer deep, and mod 9 a point escapes every kernel
     v = decide_prime_power([8, 5, 10, 50], 3, 2)
     assert v.status == FAILS
-    assert v.certificate.kind == "skalba_witness"
+    assert v.certificate.kind == "uncovered_point" and v.certificate.q == 9
     assert brute_skalba([8, 5, 10, 50], 3, 2) is not None
 
 

@@ -1,8 +1,8 @@
 import pytest
 
 from locus.errors import FactorizationCapacityExceeded, RangeTooLarge
-from locus.primes import (MR_DETERMINISTIC_BOUND, factorize, is_prime,
-                          prime_power_split, prime_range, sieve_upto)
+from locus.primes import (MR_DETERMINISTIC_BOUND, factorize, first_nonprime,
+                          is_prime, prime_power_split, prime_range, sieve_upto)
 
 
 def test_is_prime_small():
@@ -95,6 +95,26 @@ def test_prime_range_at_segment_edges():
                        (edge + d, edge + (1 << 17)),           # the first starts at edge + d
                        (edge - 3, edge + d)]:                  # hi at edge + d
             assert prime_range(lo, hi) == want(lo, hi), (lo, hi)
+
+
+def test_first_nonprime():
+    assert first_nonprime([]) is None
+    assert first_nonprime([2, 3, 5, 7, 4194301]) is None
+    small = [p for p in range(-3, 2000) if first_nonprime([p]) is None]
+    assert small == [p for p in range(2000) if is_prime(p)]
+    assert first_nonprime([7, 25, 37]) == 25
+    assert first_nonprime([3, 1]) == 1
+    # 2^22 + 3 = 13 * 19 * 16981 lies above the one sieve, and
+    # 2^22 - 1 = 3 * 23 * 89 * 683 inside it
+    assert first_nonprime([4194301, 4194307]) == 4194307
+    assert first_nonprime([4194303, 4194307]) == 4194303
+    assert first_nonprime([1 << 22, 4194301]) == 1 << 22
+    # around the table of primes below 10^6: 999983 and 1000003 are prime
+    near = range(10**6 - 40, 10**6 + 40)
+    assert [p for p in near if first_nonprime([p]) is None] == \
+        [p for p in near if is_prime(p)]
+    assert first_nonprime([999983, 1000003, 1000001]) == 1000001  # 101 * 9901
+    assert first_nonprime([1000003, 1009**2]) == 1009**2  # the sieve needs 1009
 
 
 def test_prime_range_ceiling():

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locus.errors import ParseError, UnitInput, ZeroInput
+from locus.errors import ParseError, ZeroInput
 from locus.rationals import (FactoredRational, clear_denominators, dedupe,
                              factor, is_perfect_power, parse_rational,
-                             reduce_class, strip_power_layers)
+                             reduce_class)
 from locus.verify import _class_key
 
 nonzero_rationals = st.fractions(
@@ -147,26 +147,6 @@ def test_dedupe_keeps_first_of_each_class(xs, k):
     first = [x for i, x in enumerate(xs) if keys[i] not in keys[:i]]
     assert dedupe(xs, k) == first
     assert dedupe([str(x) for x in xs], k) == first
-
-
-def test_strip_power_layers_examples():
-    assert strip_power_layers(512, 3) == (factor(2), 2)
-    assert strip_power_layers(4, 3) == (factor(4), 0)
-    assert strip_power_layers(-512, 3) == (factor(-2), 2)
-    assert strip_power_layers(2**8, 2) == (factor(2), 3)
-    with pytest.raises(UnitInput):
-        strip_power_layers(1, 3)
-    with pytest.raises(UnitInput):
-        strip_power_layers(-1, 5)
-
-
-@given(nonzero_rationals.filter(lambda f: f not in (1, -1)),
-       st.sampled_from([2, 3, 5, 7]))
-@settings(max_examples=200, deadline=None)
-def test_strip_power_layers_property(x, q):
-    base, mu = strip_power_layers(x, q)
-    assert base ** (q**mu) == factor(x)
-    assert not is_perfect_power(base, q)
 
 
 def test_string_form():

@@ -94,8 +94,7 @@ def test_rejects_even_witness_subset():
 
 
 def test_rejects_tampered_skalba_witness():
-    # mixed stripping depths force the oracle path and a skalba certificate
-    doc = doc_for([8, 5, 10, 50], 9)
+    doc = oracle_doc([8, 5, 10, 50], 3, 2)
     assert doc["certificate"]["kind"] == "skalba_witness"
     doc["certificate"]["c"] = [0, 0, 0, 0]  # the zero tuple is always satisfied
     assert verify_document(doc)
@@ -152,12 +151,11 @@ def test_refutation_needs_every_column():
            "certificate": {"kind": "uncovered_point", "q": 3, "support": [2, 3],
                            "coeffs": [[1, 0]], "point": [1, 0]}}
     assert verify_document(doc)
-    # the same with a recorded reduction that leaves out three elements
+    # the same mod 9, where the columns of 27, 216 and 1728 are left out
     doc = {"n": 9, "elements": ["8", "27", "216", "1728"], "status": "fails",
-           "certificate": {"kind": "uncovered_point", "q": 3, "support": [2, 3],
-                           "coeffs": [[1, 0]], "point": [1, 0],
-                           "reduction": [["8", "2"]]}}
-    assert verify_document(doc)
+           "certificate": {"kind": "uncovered_point", "q": 9, "support": [2, 3],
+                           "coeffs": [[3, 0]], "point": [1, 0]}}
+    assert verify_document(doc) == ["recorded columns differ from those the set induces"]
 
 
 def test_cover_recheck_has_a_work_bound(monkeypatch):
@@ -182,16 +180,100 @@ def test_cover_recheck_limit_spans_the_old_enumeration_range():
 
 def test_rejects_cover_modulo_a_prime_power():
     # a "cover" mod 9 whose one-coordinate scaling misses the hole (3, 1);
-    # the elements do induce these columns mod 9
+    # the elements do induce these columns mod 9, and the refutation at the
+    # hole is a true claim
     cols = [[1, 0], [0, 1]] + [[1, a] for a in (1, 2, 4, 5, 7, 8)] + [[3, 8], [3, 4]]
     doc = {"n": 9, "status": "holds",
            "elements": [str(2**a * 3**b) for a, b in cols],
            "certificate": {"kind": "hyperplane_cover", "q": 9, "support": [2, 3],
                            "coeffs": cols}}
-    assert verify_document(doc) == ["cover modulus 9 is not an odd prime"]
+    assert verify_document(doc) == ["claimed cover has a hole"]
     doc["status"] = "fails"
     doc["certificate"].update(kind="uncovered_point", point=[3, 1])
-    assert verify_document(doc) == ["cover modulus 9 is not an odd prime"]
+    assert verify_document(doc) == []
+    doc["certificate"]["point"] = [1, 3]  # 3 * 1 + 8 * 3 = 0 mod 9 at [3, 8]
+    assert verify_document(doc) == ["claimed uncovered point is covered"]
+
+
+def test_rejects_modulus_other_than_n():
+    # a cover mod 3 of the classes stripped of their cube layers; {8, 5, 10,
+    # 50} fails for n = 9
+    doc = {"n": 9, "elements": ["8", "5", "10", "50"], "status": "holds",
+           "certificate": {"kind": "hyperplane_cover", "q": 3, "support": [2, 5],
+                           "coeffs": [[1, 0], [0, 1], [1, 1], [1, 2]]}}
+    assert verify_document(doc) == ["cover modulus 3 is not the odd exponent 9"]
+    doc["certificate"]["q"] = 9
+    assert verify_document(doc) == ["recorded columns contain vectors not "
+                                    "induced by the set"]
+    for q in (27, 1, -9):
+        genuine = doc_for(["8", "5", "10", "50"], 9)
+        genuine["certificate"]["q"] = q
+        assert verify_document(genuine) == [f"cover modulus {q} is not the odd exponent 9"]
+    even = {"n": 6, "elements": ["2", "3"], "status": "fails",
+            "certificate": {"kind": "uncovered_point", "q": 6, "support": [2, 3],
+                            "coeffs": [[1, 0], [0, 1]], "point": [1, 1]}}
+    assert verify_document(even) == ["cover modulus 6 is not the odd exponent 6"]
+
+
+def test_rejects_columns_not_reduced_from_the_set():
+    genuine = doc_for(["8", "5", "10", "50"], 9)
+    assert genuine["certificate"]["coeffs"] == [[3, 0], [0, 1], [1, 1], [1, 2]]
+    assert verify_document(genuine) == []
+    for coeffs in ([[1, 0], [0, 1], [1, 1], [1, 2]],   # the stripped bases
+                   [[0, 1], [1, 1], [1, 2]],           # 8 left out
+                   [[12, 0], [0, 1], [1, 1], [1, 2]]):  # 3 + 9, not reduced
+        doc = json.loads(json.dumps(genuine))
+        doc["certificate"]["coeffs"] = coeffs
+        assert verify_document(doc) == ["recorded columns differ from those "
+                                        "the set induces"], coeffs
+    doc = json.loads(json.dumps(genuine))
+    doc["certificate"]["support"] = [2, 3]
+    assert verify_document(doc) == ["element 5 uses a prime outside the "
+                                    "recorded support"]
+
+
+def test_rejects_composite_modulus_cover_with_a_hole():
+    # {2, 5, 10, 50} covers mod 3 but not mod 15: (5, 3) is off every kernel
+    doc = {"n": 15, "elements": ["2", "5", "10", "50"], "status": "holds",
+           "certificate": {"kind": "hyperplane_cover", "q": 15, "support": [2, 5],
+                           "coeffs": [[1, 0], [0, 1], [1, 1], [1, 2]]}}
+    assert verify_document(doc) == ["claimed cover has a hole"]
+    doc["status"] = "fails"
+    doc["certificate"].update(kind="uncovered_point", point=[5, 3])
+    assert verify_document(doc) == []
+    # the genuine cover of the same shape lifted by 5
+    doc = doc_for(["32", "3125", "100000", "312500000"], 15)
+    assert doc["certificate"]["coeffs"] == [[5, 0], [0, 5], [5, 5], [5, 10]]
+    assert verify_document(doc) == []
+    doc["certificate"]["coeffs"].pop()
+    assert verify_document(doc) == ["claimed cover has a hole"]
+    doc["certificate"]["coeffs"].append([0, 0])  # induced by no element
+    assert verify_document(doc) == ["claimed cover has a hole"]
+
+
+def test_composite_cover_recheck_has_a_work_bound(monkeypatch):
+    import locus.verify
+    doc = doc_for(["32", "3125", "100000", "312500000"], 15)
+    # the image is generated by 5 (1, 0, 1, 1) and 5 (0, 1, 1, 2), of order
+    # 3 each: 0 and 1 for the first, then 0, 1 and 2 for the second
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 4)
+    assert verify_document(doc) == ["cover too large to re-check"]
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 5)
+    assert verify_document(doc) == []
+
+
+def test_accepts_wide_composite_modulus_covers():
+    # lifted optimal families beside primes of their own: the re-check runs
+    # over the image of the columns, not over the n^s points of (Z/n)^s
+    family = [2, 7, 14, 98]
+    for elements, n, s in [([3, 5, 11, 13, 17, 19, 23] + [a**3 for a in family], 9, 9),
+                           ([a**5 for a in family + [3, 5, 11, 13]], 15, 6),
+                           ([a**5 for a in family] + [11, 13, 17, 19], 15, 6)]:
+        doc = doc_for(elements, n)
+        assert doc["status"] == "holds", elements
+        assert doc["certificate"]["kind"] == "hyperplane_cover"
+        assert len(doc["certificate"]["support"]) == s
+        assert verify_document(doc) == []
 
 
 def test_rejects_wide_cover_of_unit_forms():
@@ -288,33 +370,34 @@ def test_evidence_without_prime_needs_a_theorem():
     forged = {"n": 3, "elements": ["8"], "status": "fails",
               "certificate": {"kind": "evidence", "reason": "x"}}
     assert verify_document(forged) == ["evidence x needs a counterexample prime"]
-    for reason in ("grunwald_wang_singleton", "odd_small_set"):
-        forged["certificate"]["reason"] = reason
-        assert verify_document(forged) == ["the set contains a perfect power"]
-    # the same reasons with their hypotheses broken
+    forged["certificate"]["reason"] = "grunwald_wang_singleton"
+    assert verify_document(forged) == ["the set contains a perfect power"]
+    # the same reason with its hypotheses broken, and reasons that are no
+    # theorem the verifier re-checks
     cases = [
         (["2", "3"], 3, "grunwald_wang_singleton"),   # two classes
         (["16"], 8, "grunwald_wang_singleton"),       # 2^(8/2) * 1^8
         (["2", "3"], 4, "no_exceptional_template"),   # a theorem, but not re-checked
-        (["2", "3", "5", "7"], 15, "odd_small_set"),  # 4 classes, 3 | 15
-        (["2", "3"], 6, "odd_small_set"),             # even n
+        (["8", "32"], 15, "odd_small_set"),           # no longer a reason
     ]
     for elements, n, reason in cases:
         doc = {"n": n, "elements": elements, "status": "fails",
                "certificate": {"kind": "evidence", "reason": reason}}
         assert verify_document(doc), (elements, n, reason)
     # genuine ones: no failing prime below 10^4 for 2 and n = 10007, and
-    # the theorems' own hypotheses
+    # the theorem's own hypotheses
     doc = doc_for([2], 10007)
     assert doc["certificate"] == {"kind": "evidence", "reason": "grunwald_wang_singleton"}
     assert verify_document(doc) == []
-    for elements, n, reason in [(["32", "8", "-1/2"], 15, "odd_small_set"),
-                                (["8", "32"], 15, "odd_small_set"),
-                                (["2"], 8, "grunwald_wang_singleton"),
-                                (["-3", "24"], 3, "grunwald_wang_singleton")]:
+    for elements, n in [(["2"], 8), (["-3", "24"], 3)]:
         doc = doc_for(elements, n, want_counterexample=False)
-        assert doc["certificate"] == {"kind": "evidence", "reason": reason}
+        assert doc["certificate"] == {"kind": "evidence",
+                                      "reason": "grunwald_wang_singleton"}
         assert verify_document(doc) == [], (elements, n)
+    # odd small sets now carry a point
+    doc = doc_for(["32", "8", "-1/2"], 15, want_counterexample=False)
+    assert doc["certificate"]["kind"] == "uncovered_point"
+    assert verify_document(doc) == []
 
 
 def test_evidence_rule_uses_the_component_modulus():
@@ -345,3 +428,35 @@ def test_evidence_parameters_must_match_the_document():
         bad = json.loads(json.dumps(doc))
         bad["evidence"]["params"].update(lo=lo, hi=hi)
         assert verify_document(bad) == ["claimed failing primes lie outside the scanned range"]
+
+
+def test_rejects_composite_failing_primes():
+    doc = doc_for([2, 3, 12], 3, attach_evidence=True, evidence_hi=100)
+    assert doc["evidence"]["failing_primes"] == [7, 37]
+    doc["evidence"]["failing_primes"] = [7, 25, 37]  # the set "fails" mod 25
+    assert verify_document(doc) == ["claimed failing prime 25 is not prime"]
+    # above 2^22 each listed number is tested on its own: 2^22 + 3 =
+    # 13 * 19 * 16981, and no element is a cube residue modulo it
+    doc["evidence"]["params"]["hi"] = 4194307
+    doc["evidence"]["failing_primes"] = [7, 37, 4194307]
+    assert verify_document(doc) == ["claimed failing prime 4194307 is not prime"]
+
+
+def test_verifier_imports_no_decision_code():
+    # the verifier's own loops stand in for the engine's; only the arithmetic
+    # layers and the names ROADMAP item 3 still has to remove may be imported
+    import ast
+    from pathlib import Path
+    allowed = {"primes": None, "rationals": None, "sieve": None, "verdicts": None,
+               "classify": {"ExceptionalForm"},
+               "prime_power": {"_oracle_assignments", "_ratio"}}
+    path = Path(__file__).resolve().parent.parent / "src" / "locus" / "verify.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            assert all(not a.name.startswith("locus") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or
+                                                   (node.module or "").startswith("locus")):
+            module = (node.module or "").removeprefix("locus.")
+            assert module in allowed, module
+            names = {a.name for a in node.names}
+            assert allowed[module] is None or names <= allowed[module], names
