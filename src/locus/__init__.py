@@ -5,7 +5,7 @@ certificates and an independent residue sieve."""
 from .classify import (ExceptionalForm, classify_singleton, decide,
                        match_exceptional_pair)
 from .covering import (ExponentMatrixModQ, Hyperplane, Covered, Uncovered,
-                       build_hyperplanes, covers, covers_mod, decide_q)
+                       build_hyperplanes, covers, decide_q)
 from .errors import LocusError
 from .families import (cubic_quad, even_optimal, exceptional_pair, lifted,
                        odd_optimal, square_triple)
@@ -24,7 +24,7 @@ __all__ = [
     "Covered", "ExceptionalForm", "ExponentMatrixModQ", "FactoredRational",
     "Hyperplane", "LocusError", "PowerClass", "SieveReport", "Uncovered",
     "Verdict", "build_hyperplanes", "classify_singleton", "clear_denominators",
-    "covers", "covers_mod", "cubic_quad", "decide", "decide_prime_power",
+    "covers", "cubic_quad", "decide", "decide_prime_power",
     "decide_q", "decide_square", "decide_two_power", "dedupe", "even_optimal",
     "exceptional_pair", "exponentiate_classes", "factor", "find_counterexample",
     "is_kth_power_mod_p", "is_perfect_power", "lifted", "match_exceptional_pair",

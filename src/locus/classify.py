@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalInconsistency, NotEven, WrongCardinality, ZeroInput
-from .covering import decide_q
+from .covering import ENUMERATION_CEILING, decide_q
 from .primes import prime_power_split
 from .rationals import (FactoredRational, clear_denominators, dedupe, factor,
                         is_perfect_power)
@@ -177,7 +177,7 @@ def _try_lift(xs: list[FactoredRational], n: int, ceiling: int) -> Optional[Verd
 
 
 def decide(elements, n: int, *, want_counterexample: bool = True,
-           counterexample_bound: int = 10**4, ceiling: int = 1 << 24,
+           counterexample_bound: int = 10**4, ceiling: int = ENUMERATION_CEILING,
            attach_evidence: bool = False, evidence_hi: int = 10**4) -> Verdict:
     """Does the set contain an n-th power in Q_p for almost every prime p?
 

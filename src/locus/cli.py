@@ -14,6 +14,7 @@ import sys
 
 from . import families
 from .classify import decide
+from .covering import ENUMERATION_CEILING
 from .errors import (FactorizationCapacityExceeded, InstanceTooLarge,
                      InternalInconsistency, LocusError, OracleLimitExceeded,
                      ParseError, RangeTooLarge, ZeroInput)
@@ -49,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_decide = sub.add_parser("decide", help="full decision with certificate")
     p_decide.add_argument("--n", type=int, required=True)
     add_elements(p_decide)
-    p_decide.add_argument("--ceiling", type=int, default=1 << 24,
+    p_decide.add_argument("--ceiling", type=int, default=ENUMERATION_CEILING,
                           help="bound on the candidates the cover search tries")
     p_decide.add_argument("--evidence", action="store_true",
                           help="attach a sieve report to the verdict")

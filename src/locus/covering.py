@@ -4,10 +4,10 @@ Each element a_j with exponent vector e_j over the joint support induces the
 form x -> <x, e_j> mod n on (Z/n)^s.  For odd n the sign drops out and
 Gal(Q(zeta_n, A^(1/n))/Q) = (Z/n)^s x| (Z/n)^x (Schinzel), so by Chebotarev
 the set contains an n-th power in Q_p for almost every p exactly when the
-kernels of these forms cover (Z/n)^s.  `covers` decides a prime n on the
-projective image after elimination over F_q; `covers_mod` decides any odd n
-on the image of a diagonal form of the exponent matrix.  Both spend one
-budget of candidate values and raise InstanceTooLarge past it.
+kernels of these forms cover (Z/n)^s.  `covers` decides every odd n, prime
+or not, by one search over the image of a reduced row echelon form of the
+exponent matrix; a budget of candidate values bounds it, past which it
+raises InstanceTooLarge.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .errors import InstanceTooLarge, NotQFree, UnitElement
-from .primes import is_prime
 from .rationals import dedupe, factor, reduce_class
 from .sieve import default_exclusions, find_counterexample
 from .verdicts import (FAILS, HOLDS, HyperplaneCover, PerfectPowerMember,
@@ -86,181 +85,69 @@ def build_hyperplanes(elements, q: int):
     return matrix, planes, trivial
 
 
-def _normalize(form, q: int) -> Optional[tuple[int, ...]]:
-    """The form scaled by F_q^* to a leading 1, or None for the zero form."""
-    for c in form:
-        if c % q:
-            inv = pow(c, -1, q)
-            return tuple(a * inv % q for a in form)
-    return None
+def _echelon(columns, n: int, s: int):
+    """(m_k, r_k, h_k) per generator of the image {x . E : x in (Z/n)^s},
+    E the s x l matrix with these columns: h_k = r_k . E, of additive order
+    m_k, and every image vector is sum t_k h_k at x = sum t_k r_k.
 
-
-def _has_miss(forms, q: int, budget) -> bool:
-    """Does some point lie off the kernels of these forms?
-
-    The forms are nonzero and pairwise non-proportional.  At most q of them
-    never cover, since F_q^r is not a union of q proper subspaces.  Otherwise
-    r independent forms, found by elimination, become the coordinates y of
-    the image and every other form a combination lam . y.  A miss is a y in
-    {1} x (F_q^*)^(r-1) off every lam; the search assigns y one coordinate at
-    a time and drops a branch once a fully assigned combination vanishes.
-    Each value tried takes one item of budget.
+    Integer row operations, tracked in the rows r, keep the group the rows
+    of E generate.  For each column in turn, Euclid on the rows not yet taken
+    leaves one of them nonzero there.  Scaled by a unit so that this entry
+    becomes the divisor d = gcd(entry, n), it becomes the generator of that
+    pivot column and reduces the earlier generators' entries there below d.
+    For prime n, d = 1 and each pivot column is touched by its own
+    generator alone.
     """
-    if len(forms) <= q:
-        return True
-    width = len(forms[0])
-    pivots = []   # (column, row with 1 there, that row as a combination of y)
-    combos = []   # each dependent form as a combination of y
-    for form in forms:
-        row, lam = list(form), [0] * width
-        for col, prow, pcombo in pivots:
-            c = row[col]
-            if c:
-                row = [(a - c * b) % q for a, b in zip(row, prow)]
-                lam = [(a + c * b) % q for a, b in zip(lam, pcombo)]
-        col = next((i for i, a in enumerate(row) if a), None)
-        if col is None:
-            combos.append(lam)
-            continue
-        inv = pow(row[col], -1, q)
-        pcombo = [-inv * a % q for a in lam]
-        pcombo[len(pivots)] = inv
-        pivots.append((col, [a * inv % q for a in row], pcombo))
-
-    # coordinates no combination uses take any nonzero value; the others are
-    # assigned most used first, so that combinations complete early
-    uses = [sum(1 for lam in combos if lam[k]) for k in range(len(pivots))]
-    order = sorted((k for k in range(len(pivots)) if uses[k]), key=lambda k: -uses[k])
-    if not order:
-        return True
-    pos = {k: i for i, k in enumerate(order)}
-    checks = [[] for _ in order]  # combinations by their last assigned coordinate
-    for lam in combos:
-        terms = sorted((pos[k], a) for k, a in enumerate(lam) if a)
-        checks[terms[-1][0]].append(terms)
-
-    # a combination uses two coordinates or more, since no two forms are
-    # proportional; y[0] = 1 by scaling
-    y = [1] * len(order)
-    stack = [iter(range(1, q))]  # values left to try at coordinate len(stack)
-    while stack:
-        i = len(stack)
-        for v in stack[-1]:
-            if next(budget, None) is None:
-                raise InstanceTooLarge("cover search passed its candidate ceiling")
-            y[i] = v
-            if all(sum(a * y[j] for j, a in terms) % q for terms in checks[i]):
+    rows = [([col[p] % n for col in columns], [int(i == p) for i in range(s)])
+            for p in range(s)]
+    gens = []
+    for j in range(len(columns)):
+        while True:
+            live = sorted((row for row in rows if row[0][j]), key=lambda row: row[0][j])
+            if len(live) < 2:
                 break
-        else:
-            stack.pop()
+            h0, r0 = live[0]
+            for h, r in live[1:]:
+                c = h[j] // h0[j]
+                h[:] = [(a - c * b) % n for a, b in zip(h, h0)]
+                r[:] = [(a - c * b) % n for a, b in zip(r, r0)]
+        if not live:
             continue
-        if i + 1 == len(order):
-            return True
-        stack.append(iter(range(1, q)))
-    return False
-
-
-def _completable(forms, offsets, i: int, q: int, budget) -> bool:
-    """Does some point with a fixed first i coordinates lie off every kernel?
-
-    offsets[j] is the fixed coordinates' part a_j of form j.  Setting t = 1,
-    such a point is a miss of the homogenised arrangement {t} and
-    {a_j t + c'_j . x'}, where c'_j is form j on the free coordinates x'.
-    """
-    rests = [(a,) + form[i:] for a, form in zip(offsets, forms)]
-    if not all(any(g) for g in rests):
-        return False
-    if len(rests) < q:
-        return True  # with t at most q forms, which never cover
-    arrangement = {(1,) + (0,) * (len(forms[0]) - i)}
-    arrangement.update(_normalize(g, q) for g in rests)
-    return _has_miss(sorted(arrangement), q, budget)
+        rows.remove(live[0])
+        h0, r0 = live[0]
+        d = math.gcd(h0[j], n)
+        u = pow(h0[j] // d, -1, n // d)  # u h0[j] = d mod n; make u a unit mod n
+        while math.gcd(u, n) > 1:
+            u += n // d
+        h0, r0 = [u * a % n for a in h0], [u * a % n for a in r0]
+        for h, r in gens:
+            c = h[j] // d
+            if c:
+                h[:] = [(a - c * b) % n for a, b in zip(h, h0)]
+                r[:] = [(a - c * b) % n for a, b in zip(r, r0)]
+        gens.append((h0, r0))
+    return [(n // math.gcd(n, *h), r, h) for h, r in gens]
 
 
 def covers(hyperplanes, q: int, s: int, ceiling: int = ENUMERATION_CEILING) -> CoverOutcome:
-    """Covered, or Uncovered at the lexicographically least missed point.
+    """Covered, or Uncovered at some point of (Z/q)^s off every kernel, for
+    any odd modulus q.
 
-    The point is fixed one coordinate at a time, each time to the least value
-    whose prefix still extends to a miss.  ceiling bounds the coordinate
-    values the projective searches try in total; past it InstanceTooLarge.
+    The search runs over the image of the forms' matrix (_echelon): it
+    assigns the coordinates t most used first and drops a branch once an
+    assigned combination vanishes.  Points scale by units of Z/q, so while t
+    is zero so far its next entry is 0 or a divisor of its modulus m below
+    m.  ceiling bounds the values tried; past it InstanceTooLarge.
     """
     if not hyperplanes:
         raise ValueError("hyperplane list must be nonempty")
-    forms = {_normalize(h.coeffs, q) for h in hyperplanes}
-    if None in forms:
-        return Covered()
-    forms = sorted(forms)
-    budget = iter(range(ceiling))  # one item per candidate value tried
-    offsets = [0] * len(forms)
-    if not _completable(forms, offsets, 0, q, budget):
-        return Covered()
-    point = []
-    for i in range(s):
-        for v in range(q):
-            shifted = [(a + v * form[i]) % q for a, form in zip(offsets, forms)]
-            # some value extends the prefix, so the last one needs no test
-            if v == q - 1 or _completable(forms, shifted, i + 1, q, budget):
-                break
-        offsets = shifted
-        point.append(v)
-    return Uncovered(tuple(point))
-
-
-def _diagonal_form(columns, n: int):
-    """(m_k, r_k) per generator of the image {x . E : x in (Z/n)^s}, E the
-    s x l matrix with these columns: each image vector is x . E at
-    x = sum t_k r_k for exactly one t in prod Z/m_k.
-
-    Row and column operations over Z/n bring E to a diagonal D = R E C, by
-    Euclid on the least nonzero entry.  With r_k row k of R, r_k . E is d_k
-    times row k of C^-1, and t -> t d_k maps Z/m_k one to one onto the
-    multiples of gcd(d_k, n) = n / m_k.
-    """
-    s, l = len(columns[0]), len(columns)
-    a = [[col[p] % n for col in columns] for p in range(s)]
-    rows = [[int(i == j) for j in range(s)] for i in range(s)]  # R
-    out = []
-    for k in range(min(s, l)):
-        while True:
-            rest = [(a[i][j], i, j) for i in range(k, s) for j in range(k, l) if a[i][j]]
-            if not rest:
-                return out
-            d, i, j = min(rest)
-            a[k], a[i], rows[k], rows[i] = a[i], a[k], rows[i], rows[k]
-            for row in a:
-                row[k], row[j] = row[j], row[k]
-            for i in range(k + 1, s):  # row i -= c row k, leaving a[i][k] < d
-                c = a[i][k] // d
-                a[i] = [(x - c * y) % n for x, y in zip(a[i], a[k])]
-                rows[i] = [(x - c * y) % n for x, y in zip(rows[i], rows[k])]
-            for j in range(k + 1, l):  # column j -= c column k
-                c = a[k][j] // d
-                for row in a:
-                    row[j] = (row[j] - c * row[k]) % n
-            if not any(a[i][k] for i in range(k + 1, s)) and not any(a[k][k + 1:]):
-                break
-        out.append((n // math.gcd(d, n), rows[k]))
-    return out
-
-
-def covers_mod(columns, n: int, ceiling: int = ENUMERATION_CEILING) -> CoverOutcome:
-    """Covered, or Uncovered at a point of (Z/n)^s off every kernel of
-    x -> <x, col> mod n.
-
-    The search assigns the coordinates t of the image (_diagonal_form) most
-    used first and drops a branch once an assigned combination vanishes.
-    Points scale by units of Z/n, so while t is zero so far its next entry
-    is 0 or a divisor of its modulus m below m.  ceiling bounds the values
-    tried; past it InstanceTooLarge.
-    """
-    if not columns:
-        raise ValueError("column list must be nonempty")
-    gens = _diagonal_form(columns, n)
+    columns = [h.coeffs for h in hyperplanes]
+    gens = _echelon(columns, q, s)
     # column i of the image as a combination of the coordinates t_k
-    terms = [[(k, c) for k, (_, r) in enumerate(gens)
-              if (c := sum(x * y for x, y in zip(r, col)) % n)] for col in columns]
+    terms = [[(k, h[i]) for k, (_, _, h) in enumerate(gens) if h[i]]
+             for i in range(len(columns))]
     if not all(terms):
-        return Covered()  # a zero column: its kernel is everything
+        return Covered()  # a zero form mod q: its kernel is everything
     uses = Counter(k for ts in terms for k, _ in ts)
     order = sorted(uses, key=lambda k: -uses[k])
     pos = {k: i for i, k in enumerate(order)}
@@ -283,7 +170,7 @@ def covers_mod(columns, n: int, ceiling: int = ENUMERATION_CEILING) -> CoverOutc
             if next(budget, None) is None:
                 raise InstanceTooLarge("cover search passed its candidate ceiling")
             t[i] = v
-            if all(sum(c * t[j] for j, c in ts) % n for ts in checks[i]):
+            if all(sum(c * t[j] for j, c in ts) % q for ts in checks[i]):
                 break
         else:
             stack.pop()
@@ -291,9 +178,9 @@ def covers_mod(columns, n: int, ceiling: int = ENUMERATION_CEILING) -> CoverOutc
         if i + 1 < len(order):
             stack.append(values(i + 1, not any(t[:i + 1])))
             continue
-        point = [0] * len(columns[0])
+        point = [0] * s
         for k, v in zip(order, t):
-            point = [(x + v * y) % n for x, y in zip(point, gens[k][1])]
+            point = [(x + v * y) % q for x, y in zip(point, gens[k][1])]
         return Uncovered(tuple(point))
     return Covered()
 
@@ -304,8 +191,7 @@ def decide_q(elements, n: int, *, want_counterexample: bool = True,
     """Does the set contain an n-th power in Z_p for almost every p (odd n)?
 
     Pipeline: reduce each element mod (Q^x)^n, short-circuit on any trivial
-    class, otherwise test the cover of (Z/n)^s: by `covers` for prime n and
-    by `covers_mod` otherwise.
+    class, otherwise test the cover of (Z/n)^s by `covers`.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("decide_q needs an odd n; squares live elsewhere")
@@ -324,10 +210,7 @@ def decide_q(elements, n: int, *, want_counterexample: bool = True,
     matrix, planes, _ = build_hyperplanes(reps, n)
     s = len(matrix.support)
 
-    if is_prime(n):
-        outcome = covers(planes, n, s, ceiling=ceiling)
-    else:
-        outcome = covers_mod(matrix.columns, n, ceiling=ceiling)
+    outcome = covers(planes, n, s, ceiling=ceiling)
     if isinstance(outcome, Covered):
         return Verdict(HOLDS, HyperplaneCover(n, matrix.support, matrix.columns),
                        excluded)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .covering import decide_q
+from .covering import ENUMERATION_CEILING, decide_q
 from .errors import NonUnitExponent, OracleLimitExceeded
 from .primes import is_prime
 from .rationals import FactoredRational, factor, is_perfect_power
@@ -160,7 +160,7 @@ def _first_witness(table, q: int, qm: int):
 def decide_prime_power(elements, q: int, m: int, *,
                        want_counterexample: bool = True,
                        counterexample_bound: int = 10**4,
-                       ceiling: int = 1 << 24) -> Verdict:
+                       ceiling: int = ENUMERATION_CEILING) -> Verdict:
     """Does the set contain a q^m-th power in Z_p for almost every p (odd q)?"""
     if q == 2 or not is_prime(q):
         raise ValueError("decide_prime_power needs an odd prime q")

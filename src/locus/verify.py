@@ -2,23 +2,23 @@
 
 Given a verdict document (as produced by the CLI), re-check the certificate
 against the element set without trusting the engine's decision path.  Every
-check here recomputes from first principles: roots are re-raised, covers
-re-enumerated, uncovered points re-evaluated, witnesses and exhaustions
-re-searched, claimed failing primes tested for primality and re-tested, all
-of a document's in one batch.  A cover or an uncovered point is over Z/n
-for the document's odd n, on the exponent vectors mod n of the cleared set:
-a point is checked in O(l*s), and a cover re-enumerated by elimination over
-F_n for prime n, or else by a search over the image of the columns on the
-verifier's own echelon form.  A counterexample prime must be prime; an
-evidence certificate without one backs a failure only through the
-Grunwald-Wang singleton theorem, whose hypotheses are re-checked here.
-Certificate kinds are checked against the status they may support, the
-cover re-check tries at most COVER_RECHECK_LIMIT candidate values, and the
-re-checks of an oracle witness or exhaustion make at most
-ORACLE_RECHECK_LIMIT (2^20) sign-vector tests.  Every element string is
-factored with primes.factorize, whose rho gives up on a composite above the
-Miller-Rabin bound once its cycle length passes primes.RHO_CYCLE_LIMIT, so a
-crafted element costs under a second per split attempt there.
+check here recomputes from first principles: roots are re-raised, uncovered
+points re-evaluated, covers, witnesses and exhaustions re-searched, claimed
+failing primes tested for primality and re-tested, all of a document's in
+one batch.  A cover or an uncovered point is over Z/n for the document's odd
+n, on the exponent vectors mod n of the cleared set: a point is checked in
+O(l*s), and a cover re-checked, for prime and composite n alike, by a search
+over the image of the columns on the verifier's own reduced echelon form.  A
+counterexample prime must be prime; an evidence certificate without one
+backs a failure only through the Grunwald-Wang singleton theorem, whose
+hypotheses are re-checked here.  Certificate kinds are checked against the
+status they may support, the cover re-check tries at most
+COVER_RECHECK_LIMIT candidate values, and the re-checks of an oracle witness
+or exhaustion make at most ORACLE_RECHECK_LIMIT (2^20) sign-vector tests.
+Every element string is factored with primes.factorize, whose rho gives up
+on a composite above the Miller-Rabin bound once its cycle length passes
+primes.RHO_CYCLE_LIMIT, so a crafted element costs under a second per split
+attempt there.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ ALLOWED_KINDS = {
             "component_failure", "evidence"},
 }
 
-# candidate points the cover re-check may try before it gives up; every cover
-# of prime modulus the engine could enumerate point by point (q^s <= 2^24)
-# needs at most (q-1)^(s-1) <= 6^7 of them
+# candidate values the cover re-check may try before it gives up; a cover of
+# prime modulus q and rank r needs at most 2 + q((q-1)^(r-1) - 1)/(q-2) of
+# them, at most 436,907 (q = 5, r = 10) wherever q^r <= 2^24
 COVER_RECHECK_LIMIT = 1 << 19
 
 # sign-vector tests an oracle witness or exhaustion re-check may make before
@@ -166,9 +166,7 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
         coeffs = [tuple(c) for c in cert["coeffs"]]
         _verify_columns_from_set(cert, elements, n, support, coeffs)
         if kind == "hyperplane_cover":
-            covered = (_forms_cover(coeffs, n) if is_prime(n)
-                       else _covers_mod(coeffs, n))
-            _need(covered, "claimed cover has a hole")
+            _need(_covers_mod(coeffs, n), "claimed cover has a hole")
             return
         point = tuple(cert["point"])
         _need(all(sum(c * x for c, x in zip(col, point)) % n != 0
@@ -317,54 +315,15 @@ def _exhausted(xs, q: int, qm: int) -> bool:
     return True
 
 
-def _forms_cover(coeffs, q: int) -> bool:
-    """Do the kernels of the forms cover F_q^s?
-
-    Elimination picks independent forms as coordinates y of the image and
-    writes every other form as a combination lam . y.  The kernels miss a
-    point exactly when some y in {1} x (F_q^*)^(r-1) gives every lam a
-    nonzero value: points scale by F_q^*, and a coordinate no lam uses is
-    free.  Past COVER_RECHECK_LIMIT candidates y the cover counts as too
-    large to re-check.
-    """
-    pivots, deps = [], []
-    for col in coeffs:
-        row, lam = [c % q for c in col], [0] * len(coeffs)
-        if not any(row):
-            continue
-        for p, prow, pcombo in pivots:
-            c = row[p]
-            if c:
-                row = [(a - c * b) % q for a, b in zip(row, prow)]
-                lam = [(a + c * b) % q for a, b in zip(lam, pcombo)]
-        p = next((i for i, a in enumerate(row) if a), None)
-        if p is None:
-            deps.append(lam)
-            continue
-        inv = pow(row[p], -1, q)
-        pcombo = [-inv * a % q for a in lam]
-        pcombo[len(pivots)] = inv
-        pivots.append((p, [a * inv % q for a in row], pcombo))
-    used = sorted({k for lam in deps for k, a in enumerate(lam) if a})
-    if not used:
-        return False  # y = (1, ..., 1) misses every form
-    y = [1] * len(coeffs)
-    for tried, tail in enumerate(product(range(1, q), repeat=len(used) - 1)):
-        _need(tried < COVER_RECHECK_LIMIT, "cover too large to re-check")
-        for k, v in zip(used[1:], tail):
-            y[k] = v
-        if all(sum(a * b for a, b in zip(lam, y)) % q for lam in deps):
-            return False
-    return True
-
-
 def _image_generators(cols, n: int):
     """(h, m) pairs, h of additive order m, that generate the image
     {x . E : x in (Z/n)^s} of the matrix E with these columns.
 
     Integer row operations keep the group the rows of E generate.  For each
     column in turn, Euclid on the rows not yet taken leaves one of them
-    nonzero there, and that row becomes a generator.
+    nonzero there, and that row, scaled by a unit to gcd(entry, n), becomes
+    a generator; it reduces the earlier generators' entries in its column
+    below its own, so for prime n no other generator touches that column.
     """
     rows = [[c % n for c in row] for row in zip(*cols)]
     gens = []
@@ -378,8 +337,17 @@ def _image_generators(cols, n: int):
                 r[:] = [(a - c * b) % n for a, b in zip(r, live[0])]
         if live:
             rows.remove(live[0])
-            gens.append((live[0], n // math.gcd(n, *live[0])))
-    return gens
+            d = math.gcd(live[0][j], n)
+            u = pow(live[0][j] // d, -1, n // d)
+            while math.gcd(u, n) > 1:
+                u += n // d
+            pivot = [u * a % n for a in live[0]]
+            for h in gens:
+                c = h[j] // d
+                if c:
+                    h[:] = [(a - c * b) % n for a, b in zip(h, pivot)]
+            gens.append(pivot)
+    return [(h, n // math.gcd(n, *h)) for h in gens]
 
 
 def _covers_mod(coeffs, n: int) -> bool:

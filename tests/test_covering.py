@@ -1,14 +1,16 @@
-from itertools import product
+from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locus.verify
 from locus.covering import (Covered, Hyperplane, Uncovered, build_hyperplanes,
-                            covers, covers_mod, decide_q)
+                            covers, decide_q)
 from locus.errors import InstanceTooLarge, NotQFree, UnitElement
 from locus.verdicts import FAILS, HOLDS
-from locus.verify import _covers_mod, _forms_cover
+from locus.verify import _covers_mod
 
 
 def brute_uncovered(cols, q, s):
@@ -16,6 +18,45 @@ def brute_uncovered(cols, q, s):
         if all(sum(c * x for c, x in zip(col, pt)) % q for col in cols):
             return pt
     return None
+
+
+def planes(cols):
+    return [Hyperplane(c) for c in cols]
+
+
+def assert_agrees_with_brute_force(cols, q, s):
+    """covers(...) is Covered exactly when the plain loop finds no miss, and
+    an Uncovered point lies off every kernel."""
+    got = covers(planes(cols), q, s)
+    assert isinstance(got, Covered) == (brute_uncovered(cols, q, s) is None)
+    if isinstance(got, Uncovered):
+        assert len(got.point) == s
+        assert all(sum(c * x for c, x in zip(col, got.point)) % q for col in cols)
+    return got
+
+
+def rank_mod_p(cols, q):
+    """Rank over F_q by plain Gaussian elimination."""
+    rows, rank = [list(c) for c in cols], 0
+    for j in range(len(cols[0])):
+        piv = next((r for r in rows[rank:] if r[j] % q), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        rows.insert(rank, piv)
+        inv = pow(piv[j], -1, q)
+        for r in rows[rank + 1:]:
+            c = r[j] * inv
+            r[:] = [(a - c * b) % q for a, b in zip(r, piv)]
+        rank += 1
+    return rank
+
+
+def prime_recheck_bound(q, r):
+    """Values the image search tries at most for a prime q and rank r: two
+    at the first coordinate (0 and 1), then q at each later one below
+    every surviving unit prefix."""
+    return 2 + q * ((q - 1) ** (r - 1) - 1) // (q - 2)
 
 
 def test_build_hyperplanes_examples():
@@ -39,50 +80,39 @@ def test_build_hyperplanes_ignores_sign_for_odd_q():
 
 
 def test_covers_examples():
-    planes = [Hyperplane(c) for c in [(1, 0), (0, 1), (1, 1), (1, 2)]]
-    assert isinstance(covers(planes, 3, 2), Covered)
-
-    planes = [Hyperplane(c) for c in [(1, 0), (0, 1), (2, 1)]]
-    out = covers(planes, 3, 2)
-    assert out == Uncovered((1, 2))
-
-    out = covers([Hyperplane((1,))], 3, 1)
-    assert out == Uncovered((1,))
+    assert isinstance(covers(planes([(1, 0), (0, 1), (1, 1), (1, 2)]), 3, 2), Covered)
+    assert isinstance(assert_agrees_with_brute_force([(1, 0), (0, 1), (2, 1)], 3, 2),
+                      Uncovered)
+    assert isinstance(assert_agrees_with_brute_force([(1,)], 3, 1), Uncovered)
 
 
-def test_covers_lexicographic_least_and_brute_agreement():
+def test_covers_small_sets_agree_with_brute_force():
     col_pool = [c for c in product(range(3), repeat=2) if any(c)]
     for r in range(1, 5):
-        from itertools import combinations
         for cols in combinations(col_pool, r):
-            got = covers([Hyperplane(c) for c in cols], 3, 2)
-            want = brute_uncovered(cols, 3, 2)
-            if want is None:
-                assert isinstance(got, Covered)
-            else:
-                assert got == Uncovered(want)
+            assert_agrees_with_brute_force(cols, 3, 2)
 
 
 def test_covers_duplicate_collapse():
-    planes = [Hyperplane((1, 0))] * 3 + [Hyperplane((0, 1)), Hyperplane((1, 1)),
-                                         Hyperplane((1, 2))]
-    assert isinstance(covers(planes, 3, 2), Covered)
+    cols = [(1, 0)] * 3 + [(0, 1), (1, 1), (1, 2)]
+    assert isinstance(covers(planes(cols), 3, 2), Covered)
 
 
 def test_covers_ceiling():
-    # the four-line cover of F_3^2 tries two values for its second coordinate
-    planes = [Hyperplane(c) for c in [(1, 0), (0, 1), (1, 1), (1, 2)]]
+    # the four-line cover of F_3^2 tries 0 and 1 at its first coordinate,
+    # then 0, 1 and 2 at its second
+    cols = [(1, 0), (0, 1), (1, 1), (1, 2)]
     with pytest.raises(InstanceTooLarge):
-        covers(planes, 3, 2, ceiling=1)
-    assert isinstance(covers(planes, 3, 2, ceiling=2), Covered)
+        covers(planes(cols), 3, 2, ceiling=4)
+    assert isinstance(covers(planes(cols), 3, 2, ceiling=5), Covered)
     # the lines through the origin of two coordinates cover F_7^10; pruning
-    # settles it in 6 values where the plain loop over (F_7^*)^9 needs 10^7
+    # settles it in 9 values (0 and 1, then all of F_7 at the second
+    # coordinate) where the plain loop over (F_7^*)^9 needs 6^9
     cols = [tuple(int(i == j) for j in range(10)) for i in range(10)]
     cols += [(1, a) + (0,) * 8 for a in range(1, 7)] + [(1,) * 10]
-    assert isinstance(covers([Hyperplane(c) for c in cols], 7, 10, ceiling=6), Covered)
-    # a single form is decided by counting alone, however wide its support
-    assert covers([Hyperplane((1,) * 20)], 3, 20, ceiling=0) == \
-        Uncovered((0,) * 19 + (1,))
+    with pytest.raises(InstanceTooLarge):
+        covers(planes(cols), 7, 10, ceiling=8)
+    assert isinstance(covers(planes(cols), 7, 10, ceiling=9), Covered)
 
 
 @st.composite
@@ -96,17 +126,25 @@ def form_sets(draw):
 @given(form_sets())
 @settings(max_examples=300, deadline=None)
 def test_covers_agrees_with_brute_force(case):
-    q, s, cols = case
-    got = covers([Hyperplane(c) for c in cols], q, s)
-    want = brute_uncovered(cols, q, s)
-    assert got == (Covered() if want is None else Uncovered(want))
+    assert_agrees_with_brute_force(case[2], case[0], case[1])
 
 
 @given(form_sets())
 @settings(max_examples=300, deadline=None)
 def test_verifier_cover_check_agrees_with_brute_force(case):
     q, s, cols = case
-    assert _forms_cover(cols, q) == (brute_uncovered(cols, q, s) is None)
+    assert _covers_mod(cols, q) == (brute_uncovered(cols, q, s) is None)
+
+
+@given(form_sets())
+@settings(max_examples=300, deadline=None)
+def test_verifier_prime_recheck_stays_within_its_bound(case):
+    # with the limit cut to the bound at the columns' rank, every prime set
+    # still re-checks, cover or not
+    q, s, cols = case
+    limit = prime_recheck_bound(q, rank_mod_p(cols, q))
+    with mock.patch.object(locus.verify, "COVER_RECHECK_LIMIT", limit):
+        assert _covers_mod(cols, q) == (brute_uncovered(cols, q, s) is None)
 
 
 @st.composite
@@ -117,38 +155,36 @@ def column_sets(draw):
     entry = st.builds(lambda d, a: d * a % n,
                       st.sampled_from([d for d in range(1, n) if n % d == 0]),
                       st.integers(0, n - 1))
-    col = st.tuples(*[entry] * s)
+    col = st.tuples(*[entry] * s).filter(any)
     return n, s, draw(st.lists(col, min_size=1, max_size=6))
 
 
 @given(column_sets())
 @settings(max_examples=300, deadline=None)
 def test_covers_mod_agrees_with_plain_loop(case):
-    n, s, cols = case
-    got = covers_mod(cols, n)
-    want = brute_uncovered(cols, n, s)
-    assert isinstance(got, Covered) == (want is None)
-    if isinstance(got, Uncovered):
-        assert len(got.point) == s
-        assert all(sum(c * x for c, x in zip(col, got.point)) % n for col in cols)
+    assert_agrees_with_brute_force(case[2], case[0], case[1])
 
 
 @given(column_sets())
 @settings(max_examples=300, deadline=None)
 def test_verifier_cover_mod_check_agrees_with_plain_loop(case):
     n, s, cols = case
-    cols = [c for c in cols if any(c)]  # a zero column counts for nothing there
     assert _covers_mod(cols, n) == (brute_uncovered(cols, n, s) is None)
+
+
+@given(st.one_of(form_sets(), column_sets()))
+@settings(max_examples=300, deadline=None)
+def test_engine_and_verifier_agree_on_covers(case):
+    n, s, cols = case
+    assert isinstance(covers(planes(cols), n, s), Covered) == _covers_mod(cols, n)
 
 
 def test_covers_mod_examples():
     # the optimal family lifted by 3 covers (Z/9)^2; unlifted it misses (3, 1)
     cols = [(3, 0), (0, 3), (3, 3), (3, 6)]
-    assert covers_mod(cols, 9) == Covered()
-    out = covers_mod([(1, 0), (0, 1), (1, 1), (1, 2)], 9)
-    assert isinstance(out, Uncovered)
-    assert all(sum(c * x for c, x in zip(col, out.point)) % 9
-               for col in [(1, 0), (0, 1), (1, 1), (1, 2)])
+    assert covers(planes(cols), 9, 2) == Covered()
+    assert isinstance(assert_agrees_with_brute_force(
+        [(1, 0), (0, 1), (1, 1), (1, 2)], 9, 2), Uncovered)
     # sets whose every miss has a zero or a non-unit first coordinate in the
     # search, that take Euclid two rounds on a pivot, or whose fifth prime's
     # row lies outside the span of the four rows Euclid would otherwise take
@@ -159,18 +195,16 @@ def test_covers_mod_examples():
                     ([(3, 6), (4, 3), (6, 6), (5, 3), (0, 6)], 9),
                     ([(8, 0), (3, 6), (6, 6), (0, 3)], 9),
                     ([(6, 0), (6, 3), (0, 4), (6, 6)], 9)]:
-        out = covers_mod(cols, n)
-        want = brute_uncovered(cols, n, len(cols[0]))
-        assert want and isinstance(out, Uncovered)
-        assert all(sum(c * x for c, x in zip(col, out.point)) % n for col in cols)
+        assert isinstance(assert_agrees_with_brute_force(cols, n, len(cols[0])),
+                          Uncovered)
         assert not _covers_mod(cols, n)
-    # a zero column covers everything; one column never does
-    assert covers_mod([(0, 0), (1, 2)], 15) == Covered()
-    assert isinstance(covers_mod([(5, 10, 3)], 15), Uncovered)
+    # a form that vanishes mod n covers everything; one column never does
+    assert covers(planes([(15, 0), (1, 2)]), 15, 2) == Covered()
+    assert isinstance(covers(planes([(5, 10, 3)]), 15, 3), Uncovered)
     with pytest.raises(InstanceTooLarge):
-        covers_mod(cols, 9, ceiling=1)
+        covers(planes(cols), 9, 2, ceiling=1)
     with pytest.raises(ValueError):
-        covers_mod([], 9)
+        covers([], 9, 2)
 
 
 def test_decide_q_composite_examples():

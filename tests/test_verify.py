@@ -161,21 +161,44 @@ def test_refutation_needs_every_column():
 def test_cover_recheck_has_a_work_bound(monkeypatch):
     import locus.verify
     doc = doc_for([2, 3, 6, 18], 3)
-    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 1)
+    # the image is generated by (1, 0, 1, 1) and (0, 1, 1, 2): 0 and 1 for
+    # the first, then 0, 1 and 2 for the second
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 4)
     assert verify_document(doc) == ["cover too large to re-check"]
-    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 2)
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 5)
     assert verify_document(doc) == []
 
 
 def test_cover_recheck_limit_spans_the_old_enumeration_range():
-    # every cover the engine once enumerated point by point (q^s <= 2^24)
-    # still re-checks: at most (q-1)^(s-1) candidates, worst at q = 7, s = 8
+    # every cover of prime modulus the engine once enumerated point by point
+    # (q^r <= 2^24) still re-checks: at most 2 + q((q-1)^(r-1) - 1)/(q-2)
+    # values, worst at q = 5, r = 10
     from locus.covering import ENUMERATION_CEILING
     from locus.primes import sieve_upto
     from locus.verify import COVER_RECHECK_LIMIT
-    need = max((q - 1) ** (s - 1) for q in sieve_upto(1 << 12)[1:]
-               for s in range(1, 25) if q**s <= ENUMERATION_CEILING)
-    assert need == 6**7 <= COVER_RECHECK_LIMIT
+    need = {(q, r): 2 + q * ((q - 1) ** (r - 1) - 1) // (q - 2)
+            for q in sieve_upto(1 << 12)[1:] for r in range(1, 25)
+            if q**r <= ENUMERATION_CEILING}
+    assert max(need.values()) == need[5, 10] == 436907 <= COVER_RECHECK_LIMIT
+
+
+def test_accepts_wide_prime_modulus_cover(monkeypatch):
+    # the ten primes to 29, 2 * 3^a for a = 1..6 and their product cover
+    # F_7^10; the re-check settles it in 9 values, where a loop over
+    # (F_7^*)^9 would pass the limit
+    import math
+
+    import locus.verify
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    elements = primes + [2 * 3**a for a in range(1, 7)] + [math.prod(primes)]
+    doc = doc_for(elements, 7)
+    assert doc["status"] == "holds"
+    assert doc["certificate"]["kind"] == "hyperplane_cover"
+    assert len(doc["certificate"]["support"]) == 10
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 9)
+    assert verify_document(doc) == []
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 8)
+    assert verify_document(doc) == ["cover too large to re-check"]
 
 
 def test_rejects_cover_modulo_a_prime_power():
