@@ -1,11 +1,13 @@
 """Primality, integer factorization and prime enumeration.
 
-Factorization strategy: trial division by all primes below 10^6, then a
-deterministic Brent-cycle rho splitter on what remains.  Primality of every
-reported factor is certified by Miller-Rabin with a fixed witness set that
-is exact below ~3.3e24; a probable prime above that raises rather than
-degrading to a probabilistic answer, because downstream verdicts assume
-complete factorizations.  Compositeness needs no bound: one failed witness
+Factorization strategy: trial division by the 6,542 primes below 2^16, so
+any cofactor left below 2^32 is prime; a larger cofactor is split as a
+perfect power, or by a deterministic Brent-cycle rho splitter once
+Miller-Rabin proves it composite.  Primality of every reported factor is
+certified by Miller-Rabin with a fixed witness set that is exact below
+~3.3e24; a probable prime above that raises rather than degrading to a
+probabilistic answer, because downstream verdicts assume complete
+factorizations.  Compositeness needs no bound: one failed witness
 proves it, so larger composites are still split.
 
 Enumeration: an Eratosthenes sieve over the odd numbers only, one bytearray
@@ -16,7 +18,7 @@ above 2^22 are sieved in segments by the same routine.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import compress
 from typing import Optional
@@ -28,7 +30,7 @@ from .errors import FactorizationCapacityExceeded, RangeTooLarge
 MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
-TRIAL_DIVISION_BOUND = 10**6
+TRIAL_DIVISION_BOUND = 1 << 16
 # on a cofactor above MR_DETERMINISTIC_BOUND rho gives up past this cycle
 # length: enough for a least factor up to about 3*10^9, and a bound on the work
 RHO_CYCLE_LIMIT = 1 << 16
@@ -37,15 +39,12 @@ _DIRECT_SIEVE = 1 << 22  # prime_range sieves in one piece up to here
 _SEGMENT = 1 << 17
 
 _small_primes: list[int] | None = None
-_small_flags: bytearray | None = None  # per odd number below the bound: 1 on primes
 
 
 def _trial_primes() -> list[int]:
-    global _small_primes, _small_flags
+    global _small_primes
     if _small_primes is None:
-        base = sieve_upto(math.isqrt(TRIAL_DIVISION_BOUND))[1:]
-        _small_flags = _odd_flags(1, TRIAL_DIVISION_BOUND, base)
-        _small_primes = [2, *compress(range(1, TRIAL_DIVISION_BOUND, 2), _small_flags)]
+        _small_primes = sieve_upto(TRIAL_DIVISION_BOUND - 1)
     return _small_primes
 
 
@@ -80,15 +79,11 @@ def sieve_upto(n: int) -> list[int]:
 def first_nonprime(numbers) -> Optional[int]:
     """The first of the numbers that is not prime, or None.
 
-    Those up to 2^22 are looked up in odd-only sieve flags: below
-    TRIAL_DIVISION_BOUND the flags kept with the trial-division table, which
-    factorization builds anyway, and above it one sieve up to the largest of
-    them.  is_prime tests those above 2^22.
+    Those up to 2^22 are looked up in one odd-only sieve up to the largest
+    of them; is_prime tests those above 2^22.
     """
-    table = _trial_primes()
-    hi = max([TRIAL_DIVISION_BOUND] + [p for p in numbers if p <= _DIRECT_SIEVE])
-    flags = _small_flags + _odd_flags(TRIAL_DIVISION_BOUND + 1, hi,
-                                      table[1:bisect_right(table, math.isqrt(hi))])
+    hi = max([1] + [p for p in numbers if p <= _DIRECT_SIEVE])
+    flags = _odd_flags(1, hi, sieve_upto(math.isqrt(hi))[1:])
     for p in numbers:
         if p > _DIRECT_SIEVE:
             prime = is_prime(p)
@@ -176,8 +171,8 @@ def _brent_rho(n: int, cycle_limit: Optional[int] = None) -> int:
 def _perfect_power(m: int) -> tuple[int, int]:
     """(b, k) with m = b^k and k >= 2 least, or (m, 1).
 
-    m has no prime factor below the trial-division bound, so k stays below
-    log m / log TRIAL_DIVISION_BOUND.
+    m has no prime factor below the trial-division bound 2^16, so b > 2^16
+    and k is at most log2(m) / 16.
     """
     for k in range(2, m.bit_length() // (TRIAL_DIVISION_BOUND.bit_length() - 1) + 1):
         b = 1 << -(-m.bit_length() // k)  # Newton from above gives floor(m^(1/k))
@@ -194,12 +189,13 @@ def _perfect_power(m: int) -> tuple[int, int]:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
-    A cofactor past trial division is split as a perfect power, or by rho
-    once Miller-Rabin proves it composite (a proof at any size).  Raises
-    FactorizationCapacityExceeded for a probable prime above the
-    deterministic bound, which cannot be certified, or when rho gives up on
-    a composite above that bound once its cycle length passes
-    RHO_CYCLE_LIMIT (under 0.5 s, Python 3.11).
+    Trial division by the primes below 2^16 leaves a cofactor with no
+    smaller prime factor, so one below 2^32 is prime.  A larger one is
+    split as a perfect power, or by rho once Miller-Rabin proves it
+    composite (a proof at any size).  Raises FactorizationCapacityExceeded
+    for a probable prime above the deterministic bound, which cannot be
+    certified, or when rho gives up on a composite above that bound once
+    its cycle length passes RHO_CYCLE_LIMIT (under 0.5 s, Python 3.11).
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")

@@ -138,3 +138,69 @@ def test_evidence_flag_attaches_report(capsys):
                     "4", "--evidence")
     assert code == 0
     assert doc["evidence"]["failing_primes"] == []
+
+
+# the stdout of `locus decide --n 3` on a set with the semiprime
+# 1000003 * 10000019, whose factors lie above the trial-division table
+LARGE_FACTOR_DECIDE = """\
+{
+  "n": 3,
+  "elements": [
+    "2",
+    "3",
+    "10000049000057"
+  ],
+  "status": "fails",
+  "certificate": {
+    "kind": "uncovered_point",
+    "q": 3,
+    "support": [
+      2,
+      3,
+      1000003,
+      10000019
+    ],
+    "coeffs": [
+      [
+        1,
+        0,
+        0,
+        0
+      ],
+      [
+        0,
+        1,
+        0,
+        0
+      ],
+      [
+        0,
+        0,
+        1,
+        1
+      ]
+    ],
+    "point": [
+      1,
+      1,
+      1,
+      0
+    ],
+    "counterexample_prime": 7
+  },
+  "excluded_primes": [
+    2,
+    3,
+    1000003,
+    10000019
+  ]
+}
+"""
+
+
+def test_decide_large_factor_golden_output(tmp_path, capsys):
+    doc_path = tmp_path / "verdict.json"
+    assert main(["decide", "--n", "3", "--elem", "2", "--elem", "3", "--elem",
+                 str(1000003 * 10000019), "--json", str(doc_path)]) == 1
+    assert capsys.readouterr().out == LARGE_FACTOR_DECIDE
+    assert main(["verify-certificate", str(doc_path)]) == 0

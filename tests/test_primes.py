@@ -1,5 +1,10 @@
+import math
+import random
+from collections import Counter
+
 import pytest
 
+from locus import primes
 from locus.errors import FactorizationCapacityExceeded, RangeTooLarge
 from locus.primes import (MR_DETERMINISTIC_BOUND, factorize, first_nonprime,
                           is_prime, prime_power_split, prime_range, sieve_upto)
@@ -56,6 +61,76 @@ def test_factorize_composites_above_the_deterministic_bound():
         factorize((2**61 - 1)**2 * (2**89 - 1))
 
 
+@pytest.fixture
+def steps(monkeypatch):
+    """Counts the perfect-power splits and rho calls factorize makes."""
+    seen = Counter()
+    perfect_power, brent_rho = primes._perfect_power, primes._brent_rho
+
+    def counted_perfect_power(m):
+        b, k = perfect_power(m)
+        if k > 1:
+            seen["power"] += 1
+        return b, k
+
+    def counted_rho(m, limit=None):
+        seen["rho"] += 1
+        return brent_rho(m, limit)
+    monkeypatch.setattr(primes, "_perfect_power", counted_perfect_power)
+    monkeypatch.setattr(primes, "_brent_rho", counted_rho)
+    return seen
+
+
+def test_factorize_at_the_trial_division_bound(steps):
+    assert primes.TRIAL_DIVISION_BOUND == 1 << 16
+    # 65521 is the largest prime below 2^16 and 65537, 65539 the next two
+    assert factorize(65521**2) == {65521: 2}  # trial division alone
+    assert not steps
+    assert 65537 * 65539 > 1 << 32  # the cofactor needs Miller-Rabin and rho
+    assert factorize(65537 * 65539) == {65537: 1, 65539: 1}
+    assert steps == {"rho": 1}
+    steps.clear()
+    assert factorize(65537**2) == {65537: 2}  # the perfect-power split
+    assert steps == {"power": 1}
+
+
+def test_factorize_six_primes_between_the_bounds(steps):
+    # at 10^6 trial division removed these; now rho splits a composite above
+    # the deterministic bound
+    ps = [65537, 65539, 100003, 350003, 700001, 999983]
+    n = math.prod(ps)
+    assert n > MR_DETERMINISTIC_BOUND
+    assert factorize(n) == dict.fromkeys(ps, 1)
+    assert steps["rho"] >= 5
+    with pytest.raises(FactorizationCapacityExceeded, match="cannot certify primality"):
+        factorize(999983 * (2**89 - 1))
+
+
+def test_factorize_agrees_with_plain_trial_division():
+    rng = random.Random(20240516)
+
+    def plain_prime(m):
+        return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+    def draw(lo, hi, count):
+        pool = set()
+        while len(pool) < count:
+            m = rng.randrange(lo, hi)
+            if plain_prime(m):
+                pool.add(m)
+        return sorted(pool)
+    # both sides of the trial-division bound 2^16 and of the old one, 10^6
+    bands = [draw(2, 1 << 16, 60), draw((1 << 16) - 2000, (1 << 16) + 2000, 40),
+             draw((1 << 16) + 1, 10**6, 60), draw(10**6 - 3000, 10**6 + 3000, 40),
+             draw(10**6, 4 * 10**6, 60)]
+    for _ in range(2000):
+        want = Counter()
+        for _ in range(rng.randint(1, 4)):
+            want[rng.choice(rng.choice(bands))] += rng.randint(1, 3)
+        n = math.prod(p**e for p, e in want.items())
+        assert factorize(n) == want, n
+
+
 def test_prime_range_matches_sieve():
     assert prime_range(10, 50) == [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     assert prime_range(2, 2) == [2]
@@ -109,6 +184,10 @@ def test_first_nonprime():
     assert first_nonprime([4194301, 4194307]) == 4194307
     assert first_nonprime([4194303, 4194307]) == 4194303
     assert first_nonprime([1 << 22, 4194301]) == 1 << 22
+    # around the trial-division bound 2^16: 65521 and 65537 are prime
+    assert first_nonprime([65521, 65537]) is None
+    assert first_nonprime([65521, 65535, 65537]) == 65535
+    assert first_nonprime([65537, 65537 * 3]) == 65537 * 3
     # around the table of primes below 10^6: 999983 and 1000003 are prime
     near = range(10**6 - 40, 10**6 + 40)
     assert [p for p in near if first_nonprime([p]) is None] == \
