@@ -13,11 +13,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalInconsistency, NotEven, WrongCardinality, ZeroInput
-from .covering import ENUMERATION_CEILING, decide_q
+from .covering import ENUMERATION_CEILING, cover_verdict, decide_q
 from .primes import prime_power_split
 from .rationals import (FactoredRational, clear_denominators, dedupe, factor,
                         is_perfect_power)
-from .sieve import default_exclusions, find_counterexample, scan
+from .sieve import COUNTEREXAMPLE_BOUND, default_exclusions, find_counterexample, scan
 from .squares import decide_square, decide_two_power
 from .verdicts import (FAILS, HOLDS, INCONCLUSIVE, ComponentFailure, Evidence,
                        ExceptionalFormCert, LiftedFamily, PerfectPowerMember,
@@ -132,8 +132,7 @@ def form_to_certificate(form: ExceptionalForm, n: int = 0) -> ExceptionalFormCer
                                fmt(form.alpha2), n)
 
 
-def classify_singleton(a, n: int, *, want_counterexample: bool = True,
-                       counterexample_bound: int = 10**4) -> Verdict:
+def classify_singleton(a, n: int, *, want_counterexample: bool = True) -> Verdict:
     """One rational: perfect power, the 8|n exception, or failure."""
     x = factor(a)
     excluded = default_exclusions([x], n)
@@ -146,7 +145,7 @@ def classify_singleton(a, n: int, *, want_counterexample: bool = True,
             return Verdict(HOLDS, WangException(str(x), str(b), n), excluded)
     prime = None
     if want_counterexample:
-        prime = find_counterexample([x], n, counterexample_bound)
+        prime = find_counterexample([x], n, COUNTEREXAMPLE_BOUND)
     return Verdict(FAILS,
                    Evidence(reason="grunwald_wang_singleton",
                             counterexample_prime=prime),
@@ -177,8 +176,8 @@ def _try_lift(xs: list[FactoredRational], n: int, ceiling: int) -> Optional[Verd
 
 
 def decide(elements, n: int, *, want_counterexample: bool = True,
-           counterexample_bound: int = 10**4, ceiling: int = ENUMERATION_CEILING,
-           attach_evidence: bool = False, evidence_hi: int = 10**4) -> Verdict:
+           ceiling: int = ENUMERATION_CEILING, attach_evidence: bool = False,
+           evidence_hi: int = 10**4) -> Verdict:
     """Does the set contain an n-th power in Q_p for almost every prime p?
 
     The only router: denominators are cleared, classes mod (Q^x)^n
@@ -202,10 +201,10 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
     if v.fails() and want_counterexample:
         cert = v.certificate
         if isinstance(cert, ComponentFailure):
-            prime = find_counterexample(cleared, cert.q**cert.m, counterexample_bound)
+            prime = find_counterexample(cleared, cert.q**cert.m, COUNTEREXAMPLE_BOUND)
             cert = replace(cert, inner=replace(cert.inner, counterexample_prime=prime))
         else:
-            prime = find_counterexample(cleared, n, counterexample_bound)
+            prime = find_counterexample(cleared, n, COUNTEREXAMPLE_BOUND)
             cert = replace(cert, counterexample_prime=prime)
         v = replace(v, certificate=cert)
     v = v.with_excluded(default_exclusions(cleared, n))
@@ -220,16 +219,17 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
 
 def _route(xs: list[FactoredRational], n: int, ceiling: int) -> Verdict:
     """Verdict for distinct integral classes, in this order: a perfect
-    member; one class; the cover test over Z/n for odd n; squares; an
-    even-n pair; no criterion for three or more classes and n = 2^a;
-    otherwise the necessary prime-power components."""
+    member; the cover test over Z/n for every odd n, one class included;
+    one class for even n (classify_singleton); squares; an even-n pair; no
+    criterion for three or more classes and n = 2^a; otherwise the
+    necessary prime-power components, each decided by decide_q."""
     for x in xs:
         if is_perfect_power(x, n):
             return Verdict(HOLDS, PerfectPowerMember(str(x), str(x.nth_root(n)), n))
+    if n % 2:
+        return cover_verdict(xs, n, ceiling)
     if len(xs) == 1:
         return classify_singleton(xs[0], n, want_counterexample=False)
-    if n % 2:
-        return decide_q(xs, n, want_counterexample=False, ceiling=ceiling)
     if n == 2:
         return decide_square(xs, want_counterexample=False)
     if len(xs) == 2:

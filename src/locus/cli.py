@@ -68,8 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                              "(n must be an odd prime power)")
     p_oracle.add_argument("--n", type=int, required=True)
     add_elements(p_oracle)
-    p_oracle.add_argument("--oracle-limit", type=int, default=8,
-                          help="maximum number of elements")
     p_oracle.add_argument("--json", dest="json_path")
 
     p_gen = sub.add_parser("generate", help="emit a witness family as JSON")
@@ -142,7 +140,7 @@ def _run_oracle(args) -> int:
     if len(split) != 1 or split[0][0] == 2:
         raise ParseError("oracle exponent must be an odd prime power")
     q, m = split[0]
-    verdict = skalba_oracle(elements, q, m, element_limit=args.oracle_limit)
+    verdict = skalba_oracle(elements, q, m)
     normalized = [str(factor(e)) for e in elements]
     _emit(verdict.to_json(args.n, normalized), args.json_path)
     return _STATUS_EXIT[verdict.status]

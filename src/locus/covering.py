@@ -4,85 +4,25 @@ Each element a_j with exponent vector e_j over the joint support induces the
 form x -> <x, e_j> mod n on (Z/n)^s.  For odd n the sign drops out and
 Gal(Q(zeta_n, A^(1/n))/Q) = (Z/n)^s x| (Z/n)^x (Schinzel), so by Chebotarev
 the set contains an n-th power in Q_p for almost every p exactly when the
-kernels of these forms cover (Z/n)^s.  `covers` decides every odd n, prime
-or not, by one search over the image of a reduced row echelon form of the
-exponent matrix; a budget of candidate values bounds it, past which it
-raises InstanceTooLarge.
+kernels of these forms cover (Z/n)^s; one class is the one-column case, the
+Grunwald-Wang theorem for odd n.  `covers` decides every odd n, prime or
+not, on plain column tuples, by one search over the image of a reduced row
+echelon form of the exponent matrix; a budget of candidate values bounds
+it, past which it raises InstanceTooLarge.  `cover_verdict` is the one
+criterion that classify.decide applies to the classes of every odd-n set,
+and `decide_q` is that decision under its odd-n name.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Union
 
-from .errors import InstanceTooLarge, NotQFree, UnitElement
-from .rationals import dedupe, factor, reduce_class
-from .sieve import default_exclusions, find_counterexample
-from .verdicts import (FAILS, HOLDS, HyperplaneCover, PerfectPowerMember,
-                       UncoveredPoint, Verdict)
+from .errors import InstanceTooLarge
+from .rationals import reduce_class
+from .verdicts import FAILS, HOLDS, HyperplaneCover, UncoveredPoint, Verdict
 
 ENUMERATION_CEILING = 1 << 24
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Kernel of a nonzero linear form over (Z/q)^s."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not any(self.coeffs):
-            raise ValueError("hyperplane needs a nonzero coefficient vector")
-
-
-@dataclass(frozen=True)
-class ExponentMatrixModQ:
-    """Columns are element exponent vectors mod q over the joint support."""
-
-    q: int
-    support: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class Covered:
-    """The kernels cover all of (Z/q)^s."""
-
-
-@dataclass(frozen=True)
-class Uncovered:
-    point: tuple[int, ...]
-
-
-CoverOutcome = Union[Covered, Uncovered]
-
-
-def build_hyperplanes(elements, q: int):
-    """(matrix, hyperplanes, trivial_flag) for a set of q-free integers.
-
-    Inputs must be q-free (exponents in [0, q)) and not +-1; the sign plays
-    no role for odd q since -1 is a q-th power.  q need not be prime.
-    """
-    xs = [factor(a) for a in elements]
-    for x in xs:
-        if x.is_unit():
-            raise UnitElement(f"{x} cannot enter the hyperplane construction")
-        if any(e < 0 or e >= q for _, e in x.factors):
-            raise NotQFree(f"{x} is not {q}-free")
-    support = tuple(sorted({p for x in xs for p in x.support()}))
-    index = {p: i for i, p in enumerate(support)}
-    columns = []
-    for x in xs:
-        col = [0] * len(support)
-        for p, e in x.factors:
-            col[index[p]] = e % q
-        columns.append(tuple(col))
-    trivial = any(not any(col) for col in columns)
-    matrix = ExponentMatrixModQ(q, support, tuple(columns))
-    planes = [Hyperplane(col) for col in columns if any(col)]
-    return matrix, planes, trivial
 
 
 def _echelon(columns, n: int, s: int):
@@ -129,9 +69,10 @@ def _echelon(columns, n: int, s: int):
     return [(n // math.gcd(n, *h), r, h) for h, r in gens]
 
 
-def covers(hyperplanes, q: int, s: int, ceiling: int = ENUMERATION_CEILING) -> CoverOutcome:
-    """Covered, or Uncovered at some point of (Z/q)^s off every kernel, for
-    any odd modulus q.
+def covers(columns, q: int, s: int, ceiling: int = ENUMERATION_CEILING):
+    """None when the kernels of x -> <x, c> mod q, c over the columns, cover
+    (Z/q)^s; otherwise some point of (Z/q)^s off every kernel, as a tuple.
+    Any odd modulus q.
 
     The search runs over the image of the forms' matrix (_echelon): it
     assigns the coordinates t most used first and drops a branch once an
@@ -139,15 +80,14 @@ def covers(hyperplanes, q: int, s: int, ceiling: int = ENUMERATION_CEILING) -> C
     is zero so far its next entry is 0 or a divisor of its modulus m below
     m.  ceiling bounds the values tried; past it InstanceTooLarge.
     """
-    if not hyperplanes:
-        raise ValueError("hyperplane list must be nonempty")
-    columns = [h.coeffs for h in hyperplanes]
+    if not columns:
+        raise ValueError("column list must be nonempty")
     gens = _echelon(columns, q, s)
     # column i of the image as a combination of the coordinates t_k
     terms = [[(k, h[i]) for k, (_, _, h) in enumerate(gens) if h[i]]
              for i in range(len(columns))]
     if not all(terms):
-        return Covered()  # a zero form mod q: its kernel is everything
+        return None  # a zero form mod q: its kernel is everything
     uses = Counter(k for ts in terms for k, _ in ts)
     order = sorted(uses, key=lambda k: -uses[k])
     pos = {k: i for i, k in enumerate(order)}
@@ -181,46 +121,36 @@ def covers(hyperplanes, q: int, s: int, ceiling: int = ENUMERATION_CEILING) -> C
         point = [0] * s
         for k, v in zip(order, t):
             point = [(x + v * y) % q for x, y in zip(point, gens[k][1])]
-        return Uncovered(tuple(point))
-    return Covered()
+        return tuple(point)
+    return None
+
+
+def cover_verdict(xs, n: int, ceiling: int) -> Verdict:
+    """Verdict for distinct integral classes mod (Q^x)^n, odd n, none of
+    them a perfect n-th power: a cover of (Z/n)^s by the kernels of their
+    exponent vectors mod n holds, an uncovered point fails.  The failing
+    verdict carries no counterexample prime; classify.decide searches one.
+    """
+    reps = [reduce_class(x, n) for x in xs]
+    support = tuple(sorted({p for x in reps for p in x.support()}))
+    columns = tuple(tuple(x.exponent(p) for p in support) for x in reps)
+    point = covers(columns, n, len(support), ceiling)
+    if point is None:
+        return Verdict(HOLDS, HyperplaneCover(n, support, columns))
+    # certificate soundness: asserted before any point leaves the module
+    assert all(sum(c * x for c, x in zip(col, point)) % n
+               for col in columns), "uncovered point is covered; internal covering bug"
+    return Verdict(FAILS, UncoveredPoint(n, support, columns, point))
 
 
 def decide_q(elements, n: int, *, want_counterexample: bool = True,
-             counterexample_bound: int = 10**4,
              ceiling: int = ENUMERATION_CEILING) -> Verdict:
     """Does the set contain an n-th power in Z_p for almost every p (odd n)?
 
-    Pipeline: reduce each element mod (Q^x)^n, short-circuit on any trivial
-    class, otherwise test the cover of (Z/n)^s by `covers`.
+    classify.decide for odd n > 1, which reaches cover_verdict.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("decide_q needs an odd n; squares live elsewhere")
-    xs = [factor(a) for a in elements]
-    if not xs:
-        raise ValueError("empty set has no verdict")
-    excluded = default_exclusions(xs, n)
-
-    uniq = dedupe(xs, n)
-    for x in uniq:
-        root = x.nth_root(n)  # the trivial class: odd n absorbs the sign
-        if root is not None:
-            return Verdict(HOLDS, PerfectPowerMember(str(x), str(root), n), excluded)
-    reps = [reduce_class(x, n).rep for x in uniq]
-
-    matrix, planes, _ = build_hyperplanes(reps, n)
-    s = len(matrix.support)
-
-    outcome = covers(planes, n, s, ceiling=ceiling)
-    if isinstance(outcome, Covered):
-        return Verdict(HOLDS, HyperplaneCover(n, matrix.support, matrix.columns),
-                       excluded)
-
-    # certificate soundness: asserted before any Uncovered leaves the module
-    assert all(sum(c * x for c, x in zip(col, outcome.point)) % n
-               for col in matrix.columns), "uncovered point is covered; internal covering bug"
-    prime = None
-    if want_counterexample:
-        prime = find_counterexample(xs, n, counterexample_bound)
-    cert = UncoveredPoint(n, matrix.support, matrix.columns, outcome.point,
-                          counterexample_prime=prime)
-    return Verdict(FAILS, cert, excluded)
+    from .classify import decide
+    return decide(elements, n, want_counterexample=want_counterexample,
+                  ceiling=ceiling)

@@ -26,14 +26,6 @@ class RangeTooLarge(LocusError):
     """Prime scan range beyond the configured ceiling."""
 
 
-class NotQFree(LocusError):
-    """Element has an exponent outside [0, q) where q-free input is required."""
-
-
-class UnitElement(LocusError):
-    """+1 or -1 in a set feeding the hyperplane construction."""
-
-
 class InstanceTooLarge(LocusError):
     """Cover search past the configured bound on the candidates it tries."""
 

@@ -59,19 +59,19 @@ def _ratio(elements, c, signs) -> FactoredRational:
     return FactoredRational.from_prime_powers(sign, exponents)
 
 
-def skalba_oracle(elements, q: int, m: int, *,
-                  element_limit: int = ORACLE_ELEMENT_LIMIT,
-                  modulus_limit: int = ORACLE_MODULUS_LIMIT) -> Verdict:
+def skalba_oracle(elements, q: int, m: int) -> Verdict:
     """Exact q^m-th power decision by exhaustive subset-product search."""
     if q == 2 or not is_prime(q):
         raise ValueError("the subset-product criterion needs an odd prime q")
     xs = [factor(a) for a in elements]
     l = len(xs)
     qm = q**m
-    if l > element_limit:
-        raise OracleLimitExceeded(f"{l} elements exceeds oracle limit {element_limit}")
-    if qm > modulus_limit:
-        raise OracleLimitExceeded(f"q^m = {qm} exceeds oracle limit {modulus_limit}")
+    if l > ORACLE_ELEMENT_LIMIT:
+        raise OracleLimitExceeded(
+            f"{l} elements exceeds oracle limit {ORACLE_ELEMENT_LIMIT}")
+    if qm > ORACLE_MODULUS_LIMIT:
+        raise OracleLimitExceeded(
+            f"q^m = {qm} exceeds oracle limit {ORACLE_MODULUS_LIMIT}")
     if l == 0:
         raise ValueError("empty set has no verdict")
 
@@ -159,13 +159,12 @@ def _first_witness(table, q: int, qm: int):
 
 def decide_prime_power(elements, q: int, m: int, *,
                        want_counterexample: bool = True,
-                       counterexample_bound: int = 10**4,
                        ceiling: int = ENUMERATION_CEILING) -> Verdict:
     """Does the set contain a q^m-th power in Z_p for almost every p (odd q)?"""
     if q == 2 or not is_prime(q):
         raise ValueError("decide_prime_power needs an odd prime q")
     return decide_q(elements, q**m, want_counterexample=want_counterexample,
-                    counterexample_bound=counterexample_bound, ceiling=ceiling)
+                    ceiling=ceiling)
 
 
 def exponentiate_classes(elements, c, q: int) -> list[FactoredRational]:

@@ -89,9 +89,6 @@ class FactoredRational:
                 return e
         return 0
 
-    def is_one(self) -> bool:
-        return self.sign == 1 and not self.factors
-
     def is_unit(self) -> bool:
         return not self.factors
 
@@ -142,18 +139,6 @@ class FactoredRational:
         for q, e in self.factors:
             r = r * pow(q, e, p) % p
         return r
-
-
-@dataclass(frozen=True)
-class PowerClass:
-    """Representative of a rational in Q^x / (Q^x)^k.
-
-    The rep has all exponents in [0, k); for odd k the sign is +1 because
-    -1 is itself a k-th power.
-    """
-
-    modulus: int
-    rep: FactoredRational
 
 
 def parse_rational(text: str) -> Fraction:
@@ -215,14 +200,14 @@ def is_perfect_power(x: RationalLike, k: int) -> bool:
     return all(e % k == 0 for _, e in fx.factors)
 
 
-def reduce_class(x: RationalLike, k: int) -> PowerClass:
-    """Representative of x in Q^x/(Q^x)^k with exponents in [0, k)."""
+def reduce_class(x: RationalLike, k: int) -> FactoredRational:
+    """Representative of x in Q^x/(Q^x)^k: exponents in [0, k), and for odd
+    k the sign +1, since -1 is itself a k-th power."""
     if k < 2:
         raise ValueError("class modulus must be >= 2")
     fx = factor(x)
     sign = 1 if k % 2 else fx.sign
-    rep = FactoredRational.from_prime_powers(sign, {p: e % k for p, e in fx.factors})
-    return PowerClass(k, rep)
+    return FactoredRational.from_prime_powers(sign, {p: e % k for p, e in fx.factors})
 
 
 def dedupe(xs: Iterable[RationalLike], k: int) -> list[FactoredRational]:
@@ -231,7 +216,7 @@ def dedupe(xs: Iterable[RationalLike], k: int) -> list[FactoredRational]:
     out = []
     for x in xs:
         fx = factor(x)
-        rep = reduce_class(fx, k).rep
+        rep = reduce_class(fx, k)
         if rep not in seen:
             seen.add(rep)
             out.append(fx)

@@ -25,6 +25,9 @@ from .errors import BadPrime
 from .primes import factorize, prime_range
 from .rationals import FactoredRational, RationalLike, factor
 
+# the primes up to which a failing verdict searches its counterexample prime
+COUNTEREXAMPLE_BOUND = 10**4
+
 
 @dataclass(frozen=True)
 class SieveReport:

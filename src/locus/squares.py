@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import ZeroInput
 from .rationals import FactoredRational, dedupe, factor, is_perfect_power
-from .sieve import default_exclusions, find_counterexample
+from .sieve import COUNTEREXAMPLE_BOUND, default_exclusions, find_counterexample
 from .verdicts import (FAILS, HOLDS, OddSubsetWitness, ParityObstruction,
                        PerfectPowerMember, Verdict)
 
@@ -95,8 +95,7 @@ def _best_odd_solution(particular: int, basis: list[int], ncols: int):
     return best[1]
 
 
-def decide_square(elements, *, want_counterexample: bool = True,
-                  counterexample_bound: int = 10**4) -> Verdict:
+def decide_square(elements, *, want_counterexample: bool = True) -> Verdict:
     """Fried / Filaseta-Richman criterion with witness extraction."""
     xs = [factor(a) for a in elements]
     if not xs:
@@ -135,7 +134,7 @@ def decide_square(elements, *, want_counterexample: bool = True,
     assert acc == (1 << l) - 1, "row combination does not reproduce all-ones"
     prime = None
     if want_counterexample:
-        prime = find_counterexample(xs, 2, counterexample_bound)
+        prime = find_counterexample(xs, 2, COUNTEREXAMPLE_BOUND)
     return Verdict(FAILS, ParityObstruction(picked, counterexample_prime=prime),
                    excluded)
 
@@ -151,8 +150,7 @@ def _transpose(rows: list[int], ncols: int) -> list[int]:
     return out
 
 
-def decide_two_power(elements, a0: int, *, want_counterexample: bool = True,
-                     counterexample_bound: int = 10**4) -> Verdict:
+def decide_two_power(elements, a0: int, *, want_counterexample: bool = True) -> Verdict:
     """Decision for n = 2^a0.
 
     a0 = 1 is the exact squares criterion (a perfect square member first);
@@ -160,12 +158,10 @@ def decide_two_power(elements, a0: int, *, want_counterexample: bool = True,
     """
     if a0 >= 2:
         from .classify import decide
-        return decide(elements, 2**a0, want_counterexample=want_counterexample,
-                      counterexample_bound=counterexample_bound)
+        return decide(elements, 2**a0, want_counterexample=want_counterexample)
     xs = [factor(a) for a in elements]
     for x in xs:
         if is_perfect_power(x, 2):
             return Verdict(HOLDS, PerfectPowerMember(str(x), str(x.nth_root(2)), 2),
                            default_exclusions(xs, 2))
-    return decide_square(xs, want_counterexample=want_counterexample,
-                         counterexample_bound=counterexample_bound)
+    return decide_square(xs, want_counterexample=want_counterexample)

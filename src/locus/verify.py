@@ -11,10 +11,14 @@ O(l*s), and a cover re-checked, for prime and composite n alike, by a search
 over the image of the columns on the verifier's own reduced echelon form.  A
 counterexample prime must be prime; an evidence certificate without one
 backs a failure only through the Grunwald-Wang singleton theorem, whose
-hypotheses are re-checked here.  Certificate kinds are checked against the
-status they may support, the cover re-check tries at most
-COVER_RECHECK_LIMIT candidate values, and the re-checks of an oracle witness
-or exhaustion make at most ORACLE_RECHECK_LIMIT (2^20) sign-vector tests.
+hypotheses are re-checked here.  A Skalba witness is re-checked by testing
+every sign vector on the exponent vectors, at most ORACLE_RECHECK_LIMIT
+(2^20) of them, and an oracle exhaustion as the cover of (Z/q^m)^s by the
+kernels of the exponent vectors mod q^m, which every tuple admitting a pair
+amounts to.  Certificate kinds are checked against the status they may
+support, and the cover re-check tries at most COVER_RECHECK_LIMIT candidate
+values.  Of the engine's decision code only the exceptional templates
+(classify.ExceptionalForm) are imported.
 Every element string is factored with primes.factorize, whose rho gives up
 on a composite above the Miller-Rabin bound once its cycle length passes
 primes.RHO_CYCLE_LIMIT, so a crafted element costs under a second per split
@@ -28,7 +32,6 @@ from fractions import Fraction
 from itertools import product
 
 from .classify import ExceptionalForm
-from .prime_power import _oracle_assignments, _ratio
 from .primes import first_nonprime, is_prime
 from .rationals import clear_denominators, factor, is_perfect_power, reduce_class
 from .sieve import first_non_failing, verify_failing_prime
@@ -49,8 +52,7 @@ ALLOWED_KINDS = {
 # them, at most 436,907 (q = 5, r = 10) wherever q^r <= 2^24
 COVER_RECHECK_LIMIT = 1 << 19
 
-# sign-vector tests an oracle witness or exhaustion re-check may make before
-# it gives up: about 3 s for an exhaustion
+# sign vectors an oracle witness re-check may test before it gives up
 ORACLE_RECHECK_LIMIT = 1 << 20
 
 
@@ -217,9 +219,14 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
                                       "nor the deduplicated element list")
         _need(3 ** len(xs) <= ORACLE_RECHECK_LIMIT,
               "skalba witness too large to re-check")
-        for signs in _oracle_assignments(len(xs), q):
-            _need(not is_perfect_power(_ratio(xs, c, signs), q**m),
-                  "witness tuple admits a perfect-power subset pair")
+        # a pair B, C (signs 1 and -1) with |B| != |C| mod q whose ratio
+        # prod_B a_j^(c_j) / prod_C a_j^(c_j) is a q^m-th power refutes it
+        terms = [[cj * e for e in col] for cj, col in zip(c, _columns(xs, n))]
+        for signs in product((0, 1, -1), repeat=len(xs)):
+            if (signs.count(1) - signs.count(-1)) % q:
+                _need(any(sum(sj * t[i] for sj, t in zip(signs, terms)) % n
+                          for i in range(len(terms[0]))),
+                      "witness tuple admits a perfect-power subset pair")
         _need_counterexample(cert, elements, n)
         return
 
@@ -231,9 +238,10 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
                    if n ** len(xs) == cert["tuples_checked"]), None)
         _need(xs is not None, "tuples checked are not (q^m)^l for the raw "
                               "or the deduplicated element list")
-        _need(n ** len(xs) <= ORACLE_RECHECK_LIMIT,
-              "oracle exhaustion too large to re-check")
-        _need(_exhausted(xs, q, n),
+        # every tuple admits a pair exactly when the kernels of the exponent
+        # vectors mod q^m cover (Z/q^m)^s, trivially so at a zero vector
+        cols = _columns(xs, n)
+        _need(not all(map(any, cols)) or _covers_mod(cols, n),
               "some exponent tuple admits no perfect-power subset pair")
         return
 
@@ -290,29 +298,10 @@ def _need_oracle_modulus(q, m, n: int):
           "oracle modulus differs from the verdict exponent")
 
 
-def _exhausted(xs, q: int, qm: int) -> bool:
-    """Does every tuple c in (Z/q^m)^l admit disjoint B, C with |B| != |C|
-    mod q and prod_B a_j^(c_j) / prod_C a_j^(c_j) a perfect q^m-th power?
-
-    A plain loop over the tuples and the sign vectors of the pairs, on the
-    exponent vectors of the elements; past ORACLE_RECHECK_LIMIT sign-vector
-    tests the exhaustion counts as too large to re-check.
-    """
+def _columns(xs, n: int) -> list:
+    """The exponent vectors mod n of the elements over their joint support."""
     support = sorted({p for x in xs for p in x.support()})
-    vecs = [[x.exponent(p) for p in support] for x in xs]
-    assignments = _oracle_assignments(len(xs), q)
-    tests = 0
-    for c in product(range(qm), repeat=len(xs)):
-        for signs in assignments:
-            tests += 1
-            _need(tests <= ORACLE_RECHECK_LIMIT,
-                  "oracle exhaustion too large to re-check")
-            if all(sum(s * cj * v[i] for v, cj, s in zip(vecs, c, signs)) % qm == 0
-                   for i in range(len(support))):
-                break
-        else:
-            return False
-    return True
+    return [tuple(x.exponent(p) % n for p in support) for x in xs]
 
 
 def _image_generators(cols, n: int):
@@ -394,7 +383,7 @@ def _verify_columns_from_set(cert, elements, n, support, coeffs):
     index = {p: i for i, p in enumerate(support)}
     for x in clear_denominators(elements, n):
         col = [0] * len(support)
-        for p, e in reduce_class(x, n).rep.factors:
+        for p, e in reduce_class(x, n).factors:
             _need(p in index, f"element {x} uses a prime outside the recorded support")
             col[index[p]] = e % n
         if any(col):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations, product
 from unittest import mock
 
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locus.verify
-from locus.covering import (Covered, Hyperplane, Uncovered, build_hyperplanes,
-                            covers, decide_q)
-from locus.errors import InstanceTooLarge, NotQFree, UnitElement
+from locus.classify import decide
+from locus.covering import covers, decide_q
+from locus.errors import InstanceTooLarge
 from locus.verdicts import FAILS, HOLDS
-from locus.verify import _covers_mod
+from locus.verify import _covers_mod, verify_document
 
 
 def brute_uncovered(cols, q, s):
@@ -20,18 +21,14 @@ def brute_uncovered(cols, q, s):
     return None
 
 
-def planes(cols):
-    return [Hyperplane(c) for c in cols]
-
-
 def assert_agrees_with_brute_force(cols, q, s):
-    """covers(...) is Covered exactly when the plain loop finds no miss, and
-    an Uncovered point lies off every kernel."""
-    got = covers(planes(cols), q, s)
-    assert isinstance(got, Covered) == (brute_uncovered(cols, q, s) is None)
-    if isinstance(got, Uncovered):
-        assert len(got.point) == s
-        assert all(sum(c * x for c, x in zip(col, got.point)) % q for col in cols)
+    """covers(...) is None exactly when the plain loop finds no miss, and a
+    returned point lies off every kernel."""
+    got = covers(cols, q, s)
+    assert (got is None) == (brute_uncovered(cols, q, s) is None)
+    if got is not None:
+        assert isinstance(got, tuple) and len(got) == s
+        assert all(sum(c * x for c, x in zip(col, got)) % q for col in cols)
     return got
 
 
@@ -59,31 +56,28 @@ def prime_recheck_bound(q, r):
     return 2 + q * ((q - 1) ** (r - 1) - 1) // (q - 2)
 
 
-def test_build_hyperplanes_examples():
-    matrix, planes, trivial = build_hyperplanes([2, 3, 6, 18], 3)
-    assert matrix.support == (2, 3)
-    assert matrix.columns == ((1, 0), (0, 1), (1, 1), (1, 2))
-    assert not trivial
-
-    matrix, planes, _ = build_hyperplanes([2, 3, 12], 3)
-    assert matrix.columns == ((1, 0), (0, 1), (2, 1))
-
-    with pytest.raises(NotQFree):
-        build_hyperplanes([8], 3)
-    with pytest.raises(UnitElement):
-        build_hyperplanes([2, -1], 3)
+def test_decide_q_certificate_columns():
+    cert = decide_q([2, 3, 6, 18], 3).certificate
+    assert cert.support == (2, 3)
+    assert cert.coeffs == ((1, 0), (0, 1), (1, 1), (1, 2))
+    assert decide_q([2, 3, 12], 3).certificate.coeffs == ((1, 0), (0, 1), (2, 1))
+    # a cube, and -1 (itself a cube), are members before any column is built
+    for elements, member, root in (([8], "8", "2"), ([2, -1], "-1", "-1")):
+        cert = decide_q(elements, 3).certificate
+        assert cert.kind == "perfect_power_member"
+        assert (cert.element, cert.root) == (member, root)
 
 
-def test_build_hyperplanes_ignores_sign_for_odd_q():
-    matrix, _, _ = build_hyperplanes([-2, 3], 3)
-    assert matrix.columns == ((1, 0), (0, 1))
+def test_decide_q_columns_ignore_sign():
+    v = decide_q([-2, 3], 3)
+    assert v.status == FAILS
+    assert v.certificate.coeffs == ((1, 0), (0, 1))
 
 
 def test_covers_examples():
-    assert isinstance(covers(planes([(1, 0), (0, 1), (1, 1), (1, 2)]), 3, 2), Covered)
-    assert isinstance(assert_agrees_with_brute_force([(1, 0), (0, 1), (2, 1)], 3, 2),
-                      Uncovered)
-    assert isinstance(assert_agrees_with_brute_force([(1,)], 3, 1), Uncovered)
+    assert covers([(1, 0), (0, 1), (1, 1), (1, 2)], 3, 2) is None
+    assert assert_agrees_with_brute_force([(1, 0), (0, 1), (2, 1)], 3, 2) is not None
+    assert assert_agrees_with_brute_force([(1,)], 3, 1) is not None
 
 
 def test_covers_small_sets_agree_with_brute_force():
@@ -95,7 +89,7 @@ def test_covers_small_sets_agree_with_brute_force():
 
 def test_covers_duplicate_collapse():
     cols = [(1, 0)] * 3 + [(0, 1), (1, 1), (1, 2)]
-    assert isinstance(covers(planes(cols), 3, 2), Covered)
+    assert covers(cols, 3, 2) is None
 
 
 def test_covers_ceiling():
@@ -103,16 +97,16 @@ def test_covers_ceiling():
     # then 0, 1 and 2 at its second
     cols = [(1, 0), (0, 1), (1, 1), (1, 2)]
     with pytest.raises(InstanceTooLarge):
-        covers(planes(cols), 3, 2, ceiling=4)
-    assert isinstance(covers(planes(cols), 3, 2, ceiling=5), Covered)
+        covers(cols, 3, 2, ceiling=4)
+    assert covers(cols, 3, 2, ceiling=5) is None
     # the lines through the origin of two coordinates cover F_7^10; pruning
     # settles it in 9 values (0 and 1, then all of F_7 at the second
     # coordinate) where the plain loop over (F_7^*)^9 needs 6^9
     cols = [tuple(int(i == j) for j in range(10)) for i in range(10)]
     cols += [(1, a) + (0,) * 8 for a in range(1, 7)] + [(1,) * 10]
     with pytest.raises(InstanceTooLarge):
-        covers(planes(cols), 7, 10, ceiling=8)
-    assert isinstance(covers(planes(cols), 7, 10, ceiling=9), Covered)
+        covers(cols, 7, 10, ceiling=8)
+    assert covers(cols, 7, 10, ceiling=9) is None
 
 
 @st.composite
@@ -176,15 +170,15 @@ def test_verifier_cover_mod_check_agrees_with_plain_loop(case):
 @settings(max_examples=300, deadline=None)
 def test_engine_and_verifier_agree_on_covers(case):
     n, s, cols = case
-    assert isinstance(covers(planes(cols), n, s), Covered) == _covers_mod(cols, n)
+    assert (covers(cols, n, s) is None) == _covers_mod(cols, n)
 
 
 def test_covers_mod_examples():
     # the optimal family lifted by 3 covers (Z/9)^2; unlifted it misses (3, 1)
     cols = [(3, 0), (0, 3), (3, 3), (3, 6)]
-    assert covers(planes(cols), 9, 2) == Covered()
-    assert isinstance(assert_agrees_with_brute_force(
-        [(1, 0), (0, 1), (1, 1), (1, 2)], 9, 2), Uncovered)
+    assert covers(cols, 9, 2) is None
+    assert assert_agrees_with_brute_force(
+        [(1, 0), (0, 1), (1, 1), (1, 2)], 9, 2) is not None
     # sets whose every miss has a zero or a non-unit first coordinate in the
     # search, that take Euclid two rounds on a pivot, or whose fifth prime's
     # row lies outside the span of the four rows Euclid would otherwise take
@@ -195,14 +189,13 @@ def test_covers_mod_examples():
                     ([(3, 6), (4, 3), (6, 6), (5, 3), (0, 6)], 9),
                     ([(8, 0), (3, 6), (6, 6), (0, 3)], 9),
                     ([(6, 0), (6, 3), (0, 4), (6, 6)], 9)]:
-        assert isinstance(assert_agrees_with_brute_force(cols, n, len(cols[0])),
-                          Uncovered)
+        assert assert_agrees_with_brute_force(cols, n, len(cols[0])) is not None
         assert not _covers_mod(cols, n)
     # a form that vanishes mod n covers everything; one column never does
-    assert covers(planes([(15, 0), (1, 2)]), 15, 2) == Covered()
-    assert isinstance(covers(planes([(5, 10, 3)]), 15, 3), Uncovered)
+    assert covers([(15, 0), (1, 2)], 15, 2) is None
+    assert covers([(5, 10, 3)], 15, 3) is not None
     with pytest.raises(InstanceTooLarge):
-        covers(planes(cols), 9, 2, ceiling=1)
+        covers(cols, 9, 2, ceiling=1)
     with pytest.raises(ValueError):
         covers([], 9, 2)
 
@@ -251,3 +244,27 @@ def test_decide_q_dedupes_classes():
 def test_decide_q_rejects_even_q():
     with pytest.raises(ValueError):
         decide_q([3, 5], 2)
+
+
+@st.composite
+def odd_sets(draw):
+    """An odd n and a few rationals over small primes, denominators included."""
+    n = draw(st.sampled_from([3, 5, 7, 9, 15, 21, 25, 27]))
+    rational = st.builds(
+        lambda sign, exps: sign * Fraction(2) ** exps[0] * Fraction(3) ** exps[1]
+        * Fraction(5) ** exps[2] * Fraction(7) ** exps[3],
+        st.sampled_from([1, -1]), st.tuples(*[st.integers(-3, 2 * n)] * 4))
+    integral = st.builds(lambda x: x.numerator, rational)
+    return n, draw(st.lists(st.one_of(rational, integral), min_size=1, max_size=5))
+
+
+@given(odd_sets())
+@settings(max_examples=200, deadline=None)
+def test_decide_q_is_decide_for_odd_n(case):
+    n, xs = case
+    texts = [str(x) for x in xs]
+    doc = decide_q(texts, n).to_json(n, texts)
+    assert doc == decide(texts, n).to_json(n, texts)
+    assert doc["certificate"]["kind"] in {"perfect_power_member", "hyperplane_cover",
+                                          "uncovered_point"}
+    assert verify_document(doc) == []

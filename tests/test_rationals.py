@@ -104,24 +104,23 @@ def test_clear_denominators():
 
 
 def test_reduce_class_examples():
-    assert reduce_class(18, 3).rep == factor(18)
-    assert reduce_class(-5, 3).rep == factor(5)
-    assert reduce_class(2**5, 4).rep == factor(2)
-    assert reduce_class(-5, 4).rep == factor(-5)
+    assert reduce_class(18, 3) == factor(18)
+    assert reduce_class(-5, 3) == factor(5)
+    assert reduce_class(2**5, 4) == factor(2)
+    assert reduce_class(-5, 4) == factor(-5)
 
 
 @given(nonzero_rationals, st.integers(min_value=2, max_value=12))
 @settings(max_examples=200, deadline=None)
 def test_reduce_class_invariants(x, k):
-    cls = reduce_class(x, k)
-    rep = cls.rep
+    rep = reduce_class(x, k)
     assert all(0 <= e < k for _, e in rep.factors)
     if k % 2:
         assert rep.sign == 1
     # x / rep is a perfect k-th power
     assert is_perfect_power(factor(x) / rep, k)
     # idempotent
-    assert reduce_class(rep, k).rep == rep
+    assert reduce_class(rep, k) == rep
 
 
 @given(nonzero_rationals, nonzero_rationals, st.integers(min_value=2, max_value=8))

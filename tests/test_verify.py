@@ -364,8 +364,41 @@ def test_accepts_genuine_oracle_exhaustion(tmp_path, capsys):
 def test_oracle_exhaustion_recheck_has_a_work_bound(monkeypatch):
     import locus.verify
     doc = oracle_doc([2, 3, 6, 18], 3, 1)
-    monkeypatch.setattr(locus.verify, "ORACLE_RECHECK_LIMIT", 10)
-    assert verify_document(doc) == ["oracle exhaustion too large to re-check"]
+    # re-checked as the four-line cover of F_3^2: 0 and 1 at the first
+    # coordinate, then 0, 1 and 2 at the second
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 4)
+    assert verify_document(doc) == ["cover too large to re-check"]
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 5)
+    assert verify_document(doc) == []
+
+
+def test_accepts_deep_oracle_exhaustions():
+    # a cubic quad lifted two layers holds mod 27 over 27^4 tuples, and with
+    # a fifth class mod 9 over 9^5; each re-checks as a cover in a few values
+    for elements, q, m in [([512, 19683, 10077696, 198359290368], 3, 3),
+                           ([8, 27, 216, 5832, 5], 3, 2)]:
+        doc = oracle_doc(elements, q, m)
+        assert doc["certificate"]["kind"] == "oracle_exhaustion"
+        assert doc["certificate"]["tuples_checked"] == (q**m) ** len(elements)
+        assert verify_document(doc) == []
+
+
+def test_oracle_exhaustion_recheck_agrees_with_the_oracle():
+    # the cover re-check accepts an exhaustion exactly when the oracle's own
+    # search over the tuples finds no witness; over two primes about one set
+    # in five holds
+    import random
+    from locus.prime_power import skalba_oracle
+    rng = random.Random(5)
+    for _ in range(300):
+        q, m = rng.choice([(3, 1), (5, 1), (3, 2)])
+        elements = [rng.choice([1, -1]) * 2 ** rng.randrange(q**m)
+                    * 3 ** rng.randrange(q**m) for _ in range(rng.randint(1, 5))]
+        doc = {"n": q**m, "elements": [str(e) for e in elements], "status": "holds",
+               "certificate": {"kind": "oracle_exhaustion", "q": q, "m": m,
+                               "tuples_checked": (q**m) ** len(elements)}}
+        assert (verify_document(doc) == []) == skalba_oracle(elements, q, m).holds(), \
+            (elements, q, m)
 
 
 def test_oracle_witness_recheck_has_a_work_bound():
@@ -407,20 +440,21 @@ def test_evidence_without_prime_needs_a_theorem():
         doc = {"n": n, "elements": elements, "status": "fails",
                "certificate": {"kind": "evidence", "reason": reason}}
         assert verify_document(doc), (elements, n, reason)
-    # genuine ones: no failing prime below 10^4 for 2 and n = 10007, and
-    # the theorem's own hypotheses
-    doc = doc_for([2], 10007)
+    # a genuine one: the theorem's own hypotheses, for even n
+    doc = doc_for(["2"], 8, want_counterexample=False)
     assert doc["certificate"] == {"kind": "evidence", "reason": "grunwald_wang_singleton"}
     assert verify_document(doc) == []
-    for elements, n in [(["2"], 8), (["-3", "24"], 3)]:
-        doc = doc_for(elements, n, want_counterexample=False)
-        assert doc["certificate"] == {"kind": "evidence",
-                                      "reason": "grunwald_wang_singleton"}
-        assert verify_document(doc) == [], (elements, n)
-    # odd small sets now carry a point
-    doc = doc_for(["32", "8", "-1/2"], 15, want_counterexample=False)
-    assert doc["certificate"]["kind"] == "uncovered_point"
+    # odd singletons and odd small sets carry a point instead: 2 has no
+    # failing prime below 10^4 for n = 10007, and -3, 24 are one class mod
+    # cubes
+    doc = doc_for([2], 10007)
+    assert doc["certificate"] == {"kind": "uncovered_point", "q": 10007, "support": [2],
+                                  "coeffs": [[1]], "point": [1]}
     assert verify_document(doc) == []
+    for elements, n in [(["-3", "24"], 3), (["32", "8", "-1/2"], 15)]:
+        doc = doc_for(elements, n, want_counterexample=False)
+        assert doc["certificate"]["kind"] == "uncovered_point"
+        assert verify_document(doc) == [], (elements, n)
 
 
 def test_evidence_rule_uses_the_component_modulus():
@@ -467,12 +501,11 @@ def test_rejects_composite_failing_primes():
 
 def test_verifier_imports_no_decision_code():
     # the verifier's own loops stand in for the engine's; only the arithmetic
-    # layers and the names ROADMAP item 3 still has to remove may be imported
+    # layers and the name ROADMAP item 3 still has to remove may be imported
     import ast
     from pathlib import Path
     allowed = {"primes": None, "rationals": None, "sieve": None, "verdicts": None,
-               "classify": {"ExceptionalForm"},
-               "prime_power": {"_oracle_assignments", "_ratio"}}
+               "classify": {"ExceptionalForm"}}
     path = Path(__file__).resolve().parent.parent / "src" / "locus" / "verify.py"
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
