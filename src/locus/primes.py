@@ -1,9 +1,12 @@
 """Primality, integer factorization and prime enumeration.
 
 Factorization strategy: trial division by the 6,542 primes below 2^16, so
-any cofactor left below 2^32 is prime; a larger cofactor is split as a
-perfect power, or by a deterministic Brent-cycle rho splitter once
-Miller-Rabin proves it composite.  Primality of every reported factor is
+any cofactor left below 2^32 is prime.  The 54 primes below 2^8 are tried
+one by one; the rest are tried a block of 128 at a time, with one gcd of
+the number and the block's product, and a block is walked prime by prime
+only when that gcd exceeds 1.  A larger cofactor is split as a perfect
+power, or by a deterministic Brent-cycle rho splitter once Miller-Rabin
+proves it composite.  Primality of every reported factor is
 certified by Miller-Rabin with a fixed witness set that is exact below
 ~3.3e24; a probable prime above that raises rather than degrading to a
 probabilistic answer, because downstream verdicts assume complete
@@ -31,6 +34,8 @@ MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 TRIAL_DIVISION_BOUND = 1 << 16
+_WALK_BOUND = 1 << 8  # table primes below this are tried one by one
+_BLOCK = 128  # the rest, this many to a gcd
 # on a cofactor above MR_DETERMINISTIC_BOUND rho gives up past this cycle
 # length: enough for a least factor up to about 3*10^9, and a bound on the work
 RHO_CYCLE_LIMIT = 1 << 16
@@ -38,14 +43,19 @@ PRIME_RANGE_CEILING = 10**9
 _DIRECT_SIEVE = 1 << 22  # prime_range sieves in one piece up to here
 _SEGMENT = 1 << 17
 
-_small_primes: list[int] | None = None
+_blocks: list[tuple[list[int], int]] | None = None
 
 
-def _trial_primes() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = sieve_upto(TRIAL_DIVISION_BOUND - 1)
-    return _small_primes
+def _trial_blocks() -> list[tuple[list[int], int]]:
+    """The table primes from _WALK_BOUND up, _BLOCK at a time, each block
+    with the product of its primes."""
+    global _blocks
+    if _blocks is None:
+        ps = sieve_upto(TRIAL_DIVISION_BOUND - 1)
+        ps = ps[bisect_left(ps, _WALK_BOUND):]
+        _blocks = [(ps[i:i + _BLOCK], math.prod(ps[i:i + _BLOCK]))
+                   for i in range(0, len(ps), _BLOCK)]
+    return _blocks
 
 
 def _odd_flags(lo: int, hi: int, base) -> bytearray:
@@ -74,6 +84,9 @@ def sieve_upto(n: int) -> list[int]:
         return []
     flags = _odd_flags(1, n, sieve_upto(math.isqrt(n))[1:])
     return [2, *compress(range(1, n + 1, 2), flags)]
+
+
+_WALK_PRIMES = sieve_upto(_WALK_BOUND - 1)
 
 
 def first_nonprime(numbers) -> Optional[int]:
@@ -152,7 +165,7 @@ def _brent_rho(n: int, cycle_limit: Optional[int] = None) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 k += m
                 g = math.gcd(q, n)
             r <<= 1
@@ -162,7 +175,7 @@ def _brent_rho(n: int, cycle_limit: Optional[int] = None) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise FactorizationCapacityExceeded(f"rho splitter gave up on {n}")
@@ -186,28 +199,43 @@ def _perfect_power(m: int) -> tuple[int, int]:
     return m, 1
 
 
+def _divide_out(n: int, ps: list[int], out: dict[int, int]) -> int:
+    """n with the primes ps, ascending, divided out and counted in out;
+    stops at the first p with p * p > n, where what is left is 1 or prime."""
+    for p in ps:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    return n
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
     Trial division by the primes below 2^16 leaves a cofactor with no
-    smaller prime factor, so one below 2^32 is prime.  A larger one is
+    smaller prime factor, so one below 2^32 is prime.  The primes below
+    2^8 are tried one by one, the rest by one gcd per block of 128, and
+    both stop once p * p exceeds what is left.  A larger cofactor is
     split as a perfect power, or by rho once Miller-Rabin proves it
     composite (a proof at any size).  Raises FactorizationCapacityExceeded
     for a probable prime above the deterministic bound, which cannot be
     certified, or when rho gives up on a composite above that bound once
-    its cycle length passes RHO_CYCLE_LIMIT (under 0.5 s, Python 3.11).
+    its cycle length passes RHO_CYCLE_LIMIT (about 0.3 s, Python 3.11).
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
     if n == 1:
         return out
-    for p in _trial_primes():
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+    n = _divide_out(n, _WALK_PRIMES, out)
+    if n >= _WALK_BOUND**2:  # below, n is 1 or prime and needs no blocks
+        for block, product in _trial_blocks():
+            if block[0] ** 2 > n:
+                break
+            if math.gcd(n, product) > 1:
+                n = _divide_out(n, block, out)
     if n == 1:
         return out
     stack = [(n, 1)]  # (cofactor, multiplicity)

@@ -131,6 +131,74 @@ def test_factorize_agrees_with_plain_trial_division():
         assert factorize(n) == want, n
 
 
+TABLE = sieve_upto((1 << 16) - 1)
+
+
+def plain_trial_division(n):
+    """The reference: every table prime in turn until p * p passes n."""
+    out = Counter()
+    for p in TABLE:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] += 1
+            n //= p
+    if n > 1:
+        assert n < 1 << 32  # no factor below 2^16 and below 2^32: prime
+        out[n] += 1
+    return out
+
+
+def test_trial_blocks_at_their_edges():
+    blocks = [block for block, _ in primes._trial_blocks()]
+    assert [p for block in blocks for p in block] == [p for p in TABLE if p > 256]
+    assert all(product == math.prod(block) for block, product in primes._trial_blocks())
+    numbers = set()
+    for i, block in enumerate(blocks):
+        first, last = block[0], block[-1]
+        numbers |= {first, last, first**2, last**2, first * last, block[1] * block[-2]}
+        if i + 1 < len(blocks):
+            numbers |= {last * blocks[i + 1][0], first * blocks[i + 1][-1]}
+    # 65537 is the least prime above 2^16 and 2^32 - 5 the largest below 2^32
+    for m in sorted(numbers):
+        for big in (1, 65537, (1 << 32) - 5):
+            assert factorize(m * big) == plain_trial_division(m * big), (m, big)
+
+
+def test_factorize_where_the_walk_hands_off_to_the_blocks():
+    # 251 is the largest prime below 2^8 and 257 the least above: a number
+    # in [251^2, 257^2) with no factor below 256 is prime, and no gcd runs
+    walk = [p for p in TABLE if p < 256]
+    for n in range(251**2, 257**2):
+        want = plain_trial_division(n)
+        assert factorize(n) == want, n
+        if all(n % p for p in walk):
+            assert want == {n: 1}
+
+
+# p in (10^6, 10^7) and q in (10^7, 10^9), as the large-factors benchmark draws
+RHO_SEMIPRIMES = [
+    (4123477, 496399531), (1251671, 48281881), (8672723, 446775341), (2810713, 10585121),
+    (2225381, 26266657), (7879513, 118497649), (8800397, 836267959), (6102709, 927380213),
+    (3455489, 839669239), (2231423, 26652739), (4831637, 277897043), (9095279, 894460297),
+    (3943283, 255238703), (5701301, 27797053), (2160217, 488572663), (2014277, 966639787),
+    (6552671, 796950859), (2255501, 352421093), (1507841, 663765863), (2520829, 655625141),
+    (10000019, 130000000000063),  # 22 digits
+]
+
+
+def test_brent_rho_splits_large_factor_semiprimes():
+    for p, q in RHO_SEMIPRIMES:
+        assert is_prime(p) and is_prime(q)
+        d = primes._brent_rho(p * q)
+        assert d in (p, q), (p, q, d)
+        assert factorize(p * q) == {p: 1, q: 1}
+    assert len(str(math.prod(RHO_SEMIPRIMES[-1]))) == 22
+    # the cycle limit still stops the splitter on a least factor of 2^61 - 1
+    with pytest.raises(FactorizationCapacityExceeded, match="rho"):
+        primes._brent_rho((2**61 - 1)**2 * (2**89 - 1), primes.RHO_CYCLE_LIMIT)
+
+
 def test_prime_range_matches_sieve():
     assert prime_range(10, 50) == [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     assert prime_range(2, 2) == [2]
