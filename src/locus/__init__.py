@@ -2,8 +2,7 @@
 n-th power in Q_p for almost every prime p, with machine-checkable
 certificates and an independent residue sieve."""
 
-from .classify import (ExceptionalForm, classify_singleton, decide,
-                       match_exceptional_pair)
+from .classify import ExceptionalForm, decide, match_exceptional_pair
 from .covering import covers, decide_q
 from .errors import LocusError
 from .families import (cubic_quad, even_optimal, exceptional_pair, lifted,
@@ -13,17 +12,16 @@ from .rationals import (FactoredRational, clear_denominators, dedupe, factor,
                         is_perfect_power, parse_rational, reduce_class)
 from .sieve import (SieveReport, find_counterexample, is_kth_power_mod_p,
                     scan, set_has_kth_power_mod_p)
-from .squares import decide_square, decide_two_power
+from .squares import decide_square
 from .verdicts import FAILS, HOLDS, INCONCLUSIVE, Verdict
 from .verify import verify_document
 
 __all__ = [
     "FAILS", "HOLDS", "INCONCLUSIVE",
     "ExceptionalForm", "FactoredRational", "LocusError", "SieveReport",
-    "Verdict", "classify_singleton", "clear_denominators", "covers",
-    "cubic_quad", "decide", "decide_prime_power", "decide_q", "decide_square",
-    "decide_two_power", "dedupe", "even_optimal", "exceptional_pair",
-    "exponentiate_classes", "factor", "find_counterexample",
+    "Verdict", "clear_denominators", "covers", "cubic_quad", "decide",
+    "decide_prime_power", "decide_q", "decide_square", "dedupe", "even_optimal",
+    "exceptional_pair", "exponentiate_classes", "factor", "find_counterexample",
     "is_kth_power_mod_p", "is_perfect_power", "lifted", "match_exceptional_pair",
     "odd_optimal", "parse_rational", "reduce_class", "scan",
     "set_has_kth_power_mod_p", "skalba_oracle", "square_triple",

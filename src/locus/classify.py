@@ -1,9 +1,15 @@
 """Top-level decision pipeline and the even-n exceptional pair templates.
 
+decide is the one front end: a perfect member, the squares criterion for
+n = 2, and otherwise covering.cover_verdict, exact for every n >= 3.
+
 For even n there are finitely many shapes of 2-element sets that contain an
 n-th power in Q_p almost everywhere without containing a perfect n-th
-power; matching is literal template instantiation where a slot c * alpha^k
-matches x exactly when x/c has a rational k-th root.
+power.  match_exceptional_pair names them for callers and families; it is
+literal template instantiation, where a slot c * alpha^k matches x exactly
+when x/c has a rational k-th root.  decide does not consult it: on a pair
+the cover criterion holds exactly where a template matches or a member is
+a perfect n-th power.
 """
 
 from __future__ import annotations
@@ -13,15 +19,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalInconsistency, NotEven, WrongCardinality, ZeroInput
-from .covering import ENUMERATION_CEILING, cover_verdict, decide_q
+from .covering import ENUMERATION_CEILING, cover_verdict
 from .primes import prime_power_split
 from .rationals import (FactoredRational, clear_denominators, dedupe, factor,
                         is_perfect_power)
 from .sieve import COUNTEREXAMPLE_BOUND, default_exclusions, find_counterexample, scan
-from .squares import decide_square, decide_two_power
-from .verdicts import (FAILS, HOLDS, INCONCLUSIVE, ComponentFailure, Evidence,
-                       ExceptionalFormCert, LiftedFamily, PerfectPowerMember,
-                       Verdict, WangException)
+from .squares import decide_square
+from .verdicts import HOLDS, PerfectPowerMember, Verdict
 
 
 @dataclass(frozen=True)
@@ -125,65 +129,14 @@ def match_exceptional_pair(elements, n: int) -> Optional[ExceptionalForm]:
     return None
 
 
-def form_to_certificate(form: ExceptionalForm, n: int = 0) -> ExceptionalFormCert:
-    def fmt(f: Fraction) -> str:
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    return ExceptionalFormCert(form.case_tag, form.pj, fmt(form.alpha1),
-                               fmt(form.alpha2), n)
-
-
-def classify_singleton(a, n: int, *, want_counterexample: bool = True) -> Verdict:
-    """One rational: perfect power, the 8|n exception, or failure."""
-    x = factor(a)
-    excluded = default_exclusions([x], n)
-    if is_perfect_power(x, n):
-        return Verdict(HOLDS, PerfectPowerMember(str(x), str(x.nth_root(n)), n),
-                       excluded)
-    if n % 8 == 0:
-        b = (x / factor(2) ** (n // 2)).nth_root(n)
-        if b is not None:
-            return Verdict(HOLDS, WangException(str(x), str(b), n), excluded)
-    prime = None
-    if want_counterexample:
-        prime = find_counterexample([x], n, COUNTEREXAMPLE_BOUND)
-    return Verdict(FAILS,
-                   Evidence(reason="grunwald_wang_singleton",
-                            counterexample_prime=prime),
-                   excluded)
-
-
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, a in prime_power_split(n):
-        out = [d * p**i for d in out for i in range(a + 1)]
-    return sorted(out)
-
-
-def _try_lift(xs: list[FactoredRational], n: int, ceiling: int) -> Optional[Verdict]:
-    """A = {x^e} with the root family holding for n/e lifts to a Holds."""
-    for e in _divisors(n):
-        if e < 2 or e == n or (n // e) < 2:
-            continue
-        roots = [x.nth_root(e) for x in xs]
-        if any(r is None for r in roots):
-            continue
-        base = decide(roots, n // e, want_counterexample=False, ceiling=ceiling)
-        if base.holds():
-            cert = LiftedFamily(e, tuple(str(r) for r in roots),
-                                base.certificate)
-            return Verdict(HOLDS, cert, base.excluded_primes)
-    return None
-
-
 def decide(elements, n: int, *, want_counterexample: bool = True,
            ceiling: int = ENUMERATION_CEILING, attach_evidence: bool = False,
            evidence_hi: int = 10**4) -> Verdict:
     """Does the set contain an n-th power in Q_p for almost every prime p?
 
     The only router: denominators are cleared, classes mod (Q^x)^n
-    deduplicated, and _route picks the exact regime; an inconclusive
-    verdict then tries the lifted-family fast path.  The leaves run without
-    a counterexample search of their own: a failing verdict gets its prime
+    deduplicated, and _route decides.  The routes run without a
+    counterexample search of their own: a failing verdict gets its prime
     here, searched over the whole cleared set, so that the support primes
     of dropped duplicates stay excluded.
     """
@@ -193,20 +146,10 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
     if not raw:
         raise ZeroInput("empty set has no verdict")
     cleared = clear_denominators(raw, n)
-    xs = dedupe(cleared, n)
-    v = _route(xs, n, ceiling)
-    if v.status == INCONCLUSIVE:
-        v = _try_lift(xs, n, ceiling) or v
-
+    v = _route(dedupe(cleared, n), n, ceiling)
     if v.fails() and want_counterexample:
-        cert = v.certificate
-        if isinstance(cert, ComponentFailure):
-            prime = find_counterexample(cleared, cert.q**cert.m, COUNTEREXAMPLE_BOUND)
-            cert = replace(cert, inner=replace(cert.inner, counterexample_prime=prime))
-        else:
-            prime = find_counterexample(cleared, n, COUNTEREXAMPLE_BOUND)
-            cert = replace(cert, counterexample_prime=prime)
-        v = replace(v, certificate=cert)
+        prime = find_counterexample(cleared, n, COUNTEREXAMPLE_BOUND)
+        v = replace(v, certificate=replace(v.certificate, counterexample_prime=prime))
     v = v.with_excluded(default_exclusions(cleared, n))
     if attach_evidence:
         report = scan(cleared, n, 2, evidence_hi)
@@ -218,37 +161,12 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
 
 
 def _route(xs: list[FactoredRational], n: int, ceiling: int) -> Verdict:
-    """Verdict for distinct integral classes, in this order: a perfect
-    member; the cover test over Z/n for every odd n, one class included;
-    one class for even n (classify_singleton); squares; an even-n pair; no
-    criterion for three or more classes and n = 2^a; otherwise the
-    necessary prime-power components, each decided by decide_q."""
+    """Verdict for distinct integral classes: a perfect member holds; n = 2
+    is the squares criterion, whose witness names the square product; every
+    other n is the cover criterion over the classes of its Galois group."""
     for x in xs:
         if is_perfect_power(x, n):
             return Verdict(HOLDS, PerfectPowerMember(str(x), str(x.nth_root(n)), n))
-    if n % 2:
-        return cover_verdict(xs, n, ceiling)
-    if len(xs) == 1:
-        return classify_singleton(xs[0], n, want_counterexample=False)
     if n == 2:
         return decide_square(xs, want_counterexample=False)
-    if len(xs) == 2:
-        form = match_exceptional_pair(xs, n)
-        if form is not None:
-            return Verdict(HOLDS, form_to_certificate(form, n))
-        return Verdict(FAILS, Evidence(reason="no_exceptional_template"))
-    split = prime_power_split(n)
-    if len(split) == 1:
-        return Verdict(INCONCLUSIVE,
-                       Evidence(reason="no_two_power_criterion_beyond_pairs"))
-
-    # an n-th power is a q^a-th power for each q^a || n
-    for q, a in split:
-        if q == 2:
-            comp = decide_two_power(xs, a, want_counterexample=False)
-        else:
-            comp = decide_q(xs, q**a, want_counterexample=False, ceiling=ceiling)
-        if comp.fails():
-            return Verdict(FAILS, ComponentFailure(q, a, comp.certificate),
-                           comp.excluded_primes)
-    return Verdict(INCONCLUSIVE, Evidence(reason="no_composite_criterion"))
+    return cover_verdict(xs, n, ceiling)

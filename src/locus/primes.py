@@ -286,3 +286,22 @@ def prime_range(lo: int, hi: int) -> list[int]:
 def prime_power_split(n: int) -> list[tuple[int, int]]:
     """(p, a) pairs with p^a || n, primes ascending."""
     return sorted(factorize(n).items())
+
+
+def jacobi(a: int, m: int) -> int:
+    """The Jacobi symbol (a/m) for odd m > 0, by quadratic reciprocity; 0
+    when a and m share a factor."""
+    if m < 1 or m % 2 == 0:
+        raise ValueError("the Jacobi symbol needs an odd positive modulus")
+    a %= m
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if m % 8 in (3, 5):
+                sign = -sign
+        a, m = m, a
+        if a % 4 == 3 and m % 4 == 3:
+            sign = -sign
+        a %= m
+    return sign if m == 1 else 0

@@ -4,16 +4,15 @@ A set contains a square in Z_p for almost every odd prime exactly when some
 odd-cardinality subset has a perfect-square product.  Over GF(2) that is a
 kernel vector of the (sign row + exponent-parity rows) matrix with odd
 weight, which Gaussian elimination finds directly.  Other powers of 2 are
-routed by classify.decide.
+decided by classify.decide.
 """
 
 from __future__ import annotations
 
 from .errors import ZeroInput
-from .rationals import FactoredRational, dedupe, factor, is_perfect_power
+from .rationals import FactoredRational, dedupe, factor
 from .sieve import COUNTEREXAMPLE_BOUND, default_exclusions, find_counterexample
-from .verdicts import (FAILS, HOLDS, OddSubsetWitness, ParityObstruction,
-                       PerfectPowerMember, Verdict)
+from .verdicts import FAILS, HOLDS, OddSubsetWitness, ParityObstruction, Verdict
 
 _NULLSPACE_ENUM_LIMIT = 16
 
@@ -151,17 +150,7 @@ def _transpose(rows: list[int], ncols: int) -> list[int]:
 
 
 def decide_two_power(elements, a0: int, *, want_counterexample: bool = True) -> Verdict:
-    """Decision for n = 2^a0.
-
-    a0 = 1 is the exact squares criterion (a perfect square member first);
-    a0 >= 2 is classify.decide with n = 2^a0.
-    """
-    if a0 >= 2:
-        from .classify import decide
-        return decide(elements, 2**a0, want_counterexample=want_counterexample)
-    xs = [factor(a) for a in elements]
-    for x in xs:
-        if is_perfect_power(x, 2):
-            return Verdict(HOLDS, PerfectPowerMember(str(x), str(x.nth_root(2)), 2),
-                           default_exclusions(xs, 2))
-    return decide_square(xs, want_counterexample=want_counterexample)
+    """classify.decide with n = 2^a0; the name stays for bench/spans.py,
+    which traces it."""
+    from .classify import decide
+    return decide(elements, 2**a0, want_counterexample=want_counterexample)

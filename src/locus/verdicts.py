@@ -1,9 +1,10 @@
 """Verdicts and machine-checkable certificates.
 
-A Verdict is Holds / Fails / Inconclusive plus a certificate object and the
-finite set of primes the claim excludes.  Every Holds or Fails certificate
-carries enough data to be re-verified without trusting the engine (see
-locus.verify).
+A Verdict is Holds or Fails plus a certificate object and the finite set of
+primes the claim excludes; Inconclusive remains a status a document may
+carry, which the verifier passes and the CLI maps to its own exit code.
+Every Holds or Fails certificate carries enough data to be re-verified
+without trusting the engine (see locus.verify).
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ INCONCLUSIVE = "inconclusive"
 
 class _Certificate:
     """Serialization shared by the certificates: the kind, then each field
-    in order, tuples as lists and nested certificates as documents; an
-    optional field is left out while unset."""
+    in order, tuples as lists; an optional field is left out while unset."""
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind}
@@ -31,9 +31,7 @@ class _Certificate:
 
 
 def _plain(value):
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value.to_json() if isinstance(value, _Certificate) else value
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)
@@ -47,31 +45,10 @@ class PerfectPowerMember(_Certificate):
 
 
 @dataclass(frozen=True)
-class WangException(_Certificate):
-    """Singleton a = 2^(n/2) * b^n with 8 | n."""
-
-    kind = "wang_exception"
-    element: str
-    b: str
-    n: int
-
-
-@dataclass(frozen=True)
-class ExceptionalFormCert(_Certificate):
-    """Two-element template match for even n."""
-
-    kind = "exceptional_form"
-    case_tag: str
-    pj: Optional[int]
-    alpha1: str
-    alpha2: str
-    n: int
-
-
-@dataclass(frozen=True)
 class HyperplaneCover(_Certificate):
-    """The element exponent vectors mod q (the odd exponent n) induce forms
-    whose kernels cover (Z/q)^s."""
+    """The exponent vectors mod q = n of the classes, over the support (for
+    even n led by the sign entry -1), cover every class of Frobenius
+    elements: see covering.cover_verdict."""
 
     kind = "hyperplane_cover"
     q: int
@@ -81,14 +58,15 @@ class HyperplaneCover(_Certificate):
 
 @dataclass(frozen=True)
 class UncoveredPoint(_Certificate):
-    """A point of (Z/q)^s off every kernel, q the odd exponent n; refutes
-    the covering."""
+    """A Frobenius element that fixes no root: a point mod g = gcd(t - 1, n)
+    off every form, q = n; t, the class mod 2n, is set for even n only."""
 
     kind = "uncovered_point"
     q: int
     support: tuple[int, ...]
     coeffs: tuple[tuple[int, ...], ...]
     point: tuple[int, ...]
+    t: Optional[int] = None
     counterexample_prime: Optional[int] = None
 
 
@@ -132,40 +110,9 @@ class OracleExhaustion(_Certificate):
     tuples_checked: int
 
 
-@dataclass(frozen=True)
-class ComponentFailure(_Certificate):
-    """A necessary prime-power component of n already fails."""
-
-    kind = "component_failure"
-    q: int
-    m: int
-    inner: "Certificate"
-
-
-@dataclass(frozen=True)
-class LiftedFamily(_Certificate):
-    """A = {x^e : x in B} and B holds for n/e, hence A holds for n."""
-
-    kind = "lifted_family"
-    exponent: int
-    base_elements: tuple[str, ...]
-    base_certificate: "Certificate"
-
-
-@dataclass(frozen=True)
-class Evidence(_Certificate):
-    """Sieve-backed evidence; carries a reason tag and optional scan data."""
-
-    kind = "evidence"
-    reason: str
-    counterexample_prime: Optional[int] = None
-    report: Optional[dict] = None
-
-
 Certificate = Union[
-    PerfectPowerMember, WangException, ExceptionalFormCert, HyperplaneCover,
-    UncoveredPoint, OddSubsetWitness, ParityObstruction, SkalbaWitness,
-    OracleExhaustion, ComponentFailure, LiftedFamily, Evidence,
+    PerfectPowerMember, HyperplaneCover, UncoveredPoint, OddSubsetWitness,
+    ParityObstruction, SkalbaWitness, OracleExhaustion,
 ]
 
 

@@ -5,20 +5,23 @@ against the element set without trusting the engine's decision path.  Every
 check here recomputes from first principles: roots are re-raised, uncovered
 points re-evaluated, covers, witnesses and exhaustions re-searched, claimed
 failing primes tested for primality and re-tested, all of a document's in
-one batch.  A cover or an uncovered point is over Z/n for the document's odd
-n, on the exponent vectors mod n of the cleared set: a point is checked in
-O(l*s), and a cover re-checked, for prime and composite n alike, by a search
-over the image of the columns on the verifier's own reduced echelon form.  A
-counterexample prime must be prime; an evidence certificate without one
-backs a failure only through the Grunwald-Wang singleton theorem, whose
-hypotheses are re-checked here.  A Skalba witness is re-checked by testing
-every sign vector on the exponent vectors, at most ORACLE_RECHECK_LIMIT
-(2^20) of them, and an oracle exhaustion as the cover of (Z/q^m)^s by the
-kernels of the exponent vectors mod q^m, which every tuple admitting a pair
-amounts to.  Certificate kinds are checked against the status they may
-support, and the cover re-check tries at most COVER_RECHECK_LIMIT candidate
-values.  Of the engine's decision code only the exceptional templates
-(classify.ExceptionalForm) are imported.
+one batch.  A cover or an uncovered point has q = n, on the exponent
+vectors mod n of the cleared set, led for even n by the sign entry -1.  The
+verifier re-derives the classes of Frobenius elements on its own (_class:
+t, g = gcd(t - 1, n), the sign pinned to (t - 1)/2 and the parities of the
+fixed primes to Jacobi symbols): an uncovered point is checked in its
+class t in O(l*s), and a cover re-checked class by class, by a search over
+the image of the pinned columns on the verifier's own reduced echelon form.
+A counterexample prime must be prime.  A Skalba witness is re-checked by
+testing every sign vector on the exponent vectors, at most
+ORACLE_RECHECK_LIMIT (2^20) of them, and an oracle exhaustion as the cover
+of (Z/q^m)^s by the kernels of the exponent vectors mod q^m, which every
+tuple admitting a pair amounts to.  Certificate kinds are checked against
+the status they may support, exactly the kinds that classify.decide and
+prime_power.skalba_oracle emit, and the cover re-check of a document tries
+at most COVER_RECHECK_LIMIT candidate values over all its classes.  None of
+the engine's decision code is imported: only the arithmetic layers
+(primes, rationals, sieve) and the status names.
 Every element string is factored with primes.factorize, whose rho gives up
 on a composite above the Miller-Rabin bound once its cycle length passes
 primes.RHO_CYCLE_LIMIT, so a crafted element costs under a second per split
@@ -28,28 +31,25 @@ attempt there.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
-from .classify import ExceptionalForm
-from .primes import first_nonprime, is_prime
-from .rationals import clear_denominators, factor, is_perfect_power, reduce_class
+from .primes import first_nonprime, is_prime, jacobi
+from .rationals import clear_denominators, factor, reduce_class
 from .sieve import first_non_failing, verify_failing_prime
 from .verdicts import FAILS, HOLDS, INCONCLUSIVE
 
 
 # the certificate kinds that can support each status
 ALLOWED_KINDS = {
-    HOLDS: {"perfect_power_member", "wang_exception", "exceptional_form",
-            "hyperplane_cover", "odd_subset_witness", "oracle_exhaustion",
-            "lifted_family"},
-    FAILS: {"uncovered_point", "parity_obstruction", "skalba_witness",
-            "component_failure", "evidence"},
+    HOLDS: {"perfect_power_member", "hyperplane_cover", "odd_subset_witness",
+            "oracle_exhaustion"},
+    FAILS: {"uncovered_point", "parity_obstruction", "skalba_witness"},
 }
 
-# candidate values the cover re-check may try before it gives up; a cover of
-# prime modulus q and rank r needs at most 2 + q((q-1)^(r-1) - 1)/(q-2) of
-# them, at most 436,907 (q = 5, r = 10) wherever q^r <= 2^24
+# candidate values the cover re-check of one document may try, over all its
+# classes, before it gives up; a cover of prime modulus q and rank r needs
+# at most 2 + q((q-1)^(r-1) - 1)/(q-2) of them, at most 436,907 (q = 5,
+# r = 10) wherever q^r <= 2^24
 COVER_RECHECK_LIMIT = 1 << 19
 
 # sign vectors an oracle witness re-check may test before it gives up
@@ -126,7 +126,6 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
     _need(kind in ALLOWED_KINDS[status],
           f"certificate kind {kind} cannot support status {status}")
     cleared = clear_denominators(elements, n)
-    keys = {_class_key(x, n) for x in cleared}
 
     if kind == "perfect_power_member":
         k = cert["exponent"]
@@ -139,39 +138,27 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
               f"{member} is not one of the decided elements")
         return
 
-    if kind == "wang_exception":
-        _need(cert["n"] == n, "wang certificate exponent differs from the verdict")
-        _need(cert["n"] % 8 == 0, "wang exception needs 8 | n")
-        member = factor(cert["element"])
-        b = factor(cert["b"])
-        target = factor(2) ** (cert["n"] // 2) * b ** cert["n"]
-        _need(target == member, "member is not 2^(n/2) * b^n")
-        pool = {_class_key(x, n) for x in list(elements) + cleared}
-        _need(_class_key(member, n) in pool, "member not in the decided set")
-        return
-
-    if kind == "exceptional_form":
-        _need(cert["n"] == n, "template exponent differs from the verdict")
-        form = ExceptionalForm(cert["case_tag"], cert["pj"],
-                               Fraction(cert["alpha1"]), Fraction(cert["alpha2"]))
-        pair = form.instantiate(cert["n"])
-        _need(len(keys) == 2, "exceptional form needs exactly 2 classes")
-        _need({_class_key(x, n) for x in pair} == keys,
-              "substituted template does not reproduce the set as classes")
-        return
-
     if kind in ("hyperplane_cover", "uncovered_point"):
         q = cert["q"]
-        _need(q == n and n % 2 == 1 and n > 1,
-              f"cover modulus {q} is not the odd exponent {n}")
+        _need(q == n and n > 1, f"cover modulus {q} is not the exponent {n}")
         support = list(cert["support"])
         coeffs = [tuple(c) for c in cert["coeffs"]]
-        _verify_columns_from_set(cert, elements, n, support, coeffs)
+        _verify_columns_from_set(cert, cleared, n, support, coeffs)
         if kind == "hyperplane_cover":
-            _need(_covers_mod(coeffs, n), "claimed cover has a hole")
+            _need(_covers_mod(coeffs, n, support), "claimed cover has a hole")
             return
+        _need(("t" in cert) == (n % 2 == 0),
+              "a refutation names its class t exactly when n is even")
+        t = cert.get("t", 1)
+        _need(type(t) is int and t % 2 == 1 and 0 < t < 2 * n and math.gcd(t, n) == 1,
+              f"class {t} is not an odd unit below 2n")
+        g, pins = _class(n, support, t)
         point = tuple(cert["point"])
-        _need(all(sum(c * x for c, x in zip(col, point)) % n != 0
+        _need(len(point) == len(support), "point and support differ in length")
+        _need(all(b == 1 or (x - a) % (g if b == 0 else 2) == 0
+                  for (a, b), x in zip(pins, point)),
+              f"point is not pinned to the sign and parities of class {t}")
+        _need(all(sum(c * x for c, x in zip(col, point)) % g != 0
                   for col in coeffs if any(col)),
               "claimed uncovered point is covered")
         _need_counterexample(cert, elements, n)
@@ -221,7 +208,7 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
               "skalba witness too large to re-check")
         # a pair B, C (signs 1 and -1) with |B| != |C| mod q whose ratio
         # prod_B a_j^(c_j) / prod_C a_j^(c_j) is a q^m-th power refutes it
-        terms = [[cj * e for e in col] for cj, col in zip(c, _columns(xs, n))]
+        terms = [[cj * e for e in col] for cj, col in zip(c, _columns(xs, n)[1])]
         for signs in product((0, 1, -1), repeat=len(xs)):
             if (signs.count(1) - signs.count(-1)) % q:
                 _need(any(sum(sj * t[i] for sj, t in zip(signs, terms)) % n
@@ -240,30 +227,9 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
                               "or the deduplicated element list")
         # every tuple admits a pair exactly when the kernels of the exponent
         # vectors mod q^m cover (Z/q^m)^s, trivially so at a zero vector
-        cols = _columns(xs, n)
-        _need(not all(map(any, cols)) or _covers_mod(cols, n),
+        support, cols = _columns(xs, n)
+        _need(not all(map(any, cols)) or _covers_mod(cols, n, support),
               "some exponent tuple admits no perfect-power subset pair")
-        return
-
-    if kind == "component_failure":
-        q, m = cert["q"], cert["m"]
-        _need(n % q**m == 0, "component does not divide n")
-        _verify_certificate(cert["inner"], elements, q**m, status)
-        return
-
-    if kind == "lifted_family":
-        e = cert["exponent"]
-        base = [factor(b) for b in cert["base_elements"]]
-        _need(n % e == 0, "lift exponent does not divide n")
-        lifted_keys = {_class_key(b**e, n) for b in base}
-        _need(lifted_keys <= keys, "lift roots do not reproduce the set")
-        _verify_certificate(cert["base_certificate"], base, n // e, status)
-        return
-
-    if kind == "evidence":
-        if "counterexample_prime" not in cert:
-            _need_theorem(cert["reason"], cleared, n)
-        _need_counterexample(cert, elements, n)
         return
 
     raise VerificationFailure(f"unknown certificate kind {kind}")
@@ -278,30 +244,17 @@ def _need_counterexample(cert: dict, elements, n: int):
               "counterexample prime does not fail")
 
 
-def _need_theorem(reason: str, cleared, n: int):
-    """Evidence without a counterexample prime backs a failure only through
-    the Grunwald-Wang theorem: one class that is neither an n-th power nor,
-    when 8 | n, 2^(n/2) b^n."""
-    _need(reason == "grunwald_wang_singleton",
-          f"evidence {reason} needs a counterexample prime")
-    classes = _dedupe(cleared, n)
-    _need(not any(is_perfect_power(x, n) for x in classes),
-          "the set contains a perfect power")
-    _need(len(classes) == 1, "singleton evidence for more than one class")
-    _need(n % 8 or not is_perfect_power(classes[0] / factor(2) ** (n // 2), n),
-          "the member is 2^(n/2) b^n")
-
-
 def _need_oracle_modulus(q, m, n: int):
     _need(q > 2 and is_prime(q), f"oracle modulus {q} is not an odd prime")
     _need(1 <= m <= n.bit_length() and q**m == n,
           "oracle modulus differs from the verdict exponent")
 
 
-def _columns(xs, n: int) -> list:
-    """The exponent vectors mod n of the elements over their joint support."""
+def _columns(xs, n: int):
+    """The joint support of the elements, and their exponent vectors mod n
+    over it."""
     support = sorted({p for x in xs for p in x.support()})
-    return [tuple(x.exponent(p) % n for p in support) for x in xs]
+    return support, [tuple(x.exponent(p) % n for p in support) for x in xs]
 
 
 def _image_generators(cols, n: int):
@@ -339,51 +292,100 @@ def _image_generators(cols, n: int):
     return [(h, n // math.gcd(n, *h)) for h in gens]
 
 
-def _covers_mod(coeffs, n: int) -> bool:
-    """Do the kernels of x -> <x, c> mod n cover (Z/n)^s?
+def _class(n: int, support, t: int):
+    """(g, pins) of the Frobenius elements (x, t): x lives mod g = gcd(t - 1,
+    n), and x_j = a + b y_j, y free, for (a, b) = pins[j].  For even n the
+    sign entry -1 is pinned to (t - 1)/2, and an odd p | n, or 2 when 4 | n,
+    to the parity [(p/t) = -1]; every other coordinate is free."""
+    g = math.gcd(t - 1, n)
+    if n % 2:
+        return g, [(0, 1)] * len(support)
+    return g, [((t - 1) // 2 % g, 0) if p == -1
+               else (int(jacobi(p, t) == -1), 2) if n % (4 if p == 2 else p) == 0
+               else (0, 1) for p in support]
 
-    A point misses every kernel exactly when every entry of its image
-    x . E is nonzero, so the search runs over the image: sum t_k h_k for t
-    in prod Z/m_k (_image_generators), generators touching the most columns
-    first, each column tested once every generator touching it is set.  A
-    unit multiple of a miss is a miss, so while t is zero so far its next
-    entry is 0 or a divisor of m_k below m_k.  Past COVER_RECHECK_LIMIT
-    values tried the cover counts as too large to re-check.
+
+def _covers_mod(coeffs, n: int, support) -> bool:
+    """Does every Frobenius element fix a root, the columns the exponent
+    vectors mod n over support?  For odd n the class t = 1 alone decides,
+    and of support only the number of entries matters; for even n each odd
+    t below 2n prime to n is a class, re-derived here, and each distinct
+    (g, pins) is searched once (_misses).  The walk over the n odd t and
+    the searches share one budget of COVER_RECHECK_LIMIT values.  A zero
+    column is left out: a set with a perfect n-th power has its own
+    certificate.
     """
     cols = [col for col in coeffs if any(c % n for c in col)]
+    budget = iter(range(COVER_RECHECK_LIMIT))
+    if n % 2:
+        units = [1]
+    else:  # one value per odd t below 2n, drawn before the walk
+        _need(next(islice(budget, n - 1, None), None) is not None,
+              "cover too large to re-check")
+        units = (t for t in range(1, 2 * n, 2) if math.gcd(t, n) == 1)
+    seen = set()
+    for t in units:
+        g, pins = _class(n, support, t)
+        if (g, tuple(pins)) in seen:
+            continue
+        seen.add((g, tuple(pins)))
+        moved = [[b * c for (_, b), c in zip(pins, col)] for col in cols]
+        shift = [sum(a * c for (a, _), c in zip(pins, col)) for col in cols]
+        if _misses(moved, g, shift, budget):
+            return False
+    return True
+
+
+def _misses(cols, n: int, shift, budget) -> bool:
+    """Is some y with every entry of shift + y . E nonzero mod n, E the
+    matrix with these columns?
+
+    The search runs over the image: shift + sum t_k h_k for t in prod Z/m_k
+    (_image_generators), generators touching the most columns first, each
+    column tested once every generator touching it is set; a column that no
+    generator touches is a constant.  With no shift a unit multiple of a
+    miss is a miss, so while t is zero so far its next entry is 0 or a
+    divisor of m_k below m_k.  Each value tried is drawn
+    from budget; past its end the cover counts as too large to re-check.
+    """
+    if any(c % n == 0 and not any(e % n for e in col) for col, c in zip(cols, shift)):
+        return False  # a column vanishing everywhere
     gens = sorted(_image_generators(cols, n), key=lambda g: -sum(map(bool, g[0])))
-    last = [max(k for k, (h, _) in enumerate(gens) if h[j]) for j in range(len(cols))]
-    checks = [[j for j, k_j in enumerate(last) if k_j == k] for k in range(len(gens))]
-    tried = 0
+    live = [j for j in range(len(cols)) if any(h[j] for h, _ in gens)]
+    last = {j: max(k for k, (h, _) in enumerate(gens) if h[j]) for j in live}
+    checks = [[j for j in live if last[j] == k] for k in range(len(gens))]
+    scale = not any(c % n for c in shift)
 
     def miss(k, y, zero):
-        nonlocal tried
         if k == len(gens):
             return True
         h, m = gens[k]
-        for v in ([0] + [d for d in range(1, m) if m % d == 0]) if zero else range(m):
-            tried += 1
-            _need(tried <= COVER_RECHECK_LIMIT, "cover too large to re-check")
+        for v in ([0] + [d for d in range(1, m) if m % d == 0]) if scale and zero else range(m):
+            _need(next(budget, None) is not None, "cover too large to re-check")
             z = [(a + v * b) % n for a, b in zip(y, h)]
             if all(z[j] for j in checks[k]) and miss(k + 1, z, zero and not v):
                 return True
         return False
 
-    return not miss(0, [0] * len(cols), True)
+    return miss(0, [c % n for c in shift], True)
 
 
-def _verify_columns_from_set(cert, elements, n, support, coeffs):
+def _verify_columns_from_set(cert, cleared, n, support, coeffs):
     """Check the recorded columns really come from the decided set: the
-    exponent vectors mod n of its cleared elements.  A cover may use a
-    subset of them; a refutation must use all of them, and none may be
-    zero.
+    exponent vectors mod n of its cleared elements, with 1 at the sign
+    entry -1 for a negative class of even n.  A cover may use a subset of
+    them; a refutation must use all of them, and none may be zero.
     """
     refutes = cert["kind"] == "uncovered_point"
     want = set()
     index = {p: i for i, p in enumerate(support)}
-    for x in clear_denominators(elements, n):
+    for x in cleared:
         col = [0] * len(support)
-        for p, e in reduce_class(x, n).factors:
+        r = reduce_class(x, n)  # signed for even n only
+        if r.sign < 0:
+            _need(-1 in index, f"element {x} is negative and the support has no sign entry")
+            col[index[-1]] = 1
+        for p, e in r.factors:
             _need(p in index, f"element {x} uses a prime outside the recorded support")
             col[index[p]] = e % n
         if any(col):

@@ -3,41 +3,38 @@
 A document claims its status for its elements and n.  The status is
 re-derived here by brute force: for n = 2 an odd subset with a square
 product; for odd n a plain loop over (Z/n)^s for a point off every kernel
-of x -> <x, e_j> mod n; for other even n the subset-product criterion on
-exponent vectors for every odd prime power q^m dividing n, and the three
-holds are classical (CLASSICAL_HOLDS).  A certificate kind that supports
-only the other status proves nothing.  For the kinds whose assertion the
-brute force can re-derive as well (hyperplane_cover and uncovered_point
-with q = n, skalba_witness, oracle_exhaustion), the claim also includes
-that assertion; a missing field makes it false.
+of x -> <x, e_j> mod n; for other even n the whole Galois group
+(galois_reference).  A certificate kind that supports only the other
+status proves nothing.  For the kinds whose assertion the brute force can
+re-derive as well (hyperplane_cover and uncovered_point with q = n,
+skalba_witness, oracle_exhaustion), the claim also includes that
+assertion; a missing field makes it false.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 
+import galois_reference
 from test_prime_power import brute_vectors
 
 from locus.classify import decide
 from locus.prime_power import skalba_oracle
 from locus.verify import verify_document
 
-HOLDS_KINDS = {"perfect_power_member", "wang_exception", "exceptional_form",
-               "hyperplane_cover", "odd_subset_witness", "oracle_exhaustion",
-               "lifted_family"}
-FAILS_KINDS = {"uncovered_point", "parity_obstruction", "skalba_witness",
-               "component_failure", "evidence"}
-
-# Wang's 16 for n = 8, the exceptional pair for n = 6, and the lift of
-# {2, 3, 6} (2 * 3 * 6 = 6^2) for n = 4
-CLASSICAL_HOLDS = {(("16",), 8), (("-27", "4"), 6), (("4", "9", "36"), 4)}
+HOLDS_KINDS = {"perfect_power_member", "hyperplane_cover", "odd_subset_witness",
+               "oracle_exhaustion"}
+FAILS_KINDS = {"uncovered_point", "parity_obstruction", "skalba_witness"}
 
 DECIDED = [(["8", "5"], 3), (["2", "3", "6", "18"], 3), (["2", "3", "12"], 3),
            (["2", "5", "7", "10", "14", "35"], 5), (["2", "3", "6", "18"], 9),
            (["3", "5", "15"], 2), (["2", "3"], 2), (["16"], 8), (["-27", "4"], 6),
            (["4", "9", "36"], 4), (["2", "3", "5", "7"], 15), (["3", "4"], 6),
            (["8", "125", "1000", "125000"], 9),
-           (["32", "3125", "100000", "312500000"], 15), (["2", "3", "7", "11"], 6)]
+           (["32", "3125", "100000", "312500000"], 15), (["2", "3", "7", "11"], 6),
+           (["2", "3", "5"], 4), (["-4", "9", "3"], 4), (["4", "9", "36", "324", "5"], 6),
+           (["-12", "18"], 8)]
 ORACLE = [(["2", "3", "6", "18"], 3, 1), (["2", "3", "18"], 3, 1),
           (["8", "5", "10", "50"], 3, 2)]
 
@@ -85,13 +82,10 @@ def true_status(elements, n):
                                     for t in (prod.numerator, prod.denominator)):
                     return "holds"
         return "fails"
+    if n % 2 == 0:
+        return "holds" if galois_reference.holds(elements, n) else "fails"
     _, vecs = vectors(elements)
-    if n % 2:
-        return "fails" if uncovered(vecs, n) else "holds"
-    for q, m in odd_prime_powers(n):
-        if brute_vectors(vecs, q, m)[0] is not None:
-            return "fails"
-    return "holds" if (elements, n) in CLASSICAL_HOLDS else "fails"
+    return "fails" if uncovered(vecs, n) else "holds"
 
 
 def uncovered(vecs, n):
@@ -110,27 +104,28 @@ def admits_pair(vecs, c, q, qm):
 def certificate_true(doc):
     """The kind-specific assertion, where the brute force can re-derive it."""
     cert, n = doc["certificate"], doc["n"]
-    support, vecs = vectors(doc["elements"])
+    primes, vecs = vectors(doc["elements"])
     if cert["kind"] in ("hyperplane_cover", "uncovered_point"):
-        q = cert["q"]
-        if q != n or n % 2 == 0 or any(p not in cert["support"] for p in support):
+        q, support = cert["q"], cert["support"]
+        # for even n a negative class has 1 at the sign entry -1
+        negative = [n % 2 == 0 and Fraction(e) < 0 for e in doc["elements"]]
+        needed = primes + ([-1] if any(negative) else [])
+        if q != n or any(p not in support for p in needed):
             return False
-        at = [cert["support"].index(p) for p in support]
+        at = [support.index(p) for p in primes]
         induced = set()
-        for v in vecs:
-            col = [0] * len(cert["support"])
+        for v, neg in zip(vecs, negative):
+            col = [0] * len(support)
             for i, e in zip(at, v):
                 col[i] = e % q
+            if neg:
+                col[support.index(-1)] = 1
             induced.add(tuple(col))
         cols = {tuple(c) for c in cert["coeffs"]}
-        points = product(range(q), repeat=len(cert["support"]))
+        zero = (0,) * len(support)
         if cert["kind"] == "hyperplane_cover":
-            return cols - {(0,) * len(cert["support"])} <= induced and all(
-                any(sum(a * b for a, b in zip(c, x)) % q == 0 for c in cols)
-                for x in points if any(x))
-        x = tuple(cert["point"])
-        return cols == induced and (0,) * len(x) not in cols and any(x) and all(
-            sum(a * b for a, b in zip(c, x)) % q for c in cols)
+            return cols - {zero} <= induced and cover_holds(cols - {zero}, n, support)
+        return cols == induced and zero not in cols and point_misses(cert, cols, n)
     if cert["kind"] in ("skalba_witness", "oracle_exhaustion"):
         q, m = cert["q"], cert["m"]
         if q**m != n or q not in {p for p, _ in odd_prime_powers(n)}:
@@ -141,6 +136,41 @@ def certificate_true(doc):
         return cert["tuples_checked"] == n ** len(vecs) and \
             brute_vectors(vecs, q, m)[0] is None
     return True
+
+
+def cover_holds(cols, n, support):
+    """Does every element of the Galois group fix a root, for these columns?"""
+    if n % 2:
+        return all(any(sum(a * b for a, b in zip(c, x)) % n == 0 for c in cols)
+                   for x in product(range(n), repeat=len(support)) if any(x))
+    primes = [p for p in support if p != -1]
+    ref = [[c[support.index(-1)] if -1 in support else 0]
+           + [c[support.index(p)] for p in primes] for c in cols]
+    return bool(cols) and galois_reference.failing_density(n, primes, ref) == 0
+
+
+def point_misses(cert, cols, n):
+    """Is the point, in its class t, off every column mod g = gcd(t - 1, n)?"""
+    x, support = tuple(cert["point"]), cert["support"]
+    if n % 2:
+        if "t" in cert or not any(x):
+            return False
+        t = 1
+    else:
+        t = cert.get("t")
+        if not isinstance(t, int) or t % 2 == 0 or not 0 < t < 2 * n or gcd(t, n) > 1:
+            return False
+    g = gcd(t - 1, n)
+    for p, v in zip(support, x):
+        if n % 2:
+            continue
+        if p == -1 and (v - (t - 1) // 2) % g:
+            return False
+        fixed = p > 2 and n % p == 0 or p == 2 and n % 4 == 0
+        if fixed and v % 2 != (galois_reference.legendre_jacobi(p, t) == -1):
+            return False
+    return len(x) == len(support) and all(
+        sum(a * b for a, b in zip(c, x)) % g for c in cols)
 
 
 def claim_true(doc):
@@ -184,6 +214,22 @@ def mutants(doc, kinds):
         doubled = copy(doc)
         doubled["certificate"]["coeffs"] = cert["coeffs"] + [col]
         yield f"duplicate column {i}", doubled
+    if "t" in cert:
+        n = doc["n"]
+        units = [t for t in range(1, 2 * n, 2) if gcd(t, n) == 1]
+        shared = next((t for t in range(3, 2 * n, 2) if gcd(t, n) > 1), None)
+        for t in [cert["t"] + 1, shared] + [u for u in units if u != cert["t"]]:
+            if t is not None:
+                moved = copy(doc)
+                moved["certificate"]["t"] = t
+                yield f"move to the class t = {t}", moved
+        for j, p in enumerate(cert["support"]):
+            if p == -1 or n % (4 if p == 2 else p) == 0:
+                shifted = copy(doc)
+                point = list(cert["point"])
+                point[j] += 1
+                shifted["certificate"]["point"] = point
+                yield f"shift the point's pinned entry at {p}", shifted
     if cert["kind"] == "skalba_witness":
         qm = cert["q"] ** cert["m"]
         for i, step in product(range(len(cert["c"])), (1, -1)):

@@ -2,36 +2,40 @@ from fractions import Fraction
 
 import pytest
 
-from locus.classify import (ExceptionalForm, classify_singleton, decide,
-                            match_exceptional_pair)
+from locus.classify import ExceptionalForm, decide, match_exceptional_pair
 from locus.errors import NotEven, WrongCardinality, ZeroInput
 from locus.sieve import scan
-from locus.verdicts import FAILS, HOLDS, INCONCLUSIVE
+from locus.verdicts import FAILS, HOLDS
+
+from galois_reference import density
 
 
 def test_classify_singleton():
-    v = classify_singleton(16, 8)
-    assert v.status == HOLDS and v.certificate.kind == "wang_exception"
-    assert v.certificate.b == "1"
+    # one class of even n: Wang's 16 = 2^4 * 1^8 holds for n = 8, as a
+    # cover of every class t; 16 is no 2^8 * b^16, so it fails for n = 16
+    v = decide([16], 8)
+    assert v.status == HOLDS and v.certificate.kind == "hyperplane_cover"
+    assert v.certificate.coeffs == ((0, 4),)
 
-    v = classify_singleton(2**24, 8)  # (2^3)^8
+    v = decide([2**24], 8)  # (2^3)^8
     assert v.status == HOLDS and v.certificate.kind == "perfect_power_member"
 
-    v = classify_singleton(2, 3)
+    v = decide([2], 3)
     assert v.status == FAILS
     assert v.certificate.counterexample_prime == 7
 
-    v = classify_singleton(16, 16)  # 16 is not 2^8 * b^16
-    assert v.status == FAILS
+    v = decide([16], 16)
+    assert v.status == FAILS and v.certificate.kind == "uncovered_point"
     assert v.certificate.counterexample_prime == 17
 
 
 def test_wang_exception_scaled():
-    # 2^(n/2) * b^n for n = 8, b = 3/2
+    # 2^(n/2) * b^n for n = 8, b = 3/2: cleared of its denominator it is
+    # 2^28 * 3^8, the class of 16
     x = Fraction(2**4) * Fraction(3, 2) ** 8
-    v = classify_singleton(x, 8)
-    assert v.status == HOLDS and v.certificate.kind == "wang_exception"
-    assert v.certificate.b == "3/2"
+    v = decide([x], 8)
+    assert v.status == HOLDS and v.certificate.kind == "hyperplane_cover"
+    assert v.certificate.coeffs == ((0, 4),)
 
 
 def test_match_exceptional_pair_examples():
@@ -75,10 +79,9 @@ def test_decide_examples_from_overview():
     assert v.status == FAILS
     assert v.certificate.counterexample_prime == 13
 
-    v = decide([4, 9, 36, 324], 6)
-    assert v.status == HOLDS and v.certificate.kind == "lifted_family"
-    assert v.certificate.exponent == 2
-    assert v.certificate.base_certificate.kind == "hyperplane_cover"
+    v = decide([4, 9, 36, 324], 6)  # {2, 3, 6, 18}^2: the cubic quad squared
+    assert v.status == HOLDS and v.certificate.kind == "hyperplane_cover"
+    assert v.certificate.support == (-1, 2, 3)
 
 
 def test_decide_rejects_bad_input():
@@ -98,13 +101,18 @@ def test_decide_clears_denominators_and_dedupes():
 
 
 def test_decide_singleton_routes():
-    assert decide([16], 8).certificate.kind == "wang_exception"
+    assert decide([16], 8).certificate.kind == "hyperplane_cover"
     assert decide([-8], 3).certificate.kind == "perfect_power_member"
     assert decide([2], 3).status == FAILS
 
 
 def test_decide_two_power_routes():
-    assert decide([2, 3, 5], 4).status == INCONCLUSIVE
+    # [2, 3, 5] fails for n = 4 in the class t = 3: g = 2, the sign pinned
+    # to 1 and 2 to the parity of (2/3) = -1; the density is 35/128
+    v = decide([2, 3, 5], 4)
+    assert v.status == FAILS and v.certificate.t == 3
+    assert v.certificate.point == (1, 1, 1, 1)
+    assert v.certificate.counterexample_prime == 17
     assert decide([3, 5, 15], 2).status == HOLDS
     assert decide([16, 5], 8).status == HOLDS  # wang member in a pair
 
@@ -159,19 +167,25 @@ def test_decide_even_pair_iff():
     assert decide([2, 3], 6).certificate.counterexample_prime == 5
 
 
-def test_decide_composite_inconclusive_without_structure():
-    # both components hold (4 is a square; the cube classes cover) but 5 has
-    # no square root, so no lift applies and no criterion decides the set
+def test_decide_composite_holds_through_every_class():
+    # both components hold (4 is a square; the cube classes cover) and 5 has
+    # no square root, yet every class t mod 12 is covered: no prime below
+    # 2 * 10^5 fails
     v = decide([4, 9, 36, 324, 5], 6)
-    assert v.status == INCONCLUSIVE
-    assert v.certificate.kind == "evidence"
+    assert v.status == HOLDS
+    assert v.certificate.kind == "hyperplane_cover"
+    assert density([4, 9, 36, 324, 5], 6) == 0
+    assert scan([4, 9, 36, 324, 5], 6, 2, 2 * 10**5).failing_primes == ()
 
 
-def test_decide_component_failure_names_failing_component():
-    v = decide([2, 3, 7, 11], 6)  # squares component fails
+def test_decide_composite_failure_names_its_class():
+    # the squares component fails; the point lives in the class t = 5 mod
+    # 12, where g = gcd(4, 6) = 2 and 3 is pinned to the parity of (3/5) = -1
+    v = decide([2, 3, 7, 11], 6)
     assert v.status == FAILS
-    assert v.certificate.kind == "component_failure"
-    assert (v.certificate.q, v.certificate.m) == (2, 1)
+    assert v.certificate.kind == "uncovered_point"
+    assert (v.certificate.t, v.certificate.point) == (5, (0, 1, 1, 1, 1))
+    assert v.certificate.counterexample_prime == 13
 
 
 def test_excluded_primes_cover_n_and_supports():
@@ -180,11 +194,11 @@ def test_excluded_primes_cover_n_and_supports():
 
 
 def test_lift_of_square_triple():
+    # {3, 5, 15}^3: the square triple lifted to n = 6 holds as a cover
     v = decide([27, 125, 3375], 6)
     assert v.status == HOLDS
-    assert v.certificate.kind == "lifted_family"
-    assert v.certificate.exponent == 3
-    assert v.certificate.base_certificate.kind == "odd_subset_witness"
+    assert v.certificate.kind == "hyperplane_cover"
+    assert v.certificate.coeffs == ((0, 3, 0), (0, 0, 3), (0, 3, 3))
 
 
 def test_small_set_theorem_exhaustive():
@@ -234,3 +248,82 @@ def test_large_prime_supports_fail_at_all_ones():
         assert v.status == FAILS
         assert v.certificate.point == (1,) * count
         assert verify_document(v.to_json(3, elems)) == []
+
+
+@pytest.mark.parametrize("elements,n,status,dens", [
+    ([2, 3, 5], 4, FAILS, Fraction(35, 128)),
+    ([2, 3, 5], 8, FAILS, Fraction(355, 1024)),
+    ([4, 9, 36, 324, 5], 6, HOLDS, 0),
+    ([-4, 9, 3], 4, HOLDS, 0),
+    ([16, 3, 12], 8, HOLDS, 0),
+])
+def test_even_inputs_once_without_a_criterion(elements, n, status, dens):
+    # decided by the class criterion, each with the full group's density
+    # and a sieve to 10^5 that agrees: no failing prime for a holds, and
+    # about the predicted share of failing primes for a fails
+    v = decide(elements, n)
+    assert v.status == status
+    assert density(elements, n) == dens
+    report = scan(elements, n, 2, 10**5)
+    if status == HOLDS:
+        assert report.failing_primes == ()
+    else:
+        assert v.certificate.counterexample_prime == report.failing_primes[0]
+        assert abs(report.failing_density - dens) < 0.02
+
+
+def test_decide_agrees_with_the_full_galois_group():
+    import random
+    rng = random.Random(12)
+    held = 0
+    for _ in range(200):
+        n = rng.choice((4, 6, 8, 12))
+        # exponents on multiples of a divisor of n, where sets that hold
+        # without a perfect member are common
+        d = rng.choice([d for d in range(1, n) if n % d == 0])
+        elements = set()
+        for _ in range(rng.randint(1, 5)):
+            x = rng.choice((1, -1)) * 2 ** (d * rng.randrange(3) % n) \
+                * 3 ** (d * rng.randrange(3) % n)
+            if x != 1:
+                elements.add(x * rng.choice((1, 1, 5)))
+        if not elements:
+            continue
+        elements = sorted(elements)
+        want = density(elements, n) == 0
+        assert decide(elements, n, want_counterexample=False).holds() == want, \
+            (elements, n)
+        held += want
+    assert held >= 10, held
+
+
+def test_one_ceiling_for_every_class(monkeypatch):
+    # every class of [4, 9, 36, 324, 5] for n = 6 is searched in full; the
+    # walk over the 6 odd t below 12 and the searches take 20 values
+    # together (5 for t = 1 and 9 for t = 7), no search alone more than 9
+    from locus import covering
+    from locus.errors import InstanceTooLarge
+    elements = [4, 9, 36, 324, 5]
+    assert decide(elements, 6, ceiling=20).holds()
+    with pytest.raises(InstanceTooLarge):
+        decide(elements, 6, ceiling=19)
+    support, columns = (-1, 2, 3, 5), decide(elements, 6).certificate.coeffs
+    classes = covering._classes(6, support, iter(range(6)))
+    assert len(classes) > 1
+    for t, g, pins in classes:
+        moved = [list(col) for col in columns]
+        for j, _, b in pins:
+            for col, row in zip(columns, moved):
+                row[j] = b * col[j]
+        shift = [sum(a * col[j] for j, a, _ in pins) for col in columns]
+        assert covering._search(moved, g, len(support), shift, iter(range(19))) is None
+
+
+def test_large_even_n_ends_at_the_ceiling():
+    # the class walk of an even n draws on the ceiling: n = 10^8 has 10^8
+    # odd t below 2n, far more than the ceiling allows
+    from locus.errors import InstanceTooLarge
+    with pytest.raises(InstanceTooLarge):
+        decide([2], 10**8, ceiling=1000)
+    with pytest.raises(InstanceTooLarge):
+        decide([2], 10**8)

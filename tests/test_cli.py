@@ -21,7 +21,8 @@ def test_decide_holds_exit_zero(capsys):
 def test_decide_wang_exception(capsys):
     code, doc = run(capsys, "decide", "--n", "8", "--elem", "16")
     assert code == 0
-    assert doc["certificate"]["kind"] == "wang_exception"
+    assert doc["certificate"] == {"kind": "hyperplane_cover", "q": 8,
+                                  "support": [-1, 2], "coeffs": [[0, 4]]}
 
 
 def test_decide_fails_exit_one(capsys):
@@ -32,11 +33,17 @@ def test_decide_fails_exit_one(capsys):
     assert doc["certificate"]["counterexample_prime"] == 7
 
 
-def test_decide_inconclusive_exit_two(capsys):
+def test_decide_even_triple_exit_one(capsys):
+    # once inconclusive: [2, 3, 5] fails for n = 4 (density 35/128), first
+    # at 17, in the class t = 3 mod 8
     code, doc = run(capsys, "decide", "--n", "4", "--elem", "2", "--elem", "3",
                     "--elem", "5")
-    assert code == 2
-    assert doc["status"] == "inconclusive"
+    assert code == 1
+    assert doc["certificate"] == {"kind": "uncovered_point", "q": 4,
+                                  "support": [-1, 2, 3, 5],
+                                  "coeffs": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                                  "point": [1, 1, 1, 1], "t": 3,
+                                  "counterexample_prime": 17}
 
 
 def test_sieve_report(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locus.verify
+from locus import covering
 from locus.classify import decide
 from locus.covering import covers, decide_q
 from locus.errors import InstanceTooLarge
@@ -127,7 +128,7 @@ def test_covers_agrees_with_brute_force(case):
 @settings(max_examples=300, deadline=None)
 def test_verifier_cover_check_agrees_with_brute_force(case):
     q, s, cols = case
-    assert _covers_mod(cols, q) == (brute_uncovered(cols, q, s) is None)
+    assert _covers_mod(cols, q, [None] * s) == (brute_uncovered(cols, q, s) is None)
 
 
 @given(form_sets())
@@ -138,7 +139,7 @@ def test_verifier_prime_recheck_stays_within_its_bound(case):
     q, s, cols = case
     limit = prime_recheck_bound(q, rank_mod_p(cols, q))
     with mock.patch.object(locus.verify, "COVER_RECHECK_LIMIT", limit):
-        assert _covers_mod(cols, q) == (brute_uncovered(cols, q, s) is None)
+        assert _covers_mod(cols, q, [None] * s) == (brute_uncovered(cols, q, s) is None)
 
 
 @st.composite
@@ -163,14 +164,31 @@ def test_covers_mod_agrees_with_plain_loop(case):
 @settings(max_examples=300, deadline=None)
 def test_verifier_cover_mod_check_agrees_with_plain_loop(case):
     n, s, cols = case
-    assert _covers_mod(cols, n) == (brute_uncovered(cols, n, s) is None)
+    assert _covers_mod(cols, n, [None] * s) == (brute_uncovered(cols, n, s) is None)
 
 
 @given(st.one_of(form_sets(), column_sets()))
 @settings(max_examples=300, deadline=None)
 def test_engine_and_verifier_agree_on_covers(case):
     n, s, cols = case
-    assert (covers(cols, n, s) is None) == _covers_mod(cols, n)
+    assert (covers(cols, n, s) is None) == _covers_mod(cols, n, [None] * s)
+
+
+@given(column_sets(), st.sampled_from([2, 4, 6, 8, 12]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_shifted_covers_agree_with_plain_loop(case, g, data):
+    # affine forms <x, c> + c_0 over any modulus, even ones included, as
+    # each class of an even n asks
+    _, s, cols = case
+    shift = data.draw(st.lists(st.integers(0, g - 1), min_size=len(cols),
+                               max_size=len(cols)))
+    cols = [tuple(c % g for c in col) for col in cols]
+    misses = [x for x in product(range(g), repeat=s)
+              if all((c0 + sum(c * v for c, v in zip(col, x))) % g
+                     for col, c0 in zip(cols, shift))]
+    got = covering._search(cols, g, s, shift, iter(range(covering.ENUMERATION_CEILING)))
+    assert (got is None) == (not misses)
+    assert got is None or got in misses
 
 
 def test_covers_mod_examples():
@@ -190,7 +208,7 @@ def test_covers_mod_examples():
                     ([(8, 0), (3, 6), (6, 6), (0, 3)], 9),
                     ([(6, 0), (6, 3), (0, 4), (6, 6)], 9)]:
         assert assert_agrees_with_brute_force(cols, n, len(cols[0])) is not None
-        assert not _covers_mod(cols, n)
+        assert not _covers_mod(cols, n, [None] * len(cols[0]))
     # a form that vanishes mod n covers everything; one column never does
     assert covers([(15, 0), (1, 2)], 15, 2) is None
     assert covers([(5, 10, 3)], 15, 3) is not None

@@ -10,9 +10,9 @@ def test_public_names_are_pinned():
     assert set(locus.__all__) == {
         "FAILS", "HOLDS", "INCONCLUSIVE",
         "ExceptionalForm", "FactoredRational", "LocusError", "SieveReport",
-        "Verdict", "classify_singleton", "clear_denominators", "covers",
+        "Verdict", "clear_denominators", "covers",
         "cubic_quad", "decide", "decide_prime_power", "decide_q", "decide_square",
-        "decide_two_power", "dedupe", "even_optimal", "exceptional_pair",
+        "dedupe", "even_optimal", "exceptional_pair",
         "exponentiate_classes", "factor", "find_counterexample",
         "is_kth_power_mod_p", "is_perfect_power", "lifted", "match_exceptional_pair",
         "odd_optimal", "parse_rational", "reduce_class", "scan",

@@ -7,7 +7,8 @@ import pytest
 from locus import primes
 from locus.errors import FactorizationCapacityExceeded, RangeTooLarge
 from locus.primes import (MR_DETERMINISTIC_BOUND, factorize, first_nonprime,
-                          is_prime, prime_power_split, prime_range, sieve_upto)
+                          is_prime, jacobi, prime_power_split, prime_range,
+                          sieve_upto)
 
 
 def test_is_prime_small():
@@ -273,3 +274,20 @@ def test_prime_power_split():
     assert prime_power_split(360) == [(2, 3), (3, 2), (5, 1)]
     assert prime_power_split(9) == [(3, 2)]
     assert prime_power_split(1) == []
+
+
+def test_jacobi_is_euler_criterion_at_odd_primes():
+    for p in sieve_upto(199)[1:]:
+        for a in range(-p, 2 * p):
+            r = pow(a, (p - 1) // 2, p)
+            assert jacobi(a, p) == (-1 if r == p - 1 else r), (a, p)
+
+
+def test_jacobi_is_multiplicative_in_the_modulus():
+    composites = [m for m in range(9, 200, 2) if not is_prime(m)]
+    for m in composites:
+        d = next(d for d in range(3, m, 2) if m % d == 0)
+        for a in range(-m, m + 1):
+            assert jacobi(a, m) == jacobi(a, d) * jacobi(a, m // d), (a, m)
+    with pytest.raises(ValueError):
+        jacobi(3, 8)

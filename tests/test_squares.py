@@ -1,8 +1,9 @@
 from fractions import Fraction
 from itertools import combinations
 
+from locus.classify import decide
 from locus.squares import decide_square, decide_two_power
-from locus.verdicts import FAILS, HOLDS, INCONCLUSIVE
+from locus.verdicts import FAILS, HOLDS
 
 
 def brute_square_decision(elems):
@@ -98,21 +99,23 @@ def test_fails_certificate_row_combination():
 
 
 def test_decide_two_power_examples():
-    v = decide_two_power([16], 3)
-    assert v.status == HOLDS and v.certificate.kind == "wang_exception"
+    # n = 2^a is decided by classify.decide; decide_two_power is that call
+    v = decide([16], 8)  # Wang's 2^4 * 1^8
+    assert v.status == HOLDS and v.certificate.kind == "hyperplane_cover"
 
-    v = decide_two_power([3, 5, 15], 1)
+    v = decide([3, 5, 15], 2)
     assert v.status == HOLDS and v.certificate.kind == "odd_subset_witness"
 
-    v = decide_two_power([2, 3, 5], 2)
-    assert v.status == INCONCLUSIVE
+    v = decide([2, 3, 5], 4)  # density 35/128; 17 is the least failing prime
+    assert v.status == FAILS and v.certificate.counterexample_prime == 17
 
-    v = decide_two_power([-4, 9], 2)
-    assert v.status == HOLDS and v.certificate.kind == "exceptional_form"
-    assert v.certificate.case_tag == "A0eq2_neg2"
+    v = decide([-4, 9], 4)  # the exceptional pair A0eq2_neg2
+    assert v.status == HOLDS and v.certificate.kind == "hyperplane_cover"
 
-    v = decide_two_power([256], 3)
+    v = decide([256], 8)
     assert v.status == HOLDS and v.certificate.kind == "perfect_power_member"
 
-    v = decide_two_power([2, 3], 2)
-    assert v.status == FAILS
+    v = decide([2, 3], 4)
+    assert v.status == FAILS and v.certificate.kind == "uncovered_point"
+
+    assert decide_two_power([2, 3, 5], 2) == decide([2, 3, 5], 4)

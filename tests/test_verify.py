@@ -101,20 +101,31 @@ def test_rejects_tampered_skalba_witness():
 
 
 def test_rejects_fake_lift():
-    doc = doc_for([4, 9, 36, 324], 6)
-    doc["certificate"]["base_elements"] = ["2", "3", "6", "5"]
-    assert verify_document(doc)
+    # lifted_family is no kind the engine emits: the claim is true, but a
+    # lift proves nothing to the verifier
+    doc = {"n": 6, "elements": ["4", "9", "36", "324"], "status": "holds",
+           "certificate": {"kind": "lifted_family", "exponent": 2,
+                           "base_elements": ["2", "3", "6", "5"],
+                           "base_certificate": {"kind": "hyperplane_cover", "q": 3,
+                                                "support": [2, 3, 5],
+                                                "coeffs": [[1, 0, 0], [0, 1, 0]]}}}
+    assert verify_document(doc) == ["certificate kind lifted_family cannot "
+                                    "support status holds"]
+    assert verify_document(doc_for([4, 9, 36, 324], 6)) == []
 
 
 def test_rejects_wang_without_eight():
+    # 16 covers every class for n = 8, but not for n = 12, where 8 does not
+    # divide n: the same columns leave a hole
     doc = doc_for([16], 8)
-    doc["n"] = 4
-    doc["certificate"]["n"] = 4
-    assert verify_document(doc)
+    assert verify_document(doc) == []
+    doc["n"] = doc["certificate"]["q"] = 12
+    assert verify_document(doc) == ["claimed cover has a hole"]
 
 
 def test_inconclusive_always_passes():
-    doc = doc_for([2, 3, 5], 4)
+    doc = {"n": 4, "elements": ["2", "3", "5"], "status": "inconclusive",
+           "certificate": {"kind": "evidence", "reason": "no_criterion"}}
     assert verify_document(doc) == []
 
 
@@ -224,18 +235,24 @@ def test_rejects_modulus_other_than_n():
     doc = {"n": 9, "elements": ["8", "5", "10", "50"], "status": "holds",
            "certificate": {"kind": "hyperplane_cover", "q": 3, "support": [2, 5],
                            "coeffs": [[1, 0], [0, 1], [1, 1], [1, 2]]}}
-    assert verify_document(doc) == ["cover modulus 3 is not the odd exponent 9"]
+    assert verify_document(doc) == ["cover modulus 3 is not the exponent 9"]
     doc["certificate"]["q"] = 9
     assert verify_document(doc) == ["recorded columns contain vectors not "
                                     "induced by the set"]
     for q in (27, 1, -9):
         genuine = doc_for(["8", "5", "10", "50"], 9)
         genuine["certificate"]["q"] = q
-        assert verify_document(genuine) == [f"cover modulus {q} is not the odd exponent 9"]
+        assert verify_document(genuine) == [f"cover modulus {q} is not the exponent 9"]
+    # for even n a refutation names its class: t = 5 mod 12 pins 3 to odd
+    # parity, (3/5) = -1, and g = 2; a set with no negative class needs no
+    # sign entry
     even = {"n": 6, "elements": ["2", "3"], "status": "fails",
             "certificate": {"kind": "uncovered_point", "q": 6, "support": [2, 3],
                             "coeffs": [[1, 0], [0, 1]], "point": [1, 1]}}
-    assert verify_document(even) == ["cover modulus 6 is not the odd exponent 6"]
+    assert verify_document(even) == ["a refutation names its class t exactly "
+                                     "when n is even"]
+    even["certificate"]["t"] = 5
+    assert verify_document(even) == []
 
 
 def test_rejects_columns_not_reduced_from_the_set():
@@ -411,11 +428,7 @@ def test_oracle_witness_recheck_has_a_work_bound():
 
 
 def test_counterexample_prime_must_be_prime():
-    # 8 = 2^3, so {8, 5} holds for n = 3; 15 is no prime at all
-    doc = {"n": 3, "elements": ["8", "5"], "status": "fails",
-           "certificate": {"kind": "evidence", "reason": "x", "counterexample_prime": 15}}
-    assert verify_document(doc) == ["counterexample prime 15 is not prime"]
-    for source in ([2, 3, 12], 3), ([2, 3], 2), ([8, 5, 10, 50], 9):
+    for source in ([2, 3, 12], 3), ([2, 3], 2), ([8, 5, 10, 50], 9), ([2, 3], 6):
         doc = doc_for(*source)
         assert verify_document(doc) == []
         doc["certificate"]["counterexample_prime"] = 7 * 13
@@ -423,28 +436,23 @@ def test_counterexample_prime_must_be_prime():
 
 
 def test_evidence_without_prime_needs_a_theorem():
-    forged = {"n": 3, "elements": ["8"], "status": "fails",
-              "certificate": {"kind": "evidence", "reason": "x"}}
-    assert verify_document(forged) == ["evidence x needs a counterexample prime"]
-    forged["certificate"]["reason"] = "grunwald_wang_singleton"
-    assert verify_document(forged) == ["the set contains a perfect power"]
-    # the same reason with its hypotheses broken, and reasons that are no
-    # theorem the verifier re-checks
-    cases = [
-        (["2", "3"], 3, "grunwald_wang_singleton"),   # two classes
-        (["16"], 8, "grunwald_wang_singleton"),       # 2^(8/2) * 1^8
-        (["2", "3"], 4, "no_exceptional_template"),   # a theorem, but not re-checked
-        (["8", "32"], 15, "odd_small_set"),           # no longer a reason
-    ]
-    for elements, n, reason in cases:
+    # no theorem backs a bare evidence certificate any more: every set the
+    # engine decides carries a cover or a point, so evidence supports
+    # neither status, whatever its reason
+    for elements, n, reason in [(["8"], 3, "x"), (["2"], 8, "grunwald_wang_singleton"),
+                                (["2", "3"], 4, "no_exceptional_template")]:
         doc = {"n": n, "elements": elements, "status": "fails",
                "certificate": {"kind": "evidence", "reason": reason}}
-        assert verify_document(doc), (elements, n, reason)
-    # a genuine one: the theorem's own hypotheses, for even n
+        assert verify_document(doc) == ["certificate kind evidence cannot "
+                                        "support status fails"]
+    # the singleton of even n once backed by the theorem: a point of class
+    # t = 3 mod 16, g = 2, the sign pinned to 1 and 2 to the parity of
+    # (2/3) = -1
     doc = doc_for(["2"], 8, want_counterexample=False)
-    assert doc["certificate"] == {"kind": "evidence", "reason": "grunwald_wang_singleton"}
+    assert doc["certificate"] == {"kind": "uncovered_point", "q": 8, "support": [-1, 2],
+                                  "coeffs": [[0, 1]], "point": [1, 1], "t": 3}
     assert verify_document(doc) == []
-    # odd singletons and odd small sets carry a point instead: 2 has no
+    # odd singletons and odd small sets carry a point too: 2 has no
     # failing prime below 10^4 for n = 10007, and -3, 24 are one class mod
     # cubes
     doc = doc_for([2], 10007)
@@ -457,16 +465,21 @@ def test_evidence_without_prime_needs_a_theorem():
         assert verify_document(doc) == [], (elements, n)
 
 
-def test_evidence_rule_uses_the_component_modulus():
-    # 8 is a cube, so its 3-component holds, though 8 is no 15th power
-    inner = {"kind": "evidence", "reason": "grunwald_wang_singleton"}
-    doc = {"n": 15, "elements": ["8"], "status": "fails",
-           "certificate": {"kind": "component_failure", "q": 3, "m": 1, "inner": inner}}
-    assert verify_document(doc) == ["the set contains a perfect power"]
-    doc["elements"] = ["2"]
-    assert verify_document(doc) == []
-    inner["reason"] = "x"
-    assert verify_document(doc) == ["evidence x needs a counterexample prime"]
+def test_rejects_retired_kinds():
+    # the kinds that neither decide nor the oracle emits, each on a true claim
+    retired = [
+        (["16"], 8, "holds", {"kind": "wang_exception", "element": "16", "b": "1", "n": 8}),
+        (["-27", "4"], 6, "holds", {"kind": "exceptional_form", "case_tag": "A0eq1",
+                                    "pj": 3, "alpha1": "1", "alpha2": "2", "n": 6}),
+        (["2"], 15, "fails", {"kind": "component_failure", "q": 3, "m": 1,
+                              "inner": {"kind": "evidence",
+                                        "reason": "grunwald_wang_singleton"}}),
+        (["2"], 8, "fails", {"kind": "evidence", "reason": "grunwald_wang_singleton"}),
+    ]
+    for elements, n, status, cert in retired:
+        doc = {"n": n, "elements": elements, "status": status, "certificate": cert}
+        assert verify_document(doc) == [f"certificate kind {cert['kind']} cannot "
+                                        f"support status {status}"]
 
 
 def test_evidence_parameters_must_match_the_document():
@@ -501,11 +514,10 @@ def test_rejects_composite_failing_primes():
 
 def test_verifier_imports_no_decision_code():
     # the verifier's own loops stand in for the engine's; only the arithmetic
-    # layers and the name ROADMAP item 3 still has to remove may be imported
+    # layers and the status names may be imported
     import ast
     from pathlib import Path
-    allowed = {"primes": None, "rationals": None, "sieve": None, "verdicts": None,
-               "classify": {"ExceptionalForm"}}
+    allowed = {"primes": None, "rationals": None, "sieve": None, "verdicts": None}
     path = Path(__file__).resolve().parent.parent / "src" / "locus" / "verify.py"
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
@@ -516,3 +528,63 @@ def test_verifier_imports_no_decision_code():
             assert module in allowed, module
             names = {a.name for a in node.names}
             assert allowed[module] is None or names <= allowed[module], names
+
+
+def test_even_refutation_is_checked_in_its_class():
+    # [2, 3, 7, 11] fails for n = 6 at t = 5 mod 12: g = 2, the sign pinned
+    # to h = 2 = 0 mod 2, and 3 to the parity of (3/5) = -1
+    doc = doc_for([2, 3, 7, 11], 6)
+    cert = doc["certificate"]
+    assert (cert["support"], cert["t"], cert["point"]) == ([-1, 2, 3, 7, 11], 5,
+                                                           [0, 1, 1, 1, 1])
+    assert verify_document(doc) == []
+    pinned = "point is not pinned to the sign and parities of class {}"
+    for change, problem in [
+            ({"t": 4}, "class 4 is not an odd unit below 2n"),   # even
+            ({"t": 9}, "class 9 is not an odd unit below 2n"),   # shares 3 with 6
+            ({"t": 13}, "class 13 is not an odd unit below 2n"),  # past 2n
+            ({"t": 1}, pinned.format(1)),    # (3/1) = 1 wants 3 even
+            ({"t": 7}, pinned.format(7)),    # the sign wants h = 3 mod 6
+            ({"t": 11}, pinned.format(11)),  # the sign wants h = 5 = 1 mod 2
+            ({"point": [0, 1, 0, 1, 1]}, pinned.format(5)),  # wrong parity at 3
+            ({"point": [1, 1, 1, 1, 1]}, pinned.format(5))]:  # sign not h mod 2
+        mutant = json.loads(json.dumps(doc))
+        mutant["certificate"].update(change)
+        assert verify_document(mutant) == [problem], change
+
+
+def test_even_cover_needs_every_column():
+    # {-27, 4} holds for n = 6 with both columns; either alone leaves a hole
+    doc = doc_for([-27, 4], 6)
+    assert doc["certificate"]["coeffs"] == [[1, 0, 3], [0, 2, 0]]
+    assert verify_document(doc) == []
+    for i in range(2):
+        dropped = json.loads(json.dumps(doc))
+        del dropped["certificate"]["coeffs"][i]
+        assert verify_document(dropped) == ["claimed cover has a hole"]
+
+
+def test_even_cover_recheck_shares_one_budget(monkeypatch):
+    # the walk over the 6 odd t below 12 takes 6 values and the classes
+    # t = 1 and t = 7 of [4, 9, 36, 324, 5] for n = 6 take 5 and 9, t = 5
+    # and t = 11 none: 20 together, each search alone under 19
+    import locus.verify
+    doc = doc_for([4, 9, 36, 324, 5], 6)
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 19)
+    assert verify_document(doc) == ["cover too large to re-check"]
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 20)
+    assert verify_document(doc) == []
+    cert = doc["certificate"]
+    for t in (1, 5, 7, 11):
+        g, pins = locus.verify._class(6, cert["support"], t)
+        moved = [[b * c for (_, b), c in zip(pins, col)] for col in cert["coeffs"]]
+        shift = [sum(a * c for (a, _), c in zip(pins, col)) for col in cert["coeffs"]]
+        assert not locus.verify._misses(moved, g, shift, iter(range(19)))
+
+
+def test_forged_cover_of_a_large_even_n_is_refused_at_once():
+    # the walk over the 10^9 odd t below 2n would pass the re-check limit
+    doc = {"elements": ["2"], "n": 2 * 10**9, "status": "holds",
+           "certificate": {"kind": "hyperplane_cover", "q": 2 * 10**9,
+                           "support": [-1, 2], "coeffs": [[0, 1]]}}
+    assert verify_document(doc) == ["cover too large to re-check"]
