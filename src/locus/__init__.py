@@ -13,11 +13,11 @@ from .rationals import (FactoredRational, clear_denominators, dedupe, factor,
 from .sieve import (SieveReport, find_counterexample, is_kth_power_mod_p,
                     scan, set_has_kth_power_mod_p)
 from .squares import decide_square
-from .verdicts import FAILS, HOLDS, INCONCLUSIVE, Verdict
+from .verdicts import FAILS, HOLDS, Verdict
 from .verify import verify_document
 
 __all__ = [
-    "FAILS", "HOLDS", "INCONCLUSIVE",
+    "FAILS", "HOLDS",
     "ExceptionalForm", "FactoredRational", "LocusError", "SieveReport",
     "Verdict", "clear_denominators", "covers", "cubic_quad", "decide",
     "decide_prime_power", "decide_q", "decide_square", "dedupe", "even_optimal",

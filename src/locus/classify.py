@@ -24,7 +24,7 @@ from .primes import prime_power_split
 from .rationals import (FactoredRational, clear_denominators, dedupe, factor,
                         is_perfect_power)
 from .sieve import COUNTEREXAMPLE_BOUND, default_exclusions, find_counterexample, scan
-from .squares import decide_square
+from .squares import square_verdict
 from .verdicts import HOLDS, PerfectPowerMember, Verdict
 
 
@@ -168,5 +168,5 @@ def _route(xs: list[FactoredRational], n: int, ceiling: int) -> Verdict:
         if is_perfect_power(x, n):
             return Verdict(HOLDS, PerfectPowerMember(str(x), str(x.nth_root(n)), n))
     if n == 2:
-        return decide_square(xs, want_counterexample=False)
+        return square_verdict(xs)
     return cover_verdict(xs, n, ceiling)

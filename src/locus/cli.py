@@ -2,8 +2,8 @@
 
 Subcommands: decide, sieve, oracle, generate, verify-certificate.  Output is
 deterministic JSON (fixed field order, normalized rationals) so runs can be
-diffed and scripted.  Exit codes: 0 holds / 1 fails / 2 inconclusive for
-decisions, 3 parse error, 4 capacity error, 5 internal inconsistency.
+diffed and scripted.  Exit codes: 0 holds / 1 fails for decisions, 3 parse
+error, 4 capacity error, 5 internal inconsistency; 2 is left unused.
 """
 
 from __future__ import annotations
@@ -22,17 +22,16 @@ from .prime_power import skalba_oracle
 from .primes import prime_power_split
 from .rationals import factor, parse_rational
 from .sieve import scan
-from .verdicts import FAILS, HOLDS, INCONCLUSIVE
+from .verdicts import FAILS, HOLDS
 from .verify import verify_document
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_PARSE = 3
 EXIT_CAPACITY = 4
 EXIT_INCONSISTENT = 5
 
-_STATUS_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS, INCONCLUSIVE: EXIT_INCONCLUSIVE}
+_STATUS_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS}
 
 
 def _build_parser() -> argparse.ArgumentParser:

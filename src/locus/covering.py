@@ -20,9 +20,10 @@ of (Z/n)^S by the kernels of the e_i.
 reduced row echelon form of the matrix moved by the constants; a budget of
 candidate values bounds it, past which it raises InstanceTooLarge.
 `covers` is that search with no constants, the linear problem alone.
-`cover_verdict` is the one criterion that classify.decide applies to the
-classes of every set with n >= 3, and `decide_q` is that decision under
-its odd-n name.
+`class_columns` gives the support and columns of a set's classes, for
+this criterion and for squares.square_verdict.  `cover_verdict` is the one
+criterion that classify.decide applies to the classes of every set with
+n >= 3, and `decide_q` is that decision under its odd-n name.
 """
 
 from __future__ import annotations
@@ -183,22 +184,27 @@ def _classes(n: int, support, budget) -> list:
     return sorted(((t, g, pins) for (g, pins), t in found.items()), key=lambda c: c[1])
 
 
-def cover_verdict(xs, n: int, ceiling: int) -> Verdict:
-    """Verdict for distinct integral classes mod (Q^x)^n, n >= 3, none of
-    them a perfect n-th power.  The columns are their exponent vectors mod
-    n over the support, which for even n starts with the sign entry -1 (1
-    for a negative class).  Each class of _classes is an affine cover
-    problem over Z/g; the walk over the classes and every search draw on
-    one budget of ceiling values.  A point where every column's form is
-    nonzero mod g fails, with its t for even n; if no class has one, the
-    set holds.  The failing verdict carries no counterexample prime;
-    classify.decide searches one.
-    """
+def class_columns(xs, n: int):
+    """The joint support of the classes of xs mod (Q^x)^n, led for even n
+    by the sign entry -1, and their exponent vectors mod n over it, with 1
+    at -1 for a negative class."""
     reps = [reduce_class(x, n) for x in xs]
     primes = sorted({p for x in reps for p in x.support()})
     support = tuple(primes) if n % 2 else (-1, *primes)
-    columns = tuple(tuple(x.exponent(p) if p > 0 else int(x.sign < 0) for p in support)
-                    for x in reps)
+    return support, tuple(tuple(x.exponent(p) if p > 0 else int(x.sign < 0)
+                                for p in support) for x in reps)
+
+
+def cover_verdict(xs, n: int, ceiling: int) -> Verdict:
+    """Verdict for distinct integral classes mod (Q^x)^n, n >= 3, none of
+    them a perfect n-th power, with the columns of class_columns.  Each
+    class of _classes is an affine cover problem over Z/g; the walk over the
+    classes and every search draw on one budget of ceiling values.  A point
+    where every column's form is nonzero mod g fails, with its t for even
+    n; if no class has one, the set holds.  The failing verdict carries no
+    counterexample prime; classify.decide searches one.
+    """
+    support, columns = class_columns(xs, n)
     budget = iter(range(ceiling))
     for t, g, pins in _classes(n, support, budget):
         moved, shift = columns, [0] * len(columns)

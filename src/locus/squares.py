@@ -1,17 +1,21 @@
-"""The squares criterion.
+"""The squares criterion, n = 2.
 
-A set contains a square in Z_p for almost every odd prime exactly when some
-odd-cardinality subset has a perfect-square product.  Over GF(2) that is a
-kernel vector of the (sign row + exponent-parity rows) matrix with odd
-weight, which Gaussian elimination finds directly.  Other powers of 2 are
-decided by classify.decide.
+A set contains a square in Q_p for almost every prime p exactly when some
+odd-cardinality subset of its classes mod squares has a square product
+(Fried; Filaseta-Richman).  Over GF(2) that is an x with M x = 0 and an
+odd weight, M the (sign row + exponent-parity rows) matrix: a solution of
+[M; all-ones] x = [0; 1].  One elimination either solves it, and the
+least such subset is the witness, or reduces the all-ones row to zero,
+and the rows it was reduced by XOR to all-ones, so every kernel vector of
+M has even weight.  square_verdict applies it to the classes
+classify.decide holds; decide_square and decide_two_power are calls into
+decide.
 """
 
 from __future__ import annotations
 
-from .errors import ZeroInput
-from .rationals import FactoredRational, dedupe, factor
-from .sieve import COUNTEREXAMPLE_BOUND, default_exclusions, find_counterexample
+from .covering import class_columns
+from .rationals import FactoredRational
 from .verdicts import FAILS, HOLDS, OddSubsetWitness, ParityObstruction, Verdict
 
 _NULLSPACE_ENUM_LIMIT = 16
@@ -20,31 +24,31 @@ _NULLSPACE_ENUM_LIMIT = 16
 def _solve_gf2(rows: list[int], rhs: list[int], ncols: int):
     """Solve M x = rhs over GF(2); each row is a bitmask over the columns.
 
-    Returns (particular solution, nullspace basis) as bitmasks, or None when
-    the system is inconsistent.
+    Returns (particular solution, nullspace basis) as bitmasks, or, when the
+    system is inconsistent, (None, the bitmask of the input rows whose sum
+    is the zero row with right-hand side 1).  Each echelon row records the
+    input rows it sums, so the obstruction comes out of the same pass.
     """
-    echelon: dict[int, tuple[int, int]] = {}  # pivot column -> (row, b)
-    for row, b in zip(rows, rhs):
-        cur, cb = row, b
+    echelon: dict[int, tuple[int, int, int]] = {}  # pivot column -> (row, b, rows summed)
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        cur, cb, used = row, b, 1 << i
         while cur:
             col = (cur & -cur).bit_length() - 1
-            if col in echelon:
-                prow, pb = echelon[col]
-                cur ^= prow
-                cb ^= pb
-            else:
-                echelon[col] = (cur, cb)
+            if col not in echelon:
+                echelon[col] = (cur, cb, used)
                 break
+            prow, pb, pused = echelon[col]
+            cur, cb, used = cur ^ prow, cb ^ pb, used ^ pused
         else:
             if cb:
-                return None
+                return None, used
 
     def back_solve(x_free: int, use_rhs: bool) -> int:
         # pivot rows carry only higher columns besides their pivot, so a
         # high-to-low sweep sees every dependency already settled
         x = x_free
         for col in sorted(echelon, reverse=True):
-            prow, pb = echelon[col]
+            prow, pb, _ = echelon[col]
             rest = prow & ~(1 << col)
             val = (pb if use_rhs else 0) ^ (bin(rest & x).count("1") & 1)
             if val:
@@ -56,24 +60,6 @@ def _solve_gf2(rows: list[int], rhs: list[int], ncols: int):
     return particular, basis
 
 
-def _build_matrix(xs: list[FactoredRational]):
-    support = sorted({p for x in xs for p in x.support()})
-    labels = ["sign"] + [str(p) for p in support]
-    rows = []
-    sign_row = 0
-    for j, x in enumerate(xs):
-        if x.sign == -1:
-            sign_row |= 1 << j
-    rows.append(sign_row)
-    for p in support:
-        row = 0
-        for j, x in enumerate(xs):
-            if x.exponent(p) % 2:
-                row |= 1 << j
-        rows.append(row)
-    return rows, labels
-
-
 def _best_odd_solution(particular: int, basis: list[int], ncols: int):
     """Smallest-weight, then lexicographically least, solution bitmask."""
     if len(basis) > _NULLSPACE_ENUM_LIMIT:
@@ -81,72 +67,52 @@ def _best_odd_solution(particular: int, basis: list[int], ncols: int):
     best = None
     for mask in range(1 << len(basis)):
         v = particular
-        k = mask
-        i = 0
-        while k:
-            if k & 1:
-                v ^= basis[i]
-            k >>= 1
-            i += 1
+        for i, b in enumerate(basis):
+            if mask >> i & 1:
+                v ^= b
         key = (bin(v).count("1"), tuple(j for j in range(ncols) if v >> j & 1))
         if best is None or key < best[0]:
             best = (key, v)
     return best[1]
 
 
-def decide_square(elements, *, want_counterexample: bool = True) -> Verdict:
-    """Fried / Filaseta-Richman criterion with witness extraction."""
-    xs = [factor(a) for a in elements]
-    if not xs:
-        raise ZeroInput("empty set has no verdict")
-    excluded = default_exclusions(xs, 2)
-    uniq = dedupe(xs, 2)
+def square_verdict(xs: list[FactoredRational]) -> Verdict:
+    """Verdict for distinct integral classes mod squares, none of them a
+    square: the least odd subset with a square product, indexed 1-based
+    into xs, or the labels of the rows that XOR to all-ones.  The failing
+    verdict carries no counterexample prime; classify.decide searches one.
+    """
+    l = len(xs)
+    support, columns = class_columns(xs, 2)
+    # row i of M is entry i of every column, as a bitmask over the classes
+    rows = [sum(col[i] << j for j, col in enumerate(columns)) for i in range(len(support))]
+    labels = ["sign" if p == -1 else str(p) for p in support]
+    everything = (1 << l) - 1
+    solution, rest = _solve_gf2(rows + [everything], [0] * len(rows) + [1], l)
 
-    l = len(uniq)
-    rows, labels = _build_matrix(uniq)
-    # parity constraint sum x_j = 1 appended as an all-ones row
-    solved = _solve_gf2(rows + [(1 << l) - 1], [0] * len(rows) + [1], l)
-
-    if solved is not None:
-        particular, basis = solved
-        pick = _best_odd_solution(particular, basis, l)
-        indices = tuple(j for j in range(l) if pick >> j & 1)
-        prod = FactoredRational.one()
-        for j in indices:
-            prod = prod * uniq[j]
-        root = prod.nth_root(2)
-        assert root is not None and len(indices) % 2 == 1, \
-            "odd-subset witness does not square; elimination bug"
-        return Verdict(HOLDS,
-                       OddSubsetWitness(tuple(j + 1 for j in indices), str(root)),
-                       excluded)
-
-    # infeasible: the all-ones functional is a combination of matrix rows
-    combo = _solve_gf2(_transpose(rows, l), [1] * l, len(rows))
-    assert combo is not None, "parity functional not in row space despite infeasibility"
-    row_pick, _ = combo
-    picked = tuple(labels[i] for i in range(len(rows)) if row_pick >> i & 1)
-    acc = 0
-    for i in range(len(rows)):
-        if row_pick >> i & 1:
+    if solution is None:
+        picked = [i for i in range(len(rows)) if rest >> i & 1]
+        acc = 0
+        for i in picked:
             acc ^= rows[i]
-    assert acc == (1 << l) - 1, "row combination does not reproduce all-ones"
-    prime = None
-    if want_counterexample:
-        prime = find_counterexample(xs, 2, COUNTEREXAMPLE_BOUND)
-    return Verdict(FAILS, ParityObstruction(picked, counterexample_prime=prime),
-                   excluded)
+        assert acc == everything, "row combination does not reproduce all-ones"
+        return Verdict(FAILS, ParityObstruction(tuple(labels[i] for i in picked)))
+
+    pick = _best_odd_solution(solution, rest, l)
+    indices = tuple(j for j in range(l) if pick >> j & 1)
+    prod = FactoredRational.one()
+    for j in indices:
+        prod = prod * xs[j]
+    root = prod.nth_root(2)
+    assert root is not None and len(indices) % 2 == 1, \
+        "odd-subset witness does not square; elimination bug"
+    return Verdict(HOLDS, OddSubsetWitness(tuple(j + 1 for j in indices), str(root)))
 
 
-def _transpose(rows: list[int], ncols: int) -> list[int]:
-    out = []
-    for c in range(ncols):
-        v = 0
-        for i, row in enumerate(rows):
-            if row >> c & 1:
-                v |= 1 << i
-        out.append(v)
-    return out
+def decide_square(elements, *, want_counterexample: bool = True) -> Verdict:
+    """classify.decide with n = 2: the Fried / Filaseta-Richman criterion."""
+    from .classify import decide
+    return decide(elements, 2, want_counterexample=want_counterexample)
 
 
 def decide_two_power(elements, a0: int, *, want_counterexample: bool = True) -> Verdict:

@@ -1,10 +1,8 @@
 """Verdicts and machine-checkable certificates.
 
 A Verdict is Holds or Fails plus a certificate object and the finite set of
-primes the claim excludes; Inconclusive remains a status a document may
-carry, which the verifier passes and the CLI maps to its own exit code.
-Every Holds or Fails certificate carries enough data to be re-verified
-without trusting the engine (see locus.verify).
+primes the claim excludes.  Every certificate carries enough data to be
+re-verified without trusting the engine (see locus.verify).
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from typing import Optional, Union
 
 HOLDS = "holds"
 FAILS = "fails"
-INCONCLUSIVE = "inconclusive"
 
 
 class _Certificate:

@@ -5,17 +5,22 @@ against the element set without trusting the engine's decision path.  Every
 check here recomputes from first principles: roots are re-raised, uncovered
 points re-evaluated, covers, witnesses and exhaustions re-searched, claimed
 failing primes tested for primality and re-tested, all of a document's in
-one batch.  A cover or an uncovered point has q = n, on the exponent
-vectors mod n of the cleared set, led for even n by the sign entry -1.  The
-verifier re-derives the classes of Frobenius elements on its own (_class:
-t, g = gcd(t - 1, n), the sign pinned to (t - 1)/2 and the parities of the
-fixed primes to Jacobi symbols): an uncovered point is checked in its
-class t in O(l*s), and a cover re-checked class by class, by a search over
-the image of the pinned columns on the verifier's own reduced echelon form.
-A counterexample prime must be prime.  A Skalba witness is re-checked by
+one batch.  The status is holds or fails.  One builder, _columns, gives the
+support of the classes of a list mod (Q^x)^n, led for even n by the sign
+entry -1, and their exponent vectors.  A cover or an uncovered point has
+q = n, and its columns must be those of the cleared set, mapped onto the
+recorded support.  The verifier re-derives the classes of Frobenius
+elements on its own (_class: t, g = gcd(t - 1, n), the sign pinned to
+(t - 1)/2 and the parities of the fixed primes to Jacobi symbols): an
+uncovered point is checked in its class t in O(l*s), and a cover re-checked
+class by class, by a search over the image of the pinned columns on the
+verifier's own reduced echelon form.  A parity obstruction names rows of
+the classes mod squares.  A counterexample prime must be prime.  A Skalba
+witness and an oracle exhaustion are read on the element list as written,
+one entry per element, as the oracle writes them: a witness re-checked by
 testing every sign vector on the exponent vectors, at most
-ORACLE_RECHECK_LIMIT (2^20) of them, and an oracle exhaustion as the cover
-of (Z/q^m)^s by the kernels of the exponent vectors mod q^m, which every
+ORACLE_RECHECK_LIMIT (2^20) of them, and an exhaustion as the cover of
+(Z/q^m)^s by the kernels of the exponent vectors mod q^m, which every
 tuple admitting a pair amounts to.  Certificate kinds are checked against
 the status they may support, exactly the kinds that classify.decide and
 prime_power.skalba_oracle emit, and the cover re-check of a document tries
@@ -36,7 +41,7 @@ from itertools import islice, product
 from .primes import first_nonprime, is_prime, jacobi
 from .rationals import clear_denominators, factor, reduce_class
 from .sieve import first_non_failing, verify_failing_prime
-from .verdicts import FAILS, HOLDS, INCONCLUSIVE
+from .verdicts import FAILS, HOLDS
 
 
 # the certificate kinds that can support each status
@@ -99,8 +104,6 @@ def _verify(doc: dict):
     elements = [factor(e) for e in doc["elements"]]
     status = doc["status"]
     cert = doc["certificate"]
-    if status == INCONCLUSIVE:
-        return
     _need(status in (HOLDS, FAILS), f"unknown status {status}")
     _verify_certificate(cert, elements, n, status)
     for p in doc.get("excluded_primes", []):
@@ -143,10 +146,29 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
         _need(q == n and n > 1, f"cover modulus {q} is not the exponent {n}")
         support = list(cert["support"])
         coeffs = [tuple(c) for c in cert["coeffs"]]
-        _verify_columns_from_set(cert, cleared, n, support, coeffs)
+        # the set's columns mapped onto the recorded support: a cover may
+        # use some of them, a refutation must use all, and none may be zero
+        index = {p: i for i, p in enumerate(support)}
+        own, cols = _columns(cleared, n)
+        want = set()
+        for x, col in zip(cleared, cols):
+            mapped = [0] * len(support)
+            for p, e in zip(own, col):
+                if e:
+                    if p not in index:  # the message is built only on failure
+                        raise VerificationFailure(f"element {x} " + (
+                            "is negative and the support has no sign entry" if p == -1
+                            else "uses a prime outside the recorded support"))
+                    mapped[index[p]] = e
+            if not any(mapped):
+                _need(kind != "uncovered_point", f"element {x} is an n-th power for n = {n}")
+            want.add(tuple(mapped))
+        got = {c for c in coeffs if any(c)}
         if kind == "hyperplane_cover":
+            _need(got <= want, "recorded columns contain vectors not induced by the set")
             _need(_covers_mod(coeffs, n, support), "claimed cover has a hole")
             return
+        _need(got == want, "recorded columns differ from those the set induces")
         _need(("t" in cert) == (n % 2 == 0),
               "a refutation names its class t exactly when n is even")
         t = cert.get("t", 1)
@@ -178,10 +200,8 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
 
     if kind == "parity_obstruction":
         uniq = _dedupe(cleared, 2)
-        support = sorted({p for x in uniq for p in x.support()})
-        rows = {"sign": [1 if x.sign == -1 else 0 for x in uniq]}
-        for p in support:
-            rows[str(p)] = [x.exponent(p) % 2 for x in uniq]
+        support, cols = _columns(uniq, 2)
+        rows = {"sign" if p == -1 else str(p): row for p, row in zip(support, zip(*cols))}
         acc = [0] * len(uniq)
         for label in cert["rows"]:
             _need(label in rows, f"unknown row label {label}")
@@ -194,22 +214,14 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
         q, m = cert["q"], cert["m"]
         _need_oracle_modulus(q, m, n)
         c = tuple(cert["c"])
-        # the witness indexes either the raw list (direct oracle runs) or the
-        # class-deduplicated list (the decision pipeline)
-        deduped = _dedupe(cleared, n)
-        if len(c) == len(cleared):
-            xs = cleared
-        elif len(c) == len(deduped):
-            xs = deduped
-        else:
-            raise VerificationFailure("witness length matches neither the raw "
-                                      "nor the deduplicated element list")
-        _need(3 ** len(xs) <= ORACLE_RECHECK_LIMIT,
+        # the oracle writes one entry per element of the raw list
+        _need(len(c) == len(cleared), "witness length differs from the element list")
+        _need(3 ** len(c) <= ORACLE_RECHECK_LIMIT,
               "skalba witness too large to re-check")
         # a pair B, C (signs 1 and -1) with |B| != |C| mod q whose ratio
         # prod_B a_j^(c_j) / prod_C a_j^(c_j) is a q^m-th power refutes it
-        terms = [[cj * e for e in col] for cj, col in zip(c, _columns(xs, n)[1])]
-        for signs in product((0, 1, -1), repeat=len(xs)):
+        terms = [[cj * e for e in col] for cj, col in zip(c, _columns(cleared, n)[1])]
+        for signs in product((0, 1, -1), repeat=len(c)):
             if (signs.count(1) - signs.count(-1)) % q:
                 _need(any(sum(sj * t[i] for sj, t in zip(signs, terms)) % n
                           for i in range(len(terms[0]))),
@@ -220,14 +232,12 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
     if kind == "oracle_exhaustion":
         q, m = cert["q"], cert["m"]
         _need_oracle_modulus(q, m, n)
-        # as for a witness, the raw or the class-deduplicated list
-        xs = next((xs for xs in (cleared, _dedupe(cleared, n))
-                   if n ** len(xs) == cert["tuples_checked"]), None)
-        _need(xs is not None, "tuples checked are not (q^m)^l for the raw "
-                              "or the deduplicated element list")
+        # as for a witness, the raw list
+        _need(n ** len(cleared) == cert["tuples_checked"],
+              "tuples checked are not (q^m)^l for the element list")
         # every tuple admits a pair exactly when the kernels of the exponent
         # vectors mod q^m cover (Z/q^m)^s, trivially so at a zero vector
-        support, cols = _columns(xs, n)
+        support, cols = _columns(cleared, n)
         _need(not all(map(any, cols)) or _covers_mod(cols, n, support),
               "some exponent tuple admits no perfect-power subset pair")
         return
@@ -251,10 +261,14 @@ def _need_oracle_modulus(q, m, n: int):
 
 
 def _columns(xs, n: int):
-    """The joint support of the elements, and their exponent vectors mod n
-    over it."""
-    support = sorted({p for x in xs for p in x.support()})
-    return support, [tuple(x.exponent(p) % n for p in support) for x in xs]
+    """The joint support of the classes of xs mod (Q^x)^n, led for even n
+    by the sign entry -1, and their exponent vectors mod n over it, with 1
+    at -1 for a negative class."""
+    reps = [reduce_class(x, n) for x in xs]
+    primes = sorted({p for x in reps for p in x.support()})
+    support = primes if n % 2 else [-1] + primes
+    vecs = [dict(x.factors) | {-1: int(x.sign < 0)} for x in reps]
+    return support, [tuple(v.get(p, 0) for p in support) for v in vecs]
 
 
 def _image_generators(cols, n: int):
@@ -369,31 +383,3 @@ def _misses(cols, n: int, shift, budget) -> bool:
 
     return miss(0, [c % n for c in shift], True)
 
-
-def _verify_columns_from_set(cert, cleared, n, support, coeffs):
-    """Check the recorded columns really come from the decided set: the
-    exponent vectors mod n of its cleared elements, with 1 at the sign
-    entry -1 for a negative class of even n.  A cover may use a subset of
-    them; a refutation must use all of them, and none may be zero.
-    """
-    refutes = cert["kind"] == "uncovered_point"
-    want = set()
-    index = {p: i for i, p in enumerate(support)}
-    for x in cleared:
-        col = [0] * len(support)
-        r = reduce_class(x, n)  # signed for even n only
-        if r.sign < 0:
-            _need(-1 in index, f"element {x} is negative and the support has no sign entry")
-            col[index[-1]] = 1
-        for p, e in r.factors:
-            _need(p in index, f"element {x} uses a prime outside the recorded support")
-            col[index[p]] = e % n
-        if any(col):
-            want.add(tuple(col))
-        else:
-            _need(not refutes, f"element {x} is an n-th power for n = {n}")
-    got = {tuple(c) for c in coeffs if any(c)}
-    if refutes:
-        _need(got == want, "recorded columns differ from those the set induces")
-    else:
-        _need(got <= want, "recorded columns contain vectors not induced by the set")

@@ -8,7 +8,7 @@ def test_every_public_name_resolves():
 
 def test_public_names_are_pinned():
     assert set(locus.__all__) == {
-        "FAILS", "HOLDS", "INCONCLUSIVE",
+        "FAILS", "HOLDS",
         "ExceptionalForm", "FactoredRational", "LocusError", "SieveReport",
         "Verdict", "clear_denominators", "covers",
         "cubic_quad", "decide", "decide_prime_power", "decide_q", "decide_square",

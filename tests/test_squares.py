@@ -4,6 +4,7 @@ from itertools import combinations
 from locus.classify import decide
 from locus.squares import decide_square, decide_two_power
 from locus.verdicts import FAILS, HOLDS
+from locus.verify import verify_document
 
 
 def brute_square_decision(elems):
@@ -29,8 +30,8 @@ def test_examples():
     assert v.certificate.indices == (1, 2, 3)
     assert v.certificate.root == "15"
 
-    v = decide_square([9])
-    assert v.status == HOLDS and v.certificate.indices == (1,)
+    v = decide_square([9])  # a square member is its own certificate
+    assert v.status == HOLDS and v.certificate.kind == "perfect_power_member"
     assert v.certificate.root == "3"
 
     v = decide_square([2, 3])
@@ -51,10 +52,16 @@ def test_negative_elements_need_sign_row():
 
 
 def test_witness_minimality():
-    # 9 is a square on its own, so the singleton beats the triple 3*9*27
-    v = decide_square([3, 9, 27])
+    # 210 * 2 * 3 * 5 * 7 and 2 * 3 * 6 both square; the elimination's own
+    # solution is the five, and the least odd subset is the triple
+    v = decide_square([210, 2, 3, 5, 7, 6])
     assert v.status == HOLDS
-    assert v.certificate.indices == (2,)
+    assert v.certificate.indices == (2, 3, 6)
+    assert v.certificate.root == "6"
+    # a square member beats every subset
+    v = decide_square([3, 9, 27])
+    assert v.certificate.kind == "perfect_power_member"
+    assert v.certificate.element == "9"
 
 
 def test_duplicate_classes_collapse():
@@ -69,9 +76,19 @@ def test_rationals_enter_mod_two():
     assert v.status == FAILS
     v = decide_square([Fraction(5, 4)])
     assert v.status == FAILS
-    v = decide_square([Fraction(9, 4)])
-    assert v.status == HOLDS
-    assert Fraction(v.certificate.root) ** 2 == Fraction(9, 4)
+    v = decide_square([Fraction(9, 4)])  # cleared to 9/4 * 4^2 = 36
+    assert v.status == HOLDS and v.certificate.kind == "perfect_power_member"
+    assert v.certificate.element == "36" and v.certificate.root == "6"
+
+
+def test_fractional_documents_verify():
+    # the witness names the square product of the cleared classes, which the
+    # verifier re-derives: 1/4 clears to 4, and 1/2, 3/4, 6 to 32, 48, 384
+    for elements, kind, root in [(["1/4"], "perfect_power_member", "2"),
+                                 (["1/2", "3/4", "6"], "odd_subset_witness", "768")]:
+        v = decide_square(elements)
+        assert v.certificate.kind == kind and v.certificate.root == root
+        assert verify_document(v.to_json(2, elements)) == [], elements
 
 
 def test_exhaustive_equivalence_squarefree_support_357():

@@ -1,5 +1,8 @@
+import ast
 import json
+from pathlib import Path
 
+import locus
 from locus.classify import decide
 from locus.rationals import factor
 from locus.verify import verify_document
@@ -96,8 +99,15 @@ def test_rejects_even_witness_subset():
 def test_rejects_tampered_skalba_witness():
     doc = oracle_doc([8, 5, 10, 50], 3, 2)
     assert doc["certificate"]["kind"] == "skalba_witness"
+    witness = doc["certificate"]["c"]
     doc["certificate"]["c"] = [0, 0, 0, 0]  # the zero tuple is always satisfied
     assert verify_document(doc)
+    # the oracle writes one entry per element: a witness for the classes
+    # alone, 4096 = 8 * 2^9 left out, indexes no list it wrote
+    doc = oracle_doc([8, 5, 10, 50, 4096], 3, 2)
+    assert len(doc["certificate"]["c"]) == 5 and verify_document(doc) == []
+    doc["certificate"]["c"] = witness
+    assert verify_document(doc) == ["witness length differs from the element list"]
 
 
 def test_rejects_fake_lift():
@@ -123,10 +133,21 @@ def test_rejects_wang_without_eight():
     assert verify_document(doc) == ["claimed cover has a hole"]
 
 
-def test_inconclusive_always_passes():
+def test_parity_rows_are_those_of_the_classes():
+    # 12 and 5 are the classes 3 and 5 mod squares; 2 divides no class, so
+    # its all-zero row is no row of the matrix, though adding it XORs nothing
+    doc = doc_for([12, 5], 2)
+    assert doc["certificate"]["rows"] == ["3", "5"]
+    assert verify_document(doc) == []
+    doc["certificate"]["rows"] = ["3", "5", "2"]
+    assert verify_document(doc) == ["unknown row label 2"]
+
+
+def test_rejects_inconclusive_status():
+    # no route answers inconclusive; such a document is an unknown status
     doc = {"n": 4, "elements": ["2", "3", "5"], "status": "inconclusive",
            "certificate": {"kind": "evidence", "reason": "no_criterion"}}
-    assert verify_document(doc) == []
+    assert verify_document(doc) == ["unknown status inconclusive"]
 
 
 def test_evidence_failing_primes_rechecked():
@@ -348,8 +369,8 @@ def test_rejects_forged_oracle_exhaustion():
            "certificate": {"kind": "oracle_exhaustion", "q": 3, "m": 1,
                            "tuples_checked": 1},
            "excluded_primes": [2, 3]}
-    assert verify_document(doc) == ["tuples checked are not (q^m)^l for the raw "
-                                    "or the deduplicated element list"]
+    assert verify_document(doc) == ["tuples checked are not (q^m)^l for the "
+                                    "element list"]
     doc["certificate"]["tuples_checked"] = 3
     assert verify_document(doc) == ["some exponent tuple admits no perfect-power "
                                     "subset pair"]
@@ -372,10 +393,14 @@ def test_accepts_genuine_oracle_exhaustion(tmp_path, capsys):
     assert doc["certificate"] == {"kind": "oracle_exhaustion", "q": 3, "m": 2,
                                   "tuples_checked": 6561}
     assert verify_document(doc) == []
-    # the duplicate class 48 = 6 * 2^3 leaves five elements, 3^5 tuples
+    # the oracle counts tuples over the raw list: 3^6 here, although the
+    # duplicate class 48 = 6 * 2^3 leaves five classes
     doc = oracle_doc([2, 3, 6, 18, 48, 5], 3, 1)
-    doc["certificate"]["tuples_checked"] = 3**5
+    assert doc["certificate"]["tuples_checked"] == 3**6
     assert verify_document(doc) == []
+    doc["certificate"]["tuples_checked"] = 3**5
+    assert verify_document(doc) == ["tuples checked are not (q^m)^l for the "
+                                    "element list"]
 
 
 def test_oracle_exhaustion_recheck_has_a_work_bound(monkeypatch):
@@ -513,21 +538,27 @@ def test_rejects_composite_failing_primes():
 
 
 def test_verifier_imports_no_decision_code():
-    # the verifier's own loops stand in for the engine's; only the arithmetic
-    # layers and the status names may be imported
-    import ast
-    from pathlib import Path
-    allowed = {"primes": None, "rationals": None, "sieve": None, "verdicts": None}
-    path = Path(__file__).resolve().parent.parent / "src" / "locus" / "verify.py"
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
-            assert all(not a.name.startswith("locus") for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and (node.level or
-                                                   (node.module or "").startswith("locus")):
-            module = (node.module or "").removeprefix("locus.")
-            assert module in allowed, module
-            names = {a.name for a in node.names}
-            assert allowed[module] is None or names <= allowed[module], names
+    # the verifier's own loops stand in for the engine's: it imports only the
+    # arithmetic layers and the status names, and no module it reaches,
+    # transitively and through imports inside functions too, is decision code
+    package = Path(locus.__file__).parent
+    reached, todo = set(), ["verify"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                assert all(not a.name.startswith("locus") for a in node.names), name
+            elif isinstance(node, ast.ImportFrom) and (node.level or
+                                                       (node.module or "").startswith("locus")):
+                module = (node.module or "").removeprefix("locus.")
+                found = [module] if module else [a.name for a in node.names]
+                if name == "verify":
+                    assert set(found) <= {"primes", "rationals", "sieve", "verdicts"}, found
+                todo += [m for m in found if m not in reached]
+    assert {"primes", "rationals", "sieve", "verdicts"} <= reached
+    assert not reached & {"classify", "covering", "prime_power", "squares",
+                          "families", "cli"}, reached
 
 
 def test_even_refutation_is_checked_in_its_class():
@@ -588,3 +619,4 @@ def test_forged_cover_of_a_large_even_n_is_refused_at_once():
            "certificate": {"kind": "hyperplane_cover", "q": 2 * 10**9,
                            "support": [-1, 2], "coeffs": [[0, 1]]}}
     assert verify_document(doc) == ["cover too large to re-check"]
+
