@@ -150,10 +150,10 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
     if v.fails() and want_counterexample:
         prime = find_counterexample(cleared, n, COUNTEREXAMPLE_BOUND)
         v = replace(v, certificate=replace(v.certificate, counterexample_prime=prime))
-    v = v.with_excluded(default_exclusions(cleared, n))
+    v = replace(v, excluded_primes=default_exclusions(cleared, n))
     if attach_evidence:
         report = scan(cleared, n, 2, evidence_hi)
-        v = v.with_evidence(report.to_json())
+        v = replace(v, evidence=report.to_json())
         if v.holds() and report.failing_primes:
             raise InternalInconsistency(
                 f"holds verdict with sieve failures at {report.failing_primes[:5]}")

@@ -16,9 +16,11 @@ So the criterion is at most phi(2n) affine cover problems over Z/g, one
 per class t (_classes); for odd n the class t = 1 alone decides, the cover
 of (Z/n)^S by the kernels of the e_i.
 
-`_search` searches one problem on plain column tuples, over the image of a
-reduced row echelon form of the matrix moved by the constants; a budget of
-candidate values bounds it, past which it raises InstanceTooLarge.
+`_search` searches one problem on plain column tuples: one recursion over
+the image of a reduced row echelon form of the matrix (_echelon, one pass
+over its rows augmented by the identity), moved by the constants; a budget
+of candidate values bounds it, past which it raises InstanceTooLarge.
+`_classes` pins each coordinate of a class to a + b y, (0, 1) when free.
 `covers` is that search with no constants, the linear problem alone.
 `class_columns` gives the support and columns of a set's classes, for
 this criterion and for squares.square_verdict.  `cover_verdict` is the one
@@ -29,7 +31,6 @@ n >= 3, and `decide_q` is that decision under its odd-n name.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from itertools import islice
 
 from .errors import InstanceTooLarge
@@ -45,43 +46,41 @@ def _echelon(columns, n: int, s: int):
     E the s x l matrix with these columns: h_k = r_k . E, of additive order
     m_k, and every image vector is sum t_k h_k at x = sum t_k r_k.
 
-    Integer row operations, tracked in the rows r, keep the group the rows
-    of E generate.  For each column in turn, Euclid on the rows not yet taken
-    leaves one of them nonzero there.  Scaled by a unit so that this entry
-    becomes the divisor d = gcd(entry, n), it becomes the generator of that
-    pivot column and reduces the earlier generators' entries there below d.
-    For prime n, d = 1 and each pivot column is touched by its own
-    generator alone.
+    Each row of E carries its row of the identity after it, so integer row
+    operations keep both the group the rows generate and the x behind each
+    row.  For each column in turn, Euclid on the rows not yet taken leaves
+    one of them nonzero there.  Scaled by a unit so that this entry becomes
+    the divisor d = gcd(entry, n), it becomes the generator of that pivot
+    column and reduces the earlier generators' entries there below d.  For
+    prime n, d = 1 and each pivot column is touched by its own generator
+    alone.
     """
-    rows = [([col[p] % n for col in columns], [int(i == p) for i in range(s)])
+    l = len(columns)
+    rows = [[col[p] % n for col in columns] + [int(i == p) for i in range(s)]
             for p in range(s)]
     gens = []
-    for j in range(len(columns)):
+    for j in range(l):
         while True:
-            live = sorted((row for row in rows if row[0][j]), key=lambda row: row[0][j])
+            live = sorted((row for row in rows if row[j]), key=lambda row: row[j])
             if len(live) < 2:
                 break
-            h0, r0 = live[0]
-            for h, r in live[1:]:
-                c = h[j] // h0[j]
-                h[:] = [(a - c * b) % n for a, b in zip(h, h0)]
-                r[:] = [(a - c * b) % n for a, b in zip(r, r0)]
+            for row in live[1:]:
+                c = row[j] // live[0][j]
+                row[:] = [(a - c * b) % n for a, b in zip(row, live[0])]
         if not live:
             continue
         rows.remove(live[0])
-        h0, r0 = live[0]
-        d = math.gcd(h0[j], n)
-        u = pow(h0[j] // d, -1, n // d)  # u h0[j] = d mod n; make u a unit mod n
+        d = math.gcd(live[0][j], n)
+        u = pow(live[0][j] // d, -1, n // d)  # u h[j] = d mod n; make u a unit mod n
         while math.gcd(u, n) > 1:
             u += n // d
-        h0, r0 = [u * a % n for a in h0], [u * a % n for a in r0]
-        for h, r in gens:
-            c = h[j] // d
+        pivot = [u * a % n for a in live[0]]
+        for row in gens:
+            c = row[j] // d
             if c:
-                h[:] = [(a - c * b) % n for a, b in zip(h, h0)]
-                r[:] = [(a - c * b) % n for a, b in zip(r, r0)]
-        gens.append((h0, r0))
-    return [(n // math.gcd(n, *h), r, h) for h, r in gens]
+                row[:] = [(a - c * b) % n for a, b in zip(row, pivot)]
+        gens.append(pivot)
+    return [(n // math.gcd(n, *row[:l]), row[l:], row[:l]) for row in gens]
 
 
 def covers(columns, q: int, s: int, ceiling: int = ENUMERATION_CEILING):
@@ -100,86 +99,66 @@ def _search(columns, q: int, s: int, shift, budget):
     columns and c_0 its constant in shift, drawing each value tried from the
     iterator budget, which several searches may share.
 
-    The search runs over the image of the forms' matrix (_echelon), moved
-    by the shift: it assigns the coordinates t most used first and drops a
-    branch once an assigned form vanishes.  While no form that can vanish
-    has a constant, points scale by units of Z/q, so while t is zero so far
-    its next entry is 0 or a divisor of its modulus m below m.
+    The search runs over the image: z = shift + sum t_k h_k for t in
+    prod Z/m_k (_echelon), generators touching the most forms first, ties
+    to the one whose first form comes first, each form tested once every
+    generator touching it is set; a form that no generator touches is a
+    constant.  While no form that can vanish has a constant, points scale
+    by units of Z/q, so while t is zero so far its next entry is 0 or a
+    divisor of m_k below m_k.  The point is rebuilt from t as sum t_k r_k.
     """
     if any(c % q == 0 and not any(e % q for e in col) for col, c in zip(columns, shift)):
         return None  # a form that vanishes everywhere
-    gens = _echelon(columns, q, s)
-    # column i of the image as a combination of the coordinates t_k
-    terms = [[(k, h[i]) for k, (_, _, h) in enumerate(gens) if h[i]]
-             for i in range(len(columns))]
-    forms = [(ts, c) for ts, c in zip(terms, shift) if ts]  # the rest never vanish
-    uses = Counter(k for ts, _ in forms for k, _ in ts)
-    order = sorted(uses, key=lambda k: -uses[k])
-    if not order:
-        return (0,) * s
-    pos = {k: i for i, k in enumerate(order)}
-    checks = [[] for _ in order]  # forms by their last assigned coordinate
-    scale = True  # units of Z/q map misses to misses while no constant counts
-    for ts, c in forms:
-        ts = sorted((pos[k], a) for k, a in ts)
-        last = ts[-1][0]
-        if c % q:  # the constant is the coefficient of a last entry of t, held at 1
-            ts.append((-1, c))
-            scale = False
-        checks[last].append(ts)
+    gens = sorted(_echelon(columns, q, s), key=lambda gen: (
+        -sum(map(bool, gen[2])), next(i for i, a in enumerate(gen[2]) if a)))
+    live = [i for i in range(len(columns)) if any(h[i] for _, _, h in gens)]
+    last = {i: max(k for k, (_, _, h) in enumerate(gens) if h[i]) for i in live}
+    checks = [[i for i in live if last[i] == k] for k in range(len(gens))]
+    scale = not any(shift[i] % q for i in live)
 
-    def values(i, zero_so_far):
-        m = gens[order[i]][0]
-        return iter([0] + [d for d in range(1, m) if m % d == 0]
-                    if scale and zero_so_far else range(m))
-
-    t = [0] * len(order) + [1]
-    stack = [values(0, True)]
-    while stack:
-        i = len(stack) - 1
-        for v in stack[-1]:
+    def miss(k, z, zero):
+        if k == len(gens):
+            return []
+        m, _, h = gens[k]
+        for v in ([0] + [d for d in range(1, m) if m % d == 0]) if scale and zero else range(m):
             if next(budget, None) is None:
                 raise InstanceTooLarge("cover search passed its candidate ceiling")
-            t[i] = v
-            if all(sum(c * t[j] for j, c in ts) % q for ts in checks[i]):
-                break
-        else:
-            stack.pop()
-            continue
-        if i + 1 < len(order):
-            stack.append(values(i + 1, not any(t[:i + 1])))
-            continue
-        point = [0] * s
-        for k, v in zip(order, t):
-            point = [(x + v * y) % q for x, y in zip(point, gens[k][1])]
-        return tuple(point)
-    return None
+            y = [(a + v * b) % q for a, b in zip(z, h)]
+            if all(y[i] for i in checks[k]):
+                t = miss(k + 1, y, zero and not v)
+                if t is not None:
+                    return [v] + t
+        return None
+
+    t = miss(0, [c % q for c in shift], True)
+    if t is None:
+        return None
+    return tuple(sum(v * r[i] for v, (_, r, _) in zip(t, gens)) % q for i in range(s))
 
 
 def _classes(n: int, support, budget) -> list:
     """(t, g, pins) per class of Frobenius elements (x, t) to search, t an
-    odd unit below 2n: a point x lives mod g = gcd(t - 1, n), and for each
-    (j, a, b) in pins its coordinate j is a + b y_j, y free, where the
-    coordinates not pinned are y_j themselves.  The sign entry -1 is pinned
-    to h = (t - 1)/2 (b = 0); an odd p | n, and 2 when 4 | n, to the parity
-    [(p/t) = -1] (b = 2), since sqrt(p) lies in Q(zeta_2n).  One class per
-    distinct (g, pins), the least t first, smallest g first.  The walk draws
-    one value from budget per odd t, all n of them before it starts.  For
-    odd n the class t = 1 (g = n, nothing pinned) alone decides: a point off
-    every kernel mod a divisor g of n, times n/g, is one mod n.
+    odd unit below 2n: a point x lives mod g = gcd(t - 1, n), and its
+    coordinate j is a + b y_j, y free, for (a, b) = pins[j], (0, 1) for a
+    free coordinate.  The sign entry -1 is pinned to h = (t - 1)/2 (b = 0);
+    an odd p | n, and 2 when 4 | n, to the parity [(p/t) = -1] (b = 2),
+    since sqrt(p) lies in Q(zeta_2n).  One class per distinct (g, pins), the
+    least t first, smallest g first.  The walk draws one value from budget
+    per odd t, all n of them before it starts.  For odd n the class t = 1
+    (g = n, nothing pinned) alone decides: a point off every kernel mod a
+    divisor g of n, times n/g, is one mod n.
     """
     if n % 2:
-        return [(1, n, ())]
-    pinned = [(j, p) for j, p in enumerate(support)
-              if p == -1 or n % (4 if p == 2 else p) == 0]
+        return [(1, n, ((0, 1),) * len(support))]
     if next(islice(budget, n - 1, None), None) is None:
         raise InstanceTooLarge("class walk passed its candidate ceiling")
     found = {}
     for t in range(1, 2 * n, 2):
         if math.gcd(t, n) == 1:
             g = math.gcd(t - 1, n)
-            pins = tuple((j, (t - 1) // 2 % g, 0) if p == -1
-                         else (j, int(jacobi(p, t) == -1), 2) for j, p in pinned)
+            pins = tuple(((t - 1) // 2 % g, 0) if p == -1
+                         else (int(jacobi(p, t) == -1), 2) if n % (4 if p == 2 else p) == 0
+                         else (0, 1) for p in support)
             found.setdefault((g, pins), t)
     return sorted(((t, g, pins) for (g, pins), t in found.items()), key=lambda c: c[1])
 
@@ -207,17 +186,12 @@ def cover_verdict(xs, n: int, ceiling: int) -> Verdict:
     support, columns = class_columns(xs, n)
     budget = iter(range(ceiling))
     for t, g, pins in _classes(n, support, budget):
-        moved, shift = columns, [0] * len(columns)
-        for j, a, b in pins:
-            moved = [col[:j] + (b * col[j],) + col[j + 1:] for col in moved]
-            shift = [c + a * col[j] for c, col in zip(shift, columns)]
+        moved = [tuple(b * c for (_, b), c in zip(pins, col)) for col in columns]
+        shift = [sum(a * c for (a, _), c in zip(pins, col)) for col in columns]
         y = _search(moved, g, len(support), shift, budget)
         if y is None:
             continue
-        point = list(y)
-        for j, a, b in pins:
-            point[j] = a + b * y[j]
-        point = tuple(v % g for v in point)
+        point = tuple((a + b * x) % g for (a, b), x in zip(pins, y))
         # certificate soundness: asserted before any point leaves the module
         assert all(sum(c * x for c, x in zip(col, point)) % g
                    for col in columns), "uncovered point is covered; internal covering bug"

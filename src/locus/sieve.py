@@ -107,12 +107,12 @@ def _failing(xs: list[FactoredRational], k: int, primes):
             yield p
 
 
-def scan(elements, k: int, lo: int, hi: int, excluded=frozenset()) -> SieveReport:
+def scan(elements, k: int, lo: int, hi: int) -> SieveReport:
     """Test every non-excluded prime in [lo, hi]; deterministic for fixed input."""
     if lo > hi:
         raise ValueError("scan range is empty the wrong way round")
     xs = [factor(a) for a in elements]
-    excl = frozenset(excluded) | default_exclusions(xs, k)
+    excl = default_exclusions(xs, k)
     tested = [p for p in prime_range(lo, hi) if p not in excl]
     return SieveReport(
         elements=tuple(str(x) for x in xs),
@@ -125,10 +125,10 @@ def scan(elements, k: int, lo: int, hi: int, excluded=frozenset()) -> SieveRepor
     )
 
 
-def find_counterexample(elements, k: int, bound: int, excluded=frozenset()):
+def find_counterexample(elements, k: int, bound: int):
     """Least non-excluded prime <= bound where no element is a k-th residue."""
     xs = [factor(a) for a in elements]
-    excl = frozenset(excluded) | default_exclusions(xs, k)
+    excl = default_exclusions(xs, k)
     tested = (p for p in prime_range(2, bound) if p not in excl)
     return next(_failing(xs, k, tested), None)
 

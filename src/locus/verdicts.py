@@ -126,13 +126,6 @@ class Verdict:
     def fails(self) -> bool:
         return self.status == FAILS
 
-    def with_excluded(self, primes) -> "Verdict":
-        return Verdict(self.status, self.certificate,
-                       self.excluded_primes | frozenset(primes), self.evidence)
-
-    def with_evidence(self, report: dict) -> "Verdict":
-        return Verdict(self.status, self.certificate, self.excluded_primes, report)
-
     def to_json(self, n: int, elements: list[str]) -> dict:
         doc = {
             "n": n,

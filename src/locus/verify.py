@@ -23,8 +23,10 @@ ORACLE_RECHECK_LIMIT (2^20) of them, and an exhaustion as the cover of
 (Z/q^m)^s by the kernels of the exponent vectors mod q^m, which every
 tuple admitting a pair amounts to.  Certificate kinds are checked against
 the status they may support, exactly the kinds that classify.decide and
-prime_power.skalba_oracle emit, and the cover re-check of a document tries
-at most COVER_RECHECK_LIMIT candidate values over all its classes.  None of
+prime_power.skalba_oracle emit, the square kinds (an odd subset witness, a
+parity obstruction) at n = 2 only and every kind at an integer n >= 2, and
+the cover re-check of a document tries at most COVER_RECHECK_LIMIT
+candidate values over all its classes.  None of
 the engine's decision code is imported: only the arithmetic layers
 (primes, rationals, sieve) and the status names.
 Every element string is factored with primes.factorize, whose rho gives up
@@ -39,7 +41,7 @@ import math
 from itertools import islice, product
 
 from .primes import first_nonprime, is_prime, jacobi
-from .rationals import clear_denominators, factor, reduce_class
+from .rationals import clear_denominators, dedupe, factor, reduce_class
 from .sieve import first_non_failing, verify_failing_prime
 from .verdicts import FAILS, HOLDS
 
@@ -70,24 +72,6 @@ def _need(cond: bool, message: str):
         raise VerificationFailure(message)
 
 
-def _class_key(x, n: int):
-    fx = factor(x)
-    sign = fx.sign if n % 2 == 0 else 1
-    return (sign, tuple((p, e % n) for p, e in fx.factors if e % n))
-
-
-def _dedupe(xs, n: int) -> list:
-    """The first element of each class mod (Q^x)^n, in input order."""
-    seen = set()
-    out = []
-    for x in xs:
-        key = _class_key(x, n)
-        if key not in seen:
-            seen.add(key)
-            out.append(x)
-    return out
-
-
 def verify_document(doc: dict) -> list[str]:
     """Re-check a verdict document; returns a list of problems (empty = valid)."""
     try:
@@ -101,6 +85,7 @@ def verify_document(doc: dict) -> list[str]:
 
 def _verify(doc: dict):
     n = doc["n"]
+    _need(type(n) is int and n >= 2, f"exponent {n!r} is not an integer >= 2")
     elements = [factor(e) for e in doc["elements"]]
     status = doc["status"]
     cert = doc["certificate"]
@@ -136,14 +121,14 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
         member = factor(cert["element"])
         root = factor(cert["root"])
         _need(root**k == member, f"{cert['root']}^{k} != {cert['element']}")
-        pool = {_class_key(x, k) for x in list(elements) + cleared}
-        _need(_class_key(member, k) in pool,
+        pool = {reduce_class(x, k) for x in list(elements) + cleared}
+        _need(reduce_class(member, k) in pool,
               f"{member} is not one of the decided elements")
         return
 
     if kind in ("hyperplane_cover", "uncovered_point"):
         q = cert["q"]
-        _need(q == n and n > 1, f"cover modulus {q} is not the exponent {n}")
+        _need(q == n, f"cover modulus {q} is not the exponent {n}")
         support = list(cert["support"])
         coeffs = [tuple(c) for c in cert["coeffs"]]
         # the set's columns mapped onto the recorded support: a cover may
@@ -187,9 +172,10 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
         return
 
     if kind == "odd_subset_witness":
+        _need(n == 2, f"an odd subset witness proves squares, not n = {n}")
         idx = cert["indices"]
         _need(len(idx) % 2 == 1, "witness subset has even cardinality")
-        uniq = _dedupe(cleared, 2)
+        uniq = dedupe(cleared, 2)
         _need(all(1 <= i <= len(uniq) for i in idx), "witness index out of range")
         prod = factor(1)
         for i in idx:
@@ -199,7 +185,8 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
         return
 
     if kind == "parity_obstruction":
-        uniq = _dedupe(cleared, 2)
+        _need(n == 2, f"a parity obstruction refutes squares, not n = {n}")
+        uniq = dedupe(cleared, 2)
         support, cols = _columns(uniq, 2)
         rows = {"sign" if p == -1 else str(p): row for p, row in zip(support, zip(*cols))}
         acc = [0] * len(uniq)

@@ -311,11 +311,8 @@ def test_one_ceiling_for_every_class(monkeypatch):
     classes = covering._classes(6, support, iter(range(6)))
     assert len(classes) > 1
     for t, g, pins in classes:
-        moved = [list(col) for col in columns]
-        for j, _, b in pins:
-            for col, row in zip(columns, moved):
-                row[j] = b * col[j]
-        shift = [sum(a * col[j] for j, a, _ in pins) for col in columns]
+        moved = [[b * c for (_, b), c in zip(pins, col)] for col in columns]
+        shift = [sum(a * c for (a, _), c in zip(pins, col)) for col in columns]
         assert covering._search(moved, g, len(support), shift, iter(range(19))) is None
 
 

@@ -62,14 +62,14 @@ def test_set_level():
 
 
 def test_scan_examples():
-    rep = scan([16], 8, 3, 10**4, {2})
+    rep = scan([16], 8, 3, 10**4)
     assert rep.failing_primes == ()
 
-    rep = scan([2, 3, 12], 3, 5, 100, {2, 3})
+    rep = scan([2, 3, 12], 3, 5, 100)
     assert 7 in rep.failing_primes
     assert rep.failing_primes == (7, 37)
 
-    rep = scan([5], 1, 3, 50, {5})
+    rep = scan([5], 1, 3, 50)
     assert rep.failing_primes == ()
 
 

@@ -177,6 +177,32 @@ def test_status_must_allow_the_certificate_kind():
     assert verify_document(holds_on_evidence)
 
 
+def test_square_kinds_and_members_are_bound_to_their_exponent():
+    # each claim is false: 4 is no cube in Q_7, {2, 3, 6} has no fourth
+    # power in Q_17, 8 = 2^3 holds for n = 3, and decide has no n below 2
+    forged = [
+        {"n": 3, "elements": ["4"], "status": "holds",
+         "certificate": {"kind": "odd_subset_witness", "indices": [1], "root": "2"}},
+        {"n": 4, "elements": ["2", "3", "6"], "status": "holds",
+         "certificate": {"kind": "odd_subset_witness", "indices": [1, 2, 3],
+                         "root": "6"}},
+        {"n": 3, "elements": ["8"], "status": "fails",
+         "certificate": {"kind": "parity_obstruction", "rows": ["2"]}},
+        {"n": 1, "elements": ["2"], "status": "holds",
+         "certificate": {"kind": "perfect_power_member", "element": "2",
+                         "root": "2", "exponent": 1}},
+        {"n": -2, "elements": ["4"], "status": "holds",
+         "certificate": {"kind": "perfect_power_member", "element": "4",
+                         "root": "1/2", "exponent": -2}},
+    ]
+    assert decide(["4"], 3).fails() and decide(["2", "3", "6"], 4).fails()
+    assert decide(["8"], 3).holds()
+    for doc in forged:
+        assert verify_document(doc), doc
+    for doc in forged[:3]:  # the same claims for squares are true
+        assert verify_document(dict(doc, n=2)) == [], doc
+
+
 def test_refutation_needs_every_column():
     # {2, 3, 6, 12} holds for n = 3; a point off the first form alone is no refutation
     doc = {"n": 3, "elements": ["2", "3", "6", "12"], "status": "fails",
