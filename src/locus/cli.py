@@ -119,15 +119,18 @@ def _run_decide(args) -> int:
     elements = _load_elements(args)
     if args.n < 2:
         raise ParseError("--n must be >= 2")
-    verdict = decide(elements, args.n, ceiling=args.ceiling,
-                     attach_evidence=args.evidence)
-    normalized = [str(factor(e)) for e in elements]
-    _emit(verdict.to_json(args.n, normalized), args.json_path)
+    xs = [factor(e) for e in elements]
+    verdict = decide(xs, args.n, ceiling=args.ceiling, attach_evidence=args.evidence)
+    _emit(verdict.to_json(args.n, [str(x) for x in xs]), args.json_path)
     return _STATUS_EXIT[verdict.status]
 
 
 def _run_sieve(args) -> int:
     elements = _load_elements(args)
+    if args.n < 1:
+        raise ParseError("--n must be >= 1")
+    if args.lo > args.hi:
+        raise ParseError(f"--lo {args.lo} exceeds --hi {args.hi}")
     report = scan(elements, args.n, args.lo, args.hi)
     _emit(report.to_json(), args.json_path)
     return 0
@@ -135,13 +138,15 @@ def _run_sieve(args) -> int:
 
 def _run_oracle(args) -> int:
     elements = _load_elements(args)
+    if args.n < 2:
+        raise ParseError("--n must be >= 2")
     split = prime_power_split(args.n)
     if len(split) != 1 or split[0][0] == 2:
         raise ParseError("oracle exponent must be an odd prime power")
     q, m = split[0]
-    verdict = skalba_oracle(elements, q, m)
-    normalized = [str(factor(e)) for e in elements]
-    _emit(verdict.to_json(args.n, normalized), args.json_path)
+    xs = [factor(e) for e in elements]
+    verdict = skalba_oracle(xs, q, m)
+    _emit(verdict.to_json(args.n, [str(x) for x in xs]), args.json_path)
     return _STATUS_EXIT[verdict.status]
 
 

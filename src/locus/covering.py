@@ -34,7 +34,7 @@ import math
 from itertools import islice
 
 from .errors import InstanceTooLarge
-from .primes import jacobi
+from .primes import divisors, jacobi
 from .rationals import reduce_class
 from .verdicts import FAILS, HOLDS, HyperplaneCover, UncoveredPoint, Verdict
 
@@ -99,28 +99,33 @@ def _search(columns, q: int, s: int, shift, budget):
     columns and c_0 its constant in shift, drawing each value tried from the
     iterator budget, which several searches may share.
 
-    The search runs over the image: z = shift + sum t_k h_k for t in
+    A form whose column vanishes mod q is a constant: zero ends the search,
+    and any other value never vanishes, so the form is dropped.  The search
+    runs over the image of the rest: z = shift + sum t_k h_k for t in
     prod Z/m_k (_echelon), generators touching the most forms first, ties
     to the one whose first form comes first, each form tested once every
-    generator touching it is set; a form that no generator touches is a
-    constant.  While no form that can vanish has a constant, points scale
-    by units of Z/q, so while t is zero so far its next entry is 0 or a
-    divisor of m_k below m_k.  The point is rebuilt from t as sum t_k r_k.
+    generator touching it is set.  While no form has a nonzero constant,
+    points scale by units of Z/q, so while t is zero so far its next entry
+    is 0 or a divisor of m_k below m_k.  The point is rebuilt from t as
+    sum t_k r_k.
     """
-    if any(c % q == 0 and not any(e % q for e in col) for col, c in zip(columns, shift)):
-        return None  # a form that vanishes everywhere
-    gens = sorted(_echelon(columns, q, s), key=lambda gen: (
+    forms = []
+    for col, c in zip(columns, shift):
+        if any(e % q for e in col):
+            forms.append((col, c))
+        elif c % q == 0:
+            return None  # a form that vanishes everywhere
+    gens = sorted(_echelon([col for col, _ in forms], q, s), key=lambda gen: (
         -sum(map(bool, gen[2])), next(i for i, a in enumerate(gen[2]) if a)))
-    live = [i for i in range(len(columns)) if any(h[i] for _, _, h in gens)]
-    last = {i: max(k for k, (_, _, h) in enumerate(gens) if h[i]) for i in live}
-    checks = [[i for i in live if last[i] == k] for k in range(len(gens))]
-    scale = not any(shift[i] % q for i in live)
+    last = [max(k for k, (_, _, h) in enumerate(gens) if h[i]) for i in range(len(forms))]
+    checks = [[i for i, k_i in enumerate(last) if k_i == k] for k in range(len(gens))]
+    scale = not any(c % q for _, c in forms)
 
     def miss(k, z, zero):
         if k == len(gens):
             return []
         m, _, h = gens[k]
-        for v in ([0] + [d for d in range(1, m) if m % d == 0]) if scale and zero else range(m):
+        for v in (0, *divisors(m)[:-1]) if scale and zero else range(m):
             if next(budget, None) is None:
                 raise InstanceTooLarge("cover search passed its candidate ceiling")
             y = [(a + v * b) % q for a, b in zip(z, h)]
@@ -130,7 +135,7 @@ def _search(columns, q: int, s: int, shift, budget):
                     return [v] + t
         return None
 
-    t = miss(0, [c % q for c in shift], True)
+    t = miss(0, [c % q for _, c in forms], True)
     if t is None:
         return None
     return tuple(sum(v * r[i] for v, (_, r, _) in zip(t, gens)) % q for i in range(s))

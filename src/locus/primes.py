@@ -14,8 +14,8 @@ factorizations.  Compositeness needs no bound: one failed witness
 proves it, so larger composites are still split.
 
 Enumeration: an Eratosthenes sieve over the odd numbers only, one bytearray
-flag per odd number (_odd_flags), collected with itertools.compress; ranges
-above 2^22 are sieved in segments by the same routine.
+flag per odd number (_odd_flags), collected with itertools.compress;
+prime_range sieves every range in segments of 2^17 by the same routine.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ _BLOCK = 128  # the rest, this many to a gcd
 # length: enough for a least factor up to about 3*10^9, and a bound on the work
 RHO_CYCLE_LIMIT = 1 << 16
 PRIME_RANGE_CEILING = 10**9
-_DIRECT_SIEVE = 1 << 22  # prime_range sieves in one piece up to here
+_DIRECT_SIEVE = 1 << 22  # first_nonprime sieves up to here
 _SEGMENT = 1 << 17
 
 _blocks: list[tuple[list[int], int]] | None = None
@@ -264,15 +264,13 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def prime_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi, segmented above 2^22."""
+    """Primes p with lo <= p <= hi, sieved over [lo, hi] alone in segments
+    of _SEGMENT numbers by the odd primes up to sqrt(hi)."""
     if hi > PRIME_RANGE_CEILING:
         raise RangeTooLarge(f"prime range ceiling is {PRIME_RANGE_CEILING}, got {hi}")
     if hi < lo or hi < 2:
         return []
     lo = max(lo, 2)
-    if hi <= _DIRECT_SIEVE:
-        primes = sieve_upto(hi)
-        return primes[bisect_left(primes, lo):]
     base = sieve_upto(math.isqrt(hi))[1:]
     out = [2] if lo == 2 else []
     start = lo | 1
@@ -281,6 +279,16 @@ def prime_range(lo: int, hi: int) -> list[int]:
         out.extend(compress(range(start, end + 1, 2), _odd_flags(start, end, base)))
         start = end + 1
     return out
+
+
+@lru_cache(maxsize=4096)
+def divisors(n: int) -> tuple[int, ...]:
+    """The positive divisors of n >= 1, ascending, from its factorization;
+    cached, as the cover searches ask for the same few generator orders."""
+    out = [1]
+    for p, a in factorize(n).items():
+        out = [d * p**i for d in out for i in range(a + 1)]
+    return tuple(sorted(out))
 
 
 def prime_power_split(n: int) -> list[tuple[int, int]]:

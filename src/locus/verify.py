@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from itertools import islice, product
 
-from .primes import first_nonprime, is_prime, jacobi
+from .primes import divisors, first_nonprime, is_prime, jacobi
 from .rationals import clear_denominators, dedupe, factor, reduce_class
 from .sieve import first_non_failing, verify_failing_prime
 from .verdicts import FAILS, HOLDS
@@ -361,7 +361,7 @@ def _misses(cols, n: int, shift, budget) -> bool:
         if k == len(gens):
             return True
         h, m = gens[k]
-        for v in ([0] + [d for d in range(1, m) if m % d == 0]) if scale and zero else range(m):
+        for v in (0, *divisors(m)[:-1]) if scale and zero else range(m):
             _need(next(budget, None) is not None, "cover too large to re-check")
             z = [(a + v * b) % n for a, b in zip(y, h)]
             if all(z[j] for j in checks[k]) and miss(k + 1, z, zero and not v):

@@ -86,6 +86,10 @@ def test_parse_errors_exit_three(capsys):
     assert main(["decide", "--n", "3"]) == 3
     assert main(["decide", "--n", "1", "--elem", "2"]) == 3
     assert main(["decide", "--n", "3", "--elem", "0"]) == 3
+    assert main(["sieve", "--n", "0", "--elem", "2", "--hi", "100"]) == 3
+    assert main(["sieve", "--n", "-3", "--elem", "2", "--hi", "100"]) == 3
+    assert main(["sieve", "--n", "3", "--elem", "2", "--lo", "10", "--hi", "5"]) == 3
+    assert main(["oracle", "--n", "0", "--elem", "2"]) == 3
 
 
 def test_capacity_errors_exit_four(capsys):

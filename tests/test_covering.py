@@ -110,6 +110,17 @@ def test_covers_ceiling():
     assert covers(cols, 7, 10, ceiling=9) is None
 
 
+def test_divisor_walk_stays_within_the_ceiling():
+    # at a prime n near 10^12 the search tries 0, then the divisor 1 of n:
+    # two values, where listing the divisors below n ran for hours at any
+    # ceiling
+    n = 1000000000039
+    with pytest.raises(InstanceTooLarge):
+        decide(["2"], n, ceiling=1)
+    assert decide(["2"], n, ceiling=2).certificate.point == (1,)
+    assert decide(["2", "3", "6", "12"], 3 * n).fails()
+
+
 @st.composite
 def form_sets(draw):
     q = draw(st.sampled_from([3, 5, 7]))

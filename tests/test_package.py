@@ -20,3 +20,9 @@ def test_public_names_are_pinned():
         "verify_document",
     }
     assert len(locus.__all__) == len(set(locus.__all__))
+
+
+def test_classify_reexports_the_template_names():
+    from locus import classify, families
+    assert classify.match_exceptional_pair is families.match_exceptional_pair
+    assert classify.ExceptionalForm is families.ExceptionalForm

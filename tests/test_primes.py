@@ -6,9 +6,9 @@ import pytest
 
 from locus import primes
 from locus.errors import FactorizationCapacityExceeded, RangeTooLarge
-from locus.primes import (MR_DETERMINISTIC_BOUND, factorize, first_nonprime,
-                          is_prime, jacobi, prime_power_split, prime_range,
-                          sieve_upto)
+from locus.primes import (MR_DETERMINISTIC_BOUND, divisors, factorize,
+                          first_nonprime, is_prime, jacobi, prime_power_split,
+                          prime_range, sieve_upto)
 
 
 def test_is_prime_small():
@@ -204,10 +204,13 @@ def test_prime_range_matches_sieve():
     assert prime_range(10, 50) == [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     assert prime_range(2, 2) == [2]
     assert prime_range(20, 10) == []
+    # ranges from below 3 across several segments
+    for lo in range(-1, 5):
+        assert prime_range(lo, 1 << 19) == [p for p in sieve_upto(1 << 19) if p >= lo]
 
 
 def test_prime_range_segmented_consistency():
-    # force the segmented path and compare against the direct sieve
+    # the segmented sieve against one sieve from 2
     lo, hi = 2**22 + 1, 2**22 + 50000
     seg = prime_range(lo, hi)
     direct = [p for p in sieve_upto(hi) if p >= lo]
@@ -222,9 +225,9 @@ def test_sieve_upto_matches_trial_division():
 
 
 def test_prime_range_at_segment_edges():
-    # above 2^22 prime_range sieves [lo, lo + 2^17) at a time; put lo and hi
-    # at +-1 of 2^22, where the direct sieve stops, and of segment edges that
-    # fall on a prime
+    # prime_range sieves [lo, lo + 2^17) at a time; put lo and hi at +-1
+    # of 2^22, where first_nonprime's one sieve stops, and of segment edges
+    # that fall on a prime
     direct = sieve_upto((1 << 22) + (1 << 19))
     assert all(is_prime(p) for p in direct[-50:])
 
@@ -268,6 +271,13 @@ def test_first_nonprime():
 def test_prime_range_ceiling():
     with pytest.raises(RangeTooLarge):
         prime_range(2, 10**9 + 1)
+
+
+def test_divisors():
+    for n in range(1, 500):
+        assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
+    assert divisors(1000000000039) == (1, 1000000000039)
+    assert divisors(2**40 * 3) == tuple(sorted(2**i * 3**j for i in range(41) for j in (0, 1)))
 
 
 def test_prime_power_split():

@@ -259,6 +259,18 @@ def test_accepts_wide_prime_modulus_cover(monkeypatch):
     assert verify_document(doc) == ["cover too large to re-check"]
 
 
+def test_forged_cover_recheck_at_a_huge_prime_modulus(monkeypatch):
+    # the re-check tries 0, then the divisor 1 of n, and finds the hole
+    import locus.verify
+    n = 1000000000039
+    doc = {"status": "holds", "n": n, "elements": ["2"], "excluded_primes": [2],
+           "certificate": {"kind": "hyperplane_cover", "q": n, "support": [2],
+                           "coeffs": [[1]]}}
+    assert verify_document(doc) == ["claimed cover has a hole"]
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 1)
+    assert verify_document(doc) == ["cover too large to re-check"]
+
+
 def test_rejects_cover_modulo_a_prime_power():
     # a "cover" mod 9 whose one-coordinate scaling misses the hole (3, 1);
     # the elements do induce these columns mod 9, and the refutation at the
