@@ -1,7 +1,8 @@
-"""The decision front end: decide routes a set to a perfect member, the
-squares criterion for n = 2, or covering.cover_verdict, exact for every
-n >= 3.  The even-n exceptional templates live in families; ExceptionalForm
-and match_exceptional_pair are re-exported here under their old path.
+"""The decision front end: decide keys a set's classes once, as exponent
+vectors, and routes them to a perfect member, the squares criterion for
+n = 2, or covering.cover_verdict, exact for every n >= 3.  The even-n
+exceptional templates live in families; ExceptionalForm and
+match_exceptional_pair are re-exported here under their old path.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from dataclasses import replace
 from .errors import InternalInconsistency, ZeroInput
 from .covering import ENUMERATION_CEILING, cover_verdict
 from .families import ExceptionalForm, match_exceptional_pair  # noqa: F401
-from .rationals import (FactoredRational, clear_denominators, dedupe, factor,
-                        is_perfect_power)
+from .rationals import FactoredRational, clear_denominators, factor
 from .sieve import COUNTEREXAMPLE_BOUND, default_exclusions, find_counterexample, scan
 from .squares import square_verdict
 from .verdicts import HOLDS, PerfectPowerMember, Verdict
@@ -23,11 +23,11 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
            evidence_hi: int = 10**4) -> Verdict:
     """Does the set contain an n-th power in Q_p for almost every prime p?
 
-    The only router: denominators are cleared, classes mod (Q^x)^n
-    deduplicated, and _route decides.  The routes run without a
-    counterexample search of their own: a failing verdict gets its prime
-    here, searched over the whole cleared set, so that the support primes
-    of dropped duplicates stay excluded.
+    The only router: denominators are cleared, the classes mod (Q^x)^n
+    keyed once (exponent_classes), and _route decides on their columns.
+    The routes run without a counterexample search of their own: a failing
+    verdict gets its prime here, searched over the whole cleared set, so
+    that the support primes of dropped duplicates stay excluded.
     """
     if n < 2:
         raise ValueError("exponent must be >= 2")
@@ -35,7 +35,7 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
     if not raw:
         raise ZeroInput("empty set has no verdict")
     cleared = clear_denominators(raw, n)
-    v = _route(dedupe(cleared, n), n, ceiling)
+    v = _route(*exponent_classes(cleared, n), n, ceiling)
     if v.fails() and want_counterexample:
         prime = find_counterexample(cleared, n, COUNTEREXAMPLE_BOUND)
         v = replace(v, certificate=replace(v.certificate, counterexample_prime=prime))
@@ -49,13 +49,32 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
     return v
 
 
-def _route(xs: list[FactoredRational], n: int, ceiling: int) -> Verdict:
-    """Verdict for distinct integral classes: a perfect member holds; n = 2
-    is the squares criterion, whose witness names the square product; every
-    other n is the cover criterion over the classes of its Galois group."""
+def exponent_classes(xs: list[FactoredRational], n: int):
+    """(representatives, support, columns) of the classes of the integral
+    xs mod (Q^x)^n.  Each element is keyed once, by its sign for even n and
+    its (p, e mod n) with e mod n nonzero; a representative is the first
+    element of its key in input order, and a column is its key's exponent
+    vector over the support, led for even n by the sign entry -1, 1 there
+    for a negative class.  The perfect n-th powers have the zero column."""
+    classes = {}
     for x in xs:
-        if is_perfect_power(x, n):
+        key = (x.sign if n % 2 == 0 else 1, tuple((p, e % n) for p, e in x.factors if e % n))
+        classes.setdefault(key, x)
+    primes = sorted({p for _, powers in classes for p, _ in powers})
+    support = tuple(primes) if n % 2 else (-1, *primes)
+    columns = tuple(tuple({-1: int(sign < 0), **dict(powers)}.get(p, 0) for p in support)
+                    for sign, powers in classes)
+    return list(classes.values()), support, columns
+
+
+def _route(reps: list[FactoredRational], support, columns, n: int, ceiling: int) -> Verdict:
+    """Verdict for the classes of exponent_classes: a perfect member holds;
+    n = 2 is the squares criterion, whose witness names the square product;
+    every other n is the cover criterion over the classes of its Galois
+    group."""
+    for x, col in zip(reps, columns):
+        if not any(col):
             return Verdict(HOLDS, PerfectPowerMember(str(x), str(x.nth_root(n)), n))
     if n == 2:
-        return square_verdict(xs)
-    return cover_verdict(xs, n, ceiling)
+        return square_verdict(reps, support, columns)
+    return cover_verdict(support, columns, n, ceiling)

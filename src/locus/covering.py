@@ -22,10 +22,11 @@ over its rows augmented by the identity), moved by the constants; a budget
 of candidate values bounds it, past which it raises InstanceTooLarge.
 `_classes` pins each coordinate of a class to a + b y, (0, 1) when free.
 `covers` is that search with no constants, the linear problem alone.
-`class_columns` gives the support and columns of a set's classes, for
-this criterion and for squares.square_verdict.  `cover_verdict` is the one
-criterion that classify.decide applies to the classes of every set with
-n >= 3, and `decide_q` is that decision under its odd-n name.
+`cover_verdict` is the one criterion that classify.decide applies to
+every set with n >= 3, on the exponent columns of its classes
+(classify.exponent_classes, which keys each class once and gives
+squares.square_verdict its columns too), and `decide_q` is that decision
+under its odd-n name.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from itertools import islice
 
 from .errors import InstanceTooLarge
 from .primes import divisors, jacobi
-from .rationals import reduce_class
 from .verdicts import FAILS, HOLDS, HyperplaneCover, UncoveredPoint, Verdict
 
 ENUMERATION_CEILING = 1 << 24
@@ -147,48 +147,40 @@ def _classes(n: int, support, budget) -> list:
     coordinate j is a + b y_j, y free, for (a, b) = pins[j], (0, 1) for a
     free coordinate.  The sign entry -1 is pinned to h = (t - 1)/2 (b = 0);
     an odd p | n, and 2 when 4 | n, to the parity [(p/t) = -1] (b = 2),
-    since sqrt(p) lies in Q(zeta_2n).  One class per distinct (g, pins), the
-    least t first, smallest g first.  The walk draws one value from budget
-    per odd t, all n of them before it starts.  For odd n the class t = 1
-    (g = n, nothing pinned) alone decides: a point off every kernel mod a
-    divisor g of n, times n/g, is one mod n.
+    since sqrt(p) lies in Q(zeta_2n).  Only those coordinates are read per
+    t.  One class per distinct (g, pins), the least t first, smallest g
+    first.  The walk draws one value from budget per odd t, all n of them
+    before it starts.  For odd n the class t = 1 (g = n, nothing pinned)
+    alone decides: a point off every kernel mod a divisor g of n, times
+    n/g, is one mod n.
     """
     if n % 2:
         return [(1, n, ((0, 1),) * len(support))]
     if next(islice(budget, n - 1, None), None) is None:
         raise InstanceTooLarge("class walk passed its candidate ceiling")
+    fixed = [j for j, p in enumerate(support) if p == -1 or n % (4 if p == 2 else p) == 0]
     found = {}
     for t in range(1, 2 * n, 2):
         if math.gcd(t, n) == 1:
             g = math.gcd(t - 1, n)
-            pins = tuple(((t - 1) // 2 % g, 0) if p == -1
-                         else (int(jacobi(p, t) == -1), 2) if n % (4 if p == 2 else p) == 0
-                         else (0, 1) for p in support)
-            found.setdefault((g, pins), t)
-    return sorted(((t, g, pins) for (g, pins), t in found.items()), key=lambda c: c[1])
+            found.setdefault((g, tuple(((t - 1) // 2 % g, 0) if support[j] == -1
+                                       else (int(jacobi(support[j], t) == -1), 2)
+                                       for j in fixed)), t)
+    return sorted(((t, g, tuple(dict(zip(fixed, pinned)).get(j, (0, 1))
+                                for j in range(len(support))))
+                   for (g, pinned), t in found.items()), key=lambda c: c[1])
 
 
-def class_columns(xs, n: int):
-    """The joint support of the classes of xs mod (Q^x)^n, led for even n
-    by the sign entry -1, and their exponent vectors mod n over it, with 1
-    at -1 for a negative class."""
-    reps = [reduce_class(x, n) for x in xs]
-    primes = sorted({p for x in reps for p in x.support()})
-    support = tuple(primes) if n % 2 else (-1, *primes)
-    return support, tuple(tuple(x.exponent(p) if p > 0 else int(x.sign < 0)
-                                for p in support) for x in reps)
-
-
-def cover_verdict(xs, n: int, ceiling: int) -> Verdict:
-    """Verdict for distinct integral classes mod (Q^x)^n, n >= 3, none of
-    them a perfect n-th power, with the columns of class_columns.  Each
-    class of _classes is an affine cover problem over Z/g; the walk over the
-    classes and every search draw on one budget of ceiling values.  A point
-    where every column's form is nonzero mod g fails, with its t for even
-    n; if no class has one, the set holds.  The failing verdict carries no
-    counterexample prime; classify.decide searches one.
+def cover_verdict(support, columns, n: int, ceiling: int) -> Verdict:
+    """Verdict for the distinct classes mod (Q^x)^n of a set, n >= 3, none
+    of them a perfect n-th power, given as their exponent columns over the
+    support (classify.exponent_classes).  Each class of _classes is an
+    affine cover problem over Z/g; the walk over the classes and every
+    search draw on one budget of ceiling values.  A point where every
+    column's form is nonzero mod g fails, with its t for even n; if no class
+    has one, the set holds.  The failing verdict carries no counterexample
+    prime; classify.decide searches one.
     """
-    support, columns = class_columns(xs, n)
     budget = iter(range(ceiling))
     for t, g, pins in _classes(n, support, budget):
         moved = [tuple(b * c for (_, b), c in zip(pins, col)) for col in columns]

@@ -15,17 +15,19 @@ trustworthy; the only liberties taken are these:
 - a prefix that some pair already satisfies skips its subtree: the same pair
   with no later index satisfies every completion.
 The search stops past ORACLE_WORK_BUDGET reach entries, and a witness is
-re-checked through the factored rationals before it is emitted.
+re-checked on every sign vector, on exponent vectors read afresh from the
+factored elements, before it is emitted.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 
 from .covering import ENUMERATION_CEILING, decide_q
 from .errors import NonUnitExponent, OracleLimitExceeded
 from .primes import is_prime
-from .rationals import FactoredRational, factor, is_perfect_power
+from .rationals import FactoredRational, factor
 from .sieve import default_exclusions
 from .verdicts import FAILS, HOLDS, OracleExhaustion, SkalbaWitness, Verdict
 
@@ -44,19 +46,6 @@ def _oracle_assignments(l: int, q: int) -> list:
            if (s.count(1) - s.count(-1)) % q]
     out.sort(key=lambda signs: l - signs.count(0))
     return out
-
-
-def _ratio(elements, c, signs) -> FactoredRational:
-    """prod_B a_j^(c_j) / prod_C a_j^(c_j), B and C the indices signed 1 and -1."""
-    sign = 1
-    exponents = {}
-    for x, cj, s in zip(elements, c, signs):
-        if s:
-            if x.sign == -1 and cj % 2:
-                sign = -sign
-            for p, e in x.factors:
-                exponents[p] = exponents.get(p, 0) + s * cj * e
-    return FactoredRational.from_prime_powers(sign, exponents)
 
 
 def skalba_oracle(elements, q: int, m: int) -> Verdict:
@@ -87,9 +76,12 @@ def skalba_oracle(elements, q: int, m: int) -> Verdict:
     if witness is None:
         return Verdict(HOLDS, OracleExhaustion(q, m, checked), excluded)
 
-    # re-verify through the public factored-rational route before emitting
+    # re-verify before emitting, on exponent vectors read afresh from the
+    # factored elements, not from table: for odd q^m the ratio of a pair is
+    # a q^m-th power exactly when sum s_j c_j e_j = 0 mod q^m
+    rows = [[cj * x.exponent(p) for cj, x in zip(witness, xs)] for p in support]
     for signs in _oracle_assignments(l, q):
-        assert not is_perfect_power(_ratio(xs, witness, signs), qm), \
+        assert any(sum(map(mul, signs, row)) % qm for row in rows), \
             "skalba witness admits a perfect-power pair; oracle bug"
     return Verdict(FAILS, SkalbaWitness(witness, q, m), excluded)
 

@@ -146,7 +146,8 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ParseError(f"not a rational literal: {text!r}")
-    value = Fraction(s)
+    num, _, den = s.partition("/")
+    value = Fraction(int(num), int(den or 1))
     if value == 0:
         raise ZeroInput("zero is not a valid element")
     return value
@@ -158,7 +159,8 @@ def factor(x: RationalLike) -> FactoredRational:
         return x
     if isinstance(x, str):
         x = parse_rational(x)
-    x = Fraction(x)
+    elif not isinstance(x, Fraction):
+        x = Fraction(x)
     if x == 0:
         raise ZeroInput("cannot factor zero")
     sign = 1 if x > 0 else -1
@@ -172,7 +174,7 @@ def clear_denominators(elements: Iterable[RationalLike], n: int) -> list[Factore
     """Multiply every element by (product of all denominators)^n.
 
     The result is integral and each output sits in the same class of
-    Q^x/(Q^x)^n as its input.
+    Q^x/(Q^x)^n as its input; with no denominator it is the factored input.
     """
     xs = [factor(x) for x in elements]
     scale: dict[int, int] = {}
@@ -180,6 +182,8 @@ def clear_denominators(elements: Iterable[RationalLike], n: int) -> list[Factore
         for p, e in x.factors:
             if e < 0:
                 scale[p] = scale.get(p, 0) - e
+    if not scale:
+        return xs
     bump = FactoredRational.from_prime_powers(1, {p: e * n for p, e in scale.items()})
     out = [x * bump for x in xs]
     assert all(y.is_integral() for y in out)

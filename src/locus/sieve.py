@@ -13,6 +13,8 @@ k-th power, and otherwise num/den passes when num^e = den^e mod p with
 e = (p-1)/d, so the cost per prime does not grow with k.  scan,
 find_counterexample and the verifier's re-check (first_non_failing) all run
 this one kernel; is_kth_power_mod_p stays the per-element reference.
+find_counterexample sieves lazily, in segments that double from [2, 128],
+and stops at the first failing prime, which is usually small.
 """
 
 from __future__ import annotations
@@ -126,11 +128,24 @@ def scan(elements, k: int, lo: int, hi: int) -> SieveReport:
 
 
 def find_counterexample(elements, k: int, bound: int):
-    """Least non-excluded prime <= bound where no element is a k-th residue."""
+    """Least non-excluded prime <= bound where no element is a k-th residue,
+    the primes sieved as the walk reaches them: [2, 128], (128, 256], ..."""
     xs = [factor(a) for a in elements]
-    excl = default_exclusions(xs, k)
-    tested = (p for p in prime_range(2, bound) if p not in excl)
-    return next(_failing(xs, k, tested), None)
+    return next(_failing(xs, k, _tested(xs, k, _primes_upto(bound))), None)
+
+
+def _primes_upto(bound: int):
+    lo, hi = 2, 128
+    while lo <= bound:
+        yield from prime_range(lo, min(hi, bound))
+        lo, hi = hi + 1, 2 * hi
+
+
+def _tested(xs: list[FactoredRational], k: int, primes):
+    """The primes of a sequence that default_exclusions leaves in: from 3
+    up, prime to k and off every support."""
+    bad = {p for x in xs for p in x.support()}
+    return (p for p in primes if p >= 3 and k % p and p not in bad)
 
 
 def first_non_failing(elements, k: int, primes):
@@ -143,9 +158,7 @@ def first_non_failing(elements, k: int, primes):
     if k < 1:
         raise ValueError("power degree must be >= 1")
     xs = [factor(a) for a in elements]
-    bad = {p for x in xs for p in x.support()}
-    valid = [p for p in primes if p >= 3 and p not in bad and k % p]
-    failing = set(_failing(xs, k, valid))
+    failing = set(_failing(xs, k, _tested(xs, k, primes)))
     return next((p for p in primes if p not in failing), None)
 
 

@@ -7,14 +7,13 @@ odd weight, M the (sign row + exponent-parity rows) matrix: a solution of
 [M; all-ones] x = [0; 1].  One elimination either solves it, and the
 least such subset is the witness, or reduces the all-ones row to zero,
 and the rows it was reduced by XOR to all-ones, so every kernel vector of
-M has even weight.  square_verdict applies it to the classes
-classify.decide holds; decide_square and decide_two_power are calls into
+M has even weight.  square_verdict applies it to the classes and columns
+classify.decide keys; decide_square and decide_two_power are calls into
 decide.
 """
 
 from __future__ import annotations
 
-from .covering import class_columns
 from .rationals import FactoredRational
 from .verdicts import FAILS, HOLDS, OddSubsetWitness, ParityObstruction, Verdict
 
@@ -76,14 +75,14 @@ def _best_odd_solution(particular: int, basis: list[int], ncols: int):
     return best[1]
 
 
-def square_verdict(xs: list[FactoredRational]) -> Verdict:
-    """Verdict for distinct integral classes mod squares, none of them a
-    square: the least odd subset with a square product, indexed 1-based
-    into xs, or the labels of the rows that XOR to all-ones.  The failing
-    verdict carries no counterexample prime; classify.decide searches one.
+def square_verdict(xs: list[FactoredRational], support, columns) -> Verdict:
+    """Verdict for distinct integral classes mod squares, none a square,
+    and their columns over the support: the least odd subset with a square
+    product, indexed 1-based into xs, or the labels of the rows that XOR to
+    all-ones.  The failing verdict carries no counterexample prime;
+    classify.decide searches one.
     """
     l = len(xs)
-    support, columns = class_columns(xs, 2)
     # row i of M is entry i of every column, as a bitmask over the classes
     rows = [sum(col[i] << j for j, col in enumerate(columns)) for i in range(len(support))]
     labels = ["sign" if p == -1 else str(p) for p in support]

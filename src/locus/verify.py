@@ -341,20 +341,23 @@ def _misses(cols, n: int, shift, budget) -> bool:
     """Is some y with every entry of shift + y . E nonzero mod n, E the
     matrix with these columns?
 
-    The search runs over the image: shift + sum t_k h_k for t in prod Z/m_k
-    (_image_generators), generators touching the most columns first, each
-    column tested once every generator touching it is set; a column that no
-    generator touches is a constant.  With no shift a unit multiple of a
+    A column that vanishes mod n is a constant: with a zero shift it
+    vanishes everywhere, so nothing misses, and with any other it never
+    vanishes, so it is dropped.  The search runs over the image of the
+    rest: shift + sum t_k h_k for t in prod Z/m_k (_image_generators),
+    generators touching the most columns first, each column tested once
+    every generator touching it is set.  With no shift a unit multiple of a
     miss is a miss, so while t is zero so far its next entry is 0 or a
-    divisor of m_k below m_k.  Each value tried is drawn
-    from budget; past its end the cover counts as too large to re-check.
+    divisor of m_k below m_k.  Each value tried is drawn from budget; past
+    its end the cover counts as too large to re-check.
     """
     if any(c % n == 0 and not any(e % n for e in col) for col, c in zip(cols, shift)):
         return False  # a column vanishing everywhere
+    kept = [j for j, col in enumerate(cols) if any(e % n for e in col)]
+    cols, shift = [cols[j] for j in kept], [shift[j] for j in kept]
     gens = sorted(_image_generators(cols, n), key=lambda g: -sum(map(bool, g[0])))
-    live = [j for j in range(len(cols)) if any(h[j] for h, _ in gens)]
-    last = {j: max(k for k, (h, _) in enumerate(gens) if h[j]) for j in live}
-    checks = [[j for j in live if last[j] == k] for k in range(len(gens))]
+    last = [max(k for k, (h, _) in enumerate(gens) if h[j]) for j in range(len(cols))]
+    checks = [[j for j, k_j in enumerate(last) if k_j == k] for k in range(len(gens))]
     scale = not any(c % n for c in shift)
 
     def miss(k, y, zero):

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from locus.classify import ExceptionalForm, decide, match_exceptional_pair
+from locus.classify import (ExceptionalForm, decide, exponent_classes,
+                            match_exceptional_pair)
 from locus.errors import NotEven, WrongCardinality, ZeroInput
+from locus.rationals import clear_denominators, dedupe, factor, reduce_class
 from locus.sieve import scan
 from locus.verdicts import FAILS, HOLDS
 
@@ -98,6 +100,30 @@ def test_decide_clears_denominators_and_dedupes():
     v1 = decide([Fraction(1, 2), 8, 3, 6, 18], 3)
     v2 = decide([2, 3, 6, 18], 3)
     assert v1.status == v2.status == HOLDS
+
+
+def test_exponent_classes_match_dedupe_and_reduce_class():
+    # decide keys each class once; its classes, their order, their first
+    # representatives and their exponents are those of rationals.dedupe and
+    # reduce_class, signed elements at odd n included
+    import random
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.choice((2, 3, 4, 5, 6, 8, 9, 12))
+        elements = [Fraction(rng.choice((1, -1)) * 2**rng.randrange(2 * n)
+                             * 3**rng.randrange(n) * rng.choice((1, 5, 25)),
+                             rng.choice((1, 1, 3, 7, 49)))
+                    for _ in range(rng.randint(1, 7))]
+        cleared = clear_denominators([factor(x) for x in elements], n)
+        reps, support, columns = exponent_classes(cleared, n)
+        assert reps == dedupe(cleared, n)
+        classes = [reduce_class(x, n) for x in reps]
+        primes = sorted({p for x in classes for p in x.support()})
+        assert support == (tuple(primes) if n % 2 else (-1, *primes))
+        assert columns == tuple(tuple(int(x.sign < 0) if p == -1 else x.exponent(p)
+                                      for p in support) for x in classes)
+        if n % 2:
+            assert all(x.sign == 1 for x in classes)
 
 
 def test_decide_singleton_routes():

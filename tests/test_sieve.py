@@ -110,6 +110,23 @@ def test_find_counterexample():
     assert find_counterexample([16], 8, 10**4) is None
 
 
+def test_counterexample_walk_across_segment_edges():
+    # the walk sieves [2, 128], (128, 256], ... lazily; at every bound on or
+    # next to an edge it finds the first failing prime of a full scan
+    sets = [([2, 3, 12], 3), ([2], 5), ([-3], 4), ([7, 11], 7), ([5], 64),
+            ([17, 42], 7), ([2], 257), ([3], 23), ([1], 5)]
+    for elements, k in sets:
+        assert find_counterexample(elements, k, 1) is None
+        for bound in (2, 127, 128, 129, 256, 257, 10**4):
+            first = next(iter(scan(elements, k, 2, bound).failing_primes), None)
+            assert find_counterexample(elements, k, bound) == first, (elements, k, bound)
+    # least failing primes at the first edge and past the first segments
+    assert find_counterexample([17, 42], 7, 10**4) == 127
+    assert find_counterexample([17, 42], 7, 126) is None
+    assert find_counterexample([2], 257, 10**4) == 1543
+    assert find_counterexample([2], 257, 1542) is None
+
+
 def test_verify_failing_prime():
     assert verify_failing_prime([2, 3, 12], 3, 7)
     assert not verify_failing_prime([2, 3, 12], 3, 11)
