@@ -1,6 +1,6 @@
 """The decision front end: decide keys a set's classes once, as exponent
-vectors, and routes them to a perfect member, the squares criterion for
-n = 2, or covering.cover_verdict, exact for every n >= 3.  The even-n
+vectors, and routes them to a perfect member or covering.cover_verdict,
+exact for every n >= 2.  The even-n
 exceptional templates live in families; ExceptionalForm and
 match_exceptional_pair are re-exported here under their old path.
 """
@@ -14,7 +14,6 @@ from .covering import ENUMERATION_CEILING, cover_verdict
 from .families import ExceptionalForm, match_exceptional_pair  # noqa: F401
 from .rationals import FactoredRational, clear_denominators, factor
 from .sieve import COUNTEREXAMPLE_BOUND, default_exclusions, find_counterexample, scan
-from .squares import square_verdict
 from .verdicts import HOLDS, PerfectPowerMember, Verdict
 
 
@@ -68,13 +67,10 @@ def exponent_classes(xs: list[FactoredRational], n: int):
 
 
 def _route(reps: list[FactoredRational], support, columns, n: int, ceiling: int) -> Verdict:
-    """Verdict for the classes of exponent_classes: a perfect member holds;
-    n = 2 is the squares criterion, whose witness names the square product;
-    every other n is the cover criterion over the classes of its Galois
-    group."""
+    """Verdict for the classes of exponent_classes: a perfect member holds,
+    and otherwise the cover criterion over the classes of the Galois group
+    decides, n = 2 included."""
     for x, col in zip(reps, columns):
         if not any(col):
             return Verdict(HOLDS, PerfectPowerMember(str(x), str(x.nth_root(n)), n))
-    if n == 2:
-        return square_verdict(reps, support, columns)
     return cover_verdict(support, columns, n, ceiling)

@@ -1,4 +1,4 @@
-"""Kernel covering over Z/g and the n-th power decision it encodes, n >= 3.
+"""Kernel covering over Z/g and the n-th power decision it encodes, n >= 2.
 
 Take the classes a_i of a set mod (Q^x)^n, with exponent vectors e_i over
 their joint support S.  Let N = lcm(2n, 8 * the odd primes of S) and M =
@@ -14,19 +14,23 @@ g and h, and the parity of x_p for the p whose (p/t) has conductor
 dividing 2n, the odd p | n and 2 when 4 | n; every other parity is free.
 So the criterion is at most phi(2n) affine cover problems over Z/g, one
 per class t (_classes); for odd n the class t = 1 alone decides, the cover
-of (Z/n)^S by the kernels of the e_i.
+of (Z/n)^S by the kernels of the e_i.  For n = 2 the classes are t = 1 and
+t = 3 mod 4, g = 2, the sign pinned to 0 and to 1 and every prime free: the
+set holds exactly when no x in (Z/2)^(1+|S|) has <x, e_i> = 1 for every
+class, that is when the all-ones vector is no sum of rows of the parity
+matrix, that is when some odd subset of the classes has a square product
+(Fried).
 
 `_search` searches one problem on plain column tuples: one recursion over
 the image of a reduced row echelon form of the matrix (_echelon, one pass
 over its rows augmented by the identity), moved by the constants; a budget
 of candidate values bounds it, past which it raises InstanceTooLarge.
-`_classes` pins each coordinate of a class to a + b y, (0, 1) when free.
-`covers` is that search with no constants, the linear problem alone.
-`cover_verdict` is the one criterion that classify.decide applies to
-every set with n >= 3, on the exponent columns of its classes
-(classify.exponent_classes, which keys each class once and gives
-squares.square_verdict its columns too), and `decide_q` is that decision
-under its odd-n name.
+`_classes` pins the coordinates it fixes to a + b y and leaves the rest
+free.  `covers` is that search with no constants, the linear problem
+alone.  `cover_verdict` is the one criterion that classify.decide applies
+to every set, for every n >= 2, on the exponent columns of its classes
+(classify.exponent_classes, which keys each class once), and `decide_q` is
+that decision under its odd-n name.
 """
 
 from __future__ import annotations
@@ -143,19 +147,19 @@ def _search(columns, q: int, s: int, shift, budget):
 
 def _classes(n: int, support, budget) -> list:
     """(t, g, pins) per class of Frobenius elements (x, t) to search, t an
-    odd unit below 2n: a point x lives mod g = gcd(t - 1, n), and its
-    coordinate j is a + b y_j, y free, for (a, b) = pins[j], (0, 1) for a
-    free coordinate.  The sign entry -1 is pinned to h = (t - 1)/2 (b = 0);
-    an odd p | n, and 2 when 4 | n, to the parity [(p/t) = -1] (b = 2),
-    since sqrt(p) lies in Q(zeta_2n).  Only those coordinates are read per
-    t.  One class per distinct (g, pins), the least t first, smallest g
-    first.  The walk draws one value from budget per odd t, all n of them
-    before it starts.  For odd n the class t = 1 (g = n, nothing pinned)
-    alone decides: a point off every kernel mod a divisor g of n, times
-    n/g, is one mod n.
+    odd unit below 2n: a point x lives mod g = gcd(t - 1, n), and for each
+    (j, a, b) in pins its coordinate j is a + b y_j, y free; every other
+    coordinate is free.  The sign entry -1 is pinned to h = (t - 1)/2
+    (b = 0); an odd p | n, and 2 when 4 | n, to the parity [(p/t) = -1]
+    (b = 2), since sqrt(p) lies in Q(zeta_2n).  Only those coordinates are
+    read per t.  One class per distinct (g, pins), the least t first,
+    smallest g first.  The walk draws one value from budget per odd t, all
+    n of them before it starts.  For odd n the class t = 1 (g = n, nothing
+    pinned) alone decides: a point off every kernel mod a divisor g of n,
+    times n/g, is one mod n.
     """
     if n % 2:
-        return [(1, n, ((0, 1),) * len(support))]
+        return [(1, n, ())]
     if next(islice(budget, n - 1, None), None) is None:
         raise InstanceTooLarge("class walk passed its candidate ceiling")
     fixed = [j for j, p in enumerate(support) if p == -1 or n % (4 if p == 2 else p) == 0]
@@ -163,16 +167,27 @@ def _classes(n: int, support, budget) -> list:
     for t in range(1, 2 * n, 2):
         if math.gcd(t, n) == 1:
             g = math.gcd(t - 1, n)
-            found.setdefault((g, tuple(((t - 1) // 2 % g, 0) if support[j] == -1
-                                       else (int(jacobi(support[j], t) == -1), 2)
+            found.setdefault((g, tuple((j, (t - 1) // 2 % g, 0) if support[j] == -1
+                                       else (j, int(jacobi(support[j], t) == -1), 2)
                                        for j in fixed)), t)
-    return sorted(((t, g, tuple(dict(zip(fixed, pinned)).get(j, (0, 1))
-                                for j in range(len(support))))
-                   for (g, pinned), t in found.items()), key=lambda c: c[1])
+    return sorted(((t, g, pins) for (g, pins), t in found.items()), key=lambda c: c[1])
+
+
+def _pinned(columns, pins):
+    """(moved, shift) for the pins of a class: each column with its entry j
+    scaled by b, and its constant sum a c_j, over (j, a, b) in pins.  With
+    nothing pinned the columns pass through unchanged."""
+    if not pins:
+        return columns, (0,) * len(columns)
+    moved = [list(col) for col in columns]
+    for col in moved:
+        for j, _, b in pins:
+            col[j] *= b
+    return moved, [sum(a * col[j] for j, a, _ in pins) for col in columns]
 
 
 def cover_verdict(support, columns, n: int, ceiling: int) -> Verdict:
-    """Verdict for the distinct classes mod (Q^x)^n of a set, n >= 3, none
+    """Verdict for the distinct classes mod (Q^x)^n of a set, n >= 2, none
     of them a perfect n-th power, given as their exponent columns over the
     support (classify.exponent_classes).  Each class of _classes is an
     affine cover problem over Z/g; the walk over the classes and every
@@ -183,12 +198,14 @@ def cover_verdict(support, columns, n: int, ceiling: int) -> Verdict:
     """
     budget = iter(range(ceiling))
     for t, g, pins in _classes(n, support, budget):
-        moved = [tuple(b * c for (_, b), c in zip(pins, col)) for col in columns]
-        shift = [sum(a * c for (a, _), c in zip(pins, col)) for col in columns]
+        moved, shift = _pinned(columns, pins)
         y = _search(moved, g, len(support), shift, budget)
         if y is None:
             continue
-        point = tuple((a + b * x) % g for (a, b), x in zip(pins, y))
+        point = list(y)
+        for j, a, b in pins:
+            point[j] = (a + b * y[j]) % g
+        point = tuple(point)
         # certificate soundness: asserted before any point leaves the module
         assert all(sum(c * x for c, x in zip(col, point)) % g
                    for col in columns), "uncovered point is covered; internal covering bug"
@@ -204,7 +221,7 @@ def decide_q(elements, n: int, *, want_counterexample: bool = True,
     classify.decide for odd n > 1, which reaches cover_verdict.
     """
     if n < 3 or n % 2 == 0:
-        raise ValueError("decide_q needs an odd n; squares live elsewhere")
+        raise ValueError("decide_q needs an odd n >= 3")
     from .classify import decide
     return decide(elements, n, want_counterexample=want_counterexample,
                   ceiling=ceiling)

@@ -48,10 +48,6 @@ class FactoredRational:
         return cls(1, ())
 
     @classmethod
-    def minus_one(cls) -> "FactoredRational":
-        return cls(-1, ())
-
-    @classmethod
     def from_prime_powers(cls, sign: int, powers: dict[int, int]) -> "FactoredRational":
         items = tuple(sorted((p, e) for p, e in powers.items() if e != 0))
         return cls(sign, items)

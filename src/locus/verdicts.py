@@ -68,25 +68,6 @@ class UncoveredPoint(_Certificate):
 
 
 @dataclass(frozen=True)
-class OddSubsetWitness(_Certificate):
-    """Odd-cardinality subset whose product is a perfect square."""
-
-    kind = "odd_subset_witness"
-    indices: tuple[int, ...]  # 1-based into the deduplicated element list
-    root: str
-
-
-@dataclass(frozen=True)
-class ParityObstruction(_Certificate):
-    """The all-ones functional lies in the row space of the square matrix,
-    so no odd-cardinality kernel vector exists."""
-
-    kind = "parity_obstruction"
-    rows: tuple[str, ...]  # labels: "sign" or a support prime, XOR-ing to all-ones
-    counterexample_prime: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class SkalbaWitness(_Certificate):
     """Exponent tuple admitting no subset pair with perfect-power ratio."""
 
@@ -108,8 +89,8 @@ class OracleExhaustion(_Certificate):
 
 
 Certificate = Union[
-    PerfectPowerMember, HyperplaneCover, UncoveredPoint, OddSubsetWitness,
-    ParityObstruction, SkalbaWitness, OracleExhaustion,
+    PerfectPowerMember, HyperplaneCover, UncoveredPoint, SkalbaWitness,
+    OracleExhaustion,
 ]
 
 

@@ -3,32 +3,30 @@
 Given a verdict document (as produced by the CLI), re-check the certificate
 against the element set without trusting the engine's decision path.  Every
 check here recomputes from first principles: roots are re-raised, uncovered
-points re-evaluated, covers, witnesses and exhaustions re-searched, claimed
-failing primes tested for primality and re-tested, all of a document's in
-one batch.  The status is holds or fails.  One builder, _columns, gives the
-support of the classes of a list mod (Q^x)^n, led for even n by the sign
-entry -1, and their exponent vectors.  A cover or an uncovered point has
-q = n, and its columns must be those of the cleared set, mapped onto the
-recorded support.  The verifier re-derives the classes of Frobenius
-elements on its own (_class: t, g = gcd(t - 1, n), the sign pinned to
-(t - 1)/2 and the parities of the fixed primes to Jacobi symbols): an
-uncovered point is checked in its class t in O(l*s), and a cover re-checked
-class by class, by a search over the image of the pinned columns on the
-verifier's own reduced echelon form.  A parity obstruction names rows of
-the classes mod squares.  A counterexample prime must be prime.  A Skalba
-witness and an oracle exhaustion are read on the element list as written,
-one entry per element, as the oracle writes them: a witness re-checked by
-testing every sign vector on the exponent vectors, at most
-ORACLE_RECHECK_LIMIT (2^20) of them, and an exhaustion as the cover of
-(Z/q^m)^s by the kernels of the exponent vectors mod q^m, which every
-tuple admitting a pair amounts to.  Certificate kinds are checked against
-the status they may support, exactly the kinds that classify.decide and
-prime_power.skalba_oracle emit, the square kinds (an odd subset witness, a
-parity obstruction) at n = 2 only and every kind at an integer n >= 2, and
-the cover re-check of a document tries at most COVER_RECHECK_LIMIT
-candidate values over all its classes.  None of
-the engine's decision code is imported: only the arithmetic layers
-(primes, rationals, sieve) and the status names.
+points re-evaluated, covers and exhaustions re-searched, witnesses re-tested,
+claimed failing primes tested for primality and re-tested, all of a
+document's in one batch.  The status is holds or fails.  One builder,
+_columns, gives the support of the classes of a list mod (Q^x)^n, led for
+even n by the sign entry -1, and their exponent vectors.  A cover or an
+uncovered point has q = n, and its columns must be those of the cleared
+set, mapped onto the recorded support.  The verifier re-derives the classes
+of Frobenius elements on its own (_class: t, g = gcd(t - 1, n), the sign
+pinned to (t - 1)/2 and the parities of the fixed primes to Jacobi
+symbols): an uncovered point is checked in its class t in O(l*s), and a
+cover re-checked class by class, by a search over the image of the pinned
+columns on the verifier's own reduced echelon form.  n = 2 is no special
+case: its classes are t = 1 and t = 3.  A counterexample prime must be
+prime.  A Skalba witness and an oracle exhaustion are read on the element
+list as written, one entry per element, as the oracle writes them: a
+witness re-checked by testing every sign vector on the exponent vectors, at
+most ORACLE_RECHECK_LIMIT (2^20) of them, and an exhaustion as the cover of
+(Z/q^m)^s by the kernels of the exponent vectors mod q^m, which every tuple
+admitting a pair amounts to.  Certificate kinds are checked against the
+status they may support, exactly the kinds that classify.decide and
+prime_power.skalba_oracle emit, at an integer n >= 2, and the cover
+re-check of a document tries at most COVER_RECHECK_LIMIT candidate values
+over all its classes.  None of the engine's decision code is imported: only
+the arithmetic layers (primes, rationals, sieve) and the status names.
 Every element string is factored with primes.factorize, whose rho gives up
 on a composite above the Miller-Rabin bound once its cycle length passes
 primes.RHO_CYCLE_LIMIT, so a crafted element costs under a second per split
@@ -41,16 +39,15 @@ import math
 from itertools import islice, product
 
 from .primes import divisors, first_nonprime, is_prime, jacobi
-from .rationals import clear_denominators, dedupe, factor, reduce_class
+from .rationals import clear_denominators, factor, reduce_class
 from .sieve import first_non_failing, verify_failing_prime
 from .verdicts import FAILS, HOLDS
 
 
 # the certificate kinds that can support each status
 ALLOWED_KINDS = {
-    HOLDS: {"perfect_power_member", "hyperplane_cover", "odd_subset_witness",
-            "oracle_exhaustion"},
-    FAILS: {"uncovered_point", "parity_obstruction", "skalba_witness"},
+    HOLDS: {"perfect_power_member", "hyperplane_cover", "oracle_exhaustion"},
+    FAILS: {"uncovered_point", "skalba_witness"},
 }
 
 # candidate values the cover re-check of one document may try, over all its
@@ -168,32 +165,6 @@ def _verify_certificate(cert: dict, elements, n: int, status: str):
         _need(all(sum(c * x for c, x in zip(col, point)) % g != 0
                   for col in coeffs if any(col)),
               "claimed uncovered point is covered")
-        _need_counterexample(cert, elements, n)
-        return
-
-    if kind == "odd_subset_witness":
-        _need(n == 2, f"an odd subset witness proves squares, not n = {n}")
-        idx = cert["indices"]
-        _need(len(idx) % 2 == 1, "witness subset has even cardinality")
-        uniq = dedupe(cleared, 2)
-        _need(all(1 <= i <= len(uniq) for i in idx), "witness index out of range")
-        prod = factor(1)
-        for i in idx:
-            prod = prod * uniq[i - 1]
-        root = factor(cert["root"])
-        _need(root**2 == prod, "witness product is not the square of the root")
-        return
-
-    if kind == "parity_obstruction":
-        _need(n == 2, f"a parity obstruction refutes squares, not n = {n}")
-        uniq = dedupe(cleared, 2)
-        support, cols = _columns(uniq, 2)
-        rows = {"sign" if p == -1 else str(p): row for p, row in zip(support, zip(*cols))}
-        acc = [0] * len(uniq)
-        for label in cert["rows"]:
-            _need(label in rows, f"unknown row label {label}")
-            acc = [a ^ b for a, b in zip(acc, rows[label])]
-        _need(all(acc), "row combination does not witness the obstruction")
         _need_counterexample(cert, elements, n)
         return
 

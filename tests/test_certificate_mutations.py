@@ -23,9 +23,8 @@ from locus.classify import decide
 from locus.prime_power import skalba_oracle
 from locus.verify import verify_document
 
-HOLDS_KINDS = {"perfect_power_member", "hyperplane_cover", "odd_subset_witness",
-               "oracle_exhaustion"}
-FAILS_KINDS = {"uncovered_point", "parity_obstruction", "skalba_witness"}
+HOLDS_KINDS = {"perfect_power_member", "hyperplane_cover", "oracle_exhaustion"}
+FAILS_KINDS = {"uncovered_point", "skalba_witness"}
 
 DECIDED = [(["8", "5"], 3), (["2", "3", "6", "18"], 3), (["2", "3", "12"], 3),
            (["2", "5", "7", "10", "14", "35"], 5), (["2", "3", "6", "18"], 9),

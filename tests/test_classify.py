@@ -337,8 +337,7 @@ def test_one_ceiling_for_every_class(monkeypatch):
     classes = covering._classes(6, support, iter(range(6)))
     assert len(classes) > 1
     for t, g, pins in classes:
-        moved = [[b * c for (_, b), c in zip(pins, col)] for col in columns]
-        shift = [sum(a * c for (a, _), c in zip(pins, col)) for col in columns]
+        moved, shift = covering._pinned(columns, pins)
         assert covering._search(moved, g, len(support), shift, iter(range(19))) is None
 
 

@@ -23,7 +23,7 @@ CEILINGS = (10, 40, 200)
 GOLDEN_SHA256 = "a4f4e7f096572185a109cfb0ef5b04ce9598c435f131df2bd5d868851cf27c89"
 
 FRACTION_EXPONENTS = (2, 3, 4, 6, 8, 9, 12)
-FRACTIONS_SHA256 = "f1aaca624ef6457331c8d4502915960875e41d581f7dc3054c6d779a4097d0d1"
+FRACTIONS_SHA256 = "f43d78ac78e5f91087a5f3a0db21eb5da0e9d29b2ab99c83e417ed69cd665d28"
 
 
 def _element(rng: random.Random, n: int, primes) -> int:

@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from locus.classify import decide
+from locus.errors import InstanceTooLarge
 from locus.squares import decide_square, decide_two_power
 from locus.verdicts import FAILS, HOLDS
 from locus.verify import verify_document
@@ -26,9 +30,8 @@ def brute_square_decision(elems):
 
 def test_examples():
     v = decide_square([3, 5, 15])
-    assert v.status == HOLDS
-    assert v.certificate.indices == (1, 2, 3)
-    assert v.certificate.root == "15"
+    assert v.status == HOLDS and v.certificate.kind == "hyperplane_cover"
+    assert verify_document(v.to_json(2, ["3", "5", "15"])) == []
 
     v = decide_square([9])  # a square member is its own certificate
     assert v.status == HOLDS and v.certificate.kind == "perfect_power_member"
@@ -47,17 +50,15 @@ def test_negative_elements_need_sign_row():
     # signs cancel over the odd triple (-2)(-3)(6) = 36
     v = decide_square([-2, -3, 6])
     assert v.status == HOLDS
-    assert v.certificate.indices == (1, 2, 3)
-    assert Fraction(v.certificate.root) ** 2 == 36
+    assert verify_document(v.to_json(2, ["-2", "-3", "6"])) == []
 
 
 def test_witness_minimality():
-    # 210 * 2 * 3 * 5 * 7 and 2 * 3 * 6 both square; the elimination's own
-    # solution is the five, and the least odd subset is the triple
-    v = decide_square([210, 2, 3, 5, 7, 6])
+    # 210 * 2 * 3 * 5 * 7 and 2 * 3 * 6 both square: the cover holds
+    elements = [210, 2, 3, 5, 7, 6]
+    v = decide_square(elements)
     assert v.status == HOLDS
-    assert v.certificate.indices == (2, 3, 6)
-    assert v.certificate.root == "6"
+    assert verify_document(v.to_json(2, [str(x) for x in elements])) == []
     # a square member beats every subset
     v = decide_square([3, 9, 27])
     assert v.certificate.kind == "perfect_power_member"
@@ -82,12 +83,12 @@ def test_rationals_enter_mod_two():
 
 
 def test_fractional_documents_verify():
-    # the witness names the square product of the cleared classes, which the
-    # verifier re-derives: 1/4 clears to 4, and 1/2, 3/4, 6 to 32, 48, 384
-    for elements, kind, root in [(["1/4"], "perfect_power_member", "2"),
-                                 (["1/2", "3/4", "6"], "odd_subset_witness", "768")]:
+    # the certificates name the cleared classes, which the verifier
+    # re-derives: 1/4 clears to 4, and 1/2, 3/4, 6 to 32, 48, 384
+    for elements, kind in [(["1/4"], "perfect_power_member"),
+                           (["1/2", "3/4", "6"], "hyperplane_cover")]:
         v = decide_square(elements)
-        assert v.certificate.kind == kind and v.certificate.root == root
+        assert v.status == HOLDS and v.certificate.kind == kind
         assert verify_document(v.to_json(2, elements)) == [], elements
 
 
@@ -108,11 +109,16 @@ def test_exhaustive_equivalence_squarefree_support_357():
 
 
 def test_fails_certificate_row_combination():
-    v = decide_square([2, 3], want_counterexample=False)
-    assert v.status == FAILS
-    assert v.certificate.kind == "parity_obstruction"
-    # rows XOR to the all-ones functional over the two columns
-    assert set(v.certificate.rows) <= {"sign", "2", "3"}
+    for elements in ([2, 3], [-1], [-2, -3], [-6, 10, 15]):
+        v = decide_square(elements, want_counterexample=False)
+        assert v.status == FAILS and v.certificate.kind == "uncovered_point"
+        cert = v.certificate
+        # the point's nonzero entries name rows that XOR to all-ones over
+        # the columns; the sign row is among them exactly when t = 3
+        assert cert.support[0] == -1 and cert.t in (1, 3)
+        assert cert.point[0] == (cert.t - 1) // 2
+        rows = [j for j, x in enumerate(cert.point) if x]
+        assert all(sum(col[j] for j in rows) % 2 == 1 for col in cert.coeffs), elements
 
 
 def test_decide_two_power_examples():
@@ -121,7 +127,7 @@ def test_decide_two_power_examples():
     assert v.status == HOLDS and v.certificate.kind == "hyperplane_cover"
 
     v = decide([3, 5, 15], 2)
-    assert v.status == HOLDS and v.certificate.kind == "odd_subset_witness"
+    assert v.status == HOLDS and v.certificate.kind == "hyperplane_cover"
 
     v = decide([2, 3, 5], 4)  # density 35/128; 17 is the least failing prime
     assert v.status == FAILS and v.certificate.counterexample_prime == 17
@@ -136,3 +142,31 @@ def test_decide_two_power_examples():
     assert v.status == FAILS and v.certificate.kind == "uncovered_point"
 
     assert decide_two_power([2, 3, 5], 2) == decide([2, 3, 5], 4)
+
+
+def test_seeded_signed_fractions_agree_with_brute_force():
+    # signed fractions over the primes up to 13, at most 8 elements; each
+    # document verifies
+    rng = random.Random(2)
+    primes = (2, 3, 5, 7, 11, 13)
+    for _ in range(1000):
+        elements = []
+        for _ in range(rng.randint(1, 8)):
+            num = rng.choice((1, -1))
+            den = 1
+            for p in rng.sample(primes, rng.randint(0, 3)):
+                if rng.random() < 0.3:
+                    den *= p ** rng.randint(1, 2)
+                else:
+                    num *= p ** rng.randint(1, 3)
+            elements.append(str(Fraction(num, den)))
+        v = decide(elements, 2, want_counterexample=False)
+        assert (v.status == HOLDS) == brute_square_decision(elements), elements
+        assert verify_document(v.to_json(2, elements)) == [], elements
+
+
+def test_squares_obey_the_ceiling():
+    # the walk over t = 1, 3 draws 2 values and each class's search 4
+    with pytest.raises(InstanceTooLarge):
+        decide(["3", "5", "15"], 2, ceiling=9)
+    assert decide(["3", "5", "15"], 2, ceiling=10).status == HOLDS

@@ -91,9 +91,12 @@ def test_rejects_bad_counterexample_prime():
 
 
 def test_rejects_even_witness_subset():
+    # {3, 5} has no odd subset with a square product: without the column of
+    # 15 the cover of the squares criterion has a hole
     doc = doc_for([3, 5, 15], 2)
-    doc["certificate"]["indices"] = [1, 2]
-    assert verify_document(doc)
+    assert verify_document(doc) == []
+    doc["certificate"]["coeffs"] = doc["certificate"]["coeffs"][:2]
+    assert verify_document(doc) == ["claimed cover has a hole"]
 
 
 def test_rejects_tampered_skalba_witness():
@@ -135,12 +138,14 @@ def test_rejects_wang_without_eight():
 
 def test_parity_rows_are_those_of_the_classes():
     # 12 and 5 are the classes 3 and 5 mod squares; 2 divides no class, so
-    # its all-zero row is no row of the matrix, though adding it XORs nothing
+    # the support is the sign, 3 and 5, and the rows of 3 and 5 XOR to
+    # all-ones; the row of 3 alone does not
     doc = doc_for([12, 5], 2)
-    assert doc["certificate"]["rows"] == ["3", "5"]
+    cert = doc["certificate"]
+    assert cert["support"] == [-1, 3, 5] and cert["point"] == [0, 1, 1]
     assert verify_document(doc) == []
-    doc["certificate"]["rows"] = ["3", "5", "2"]
-    assert verify_document(doc) == ["unknown row label 2"]
+    cert["point"] = [0, 1, 0]
+    assert verify_document(doc) == ["claimed uncovered point is covered"]
 
 
 def test_rejects_inconclusive_status():
@@ -178,29 +183,51 @@ def test_status_must_allow_the_certificate_kind():
 
 
 def test_square_kinds_and_members_are_bound_to_their_exponent():
-    # each claim is false: 4 is no cube in Q_7, {2, 3, 6} has no fourth
-    # power in Q_17, 8 = 2^3 holds for n = 3, and decide has no n below 2
+    # each claim is false: decide has no n below 2; the member of a true
+    # claim at n = 2 verifies, and at n = 3 it is no cube
     forged = [
-        {"n": 3, "elements": ["4"], "status": "holds",
-         "certificate": {"kind": "odd_subset_witness", "indices": [1], "root": "2"}},
-        {"n": 4, "elements": ["2", "3", "6"], "status": "holds",
-         "certificate": {"kind": "odd_subset_witness", "indices": [1, 2, 3],
-                         "root": "6"}},
-        {"n": 3, "elements": ["8"], "status": "fails",
-         "certificate": {"kind": "parity_obstruction", "rows": ["2"]}},
         {"n": 1, "elements": ["2"], "status": "holds",
          "certificate": {"kind": "perfect_power_member", "element": "2",
                          "root": "2", "exponent": 1}},
         {"n": -2, "elements": ["4"], "status": "holds",
          "certificate": {"kind": "perfect_power_member", "element": "4",
                          "root": "1/2", "exponent": -2}},
+        {"n": 2.0, "elements": ["4"], "status": "holds",
+         "certificate": {"kind": "perfect_power_member", "element": "4",
+                         "root": "2", "exponent": 2}},
     ]
-    assert decide(["4"], 3).fails() and decide(["2", "3", "6"], 4).fails()
-    assert decide(["8"], 3).holds()
     for doc in forged:
         assert verify_document(doc), doc
-    for doc in forged[:3]:  # the same claims for squares are true
-        assert verify_document(dict(doc, n=2)) == [], doc
+    doc = dict(forged[-1], n=2)
+    assert verify_document(doc) == []
+    assert verify_document(dict(doc, n=3)) == [
+        "member certificate is for exponent 2, expected 3"]
+
+
+def test_retired_square_kinds_are_refused_at_every_n():
+    # n = 2 is decided by the cover criterion; the odd-subset witness and
+    # the parity obstruction prove nothing, at n = 2 as anywhere, though
+    # each claim below is true for squares
+    retired = [
+        ("holds", ["4"], {"kind": "odd_subset_witness", "indices": [1], "root": "2"}),
+        ("holds", ["3", "5", "15"], {"kind": "odd_subset_witness",
+                                     "indices": [1, 2, 3], "root": "15"}),
+        ("fails", ["8"], {"kind": "parity_obstruction", "rows": ["2"]}),
+    ]
+    for n in (2, 3, 4, 6):
+        for status, elements, cert in retired:
+            doc = {"n": n, "elements": elements, "status": status, "certificate": cert}
+            assert verify_document(doc) == [
+                f"certificate kind {cert['kind']} cannot support status {status}"], doc
+
+
+def test_certificate_kinds_match_the_verifier():
+    # every certificate class the engine can emit has a kind the verifier
+    # accepts for some status, and the verifier accepts no other kind
+    from locus import verdicts, verify
+    emitted = {cls.kind for cls in vars(verdicts).values()
+               if isinstance(cls, type) and hasattr(cls, "kind")}
+    assert emitted == set().union(*verify.ALLOWED_KINDS.values())
 
 
 def test_refutation_needs_every_column():
