@@ -6,12 +6,14 @@ one by one; the rest are tried a block of 128 at a time, with one gcd of
 the number and the block's product, and a block is walked prime by prime
 only when that gcd exceeds 1.  A larger cofactor is split as a perfect
 power, or by a deterministic Brent-cycle rho splitter once Miller-Rabin
-proves it composite.  Primality of every reported factor is
-certified by Miller-Rabin with a fixed witness set that is exact below
-~3.3e24; a probable prime above that raises rather than degrading to a
-probabilistic answer, because downstream verdicts assume complete
-factorizations.  Compositeness needs no bound: one failed witness
-proves it, so larger composites are still split.
+proves it composite.  A caller may name primes it expects among the
+factors (factorize's known): those that is_prime certifies are divided out
+before the blocks, and the cofactor takes the same path.  Primality of
+every reported factor is certified by Miller-Rabin with a fixed witness
+set that is exact below ~3.3e24; a probable prime above that raises rather
+than degrading to a probabilistic answer, because downstream verdicts
+assume complete factorizations.  Compositeness needs no bound: one failed
+witness proves it, so larger composites are still split.
 
 Enumeration: an Eratosthenes sieve over the odd numbers only, one bytearray
 flag per odd number (_odd_flags), collected with itertools.compress;
@@ -129,7 +131,7 @@ def _miller_rabin(n: int, bases) -> bool:
     return True
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     """Deterministic primality for n below MR_DETERMINISTIC_BOUND."""
     if n < 2:
@@ -211,7 +213,7 @@ def _divide_out(n: int, ps: list[int], out: dict[int, int]) -> int:
     return n
 
 
-def factorize(n: int) -> dict[int, int]:
+def factorize(n: int, *, known=()) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
     Trial division by the primes below 2^16 leaves a cofactor with no
@@ -223,6 +225,17 @@ def factorize(n: int) -> dict[int, int]:
     for a probable prime above the deterministic bound, which cannot be
     certified, or when rho gives up on a composite above that bound once
     its cycle length passes RHO_CYCLE_LIMIT (about 0.3 s, Python 3.11).
+
+    known lists primes the caller expects among the factors, such as a
+    verdict document's excluded primes.  Once the primes below 2^8 are
+    divided out, and before the blocks, what is left of n is divided out
+    fully by each entry that is an int p with
+    TRIAL_DIVISION_BOUND <= p < MR_DETERMINISTIC_BOUND, divides n and is
+    certified by is_prime; every other entry is ignored, and the cofactor
+    takes the path above.  By unique factorization the result is the same
+    for every known: a hint spares only the search for its prime, so a
+    number whose split the bounds refuse may factor once its large primes
+    are named.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -230,6 +243,13 @@ def factorize(n: int) -> dict[int, int]:
     if n == 1:
         return out
     n = _divide_out(n, _WALK_PRIMES, out)
+    if n >= TRIAL_DIVISION_BOUND:  # below, no hint divides what is left
+        for p in known:
+            if (type(p) is int and TRIAL_DIVISION_BOUND <= p < MR_DETERMINISTIC_BOUND
+                    and n % p == 0 and is_prime(p)):
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
     if n >= _WALK_BOUND**2:  # below, n is 1 or prime and needs no blocks
         for block, product in _trial_blocks():
             if block[0] ** 2 > n:

@@ -149,8 +149,9 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
-def factor(x: RationalLike) -> FactoredRational:
-    """Factor a nonzero rational into sign * prod(p^e)."""
+def factor(x: RationalLike, *, known=()) -> FactoredRational:
+    """Factor a nonzero rational into sign * prod(p^e); known is passed to
+    primes.factorize for numerator and denominator, and changes no result."""
     if isinstance(x, FactoredRational):
         return x
     if isinstance(x, str):
@@ -160,8 +161,8 @@ def factor(x: RationalLike) -> FactoredRational:
     if x == 0:
         raise ZeroInput("cannot factor zero")
     sign = 1 if x > 0 else -1
-    powers = {p: e for p, e in factorize(abs(x.numerator)).items()}
-    for p, e in factorize(x.denominator).items():
+    powers = {p: e for p, e in factorize(abs(x.numerator), known=known).items()}
+    for p, e in factorize(x.denominator, known=known).items():
         powers[p] = powers.get(p, 0) - e
     return FactoredRational.from_prime_powers(sign, powers)
 

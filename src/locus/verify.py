@@ -27,15 +27,22 @@ prime_power.skalba_oracle emit, at an integer n >= 2, and the cover
 re-check of a document tries at most COVER_RECHECK_LIMIT candidate values
 over all its classes.  None of the engine's decision code is imported: only
 the arithmetic layers (primes, rationals, sieve) and the status names.
-Every element string is factored with primes.factorize, whose rho gives up
-on a composite above the Miller-Rabin bound once its cycle length passes
-primes.RHO_CYCLE_LIMIT, so a crafted element costs under a second per split
-attempt there.
+Every element string, and a member and its root, is factored by
+primes.factorize with the document's excluded primes as hints (its known):
+a hint counts only where is_prime certifies it and it divides, so a wrong
+or missing entry changes no factorization.  What the hints leave takes
+factorize's own path, whose rho gives up on a composite above the
+Miller-Rabin bound once its cycle length passes primes.RHO_CYCLE_LIMIT, so
+a crafted element costs under a second per split attempt there.  An
+evidence block must match the document (exponent, cleared elements,
+excluded primes), and its density must be its failing count over
+tested_count, which is not recounted.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import islice, product
 
 from .primes import divisors, first_nonprime, is_prime, jacobi
@@ -83,12 +90,15 @@ def verify_document(doc: dict) -> list[str]:
 def _verify(doc: dict):
     n = doc["n"]
     _need(type(n) is int and n >= 2, f"exponent {n!r} is not an integer >= 2")
-    elements = [factor(e) for e in doc["elements"]]
+    excluded = doc.get("excluded_primes", [])
+    known = [p for p in excluded if type(p) is int] if type(excluded) is list else ()
+    elements = [factor(e, known=known) for e in doc["elements"]]
     status = doc["status"]
     cert = doc["certificate"]
     _need(status in (HOLDS, FAILS), f"unknown status {status}")
-    _verify_certificate(cert, elements, n, status)
-    for p in doc.get("excluded_primes", []):
+    cleared = clear_denominators(elements, n)
+    _verify_certificate(cert, elements, cleared, n, status, known)
+    for p in excluded:
         _need(is_prime(p), f"excluded entry {p} is not prime")
     evidence = doc.get("evidence")
     if evidence is not None:
@@ -104,19 +114,30 @@ def _verify(doc: dict):
         _need(p is None, f"claimed failing prime {p} does not fail")
         if status == HOLDS:
             _need(not primes, "holds verdict carries sieve failures; inconsistency")
+        # the block's own arithmetic; tested_count is not recounted, which
+        # would take a sieve of [lo, hi]
+        _need(params["lo"] <= params["hi"], "scanned range has lo above hi")
+        tested = evidence["tested_count"]
+        _need(len(primes) <= tested, "more failing primes claimed than primes tested")
+        d = Fraction(len(primes), tested) if tested else Fraction(0)
+        _need(evidence["failing_density"] == f"{d.numerator}/{d.denominator}",
+              "failing density is not failing primes over primes tested")
+        _need(params["elements"] == [str(x) for x in cleared],
+              "evidence elements are not the cleared element set")
+        _need(params["excluded"] == excluded,
+              "evidence exclusions differ from the excluded primes")
 
 
-def _verify_certificate(cert: dict, elements, n: int, status: str):
+def _verify_certificate(cert: dict, elements, cleared, n: int, status: str, known):
     kind = cert["kind"]
     _need(kind in ALLOWED_KINDS[status],
           f"certificate kind {kind} cannot support status {status}")
-    cleared = clear_denominators(elements, n)
 
     if kind == "perfect_power_member":
         k = cert["exponent"]
         _need(k == n, f"member certificate is for exponent {k}, expected {n}")
-        member = factor(cert["element"])
-        root = factor(cert["root"])
+        member = factor(cert["element"], known=known)
+        root = factor(cert["root"], known=known)
         _need(root**k == member, f"{cert['root']}^{k} != {cert['element']}")
         pool = {reduce_class(x, k) for x in list(elements) + cleared}
         _need(reduce_class(member, k) in pool,

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import locus
 
 
@@ -26,3 +29,27 @@ def test_classify_reexports_the_template_names():
     from locus import classify, families
     assert classify.match_exceptional_pair is families.match_exceptional_pair
     assert classify.ExceptionalForm is families.ExceptionalForm
+
+
+def test_verifier_imports_no_decision_code():
+    # the verifier's own loops stand in for the engine's: it imports only the
+    # arithmetic layers and the status names, and no module it reaches,
+    # transitively and through imports inside functions too, is decision code
+    package = Path(locus.__file__).parent
+    reached, todo = set(), ["verify"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                assert all(not a.name.startswith("locus") for a in node.names), name
+            elif isinstance(node, ast.ImportFrom) and (node.level or
+                                                       (node.module or "").startswith("locus")):
+                module = (node.module or "").removeprefix("locus.")
+                found = [module] if module else [a.name for a in node.names]
+                if name == "verify":
+                    assert set(found) <= {"primes", "rationals", "sieve", "verdicts"}, found
+                todo += [m for m in found if m not in reached]
+    assert {"primes", "rationals", "sieve", "verdicts"} <= reached
+    assert not reached & {"classify", "covering", "prime_power", "squares",
+                          "families", "cli"}, reached

