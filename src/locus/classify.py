@@ -12,7 +12,7 @@ from dataclasses import replace
 from .errors import InternalInconsistency, ZeroInput
 from .covering import ENUMERATION_CEILING, cover_verdict
 from .families import ExceptionalForm, match_exceptional_pair  # noqa: F401
-from .rationals import FactoredRational, clear_denominators, factor
+from .rationals import FactoredRational, clear_denominators, factor_set
 from .sieve import COUNTEREXAMPLE_BOUND, default_exclusions, find_counterexample, scan
 from .verdicts import HOLDS, PerfectPowerMember, Verdict
 
@@ -30,7 +30,7 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
     """
     if n < 2:
         raise ValueError("exponent must be >= 2")
-    raw = [factor(a) for a in elements]
+    raw = factor_set(elements)
     if not raw:
         raise ZeroInput("empty set has no verdict")
     cleared = clear_denominators(raw, n)

@@ -20,7 +20,7 @@ from .errors import (FactorizationCapacityExceeded, InstanceTooLarge,
                      ParseError, RangeTooLarge, ZeroInput)
 from .prime_power import skalba_oracle
 from .primes import prime_power_split
-from .rationals import factor, parse_rational
+from .rationals import factor_set, parse_rational
 from .sieve import scan
 from .verdicts import FAILS, HOLDS
 from .verify import verify_document
@@ -119,7 +119,7 @@ def _run_decide(args) -> int:
     elements = _load_elements(args)
     if args.n < 2:
         raise ParseError("--n must be >= 2")
-    xs = [factor(e) for e in elements]
+    xs = factor_set(elements)
     verdict = decide(xs, args.n, ceiling=args.ceiling, attach_evidence=args.evidence)
     _emit(verdict.to_json(args.n, [str(x) for x in xs]), args.json_path)
     return _STATUS_EXIT[verdict.status]
@@ -144,7 +144,7 @@ def _run_oracle(args) -> int:
     if len(split) != 1 or split[0][0] == 2:
         raise ParseError("oracle exponent must be an odd prime power")
     q, m = split[0]
-    xs = [factor(e) for e in elements]
+    xs = factor_set(elements)
     verdict = skalba_oracle(xs, q, m)
     _emit(verdict.to_json(args.n, [str(x) for x in xs]), args.json_path)
     return _STATUS_EXIT[verdict.status]

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import DegenerateParameters, InapplicableCase, NotEven, WrongCardinality
 from .primes import is_prime, prime_power_split
-from .rationals import FactoredRational, factor
+from .rationals import FactoredRational, factor, factor_set
 
 
 def _reject_degenerate(values: list[FactoredRational], expect: int,
@@ -57,7 +57,7 @@ def lifted(elements, e: int) -> list[FactoredRational]:
     """{x^e : x in A}."""
     if e < 1:
         raise DegenerateParameters("lift exponent must be >= 1")
-    return [factor(x) ** e for x in elements]
+    return [x ** e for x in factor_set(elements)]
 
 
 def odd_optimal(q1: int, q2: int, n: int) -> list[FactoredRational]:
@@ -141,7 +141,7 @@ def match_exceptional_pair(elements, n: int) -> Optional[ExceptionalForm]:
     """
     if n % 2:
         raise NotEven(f"exceptional pairs require even n, got {n}")
-    xs = [factor(a) for a in elements]
+    xs = factor_set(elements)
     if len(xs) != 2:
         raise WrongCardinality(f"need exactly 2 elements, got {len(xs)}")
     for tag, pj, (c1, k1), second in _templates(n):

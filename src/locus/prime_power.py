@@ -27,7 +27,7 @@ from operator import mul
 from .covering import ENUMERATION_CEILING, decide_q
 from .errors import NonUnitExponent, OracleLimitExceeded
 from .primes import is_prime
-from .rationals import FactoredRational, factor
+from .rationals import FactoredRational, factor_set
 from .sieve import default_exclusions
 from .verdicts import FAILS, HOLDS, OracleExhaustion, SkalbaWitness, Verdict
 
@@ -52,7 +52,7 @@ def skalba_oracle(elements, q: int, m: int) -> Verdict:
     """Exact q^m-th power decision by exhaustive subset-product search."""
     if q == 2 or not is_prime(q):
         raise ValueError("the subset-product criterion needs an odd prime q")
-    xs = [factor(a) for a in elements]
+    xs = factor_set(elements)
     l = len(xs)
     qm = q**m
     if l > ORACLE_ELEMENT_LIMIT:
@@ -161,7 +161,7 @@ def decide_prime_power(elements, q: int, m: int, *,
 
 def exponentiate_classes(elements, c, q: int) -> list[FactoredRational]:
     """{a_j^(c_j)} for unit exponents mod q; negative entries allowed."""
-    xs = [factor(a) for a in elements]
+    xs = factor_set(elements)
     if len(c) != len(xs):
         raise ValueError("exponent vector length mismatch")
     for cj in c:

@@ -6,9 +6,12 @@ one by one; the rest are tried a block of 128 at a time, with one gcd of
 the number and the block's product, and a block is walked prime by prime
 only when that gcd exceeds 1.  A larger cofactor is split as a perfect
 power, or by a deterministic Brent-cycle rho splitter once Miller-Rabin
-proves it composite.  A caller may name primes it expects among the
-factors (factorize's known): those that is_prime certifies are divided out
-before the blocks, and the cofactor takes the same path.  Primality of
+proves it composite.  A caller may name numbers it expects to share
+factors with n (factorize's known): the primes among them that is_prime
+certifies are divided out before the blocks, and a composite cofactor is
+split by its gcd with the first of them that gives a proper divisor before
+rho is tried, so a set factored jointly (rationals.factor_set) finds each
+large prime shared by two of its elements once.  Primality of
 every reported factor is certified by Miller-Rabin with a fixed witness
 set that is exact below ~3.3e24; a probable prime above that raises rather
 than degrading to a probabilistic answer, because downstream verdicts
@@ -226,16 +229,19 @@ def factorize(n: int, *, known=()) -> dict[int, int]:
     certified, or when rho gives up on a composite above that bound once
     its cycle length passes RHO_CYCLE_LIMIT (about 0.3 s, Python 3.11).
 
-    known lists primes the caller expects among the factors, such as a
-    verdict document's excluded primes.  Once the primes below 2^8 are
-    divided out, and before the blocks, what is left of n is divided out
-    fully by each entry that is an int p with
+    known lists numbers the caller expects to share factors with n: a
+    verdict document's excluded primes, or the numerators and denominators
+    of the other elements of a set.  Once the primes below 2^8 are divided
+    out, and before the blocks, what is left of n is divided out fully by
+    each entry that is an int p with
     TRIAL_DIVISION_BOUND <= p < MR_DETERMINISTIC_BOUND, divides n and is
-    certified by is_prime; every other entry is ignored, and the cofactor
-    takes the path above.  By unique factorization the result is the same
-    for every known: a hint spares only the search for its prime, so a
-    number whose split the bounds refuse may factor once its large primes
-    are named.
+    certified by is_prime.  A cofactor m that Miller-Rabin proves composite
+    is split at the first int entry h with 1 < gcd(m, h) < m, and both
+    pieces take the path above; only a cofactor that no entry splits goes
+    to rho.  Every other entry is ignored.  By unique factorization the
+    result is the same for every known: a hint spares only the search for
+    its factor, so a number whose split the bounds refuse may factor once
+    its large primes, or a product sharing one of them, are named.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -277,7 +283,8 @@ def factorize(n: int, *, known=()) -> dict[int, int]:
         elif is_prime(m):
             out[m] = out.get(m, 0) + e
             continue
-        d = _brent_rho(m, limit)
+        d = next((g for h in known if type(h) is int and 1 < (g := math.gcd(m, h)) < m),
+                 None) or _brent_rho(m, limit)
         stack.append((d, e))
         stack.append((m // d, e))
     return out

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import ParseError, ZeroInput
-from .primes import factorize, is_prime
+from .primes import TRIAL_DIVISION_BOUND, factorize, is_prime
 
 RationalLike = Union[int, str, Fraction, "FactoredRational"]
 
@@ -149,22 +149,49 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
+def _fraction(x: RationalLike) -> Fraction:
+    """x as a nonzero Fraction, a string read by parse_rational."""
+    if isinstance(x, str):
+        return parse_rational(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    if not x:
+        raise ZeroInput("cannot factor zero")
+    return x
+
+
 def factor(x: RationalLike, *, known=()) -> FactoredRational:
     """Factor a nonzero rational into sign * prod(p^e); known is passed to
-    primes.factorize for numerator and denominator, and changes no result."""
+    primes.factorize for numerator and denominator, which divides out its
+    primes and splits a composite cofactor by a gcd with an entry before
+    rho, and changes no result."""
     if isinstance(x, FactoredRational):
         return x
-    if isinstance(x, str):
-        x = parse_rational(x)
-    elif not isinstance(x, Fraction):
-        x = Fraction(x)
-    if x == 0:
-        raise ZeroInput("cannot factor zero")
-    sign = 1 if x > 0 else -1
-    powers = {p: e for p, e in factorize(abs(x.numerator), known=known).items()}
+    x = _fraction(x)
+    sign = 1 if x.numerator > 0 else -1
+    powers = factorize(abs(x.numerator), known=known)
     for p, e in factorize(x.denominator, known=known).items():
         powers[p] = powers.get(p, 0) - e
     return FactoredRational.from_prime_powers(sign, powers)
+
+
+def factor_set(elements: Iterable[RationalLike]) -> list[FactoredRational]:
+    """[factor(x) for x in elements], the elements factored jointly.
+
+    Every element is parsed before any is factored, so a malformed or zero
+    element raises before a factorization can.  The set's numerators and
+    denominators of at least 2^16 are the hints (factor's known) of every
+    element, so a large prime that two elements share is split off by a
+    gcd rather than searched for by rho.  An element that is already a
+    FactoredRational passes through and gives no hints.
+    """
+    xs = [x if isinstance(x, FactoredRational) else _fraction(x) for x in elements]
+    fresh = [x for x in xs if isinstance(x, Fraction)]
+    if not fresh:
+        return xs
+    known = [v for x in fresh for v in (abs(x.numerator), x.denominator)
+             if v >= TRIAL_DIVISION_BOUND]
+    return [factor(x, known=known) for x in xs]
 
 
 def clear_denominators(elements: Iterable[RationalLike], n: int) -> list[FactoredRational]:
@@ -173,7 +200,7 @@ def clear_denominators(elements: Iterable[RationalLike], n: int) -> list[Factore
     The result is integral and each output sits in the same class of
     Q^x/(Q^x)^n as its input; with no denominator it is the factored input.
     """
-    xs = [factor(x) for x in elements]
+    xs = factor_set(elements)
     scale: dict[int, int] = {}
     for x in xs:
         for p, e in x.factors:

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import BadPrime
 from .primes import factorize, prime_range
-from .rationals import FactoredRational, RationalLike, factor
+from .rationals import FactoredRational, RationalLike, factor, factor_set
 
 # the primes up to which a failing verdict searches its counterexample prime
 COUNTEREXAMPLE_BOUND = 10**4
@@ -89,8 +89,8 @@ def default_exclusions(elements, k: int) -> frozenset[int]:
     dividing k and all support primes."""
     out = {2}
     out.update(factorize(k))
-    for a in elements:
-        out.update(factor(a).support())
+    for x in factor_set(elements):
+        out.update(x.support())
     return frozenset(out)
 
 
@@ -113,7 +113,7 @@ def scan(elements, k: int, lo: int, hi: int) -> SieveReport:
     """Test every non-excluded prime in [lo, hi]; deterministic for fixed input."""
     if lo > hi:
         raise ValueError("scan range is empty the wrong way round")
-    xs = [factor(a) for a in elements]
+    xs = factor_set(elements)
     excl = default_exclusions(xs, k)
     tested = [p for p in prime_range(lo, hi) if p not in excl]
     return SieveReport(
@@ -130,7 +130,7 @@ def scan(elements, k: int, lo: int, hi: int) -> SieveReport:
 def find_counterexample(elements, k: int, bound: int):
     """Least non-excluded prime <= bound where no element is a k-th residue,
     the primes sieved as the walk reaches them: [2, 128], (128, 256], ..."""
-    xs = [factor(a) for a in elements]
+    xs = factor_set(elements)
     return next(_failing(xs, k, _tested(xs, k, _primes_upto(bound))), None)
 
 
@@ -157,7 +157,7 @@ def first_non_failing(elements, k: int, primes):
     """
     if k < 1:
         raise ValueError("power degree must be >= 1")
-    xs = [factor(a) for a in elements]
+    xs = factor_set(elements)
     failing = set(_failing(xs, k, _tested(xs, k, primes)))
     return next((p for p in primes if p not in failing), None)
 

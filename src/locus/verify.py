@@ -28,15 +28,18 @@ re-check of a document tries at most COVER_RECHECK_LIMIT candidate values
 over all its classes.  None of the engine's decision code is imported: only
 the arithmetic layers (primes, rationals, sieve) and the status names.
 Every element string, and a member and its root, is factored by
-primes.factorize with the document's excluded primes as hints (its known):
-a hint counts only where is_prime certifies it and it divides, so a wrong
-or missing entry changes no factorization.  What the hints leave takes
-factorize's own path, whose rho gives up on a composite above the
+primes.factorize with the document's excluded primes as hints (its known),
+so a wrong or missing entry changes no factorization.  What the hints leave
+takes factorize's own path, whose rho gives up on a composite above the
 Miller-Rabin bound once its cycle length passes primes.RHO_CYCLE_LIMIT, so
-a crafted element costs under a second per split attempt there.  An
-evidence block must match the document (exponent, cleared elements,
-excluded primes), and its density must be its failing count over
-tested_count, which is not recounted.
+a crafted element costs under a second per split attempt there.  The
+excluded primes must then all be prime and include 2, the primes of n and
+every support prime of the elements.  An evidence block must match the
+document (exponent, cleared elements, excluded primes), and its density
+must be its failing count over tested_count.  tested_count is not
+recounted, which would sieve [lo, hi], but bounded in O(1): at most
+(hi - lo) // 2 + 2, and at most 1.25506 hi / ln hi, Rosser and
+Schoenfeld's bound on pi(hi).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import math
 from fractions import Fraction
 from itertools import islice, product
 
-from .primes import divisors, first_nonprime, is_prime, jacobi
+from .primes import divisors, factorize, first_nonprime, is_prime, jacobi
 from .rationals import clear_denominators, factor, reduce_class
 from .sieve import first_non_failing, verify_failing_prime
 from .verdicts import FAILS, HOLDS
@@ -100,6 +103,8 @@ def _verify(doc: dict):
     _verify_certificate(cert, elements, cleared, n, status, known)
     for p in excluded:
         _need(is_prime(p), f"excluded entry {p} is not prime")
+    missing = {2, *factorize(n), *(p for x in elements for p, _ in x.factors)} - set(excluded)
+    _need(not missing, f"excluded primes omit {sorted(missing)}")
     evidence = doc.get("evidence")
     if evidence is not None:
         params, primes = evidence["params"], evidence["failing_primes"]
@@ -115,10 +120,15 @@ def _verify(doc: dict):
         if status == HOLDS:
             _need(not primes, "holds verdict carries sieve failures; inconsistency")
         # the block's own arithmetic; tested_count is not recounted, which
-        # would take a sieve of [lo, hi]
-        _need(params["lo"] <= params["hi"], "scanned range has lo above hi")
+        # would take a sieve of [lo, hi], but bounded by the odd numbers of
+        # [lo, hi] and 2, and by pi(hi) < 1.25506 hi / ln hi for hi > 1
+        # (Rosser-Schoenfeld)
+        lo, hi = params["lo"], params["hi"]
+        _need(lo <= hi, "scanned range has lo above hi")
         tested = evidence["tested_count"]
         _need(len(primes) <= tested, "more failing primes claimed than primes tested")
+        bound = min((hi - lo) // 2 + 2, 1.25506 * hi / math.log(hi)) if hi > 1 else 0
+        _need(tested <= bound, "more primes tested than the scanned range holds")
         d = Fraction(len(primes), tested) if tested else Fraction(0)
         _need(evidence["failing_density"] == f"{d.numerator}/{d.denominator}",
               "failing density is not failing primes over primes tested")

@@ -349,3 +349,46 @@ def test_large_even_n_ends_at_the_ceiling():
         decide([2], 10**8, ceiling=1000)
     with pytest.raises(InstanceTooLarge):
         decide([2], 10**8)
+
+
+def test_shared_large_primes_decide_without_rho(monkeypatch):
+    # each composite cofactor shares a prime with another element of its set,
+    # so decide splits it by a gcd; the verifier splits by the excluded primes
+    from locus import primes
+    from locus.verify import verify_document
+
+    def no_rho(*args):
+        raise AssertionError("rho ran")
+    monkeypatch.setattr(primes, "_brent_rho", no_rho)
+    a, b = 999999937, 100000000003  # primes near 10^9 and 10^11
+    sets = [([5 * a, b, 5 * a * b * 7**2], 2), ([a, b, a * b, a * b**2], 3),
+            ([-3 * a, Fraction(b, a), -12 * a**2 * b], 2)]
+    for elements, n in sets:
+        v = decide(elements, n)
+        assert v.status == HOLDS and v.certificate.kind == "hyperplane_cover", elements
+        assert {a, b} <= v.excluded_primes
+        assert verify_document(v.to_json(n, [str(Fraction(x)) for x in elements])) == []
+
+
+def test_three_huge_products_decide_by_gcd():
+    # {pq, pr, qr}: each product is past the deterministic bound and its least
+    # prime far past rho's cycle limit, so alone it cannot be factored; in the
+    # set each is split by its gcd with another
+    import time
+    from locus.errors import FactorizationCapacityExceeded
+    from locus.verify import verify_document
+
+    p, q, r = 10**20 + 39, 10**22 + 9, 10**21 + 117
+    elements = [str(p * q), str(p * r), str(q * r)]
+    for n, status, kind in ((2, HOLDS, "hyperplane_cover"), (3, FAILS, "uncovered_point")):
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            v = decide(elements, n)
+            seconds.append(time.perf_counter() - t0)
+        assert (v.status, v.certificate.kind) == (status, kind)
+        assert {2, p, q, r} <= v.excluded_primes
+        assert verify_document(v.to_json(n, elements)) == []
+        assert min(seconds) < 0.05, seconds  # rho gave up after about 0.15 s
+    with pytest.raises(FactorizationCapacityExceeded):
+        decide([str(p * q)], 2)

@@ -303,7 +303,7 @@ def test_jacobi_is_multiplicative_in_the_modulus():
         jacobi(3, 8)
 
 
-def test_factorize_with_known_hints_changes_no_result():
+def test_factorize_with_known_hints_changes_no_result(monkeypatch):
     rng = random.Random(20261019)
 
     def band(lo, hi):
@@ -327,12 +327,32 @@ def test_factorize_with_known_hints_changes_no_result():
         known += decoys + known[:2] + [0, 1, -65537, True, 65537.0, above]
         known += [-p for p in big]
         rng.shuffle(known)
+        # composite hints alone: each shares one prime of n with a decoy
+        shared = [p * rng.choice(decoys + [above]) for p in big]
         assert factorize(n) == want, n
         assert factorize(n, known=known) == want, (n, known)
         assert factorize(n, known=tuple(big)) == want, n
+        assert factorize(n, known=shared + [0, True, -n]) == want, (n, shared)
     assert factorize(1, known=[65537]) == {}
     with pytest.raises(FactorizationCapacityExceeded):
         factorize(3 * above, known=[above, 3])
+
+    # composite hints split a cofactor by gcd, and rho never runs: a product
+    # of two primes near 10^20 and 10^22, then one with a third prime and a
+    # square, split by hints above the deterministic bound that share one of
+    # its primes; 0, True and the sign of a hint change nothing
+    def no_rho(*args):
+        raise AssertionError("rho ran")
+    monkeypatch.setattr(primes, "_brent_rho", no_rho)
+    p, q, r, s = 10**20 + 39, 10**22 + 9, 10**21 + 117, 10**9 + 7
+    assert p * r > MR_DETERMINISTIC_BOUND
+    assert factorize(p * q, known=[p * r]) == {p: 1, q: 1}
+    assert factorize(p * q, known=[0, True, q * q, -q * r]) == {p: 1, q: 1}
+    assert factorize(p * q * r * s**2, known=[q * r * s, p * r, s * above]) \
+        == {s: 2, p: 1, q: 1, r: 1}
+    assert factorize(5 * p**2 * q**3, known=[-(p * r)]) == {5: 1, p: 2, q: 3}
+    with pytest.raises(AssertionError, match="rho ran"):
+        factorize(p * q, known=[p * q, 0, True, -p * q])
 
 
 def test_known_hints_spare_a_split_beyond_the_bounds():
@@ -343,6 +363,7 @@ def test_known_hints_spare_a_split_beyond_the_bounds():
         factorize(p * q)
     assert factorize(p * q, known=[p]) == {p: 1, q: 1}
     assert factorize(5 * p**2 * q, known=[q, p]) == {5: 1, p: 2, q: 1}
-    # a composite hint is ignored, so it cannot stand in for its primes
+    # a hint that the cofactor divides gives no proper split, so it cannot
+    # stand in for its primes
     with pytest.raises(FactorizationCapacityExceeded, match="rho"):
         factorize(p * q, known=[p * q])

@@ -1,13 +1,16 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locus.errors import ParseError, ZeroInput
+from locus.errors import FactorizationCapacityExceeded, ParseError, ZeroInput
+from locus.primes import is_prime
 from locus.rationals import (FactoredRational, clear_denominators, dedupe,
-                             factor, is_perfect_power, parse_rational,
-                             reduce_class)
+                             factor, factor_set, is_perfect_power,
+                             parse_rational, reduce_class)
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6),
@@ -153,3 +156,43 @@ def test_string_form():
     assert str(factor(Fraction(-3, 4))) == "-3/4"
     assert str(factor(42)) == "42"
     assert str(factor(1)) == "1"
+
+
+def test_factor_set_equals_factor_on_sets_sharing_large_primes():
+    # each element has at most one factor past 10^9, so the per-element path
+    # stays cheap; the set's elements share primes in (10^6, 10^12) and near
+    # 10^20, and carry signs, denominators, perfect powers and repeats
+    rng = random.Random(19)
+
+    def prime_in(lo, hi):
+        while True:
+            p = rng.randrange(lo, hi) | 1
+            if is_prime(p):
+                return p
+    for _ in range(250):
+        mid = [prime_in(10**6, 2 * 10**6) for _ in range(3)]
+        far = [prime_in(10**9, 10**12), prime_in(10**20, 10**20 + 10**6)]
+        xs = []
+        for _ in range(rng.randint(1, 5)):
+            num = rng.choice([1, 2, 12, 45]) * math.prod(rng.sample(mid, rng.randint(0, 2)))
+            if rng.random() < 0.6:
+                num *= rng.choice(far)
+            den = rng.choice([1, 1, 1, 7, rng.choice(mid)])
+            x = Fraction(rng.choice([1, -1]) * num, den) ** rng.choice([1, 1, 2, 3])
+            xs.append(factor(x) if rng.random() < 0.1 else rng.choice([x, str(x)]))
+        if rng.random() < 0.3:
+            xs.append(rng.choice(xs))
+        assert factor_set(xs) == [factor(x) for x in xs], xs
+
+
+def test_factor_set_parses_every_element_before_factoring():
+    # p * q is past factorization capacity alone; the malformed or zero
+    # element after it is reported first
+    p, q = 10**20 + 39, 10**22 + 9
+    with pytest.raises(FactorizationCapacityExceeded):
+        factor_set([str(p * q)])
+    with pytest.raises(ParseError):
+        factor_set([str(p * q), "2", "x"])
+    with pytest.raises(ZeroInput):
+        factor_set([p * q, 0])
+    assert factor_set([]) == []

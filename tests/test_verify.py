@@ -195,7 +195,7 @@ def test_square_kinds_and_members_are_bound_to_their_exponent():
     ]
     for doc in forged:
         assert verify_document(doc), doc
-    doc = dict(forged[-1], n=2)
+    doc = dict(forged[-1], n=2, excluded_primes=[2])
     assert verify_document(doc) == []
     assert verify_document(dict(doc, n=3)) == [
         "member certificate is for exponent 2, expected 3"]
@@ -303,7 +303,8 @@ def test_rejects_cover_modulo_a_prime_power():
     doc = {"n": 9, "status": "holds",
            "elements": [str(2**a * 3**b) for a, b in cols],
            "certificate": {"kind": "hyperplane_cover", "q": 9, "support": [2, 3],
-                           "coeffs": cols}}
+                           "coeffs": cols},
+           "excluded_primes": [2, 3]}
     assert verify_document(doc) == ["claimed cover has a hole"]
     doc["status"] = "fails"
     doc["certificate"].update(kind="uncovered_point", point=[3, 1])
@@ -331,7 +332,8 @@ def test_rejects_modulus_other_than_n():
     # sign entry
     even = {"n": 6, "elements": ["2", "3"], "status": "fails",
             "certificate": {"kind": "uncovered_point", "q": 6, "support": [2, 3],
-                            "coeffs": [[1, 0], [0, 1]], "point": [1, 1]}}
+                            "coeffs": [[1, 0], [0, 1]], "point": [1, 1]},
+            "excluded_primes": [2, 3]}
     assert verify_document(even) == ["a refutation names its class t exactly "
                                      "when n is even"]
     even["certificate"]["t"] = 5
@@ -359,7 +361,8 @@ def test_rejects_composite_modulus_cover_with_a_hole():
     # {2, 5, 10, 50} covers mod 3 but not mod 15: (5, 3) is off every kernel
     doc = {"n": 15, "elements": ["2", "5", "10", "50"], "status": "holds",
            "certificate": {"kind": "hyperplane_cover", "q": 15, "support": [2, 5],
-                           "coeffs": [[1, 0], [0, 1], [1, 1], [1, 2]]}}
+                           "coeffs": [[1, 0], [0, 1], [1, 1], [1, 2]]},
+           "excluded_primes": [2, 3, 5]}
     assert verify_document(doc) == ["claimed cover has a hole"]
     doc["status"] = "fails"
     doc["certificate"].update(kind="uncovered_point", point=[5, 3])
@@ -500,7 +503,8 @@ def test_oracle_exhaustion_recheck_agrees_with_the_oracle():
                     * 3 ** rng.randrange(q**m) for _ in range(rng.randint(1, 5))]
         doc = {"n": q**m, "elements": [str(e) for e in elements], "status": "holds",
                "certificate": {"kind": "oracle_exhaustion", "q": q, "m": m,
-                               "tuples_checked": (q**m) ** len(elements)}}
+                               "tuples_checked": (q**m) ** len(elements)},
+               "excluded_primes": sorted({2, 3, q})}
         assert (verify_document(doc) == []) == skalba_oracle(elements, q, m).holds(), \
             (elements, q, m)
 
@@ -705,10 +709,11 @@ def test_missing_and_composite_hints():
     doc = doc_for([str(a), "2", "3"], 3)
     p, q = 4123477, 496399531
     assert {p, q} <= set(doc["excluded_primes"])
-    # without an entry the element is factored the long way
+    # without an entry the element is factored the long way, and the list
+    # is refused as incomplete
     short = json.loads(json.dumps(doc))
     short["excluded_primes"].remove(q)
-    assert verify_document(short) == []
+    assert verify_document(short) == [f"excluded primes omit [{q}]"]
     # a composite entry dividing an element is not used, and is refused
     for entries in ([2, 3, a], [2, 3, p, q, a]):
         bad = json.loads(json.dumps(doc))
@@ -737,11 +742,30 @@ def test_evidence_arithmetic_must_match_the_document():
          "evidence exclusions differ from the excluded primes"),
         ({"params": dict(ev["params"], lo=2001), "failing_primes": []},
          "scanned range has lo above hi"),
+        # a count inflated with its density: pi(2000) = 303 < 330, the bound
+        ({"tested_count": 1000, "failing_density": "67/1000"},
+         "more primes tested than the scanned range holds"),
+        ({"tested_count": 331, "failing_density": "67/331"},
+         "more primes tested than the scanned range holds"),
+        # [1990, 2000] has 5 odd numbers: at most 7 primes tested
+        ({"params": dict(ev["params"], lo=1990), "failing_primes": [1993],
+          "tested_count": 8, "failing_density": "1/8"},
+         "more primes tested than the scanned range holds"),
+        ({"params": dict(ev["params"], lo=1, hi=1), "failing_primes": [],
+          "tested_count": 1, "failing_density": "0/1"},
+         "more primes tested than the scanned range holds"),
     ]
     for change, message in forgeries:
         bad = json.loads(json.dumps(doc))
         bad["evidence"].update(change)
         assert verify_document(bad) == [message], change
+    # the bounds themselves are accepted
+    for change in ({"tested_count": 330, "failing_density": "67/330"},
+                   {"params": dict(ev["params"], lo=1990), "failing_primes": [1993],
+                    "tested_count": 7, "failing_density": "1/7"}):
+        ok = json.loads(json.dumps(doc))
+        ok["evidence"].update(change)
+        assert verify_document(ok) == [], change
     # a scan with nothing tested has density 0/1, and denominators are cleared
     doc = doc_for(["2", "3"], 3, attach_evidence=True, evidence_hi=2)
     assert doc["evidence"]["failing_density"] == "0/1"
@@ -749,3 +773,25 @@ def test_evidence_arithmetic_must_match_the_document():
     doc = doc_for(["1/2", "3", "12"], 3, attach_evidence=True, evidence_hi=300)
     assert doc["evidence"]["params"]["elements"] == ["4", "24", "96"]  # times 2^3
     assert verify_document(doc) == []
+
+
+def test_excluded_primes_must_be_complete():
+    # 2, the primes of n and every support prime; a superset is accepted
+    doc = doc_for(["2", "3", "6", "18"], 3)
+    assert doc["status"] == "holds" and doc["excluded_primes"] == [2, 3]
+    assert verify_document(doc) == []
+    for entries, missing in (([2], [3]), ([], [2, 3]), ([3, 5], [2])):
+        bad = dict(doc, excluded_primes=entries)
+        assert verify_document(bad) == [f"excluded primes omit {missing}"], entries
+    del doc["excluded_primes"]
+    assert verify_document(doc) == ["excluded primes omit [2, 3]"]
+    assert verify_document(dict(doc, excluded_primes=[2, 3, 7])) == []
+    # the primes of n count though no element has them, and so do the
+    # primes of a denominator
+    doc = doc_for(["2", "7/5"], 15)
+    assert doc["excluded_primes"] == [2, 3, 5, 7]
+    assert verify_document(doc) == []
+    assert verify_document(dict(doc, excluded_primes=[2, 5, 7])) == [
+        "excluded primes omit [3]"]
+    assert verify_document(dict(doc, excluded_primes=[2, 3, 7])) == [
+        "excluded primes omit [5]"]
