@@ -8,8 +8,8 @@ from .errors import LocusError
 from .families import (cubic_quad, even_optimal, exceptional_pair, lifted,
                        odd_optimal, square_triple)
 from .prime_power import decide_prime_power, exponentiate_classes, skalba_oracle
-from .rationals import (FactoredRational, clear_denominators, dedupe, factor,
-                        is_perfect_power, parse_rational, reduce_class)
+from .rationals import (FactoredRational, clear_denominators, factor,
+                        is_perfect_power, parse_rational)
 from .sieve import (SieveReport, find_counterexample, is_kth_power_mod_p,
                     scan, set_has_kth_power_mod_p)
 from .squares import decide_square
@@ -20,10 +20,10 @@ __all__ = [
     "FAILS", "HOLDS",
     "ExceptionalForm", "FactoredRational", "LocusError", "SieveReport",
     "Verdict", "clear_denominators", "covers", "cubic_quad", "decide",
-    "decide_prime_power", "decide_q", "decide_square", "dedupe", "even_optimal",
+    "decide_prime_power", "decide_q", "decide_square", "even_optimal",
     "exceptional_pair", "exponentiate_classes", "factor", "find_counterexample",
     "is_kth_power_mod_p", "is_perfect_power", "lifted", "match_exceptional_pair",
-    "odd_optimal", "parse_rational", "reduce_class", "scan",
+    "odd_optimal", "parse_rational", "scan",
     "set_has_kth_power_mod_p", "skalba_oracle", "square_triple",
     "verify_document",
 ]

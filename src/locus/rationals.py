@@ -3,7 +3,11 @@
 A FactoredRational is a sign together with an ascending list of
 (prime, exponent) pairs, exponents nonzero (negative for denominator
 primes).  All operations are pure; instances are immutable and safe to
-share between workers.
+share between workers.  This module parses, factors (one element, or a set
+jointly), clears denominators and tests perfect powers; it keeps no class
+representatives.  A class mod (Q^x)^n is keyed from the factors where it is
+used: by the engine in classify.exponent_classes, and by the verifier in
+verify._columns.
 """
 
 from __future__ import annotations
@@ -215,38 +219,8 @@ def clear_denominators(elements: Iterable[RationalLike], n: int) -> list[Factore
 
 
 def is_perfect_power(x: RationalLike, k: int) -> bool:
-    """True iff x = r^k for some rational r.
-
-    Every exponent must be divisible by k, and even k additionally needs a
-    positive sign.  k = 1 is trivially true.
-    """
+    """True iff x = r^k for some rational r, that is iff x has a k-th root
+    (FactoredRational.nth_root).  k = 1 is trivially true."""
     if k < 1:
         raise ValueError("power degree must be >= 1")
-    fx = factor(x)
-    if k % 2 == 0 and fx.sign == -1:
-        return False
-    return all(e % k == 0 for _, e in fx.factors)
-
-
-def reduce_class(x: RationalLike, k: int) -> FactoredRational:
-    """Representative of x in Q^x/(Q^x)^k: exponents in [0, k), and for odd
-    k the sign +1, since -1 is itself a k-th power."""
-    if k < 2:
-        raise ValueError("class modulus must be >= 2")
-    fx = factor(x)
-    sign = 1 if k % 2 else fx.sign
-    return FactoredRational.from_prime_powers(sign, {p: e % k for p, e in fx.factors})
-
-
-def dedupe(xs: Iterable[RationalLike], k: int) -> list[FactoredRational]:
-    """The first element of each class mod (Q^x)^k, in input order."""
-    seen = set()
-    out = []
-    for x in xs:
-        fx = factor(x)
-        rep = reduce_class(fx, k)
-        if rep not in seen:
-            seen.add(rep)
-            out.append(fx)
-    return out
-
+    return factor(x).nth_root(k) is not None

@@ -5,10 +5,12 @@ against the element set without trusting the engine's decision path.  Every
 check here recomputes from first principles: roots are re-raised, uncovered
 points re-evaluated, covers and exhaustions re-searched, witnesses re-tested,
 claimed failing primes tested for primality and re-tested, all of a
-document's in one batch.  The status is holds or fails.  One builder,
-_columns, gives the support of the classes of a list mod (Q^x)^n, led for
-even n by the sign entry -1, and their exponent vectors.  A cover or an
-uncovered point has q = n, and its columns must be those of the cleared
+document's in one batch.  The status is holds or fails, and every integer
+field holds ints alone (a float or a bool is refused).  One class key,
+_columns, reads the classes of a list mod (Q^x)^n straight off the factors:
+their support, led for even n by the sign entry -1, and their exponent
+vectors.  A member is checked by it to be in the class of an element, and
+a cover or an uncovered point has q = n and columns those of the cleared
 set, mapped onto the recorded support.  The verifier re-derives the classes
 of Frobenius elements on its own (_class: t, g = gcd(t - 1, n), the sign
 pinned to (t - 1)/2 and the parities of the fixed primes to Jacobi
@@ -49,7 +51,7 @@ from fractions import Fraction
 from itertools import islice, product
 
 from .primes import divisors, factorize, first_nonprime, is_prime, jacobi
-from .rationals import clear_denominators, factor, reduce_class
+from .rationals import clear_denominators, factor
 from .sieve import first_non_failing, verify_failing_prime
 from .verdicts import FAILS, HOLDS
 
@@ -68,6 +70,10 @@ COVER_RECHECK_LIMIT = 1 << 19
 
 # sign vectors an oracle witness re-check may test before it gives up
 ORACLE_RECHECK_LIMIT = 1 << 20
+
+# the certificate fields that hold an integer, or lists of integers
+INT_FIELDS = ("exponent", "q", "m", "t", "tuples_checked", "support", "coeffs",
+              "point", "c", "counterexample_prime")
 
 
 class VerificationFailure(Exception):
@@ -90,6 +96,18 @@ def verify_document(doc: dict) -> list[str]:
         return [f"malformed document: {exc!r}"]
 
 
+def _need_ints(name: str, value):
+    """An integer field, or a list of them at any depth, holds ints alone: a
+    float or a bool compares equal to an int, and would pass later checks."""
+    if type(value) is int:
+        return
+    if not isinstance(value, (list, tuple)):  # the message is built only on failure
+        raise VerificationFailure(f"{name} holds {value!r}, not an integer")
+    if {*map(type, value)} - {int}:  # entries are walked only past a non-int
+        for v in value:
+            _need_ints(name, v)
+
+
 def _verify(doc: dict):
     n = doc["n"]
     _need(type(n) is int and n >= 2, f"exponent {n!r} is not an integer >= 2")
@@ -101,6 +119,7 @@ def _verify(doc: dict):
     _need(status in (HOLDS, FAILS), f"unknown status {status}")
     cleared = clear_denominators(elements, n)
     _verify_certificate(cert, elements, cleared, n, status, known)
+    _need_ints("excluded_primes", excluded)
     for p in excluded:
         _need(is_prime(p), f"excluded entry {p} is not prime")
     missing = {2, *factorize(n), *(p for x in elements for p, _ in x.factors)} - set(excluded)
@@ -108,6 +127,10 @@ def _verify(doc: dict):
     evidence = doc.get("evidence")
     if evidence is not None:
         params, primes = evidence["params"], evidence["failing_primes"]
+        for name in ("k", "lo", "hi", "excluded"):
+            _need_ints(f"evidence {name}", params[name])
+        _need_ints("evidence failing_primes", primes)
+        _need_ints("evidence tested_count", evidence["tested_count"])
         _need(params["k"] == n, "evidence exponent differs from the verdict")
         _need(all(a < b for a, b in zip(primes, primes[1:])),
               "claimed failing primes are not strictly ascending")
@@ -142,6 +165,9 @@ def _verify_certificate(cert: dict, elements, cleared, n: int, status: str, know
     kind = cert["kind"]
     _need(kind in ALLOWED_KINDS[status],
           f"certificate kind {kind} cannot support status {status}")
+    for name in INT_FIELDS:
+        if name in cert:
+            _need_ints(name, cert[name])
 
     if kind == "perfect_power_member":
         k = cert["exponent"]
@@ -149,9 +175,8 @@ def _verify_certificate(cert: dict, elements, cleared, n: int, status: str, know
         member = factor(cert["element"], known=known)
         root = factor(cert["root"], known=known)
         _need(root**k == member, f"{cert['root']}^{k} != {cert['element']}")
-        pool = {reduce_class(x, k) for x in list(elements) + cleared}
-        _need(reduce_class(member, k) in pool,
-              f"{member} is not one of the decided elements")
+        cols = _columns([member, *elements, *cleared], n)[1]
+        _need(cols[0] in cols[1:], f"{member} is not one of the decided elements")
         return
 
     if kind in ("hyperplane_cover", "uncovered_point"):
@@ -185,7 +210,7 @@ def _verify_certificate(cert: dict, elements, cleared, n: int, status: str, know
         _need(("t" in cert) == (n % 2 == 0),
               "a refutation names its class t exactly when n is even")
         t = cert.get("t", 1)
-        _need(type(t) is int and t % 2 == 1 and 0 < t < 2 * n and math.gcd(t, n) == 1,
+        _need(t % 2 == 1 and 0 < t < 2 * n and math.gcd(t, n) == 1,
               f"class {t} is not an odd unit below 2n")
         g, pins = _class(n, support, t)
         point = tuple(cert["point"])
@@ -250,14 +275,14 @@ def _need_oracle_modulus(q, m, n: int):
 
 
 def _columns(xs, n: int):
-    """The joint support of the classes of xs mod (Q^x)^n, led for even n
-    by the sign entry -1, and their exponent vectors mod n over it, with 1
-    at -1 for a negative class."""
-    reps = [reduce_class(x, n) for x in xs]
-    primes = sorted({p for x in reps for p in x.support()})
+    """The joint support of the classes of the factored xs mod (Q^x)^n, led
+    for even n by the sign entry -1, and their exponent vectors over it,
+    read off the factors: each exponent mod n, in [0, n), and 1 at -1 for a
+    negative x.  For odd n the sign is dropped, -1 being an n-th power."""
+    keys = [{-1: int(x.sign < 0)} | {p: e % n for p, e in x.factors if e % n} for x in xs]
+    primes = sorted({p for key in keys for p in key} - {-1})
     support = primes if n % 2 else [-1] + primes
-    vecs = [dict(x.factors) | {-1: int(x.sign < 0)} for x in reps]
-    return support, [tuple(v.get(p, 0) for p in support) for v in vecs]
+    return support, [tuple(key.get(p, 0) for p in support) for key in keys]
 
 
 def _image_generators(cols, n: int):

@@ -1,13 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locus.classify import (ExceptionalForm, decide, exponent_classes,
                             match_exceptional_pair)
 from locus.errors import NotEven, WrongCardinality, ZeroInput
-from locus.rationals import clear_denominators, dedupe, factor, reduce_class
+from locus.rationals import (FactoredRational, clear_denominators, factor,
+                             is_perfect_power)
 from locus.sieve import scan
 from locus.verdicts import FAILS, HOLDS
+from locus.verify import _columns
 
 from galois_reference import density
 
@@ -102,11 +107,20 @@ def test_decide_clears_denominators_and_dedupes():
     assert v1.status == v2.status == HOLDS
 
 
-def test_exponent_classes_match_dedupe_and_reduce_class():
-    # decide keys each class once; its classes, their order, their first
-    # representatives and their exponents are those of rationals.dedupe and
-    # reduce_class, signed elements at odd n included
-    import random
+def valuation_key(x: Fraction, n: int, primes=(2, 3, 5, 7)):
+    """The class of x mod (Q^x)^n over primes, by repeated division: the
+    sign for even n, and each p-adic valuation mod n."""
+    def v(m, p):
+        return 0 if m % p else 1 + v(m // p, p)
+    powers = {p: (v(abs(x.numerator), p) - v(x.denominator, p)) % n for p in primes}
+    return (int(x < 0) if n % 2 == 0 else 0, {p: e for p, e in powers.items() if e})
+
+
+def test_exponent_classes_match_verifier_columns():
+    # the engine's class key and the verifier's agree on signed fractional
+    # sets: one support, the engine's columns the verifier's with repeats
+    # dropped, and each representative the first element of its class in
+    # input order; both match the classes read off the valuations
     rng = random.Random(7)
     for _ in range(400):
         n = rng.choice((2, 3, 4, 5, 6, 8, 9, 12))
@@ -114,16 +128,78 @@ def test_exponent_classes_match_dedupe_and_reduce_class():
                              * 3**rng.randrange(n) * rng.choice((1, 5, 25)),
                              rng.choice((1, 1, 3, 7, 49)))
                     for _ in range(rng.randint(1, 7))]
-        cleared = clear_denominators([factor(x) for x in elements], n)
-        reps, support, columns = exponent_classes(cleared, n)
-        assert reps == dedupe(cleared, n)
-        classes = [reduce_class(x, n) for x in reps]
-        primes = sorted({p for x in classes for p in x.support()})
-        assert support == (tuple(primes) if n % 2 else (-1, *primes))
-        assert columns == tuple(tuple(int(x.sign < 0) if p == -1 else x.exponent(p)
-                                      for p in support) for x in classes)
+        xs = [factor(x) for x in elements]
+        for ys in (xs, clear_denominators(xs, n)):
+            reps, support, columns = exponent_classes(ys, n)
+            own, cols = _columns(ys, n)
+            assert tuple(own) == support
+            assert columns == tuple(dict.fromkeys(cols))
+            assert reps == [ys[cols.index(c)] for c in columns]
+            for y, col in zip(ys, cols):
+                sign, powers = valuation_key(y.value(), n)
+                assert set(powers) <= set(support)
+                assert dict(zip(support, col)) == (
+                    {-1: sign} | {p: powers.get(p, 0) for p in support[1:]} if n % 2 == 0
+                    else {p: powers.get(p, 0) for p in support})
+
+
+def test_class_key_examples():
+    # 18 = 2 * 3^2 and -5 at n = 3, the sign dropped; 2^5 and -5 at n = 4
+    for xs, n, support, cols in [
+            ([18], 3, (2, 3), [(1, 2)]),
+            ([-5], 3, (5,), [(1,)]),
+            ([2**5], 4, (-1, 2), [(0, 1)]),
+            ([-5], 4, (-1, 5), [(1, 1)]),
+            ([Fraction(1, 2), 4, -2, 8], 3, (2,), [(2,), (2,), (1,), (0,)])]:
+        xs = [factor(x) for x in xs]
+        assert _columns(xs, n) == (list(support), cols)
+        assert exponent_classes(xs, n)[1:] == (support, tuple(dict.fromkeys(cols)))
+
+
+@given(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+       .filter(bool), st.integers(min_value=2, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_class_keys_are_reduced(x, n):
+    # exponents in [0, n), the sign dropped for odd n, and x over the class
+    # the column spells a perfect n-th power, under either key
+    fx = factor(x)
+    for support, (col,) in (exponent_classes([fx], n)[1:], _columns([fx], n)):
+        assert all(0 <= e < n for e in col)
+        assert (-1 in support) == (n % 2 == 0)
+        spelled = FactoredRational.from_prime_powers(
+            -1 if dict(zip(support, col)).get(-1) else 1,
+            {p: e for p, e in zip(support, col) if p != -1})
+        assert is_perfect_power(fx / spelled, n)
+        for key in (exponent_classes, _columns):  # the class keys itself
+            again_support, again_cols = key([spelled], n)[-2:]
+            assert tuple(again_support) == tuple(support) and tuple(again_cols) == (col,)
         if n % 2:
-            assert all(x.sign == 1 for x in classes)
+            assert _columns([factor(-x)], n) == _columns([fx], n)
+
+
+# few primes and wide exponents, so that classes collide often
+colliding_rationals = st.builds(
+    lambda sign, e2, e3, e5: FactoredRational.from_prime_powers(
+        sign, {2: e2, 3: e3, 5: e5}),
+    st.sampled_from([1, -1]), st.integers(-9, 9), st.integers(-9, 9),
+    st.integers(-2, 2))
+
+
+@given(st.lists(colliding_rationals, min_size=1, max_size=8),
+       st.sampled_from([2, 3, 4, 6, 8, 9]))
+@settings(max_examples=300, deadline=None)
+def test_class_keys_keep_first_of_each_class(xs, n):
+    # the classes are those of a key read off the factors directly: the sign
+    # for even n and the exponents mod n; exponent_classes keeps the first
+    # element of each, in input order, and _columns gives equal columns
+    # exactly to the elements of one class
+    keys = [(x.sign if n % 2 == 0 else 1, tuple((p, e % n) for p, e in x.factors if e % n))
+            for x in xs]
+    first = [x for i, x in enumerate(xs) if keys[i] not in keys[:i]]
+    assert exponent_classes(xs, n)[0] == first
+    cols = _columns(xs, n)[1]
+    assert all((cols[i] == cols[j]) == (keys[i] == keys[j])
+               for i in range(len(xs)) for j in range(len(xs)))
 
 
 def test_decide_singleton_routes():

@@ -81,6 +81,53 @@ def test_generate_families(capsys):
     assert code == 0 and doc == ["4", "9"]
 
 
+def test_generate_every_family_needs_its_arguments(capsys):
+    cases = [
+        (["cubic-quad", "--a", "2", "--b", "3"], ["2", "3", "6", "18"]),
+        (["square-triple", "--p1", "3", "--p2", "5"], ["3", "5", "15"]),
+        (["lifted", "--e", "3", "--elem", "2", "--elem", "1/3"], ["8", "1/27"]),
+        (["odd-optimal", "--q1", "2", "--q2", "5", "--n", "3"],
+         ["2", "5", "10", "50"]),
+        (["even-optimal", "--q1", "3", "--q2", "5", "--n", "4"],
+         ["9", "25", "225"]),
+        (["exceptional-pair", "--n", "6", "--case", "A0eq1", "--j", "3",
+          "--alpha1", "1", "--alpha2", "2"], ["4", "-27"]),
+    ]
+    for args, family in cases:
+        code, doc = run(capsys, "generate", "--family", *args)
+        assert code == 0 and sorted(doc) == sorted(family), args
+        # the family name alone: every family needs some argument
+        assert main(["generate", "--family", args[0]]) == 3, args[0]
+        assert "needs" in capsys.readouterr().err
+    # arguments that collapse the family take the generic LocusError path
+    assert main(["generate", "--family", "cubic-quad", "--a", "2", "--b", "2"]) == 3
+    assert "distinct" in capsys.readouterr().err
+
+
+def test_verify_certificate_reads_stdin(monkeypatch, capsys):
+    import io
+    code, doc = run(capsys, "decide", "--n", "3", "--elem", "2", "--elem", "3",
+                    "--elem", "12")
+    assert code == 1
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert run(capsys, "verify-certificate", "-") == (0, {"valid": True, "problems": []})
+    doc["certificate"]["point"] = [0, 0]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert run(capsys, "verify-certificate", "-") == (
+        1, {"valid": False, "problems": ["claimed uncovered point is covered"]})
+
+
+def test_internal_inconsistency_exits_five(monkeypatch, capsys):
+    import locus.cli
+    from locus.errors import InternalInconsistency
+
+    def broken(*args, **kwargs):
+        raise InternalInconsistency("holds verdict with sieve failures")
+    monkeypatch.setattr(locus.cli, "decide", broken)
+    assert main(["decide", "--n", "3", "--elem", "2"]) == 5
+    assert capsys.readouterr().err.startswith("INTERNAL INCONSISTENCY (bug): ")
+
+
 def test_parse_errors_exit_three(capsys):
     assert main(["decide", "--n", "3", "--elem", "1.5"]) == 3
     assert main(["decide", "--n", "3"]) == 3

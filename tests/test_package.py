@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import locus
@@ -15,10 +16,10 @@ def test_public_names_are_pinned():
         "ExceptionalForm", "FactoredRational", "LocusError", "SieveReport",
         "Verdict", "clear_denominators", "covers",
         "cubic_quad", "decide", "decide_prime_power", "decide_q", "decide_square",
-        "dedupe", "even_optimal", "exceptional_pair",
+        "even_optimal", "exceptional_pair",
         "exponentiate_classes", "factor", "find_counterexample",
         "is_kth_power_mod_p", "is_perfect_power", "lifted", "match_exceptional_pair",
-        "odd_optimal", "parse_rational", "reduce_class", "scan",
+        "odd_optimal", "parse_rational", "scan",
         "set_has_kth_power_mod_p", "skalba_oracle", "square_triple",
         "verify_document",
     }
@@ -53,3 +54,16 @@ def test_verifier_imports_no_decision_code():
     assert {"primes", "rationals", "sieve", "verdicts"} <= reached
     assert not reached & {"classify", "covering", "prime_power", "squares",
                           "families", "cli"}, reached
+
+
+def test_benchmark_traced_names_resolve():
+    # bench/spans.py wraps each (module, name) of its TRACED list by name, so
+    # a public name deleted here would break a traced benchmark run; the
+    # list is read with ast, without importing the benchmark
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "spans.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    assert traced
+    for module, name in traced:
+        assert hasattr(importlib.import_module(f"locus.{module}"), name), (module, name)

@@ -17,6 +17,23 @@ def test_is_prime_small():
         assert is_prime(n) == (n in known)
 
 
+def test_is_prime_refuses_to_certify_at_and_above_the_bound():
+    # the bound itself is 1287836182261 * 2575672364521, a strong
+    # pseudoprime to every witness up to 41: Miller-Rabin would call it prime
+    bound = MR_DETERMINISTIC_BOUND
+    assert bound == 1287836182261 * 2575672364521
+    assert primes._miller_rabin(bound, primes.MR_WITNESSES)
+    for n in (bound, bound + 6, 2**89 - 1, 10**30 + 57):
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(FactorizationCapacityExceeded, match="deterministic bound"):
+                is_prime(n)
+    # a factor up to 41 still decides, above the bound too
+    assert not is_prime(bound + 1) and not is_prime(41 * bound)
+    # below it Miller-Rabin decides, its factors and their square included
+    assert is_prime(1287836182261) and is_prime(2575672364521)
+    assert not is_prime(1287836182261**2)
+
+
 def test_is_prime_agrees_with_sieve():
     primes = set(sieve_upto(10000))
     for n in range(2, 10000):

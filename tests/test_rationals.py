@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locus.classify import exponent_classes
 from locus.errors import FactorizationCapacityExceeded, ParseError, ZeroInput
 from locus.primes import is_prime
-from locus.rationals import (FactoredRational, clear_denominators, dedupe,
-                             factor, factor_set, is_perfect_power,
-                             parse_rational, reduce_class)
+from locus.rationals import (FactoredRational, clear_denominators, factor,
+                             factor_set, is_perfect_power, parse_rational)
+from locus.verify import _columns
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6),
@@ -105,51 +106,17 @@ def test_clear_denominators():
             assert brute_is_perfect_power(ratio, n)
 
 
-def test_reduce_class_examples():
-    assert reduce_class(18, 3) == factor(18)
-    assert reduce_class(-5, 3) == factor(5)
-    assert reduce_class(2**5, 4) == factor(2)
-    assert reduce_class(-5, 4) == factor(-5)
-
-
-@given(nonzero_rationals, st.integers(min_value=2, max_value=12))
-@settings(max_examples=200, deadline=None)
-def test_reduce_class_invariants(x, k):
-    rep = reduce_class(x, k)
-    assert all(0 <= e < k for _, e in rep.factors)
-    if k % 2:
-        assert rep.sign == 1
-    # x / rep is a perfect k-th power
-    assert is_perfect_power(factor(x) / rep, k)
-    # idempotent
-    assert reduce_class(rep, k) == rep
-
-
 @given(nonzero_rationals, nonzero_rationals, st.integers(min_value=2, max_value=8))
 @settings(max_examples=150, deadline=None)
 def test_class_soundness_under_kth_power_shift(x, w, k):
-    shifted = factor(x) * factor(w) ** k
-    assert reduce_class(shifted, k) == reduce_class(x, k)
-
-
-# few primes and wide exponents, so that classes collide often
-colliding_rationals = st.builds(
-    lambda sign, e2, e3, e5: FactoredRational.from_prime_powers(
-        sign, {2: e2, 3: e3, 5: e5}),
-    st.sampled_from([1, -1]), st.integers(-9, 9), st.integers(-9, 9),
-    st.integers(-2, 2))
-
-
-@given(st.lists(colliding_rationals, max_size=8), st.sampled_from([2, 3, 4, 6, 8, 9]))
-@settings(max_examples=300, deadline=None)
-def test_dedupe_keeps_first_of_each_class(xs, k):
-    # dedupe's classes are those of a key read off the factors directly: the
-    # sign for even k and the exponents mod k
-    keys = [(x.sign if k % 2 == 0 else 1, tuple((p, e % k) for p, e in x.factors if e % k))
-            for x in xs]
-    first = [x for i, x in enumerate(xs) if keys[i] not in keys[:i]]
-    assert dedupe(xs, k) == first
-    assert dedupe([str(x) for x in xs], k) == first
+    # both class keys, the engine's and the verifier's, put x and x * w^k
+    # in one class
+    fx = factor(x)
+    shifted = fx * factor(w) ** k
+    reps, _, columns = exponent_classes([fx, shifted], k)
+    assert reps == [fx] and len(columns) == 1
+    cols = _columns([fx, shifted], k)[1]
+    assert cols[0] == cols[1]
 
 
 def test_string_form():

@@ -795,3 +795,55 @@ def test_excluded_primes_must_be_complete():
         "excluded primes omit [3]"]
     assert verify_document(dict(doc, excluded_primes=[2, 3, 7])) == [
         "excluded primes omit [5]"]
+
+
+def int_paths(node, path=()):
+    """The path of every int in a JSON document."""
+    if type(node) is int:
+        yield path
+    elif isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from int_paths(value, path + (key,))
+
+
+def test_integer_fields_must_be_ints():
+    # a float or a bool equal to an integer field, or to any entry of one,
+    # is refused in documents of every kind, with evidence too
+    docs = [doc_for([2, 3, 6, 18], 3, attach_evidence=True, evidence_hi=100),
+            doc_for([2, 3, 12], 3, attach_evidence=True, evidence_hi=100),
+            doc_for([2, 3, 5], 4), doc_for([512, 5], 9),
+            oracle_doc([2, 4, 8], 3, 2), oracle_doc([2, 3, 6, 18], 3, 1)]
+    kinds = {doc["certificate"]["kind"] for doc in docs}
+    assert kinds == {"hyperplane_cover", "uncovered_point", "perfect_power_member",
+                     "skalba_witness", "oracle_exhaustion"}
+    for doc in docs:
+        assert verify_document(doc) == []
+        paths = list(int_paths(doc))
+        for path in paths:
+            for retype in (float, bool):
+                bad = json.loads(json.dumps(doc))
+                node = bad
+                for key in path[:-1]:
+                    node = node[key]
+                if retype is bool and node[path[-1]] not in (0, 1):
+                    continue
+                node[path[-1]] = retype(node[path[-1]])
+                problems = verify_document(bad)
+                assert len(problems) == 1 and "not an integer" in problems[0], (path, problems)
+    # among them the fields where a float once passed
+    assert {("certificate", "q"), ("certificate", "m"), ("certificate", "exponent"),
+            ("certificate", "tuples_checked"), ("certificate", "point", 0),
+            ("certificate", "support", 0), ("excluded_primes", 0),
+            ("evidence", "params", "k"), ("evidence", "params", "lo"),
+            ("evidence", "params", "hi")} <= {p for doc in docs for p in int_paths(doc)}
+
+
+def test_refutation_of_a_set_with_an_nth_power_is_refused():
+    # 8 is a cube: its column is zero, and no uncovered point refutes {2, 8}
+    doc = {"n": 3, "elements": ["2", "8"], "status": "fails",
+           "certificate": {"kind": "uncovered_point", "q": 3, "support": [2],
+                           "coeffs": [[1]], "point": [1]},
+           "excluded_primes": [2, 3]}
+    assert verify_document(doc) == ["element 8 is an n-th power for n = 3"]
+    doc["elements"] = ["-1/27", "2"]
+    assert verify_document(doc) == ["element -729 is an n-th power for n = 3"]
