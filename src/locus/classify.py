@@ -7,8 +7,6 @@ match_exceptional_pair are re-exported here under their old path.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .errors import InternalInconsistency, ZeroInput
 from .covering import ENUMERATION_CEILING, cover_verdict
 from .families import ExceptionalForm, match_exceptional_pair  # noqa: F401
@@ -37,11 +35,11 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
     v = _route(*exponent_classes(cleared, n), n, ceiling)
     if v.fails() and want_counterexample:
         prime = find_counterexample(cleared, n, COUNTEREXAMPLE_BOUND)
-        v = replace(v, certificate=replace(v.certificate, counterexample_prime=prime))
-    v = replace(v, excluded_primes=default_exclusions(cleared, n))
+        v = v._replace(certificate=v.certificate._replace(counterexample_prime=prime))
+    v = v._replace(excluded_primes=default_exclusions(cleared, n))
     if attach_evidence:
         report = scan(cleared, n, 2, evidence_hi)
-        v = replace(v, evidence=report.to_json())
+        v = v._replace(evidence=report.to_json())
         if v.holds() and report.failing_primes:
             raise InternalInconsistency(
                 f"holds verdict with sieve failures at {report.failing_primes[:5]}")

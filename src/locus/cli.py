@@ -121,7 +121,7 @@ def _run_decide(args) -> int:
         raise ParseError("--n must be >= 2")
     xs = factor_set(elements)
     verdict = decide(xs, args.n, ceiling=args.ceiling, attach_evidence=args.evidence)
-    _emit(verdict.to_json(args.n, [str(x) for x in xs]), args.json_path)
+    _emit(verdict.to_json(args.n, xs), args.json_path)
     return _STATUS_EXIT[verdict.status]
 
 
@@ -146,7 +146,7 @@ def _run_oracle(args) -> int:
     q, m = split[0]
     xs = factor_set(elements)
     verdict = skalba_oracle(xs, q, m)
-    _emit(verdict.to_json(args.n, [str(x) for x in xs]), args.json_path)
+    _emit(verdict.to_json(args.n, xs), args.json_path)
     return _STATUS_EXIT[verdict.status]
 
 
@@ -189,26 +189,17 @@ def _run_verify(args) -> int:
         with open(args.path) as fh:
             doc = json.load(fh)
     problems = verify_document(doc)
-    if problems:
-        _emit({"valid": False, "problems": problems}, None)
-        return 1
-    _emit({"valid": True, "problems": []}, None)
-    return 0
+    _emit({"valid": not problems, "problems": problems}, None)
+    return 1 if problems else 0
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "decide":
-            return _run_decide(args)
-        if args.command == "sieve":
-            return _run_sieve(args)
-        if args.command == "oracle":
-            return _run_oracle(args)
-        if args.command == "generate":
-            return _run_generate(args)
-        return _run_verify(args)
+        run = {"decide": _run_decide, "sieve": _run_sieve, "oracle": _run_oracle,
+               "generate": _run_generate, "verify-certificate": _run_verify}
+        return run[args.command](args)
     except (ParseError, ZeroInput, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

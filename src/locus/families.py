@@ -12,9 +12,8 @@ template matches or a member is a perfect n-th power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DegenerateParameters, InapplicableCase, NotEven, WrongCardinality
 from .primes import is_prime, prime_power_split
@@ -96,8 +95,7 @@ def even_optimal(q1: int, q2: int, n: int) -> list[FactoredRational]:
     return [x ** (n // 2) for x in square_triple(q1, q2)]
 
 
-@dataclass(frozen=True)
-class ExceptionalForm:
+class ExceptionalForm(NamedTuple):
     case_tag: str
     pj: Optional[int]
     alpha1: Fraction

@@ -2,8 +2,9 @@
 
 A FactoredRational is a sign together with an ascending list of
 (prime, exponent) pairs, exponents nonzero (negative for denominator
-primes).  All operations are pure; instances are immutable and safe to
-share between workers.  This module parses, factors (one element, or a set
+primes).  All operations are pure; instances are immutable (slotted, not
+tuples: len, + and < stay undefined), equal by value and safe to share
+between workers.  This module parses, factors (one element, or a set
 jointly), clears denominators and tests perfect powers; it keeps no class
 representatives.  A class mod (Q^x)^n is keyed from the factors where it is
 used: by the engine in classify.exponent_classes, and by the verifier in
@@ -13,7 +14,6 @@ verify._columns.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -25,18 +25,16 @@ RationalLike = Union[int, str, Fraction, "FactoredRational"]
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-@dataclass(frozen=True)
 class FactoredRational:
     """sign * prod(p^e); empty factor list is +1 or -1."""
 
-    sign: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("sign", "factors")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]):
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last:
                 raise ValueError("factor primes must be strictly increasing")
             if e == 0:
@@ -44,6 +42,25 @@ class FactoredRational:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             last = p
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return other.__class__ is FactoredRational and (
+            (self.sign, self.factors) == (other.sign, other.factors))
+
+    def __hash__(self):
+        return hash((self.sign, self.factors))
+
+    def __repr__(self) -> str:
+        return f"FactoredRational(sign={self.sign!r}, factors={self.factors!r})"
+
+    def __reduce__(self):
+        return FactoredRational, (self.sign, self.factors)
 
     # -- constructors ------------------------------------------------------
 

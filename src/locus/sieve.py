@@ -14,14 +14,15 @@ e = (p-1)/d, so the cost per prime does not grow with k.  scan,
 find_counterexample and the verifier's re-check (first_non_failing) all run
 this one kernel; is_kth_power_mod_p stays the per-element reference.
 find_counterexample sieves lazily, in segments that double from [2, 128],
-and stops at the first failing prime, which is usually small.
+and stops at the first failing prime, which is usually small.  scan
+returns a SieveReport, an immutable typing.NamedTuple record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BadPrime
 from .primes import factorize, prime_range
@@ -31,8 +32,7 @@ from .rationals import FactoredRational, RationalLike, factor, factor_set
 COUNTEREXAMPLE_BOUND = 10**4
 
 
-@dataclass(frozen=True)
-class SieveReport:
+class SieveReport(NamedTuple):
     elements: tuple[str, ...]
     k: int
     lo: int
@@ -43,9 +43,7 @@ class SieveReport:
 
     @property
     def failing_density(self) -> Fraction:
-        if self.tested_count == 0:
-            return Fraction(0)
-        return Fraction(len(self.failing_primes), self.tested_count)
+        return Fraction(len(self.failing_primes), self.tested_count or 1)
 
     def to_json(self) -> dict:
         d = self.failing_density

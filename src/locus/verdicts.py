@@ -2,63 +2,60 @@
 
 A Verdict is Holds or Fails plus a certificate object and the finite set of
 primes the claim excludes.  Every certificate carries enough data to be
-re-verified without trusting the engine (see locus.verify).
+re-verified without trusting the engine (see locus.verify).  All are
+typing.NamedTuple records; a certificate's kind is a class attribute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Optional, Union
+from typing import NamedTuple, Optional
 
 HOLDS = "holds"
 FAILS = "fails"
 
 
-class _Certificate:
-    """Serialization shared by the certificates: the kind, then each field
-    in order, tuples as lists; an optional field is left out while unset."""
-
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None or f.default is not None:
-                doc[f.name] = _plain(value)
-        return doc
+def _certificate_json(self) -> dict:
+    """The certificates' to_json: the kind, then each field in order, tuples
+    as lists; a field whose default is None is left out while it is None."""
+    doc = {"kind": self.kind}
+    for name, value in zip(self._fields, self):
+        if value is not None or self._field_defaults.get(name, ...) is not None:
+            doc[name] = _plain(value)
+    return doc
 
 
 def _plain(value):
     return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
-@dataclass(frozen=True)
-class PerfectPowerMember(_Certificate):
+class PerfectPowerMember(NamedTuple):
     """Some element is r^n outright."""
 
     kind = "perfect_power_member"
+    to_json = _certificate_json
     element: str
     root: str
     exponent: int
 
 
-@dataclass(frozen=True)
-class HyperplaneCover(_Certificate):
+class HyperplaneCover(NamedTuple):
     """The exponent vectors mod q = n of the classes, over the support (for
     even n led by the sign entry -1), cover every class of Frobenius
     elements: see covering.cover_verdict."""
 
     kind = "hyperplane_cover"
+    to_json = _certificate_json
     q: int
     support: tuple[int, ...]
     coeffs: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class UncoveredPoint(_Certificate):
+class UncoveredPoint(NamedTuple):
     """A Frobenius element that fixes no root: a point mod g = gcd(t - 1, n)
     off every form, q = n; t, the class mod 2n, is set for even n only."""
 
     kind = "uncovered_point"
+    to_json = _certificate_json
     q: int
     support: tuple[int, ...]
     coeffs: tuple[tuple[int, ...], ...]
@@ -67,38 +64,32 @@ class UncoveredPoint(_Certificate):
     counterexample_prime: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class SkalbaWitness(_Certificate):
+class SkalbaWitness(NamedTuple):
     """Exponent tuple admitting no subset pair with perfect-power ratio."""
 
     kind = "skalba_witness"
+    to_json = _certificate_json
     c: tuple[int, ...]
     q: int
     m: int
     counterexample_prime: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class OracleExhaustion(_Certificate):
+class OracleExhaustion(NamedTuple):
     """Every exponent tuple admitted a satisfying subset pair."""
 
     kind = "oracle_exhaustion"
+    to_json = _certificate_json
     q: int
     m: int
     tuples_checked: int
 
 
-Certificate = Union[
-    PerfectPowerMember, HyperplaneCover, UncoveredPoint, SkalbaWitness,
-    OracleExhaustion,
-]
-
-
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str
-    certificate: Certificate
-    excluded_primes: frozenset[int] = field(default_factory=frozenset)
+    certificate: (PerfectPowerMember | HyperplaneCover | UncoveredPoint
+                  | SkalbaWitness | OracleExhaustion)
+    excluded_primes: frozenset[int] = frozenset()
     evidence: Optional[dict] = None  # optional attached sieve report
 
     def holds(self) -> bool:
@@ -107,10 +98,10 @@ class Verdict:
     def fails(self) -> bool:
         return self.status == FAILS
 
-    def to_json(self, n: int, elements: list[str]) -> dict:
+    def to_json(self, n: int, elements) -> dict:
         doc = {
             "n": n,
-            "elements": list(elements),
+            "elements": [str(e) for e in elements],
             "status": self.status,
             "certificate": self.certificate.to_json(),
             "excluded_primes": sorted(self.excluded_primes),

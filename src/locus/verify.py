@@ -29,7 +29,7 @@ prime_power.skalba_oracle emit, at an integer n >= 2, and the cover
 re-check of a document tries at most COVER_RECHECK_LIMIT candidate values
 over all its classes.  None of the engine's decision code is imported: only
 the arithmetic layers (primes, rationals, sieve) and the status names.
-Every element string, and a member and its root, is factored by
+Every element, member and root must be a string; each is factored by
 primes.factorize with the document's excluded primes as hints (its known),
 so a wrong or missing entry changes no factorization.  What the hints leave
 takes factorize's own path, whose rho gives up on a composite above the
@@ -62,10 +62,10 @@ ALLOWED_KINDS = {
     FAILS: {"uncovered_point", "skalba_witness"},
 }
 
-# candidate values the cover re-check of one document may try, over all its
-# classes, before it gives up; a cover of prime modulus q and rank r needs
-# at most 2 + q((q-1)^(r-1) - 1)/(q-2) of them, at most 436,907 (q = 5,
-# r = 10) wherever q^r <= 2^24
+# candidate values the cover re-check of one document may try, counted over
+# all its classes, before it refuses the document as too large to re-check;
+# the engine's ENUMERATION_CEILING, 2^24 values, is larger, so a document
+# decided near that ceiling can be refused here
 COVER_RECHECK_LIMIT = 1 << 19
 
 # sign vectors an oracle witness re-check may test before it gives up
@@ -108,12 +108,18 @@ def _need_ints(name: str, value):
             _need_ints(name, v)
 
 
+def _need_str(name: str, value) -> str:
+    if type(value) is not str:  # factor would read an int or a float too
+        raise VerificationFailure(f"{name} {value!r} is not a string")
+    return value
+
+
 def _verify(doc: dict):
     n = doc["n"]
     _need(type(n) is int and n >= 2, f"exponent {n!r} is not an integer >= 2")
     excluded = doc.get("excluded_primes", [])
     known = [p for p in excluded if type(p) is int] if type(excluded) is list else ()
-    elements = [factor(e, known=known) for e in doc["elements"]]
+    elements = [factor(_need_str("element", e), known=known) for e in doc["elements"]]
     status = doc["status"]
     cert = doc["certificate"]
     _need(status in (HOLDS, FAILS), f"unknown status {status}")
@@ -172,8 +178,8 @@ def _verify_certificate(cert: dict, elements, cleared, n: int, status: str, know
     if kind == "perfect_power_member":
         k = cert["exponent"]
         _need(k == n, f"member certificate is for exponent {k}, expected {n}")
-        member = factor(cert["element"], known=known)
-        root = factor(cert["root"], known=known)
+        member = factor(_need_str("member element", cert["element"]), known=known)
+        root = factor(_need_str("root", cert["root"]), known=known)
         _need(root**k == member, f"{cert['root']}^{k} != {cert['element']}")
         cols = _columns([member, *elements, *cleared], n)[1]
         _need(cols[0] in cols[1:], f"{member} is not one of the decided elements")

@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import locus
@@ -67,3 +70,19 @@ def test_benchmark_traced_names_resolve():
     assert traced
     for module, name in traced:
         assert hasattr(importlib.import_module(f"locus.{module}"), name), (module, name)
+
+
+def test_cli_import_loads_every_module_and_no_dataclasses():
+    # bench/run.py and bench/spans.py read the modules below from sys.modules
+    # right after `import locus.cli`, so each must load eagerly; start-up
+    # needs no dataclasses or inspect.  -S keeps site's imports out.
+    src = str(Path(locus.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, locus.cli; print(' '.join(sys.modules))"
+    loaded = set(subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    modules = ("classify", "covering", "errors", "families", "prime_power", "primes",
+               "rationals", "sieve", "squares", "verdicts", "verify", "cli")
+    assert {f"locus.{m}" for m in modules} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}, loaded & {"dataclasses", "inspect"}

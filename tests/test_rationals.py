@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -163,3 +165,27 @@ def test_factor_set_parses_every_element_before_factoring():
     with pytest.raises(ZeroInput):
         factor_set([p * q, 0])
     assert factor_set([]) == []
+
+
+def test_factored_rational_is_an_immutable_value():
+    x, y, other = factor("-12/5"), factor(Fraction(-12, 5)), factor("12/5")
+    for name in ("sign", "factors", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    with pytest.raises(AttributeError):
+        del x.sign
+    assert (x.sign, x.factors) == (-1, ((2, 2), (3, 1), (5, -1)))
+    # equal and hashed by value, so a usable dict key
+    assert x == y and x is not y and hash(x) == hash(y)
+    assert x != other and x != (x.sign, x.factors) and x != Fraction(-12, 5)
+    assert {x: "a", other: "b"}[y] == "a" and len({x, y, other}) == 2
+    # not a tuple: no arithmetic with ints, no concatenation, length or order
+    for op in (lambda: 2 * x, lambda: x + x, lambda: len(x), lambda: x < other):
+        with pytest.raises(TypeError):
+            op()
+    copies = [pickle.loads(pickle.dumps(x, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for z in copies + [copy.deepcopy(x), copy.copy(x)]:
+        assert type(z) is FactoredRational and z == x and str(z) == "-12/5"
+    assert repr(x) == "FactoredRational(sign=-1, factors=((2, 2), (3, 1), (5, -1)))"
+    assert copy.deepcopy({x: [x]}) == {y: [y]}

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 from locus.classify import decide
 from locus.rationals import factor
@@ -847,3 +848,33 @@ def test_refutation_of_a_set_with_an_nth_power_is_refused():
     assert verify_document(doc) == ["element 8 is an n-th power for n = 3"]
     doc["elements"] = ["-1/27", "2"]
     assert verify_document(doc) == ["element -729 is an n-th power for n = 3"]
+
+
+def test_rational_fields_must_be_strings():
+    # elements, a member's element and its root are strings; factor would
+    # read an int or a float as well, a float as its binary value
+    docs = [doc_for([2, 3, 6, 18], 3), doc_for(["1/2", 3, 6], 3), doc_for([512, 5], 9)]
+    assert docs[-1]["certificate"]["kind"] == "perfect_power_member"
+    paths = [(doc, ("elements", i)) for doc in docs for i in range(len(doc["elements"]))]
+    paths += [(docs[-1], ("certificate", "element")), (docs[-1], ("certificate", "root"))]
+    for doc, (key, sub) in paths:
+        assert verify_document(doc) == []
+        value = Fraction(doc[key][sub])
+        retyped = [float(value), True] + ([int(value)] if value.denominator == 1 else [])
+        for bad_value in retyped:
+            bad = json.loads(json.dumps(doc))
+            bad[key][sub] = bad_value
+            problems = verify_document(bad)
+            assert len(problems) == 1 and problems[0].endswith(
+                f"{bad_value!r} is not a string"), (key, sub, problems)
+    # the string need not be canonical: "02" is a true claim about 2
+    doc = json.loads(json.dumps(docs[0]))
+    doc["elements"][0] = "02"
+    assert verify_document(doc) == []
+
+
+def test_verdict_writes_elements_as_strings():
+    v = decide([2, 3, 6, 18], 3)
+    doc = v.to_json(3, [2, 3, 6, 18])
+    assert doc["elements"] == ["2", "3", "6", "18"]
+    assert doc == v.to_json(3, ["2", "3", "6", "18"]) and verify_document(doc) == []
