@@ -19,8 +19,10 @@ assume complete factorizations.  Compositeness needs no bound: one failed
 witness proves it, so larger composites are still split.
 
 Enumeration: an Eratosthenes sieve over the odd numbers only, one bytearray
-flag per odd number (_odd_flags), collected with itertools.compress;
-prime_range sieves every range in segments of 2^17 by the same routine.
+flag per odd number (_odd_flags), collected with itertools.compress.  One
+walk, prime_walk, sieves [lo, hi] alone in segments of 2^17, counts their
+primes and makes ints of only the progressions asked for; prime_range is
+its every-odd-prime case.
 """
 
 from __future__ import annotations
@@ -290,22 +292,34 @@ def factorize(n: int, *, known=()) -> dict[int, int]:
     return out
 
 
-def prime_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi, sieved over [lo, hi] alone in segments
-    of _SEGMENT numbers by the odd primes up to sqrt(hi)."""
+def prime_walk(lo: int, hi: int, strides: tuple[int, ...]) -> tuple[int, list[int]]:
+    """The number of odd primes in [lo, hi] and, ascending, those = 1 mod 2r
+    for some r in strides (r = 1: all), sieved in segments of _SEGMENT
+    numbers by the odd primes up to sqrt(hi).  A segment's primes are
+    counted by bytearray.count; the odd numbers = 1 mod 2r sit r flags
+    apart, so one stride slice of the flags picks out a progression."""
     if hi > PRIME_RANGE_CEILING:
         raise RangeTooLarge(f"prime range ceiling is {PRIME_RANGE_CEILING}, got {hi}")
-    if hi < lo or hi < 2:
-        return []
-    lo = max(lo, 2)
+    count, out = 0, []
+    start = max(lo, 1) | 1
     base = sieve_upto(math.isqrt(hi))[1:]
-    out = [2] if lo == 2 else []
-    start = lo | 1
     while start <= hi:
         end = min(start + _SEGMENT - 1, hi)  # _SEGMENT is even: start stays odd
-        out.extend(compress(range(start, end + 1, 2), _odd_flags(start, end, base)))
+        flags = _odd_flags(start, end, base)
+        count += flags.count(1)
+        picks = []
+        for r in strides:
+            i = (1 - start) // 2 % r  # the flag of the first odd number = 1 mod 2r
+            picks.append(compress(range(start + 2 * i, end + 1, 2 * r), flags[i::r]))
+        out.extend(picks[0] if len(picks) == 1 else sorted({p for ps in picks for p in ps}))
         start = end + 1
-    return out
+    return count, out
+
+
+def prime_range(lo: int, hi: int) -> list[int]:
+    """Primes p with lo <= p <= hi: 2, then every odd prime of prime_walk."""
+    odd = prime_walk(lo, hi, (1,))[1]
+    return [2, *odd] if lo <= 2 <= hi else odd
 
 
 @lru_cache(maxsize=4096)

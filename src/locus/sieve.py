@@ -13,9 +13,14 @@ k-th power, and otherwise num/den passes when num^e = den^e mod p with
 e = (p-1)/d, so the cost per prime does not grow with k.  scan,
 find_counterexample and the verifier's re-check (first_non_failing) all run
 this one kernel; is_kth_power_mod_p stays the per-element reference.
-find_counterexample sieves lazily, in segments that double from [2, 128],
-and stops at the first failing prime, which is usually small.  scan
-returns a SieveReport, an immutable typing.NamedTuple record.
+
+Only a prime with gcd(k, p-1) > 1 can fail (_strides): every odd prime
+for even k, for odd k those = 1 mod 2r for a prime r | k, half the primes
+at k = 3.  scan and find_counterexample take just those from one
+primes.prime_walk, and scan counts the rest without making them ints.
+find_counterexample walks segments that double from [2, 128] and stops at
+the first failing prime, which is usually small.  scan returns a
+SieveReport, an immutable typing.NamedTuple record.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BadPrime
-from .primes import factorize, prime_range
+from .primes import factorize, prime_walk
 from .rationals import FactoredRational, RationalLike, factor, factor_set
 
 # the primes up to which a failing verdict searches its counterexample prime
@@ -107,35 +112,43 @@ def _failing(xs: list[FactoredRational], k: int, primes):
             yield p
 
 
+def _strides(k: int) -> tuple[int, ...]:
+    """The strides of prime_walk that give the odd primes p with
+    gcd(k, p - 1) > 1; at any other prime every unit is a k-th power."""
+    return (1,) if k % 2 == 0 else tuple(factorize(k))
+
+
 def scan(elements, k: int, lo: int, hi: int) -> SieveReport:
-    """Test every non-excluded prime in [lo, hi]; deterministic for fixed input."""
+    """Test every non-excluded prime in [lo, hi]; deterministic for fixed
+    input.  The exclusions are primes, 2 among them, so the primes tested
+    are the walk's odd primes less the odd exclusions in [lo, hi]."""
     if lo > hi:
         raise ValueError("scan range is empty the wrong way round")
     xs = factor_set(elements)
     excl = default_exclusions(xs, k)
-    tested = [p for p in prime_range(lo, hi) if p not in excl]
+    count, candidates = prime_walk(lo, hi, _strides(k))
     return SieveReport(
         elements=tuple(str(x) for x in xs),
         k=k,
         lo=lo,
         hi=hi,
         excluded=excl,
-        failing_primes=tuple(_failing(xs, k, tested)),
-        tested_count=len(tested),
+        failing_primes=tuple(_failing(xs, k, (p for p in candidates if p not in excl))),
+        tested_count=count - sum(1 for q in excl if q % 2 and lo <= q <= hi),
     )
 
 
 def find_counterexample(elements, k: int, bound: int):
     """Least non-excluded prime <= bound where no element is a k-th residue,
-    the primes sieved as the walk reaches them: [2, 128], (128, 256], ..."""
+    walking the primes that can fail in [2, 128], (128, 256], ..."""
     xs = factor_set(elements)
-    return next(_failing(xs, k, _tested(xs, k, _primes_upto(bound))), None)
+    return next(_failing(xs, k, _tested(xs, k, _walk_upto(_strides(k), bound))), None)
 
 
-def _primes_upto(bound: int):
+def _walk_upto(strides: tuple[int, ...], bound: int):
     lo, hi = 2, 128
     while lo <= bound:
-        yield from prime_range(lo, min(hi, bound))
+        yield from prime_walk(lo, min(hi, bound), strides)[1]
         lo, hi = hi + 1, 2 * hi
 
 

@@ -29,9 +29,10 @@ prime_power.skalba_oracle emit, at an integer n >= 2, and the cover
 re-check of a document tries at most COVER_RECHECK_LIMIT candidate values
 over all its classes.  None of the engine's decision code is imported: only
 the arithmetic layers (primes, rationals, sieve) and the status names.
-Every element, member and root must be a string; each is factored by
-primes.factorize with the document's excluded primes as hints (its known),
-so a wrong or missing entry changes no factorization.  What the hints leave
+The elements must be a list, and every element, member and root a
+string; each is factored by primes.factorize with the document's excluded
+primes as hints (its known), so a wrong or missing entry changes no
+factorization.  What the hints leave
 takes factorize's own path, whose rho gives up on a composite above the
 Miller-Rabin bound once its cycle length passes primes.RHO_CYCLE_LIMIT, so
 a crafted element costs under a second per split attempt there.  The
@@ -119,6 +120,7 @@ def _verify(doc: dict):
     _need(type(n) is int and n >= 2, f"exponent {n!r} is not an integer >= 2")
     excluded = doc.get("excluded_primes", [])
     known = [p for p in excluded if type(p) is int] if type(excluded) is list else ()
+    _need(type(doc["elements"]) is list, f"elements {doc['elements']!r} is not a list")
     elements = [factor(_need_str("element", e), known=known) for e in doc["elements"]]
     status = doc["status"]
     cert = doc["certificate"]

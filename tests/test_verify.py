@@ -873,6 +873,15 @@ def test_rational_fields_must_be_strings():
     assert verify_document(doc) == []
 
 
+def test_elements_must_be_a_list():
+    # a bare string would be read character by character: "23" as 2 and 3
+    doc = doc_for(["2", "3"], 3)
+    assert doc["status"] == "fails" and verify_document(doc) == []
+    for bad_value in ("23", ("2", "3"), {"2": 1, "3": 1}):
+        bad = json.loads(json.dumps(doc))
+        bad["elements"] = bad_value
+        assert verify_document(bad) == [f"elements {bad_value!r} is not a list"]
+
 def test_verdict_writes_elements_as_strings():
     v = decide([2, 3, 6, 18], 3)
     doc = v.to_json(3, [2, 3, 6, 18])
