@@ -2,13 +2,17 @@
 
 Subcommands: decide, sieve, oracle, generate, verify-certificate.  Output is
 deterministic JSON (fixed field order, normalized rationals) so runs can be
-diffed and scripted.  Exit codes: 0 holds / 1 fails for decisions, 3 parse
-error, 4 capacity error, 5 internal inconsistency; 2 is left unused.
+diffed and scripted.  Exit codes: 0 holds / 1 fails for decisions, 2 usage
+error (argparse's SystemExit: a missing --n, or --n x), 3 parse error, 4
+capacity error, 5 internal inconsistency.  The parser is built by the first
+main call and reused by every later one in the process; argparse keeps no
+state between calls on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -34,6 +38,7 @@ EXIT_INCONSISTENT = 5
 _STATUS_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="locus",
@@ -194,8 +199,7 @@ def _run_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         run = {"decide": _run_decide, "sieve": _run_sieve, "oracle": _run_oracle,
                "generate": _run_generate, "verify-certificate": _run_verify}

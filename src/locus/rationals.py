@@ -159,12 +159,15 @@ class FactoredRational:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Strict syntax: optional sign, integer or num/den, base 10 only."""
+    """Strict syntax: optional sign, integer or num/den (den nonzero), base 10 only."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ParseError(f"not a rational literal: {text!r}")
     num, _, den = s.partition("/")
-    value = Fraction(int(num), int(den or 1))
+    den = int(den or 1)
+    if not den:
+        raise ParseError(f"zero denominator: {text!r}")
+    value = Fraction(int(num), den)
     if value == 0:
         raise ZeroInput("zero is not a valid element")
     return value

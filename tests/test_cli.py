@@ -1,6 +1,9 @@
 import json
 
-from locus.cli import main
+import pytest
+
+import locus.cli
+from locus.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -118,7 +121,6 @@ def test_verify_certificate_reads_stdin(monkeypatch, capsys):
 
 
 def test_internal_inconsistency_exits_five(monkeypatch, capsys):
-    import locus.cli
     from locus.errors import InternalInconsistency
 
     def broken(*args, **kwargs):
@@ -137,6 +139,97 @@ def test_parse_errors_exit_three(capsys):
     assert main(["sieve", "--n", "-3", "--elem", "2", "--hi", "100"]) == 3
     assert main(["sieve", "--n", "3", "--elem", "2", "--lo", "10", "--hi", "5"]) == 3
     assert main(["oracle", "--n", "0", "--elem", "2"]) == 3
+
+
+def test_zero_denominators_exit_three(capsys):
+    # a parse error, not a traceback with exit 1, the code for fails
+    for argv in (["decide", "--n", "3", "--elem", "1/0"],
+                 ["decide", "--n", "3", "--elem", "2", "--elem=-3/0"],
+                 ["sieve", "--n", "3", "--elem", "0/0", "--hi", "100"],
+                 ["oracle", "--n", "3", "--elem", "2", "--elem", "1/0"],
+                 ["generate", "--family", "lifted", "--e", "2", "--elem", "1/0"]):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err.startswith("error: zero denominator: "), argv
+
+
+def test_usage_errors_exit_two_and_the_next_call_still_decides(capsys):
+    for argv in (["decide", "--elem", "2"], ["decide", "--n", "x", "--elem", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: locus decide" in capsys.readouterr().err
+    code, doc = run(capsys, "decide", "--n", "3", "--elem", "2", "--elem", "3",
+                    "--elem", "6", "--elem", "18")
+    assert code == 0 and doc["status"] == "holds"
+
+
+def outputs(capsys, calls):
+    got = []
+    for argv in calls:
+        code = main(argv)
+        got.append((code, *capsys.readouterr()))
+    return got
+
+
+# pairs of calls in which the second leaves out or changes what the first set
+SEQUENCES = {
+    "elements": [["decide", "--n", "3", "--elem", "2", "--elem", "3", "--elem", "6",
+                  "--elem", "18"],
+                 ["decide", "--n", "3", "--elem", "2"]],
+    "lo": [["sieve", "--n", "3", "--elem", "2", "--elem", "3", "--lo", "50", "--hi", "200"],
+           ["sieve", "--n", "3", "--elem", "2", "--elem", "3", "--hi", "200"]],
+    "ceiling": [["decide", "--n", "3", "--elem", "2", "--elem", "3", "--elem", "5",
+                 "--elem", "30", "--ceiling", "5"],
+                ["decide", "--n", "3", "--elem", "2", "--elem", "3", "--elem", "5",
+                 "--elem", "30"]],
+    "family": [["generate", "--family", "cubic-quad", "--a", "2", "--b", "3"],
+               ["generate", "--family", "square-triple", "--p1", "3", "--p2", "5"]],
+}
+
+
+def assert_as_if_fresh(monkeypatch, capsys, calls):
+    # main builds its parser once per process; each call must read as if
+    # the parser were new
+    for argv in calls:
+        assert vars(_build_parser().parse_args(argv)) == \
+            vars(_build_parser.__wrapped__().parse_args(argv))
+    shared = outputs(capsys, calls)
+    assert shared[-2] != shared[-1]
+    monkeypatch.setattr(locus.cli, "_build_parser", _build_parser.__wrapped__)
+    assert outputs(capsys, calls) == shared
+
+
+@pytest.mark.parametrize("calls", SEQUENCES.values(), ids=SEQUENCES)
+def test_the_shared_parser_leaks_no_state(monkeypatch, capsys, calls):
+    assert_as_if_fresh(monkeypatch, capsys, calls)
+
+
+def test_file_elements_do_not_reach_the_next_call(tmp_path, monkeypatch, capsys):
+    # without --elem, args.elem is the parser's own default list
+    path = tmp_path / "elements.txt"
+    path.write_text("3\n6\n18\n")
+    assert_as_if_fresh(monkeypatch, capsys,
+                       [["decide", "--n", "3", "--elem", "2", "--file", str(path)],
+                        ["decide", "--n", "3", "--file", str(path)],
+                        ["decide", "--n", "3", "--elem", "2"]])
+
+
+def help_text(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["", "decide", "sieve", "oracle", "generate",
+                                     "verify-certificate"])
+def test_help_is_that_of_a_fresh_parser(monkeypatch, capsys, command):
+    argv = command.split()
+    shared = help_text(capsys, argv)
+    assert shared.out.startswith(f"usage: locus {command}".rstrip()) and not shared.err
+    assert help_text(capsys, argv) == shared
+    monkeypatch.setattr(locus.cli, "_build_parser", _build_parser.__wrapped__)
+    assert help_text(capsys, argv) == shared
 
 
 def test_capacity_errors_exit_four(capsys):

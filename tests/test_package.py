@@ -72,17 +72,31 @@ def test_benchmark_traced_names_resolve():
         assert hasattr(importlib.import_module(f"locus.{module}"), name), (module, name)
 
 
-def test_cli_import_loads_every_module_and_no_dataclasses():
-    # bench/run.py and bench/spans.py read the modules below from sys.modules
-    # right after `import locus.cli`, so each must load eagerly; start-up
-    # needs no dataclasses or inspect.  -S keeps site's imports out.
+def fresh_stdout(code: str) -> str:
+    # -S keeps site's imports out
     src = str(Path(locus.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, locus.cli; print(' '.join(sys.modules))"
-    loaded = set(subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
-                                capture_output=True, text=True).stdout.split())
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_loads_every_module_and_no_dataclasses():
+    # bench/run.py and bench/spans.py read the modules below from sys.modules
+    # right after `import locus.cli`, so each must load eagerly; start-up
+    # needs no dataclasses or inspect
+    loaded = set(fresh_stdout("import sys, locus.cli; print(' '.join(sys.modules))").split())
     modules = ("classify", "covering", "errors", "families", "prime_power", "primes",
                "rationals", "sieve", "squares", "verdicts", "verify", "cli")
     assert {f"locus.{m}" for m in modules} <= loaded
     assert not loaded & {"dataclasses", "inspect"}, loaded & {"dataclasses", "inspect"}
+
+
+def test_cli_import_builds_no_parser():
+    # the parser is built by the first main call, so neither `import locus`
+    # nor `import locus.cli` pays for it
+    out = fresh_stdout(
+        "import locus.cli as c; print(c._build_parser.cache_info().currsize, end=' ');"
+        " c.main(['generate', '--family', 'cubic-quad', '--a', '2', '--b', '3']);"
+        " print(c._build_parser.cache_info().currsize)")
+    assert out.split()[0] == "0" and out.split()[-1] == "1", out

@@ -36,8 +36,8 @@ def test_factor_zero_rejected():
 def test_parse_rational_syntax():
     assert parse_rational("-3/4") == Fraction(-3, 4)
     assert parse_rational("+7") == 7
-    for bad in ["1.5", "3/-4", "0x10", "", "2e3", "1/0//"]:
-        with pytest.raises((ParseError, ZeroInput, ZeroDivisionError)):
+    for bad in ["1.5", "3/-4", "0x10", "", "2e3", "1/0//", "1/0", "-3/0", "0/0"]:
+        with pytest.raises((ParseError, ZeroInput)):
             parse_rational(bad)
 
 

@@ -882,6 +882,16 @@ def test_elements_must_be_a_list():
         bad["elements"] = bad_value
         assert verify_document(bad) == [f"elements {bad_value!r} is not a list"]
 
+
+def test_zero_denominator_elements_are_refused():
+    doc = doc_for(["2", "3"], 3)
+    for bad_value in ("1/0", "-3/0", "0/0"):
+        bad = json.loads(json.dumps(doc))
+        bad["elements"] = [bad_value, "3"]
+        assert verify_document(bad) == [
+            f"malformed document: ParseError(\"zero denominator: '{bad_value}'\")"]
+
+
 def test_verdict_writes_elements_as_strings():
     v = decide([2, 3, 6, 18], 3)
     doc = v.to_json(3, [2, 3, 6, 18])
