@@ -33,17 +33,18 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
         raise ZeroInput("empty set has no verdict")
     cleared = clear_denominators(raw, n)
     v = _route(*exponent_classes(cleared, n), n, ceiling)
+    cert = v.certificate
     if v.fails() and want_counterexample:
         prime = find_counterexample(cleared, n, COUNTEREXAMPLE_BOUND)
-        v = v._replace(certificate=v.certificate._replace(counterexample_prime=prime))
-    v = v._replace(excluded_primes=default_exclusions(cleared, n))
+        cert = cert._replace(counterexample_prime=prime)
+    excluded, evidence = default_exclusions(cleared, n), None
     if attach_evidence:
         report = scan(cleared, n, 2, evidence_hi)
-        v = v._replace(evidence=report.to_json())
+        evidence = report.to_json()
         if v.holds() and report.failing_primes:
             raise InternalInconsistency(
                 f"holds verdict with sieve failures at {report.failing_primes[:5]}")
-    return v
+    return Verdict(v.status, cert, excluded, evidence)
 
 
 def exponent_classes(xs: list[FactoredRational], n: int):
@@ -59,9 +60,11 @@ def exponent_classes(xs: list[FactoredRational], n: int):
         classes.setdefault(key, x)
     primes = sorted({p for _, powers in classes for p, _ in powers})
     support = tuple(primes) if n % 2 else (-1, *primes)
-    columns = tuple(tuple({-1: int(sign < 0), **dict(powers)}.get(p, 0) for p in support)
-                    for sign, powers in classes)
-    return list(classes.values()), support, columns
+    columns = []
+    for sign, powers in classes:
+        exponents = {-1: int(sign < 0), **dict(powers)}
+        columns.append(tuple(exponents.get(p, 0) for p in support))
+    return list(classes.values()), support, tuple(columns)
 
 
 def _route(reps: list[FactoredRational], support, columns, n: int, ceiling: int) -> Verdict:

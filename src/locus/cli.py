@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import families
@@ -37,6 +38,8 @@ EXIT_INCONSISTENT = 5
 
 _STATUS_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS}
 
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,6 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--elem", action="append", default=[],
                        help="element (integer or num/den); repeatable")
         p.add_argument("--file", help="file with one element per line")
+        # argparse reads an argument as a value, not an option, when this
+        # matches it; its own pattern knows -3 and -1.5 but not -3/4
+        p._negative_number_matcher = _NEGATIVE_NUMBER
 
     p_decide = sub.add_parser("decide", help="full decision with certificate")
     p_decide.add_argument("--n", type=int, required=True)

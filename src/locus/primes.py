@@ -332,6 +332,13 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+@lru_cache(maxsize=4096)
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The primes dividing n >= 1, ascending; cached, as every verdict and
+    scan asks for those of its exponent."""
+    return tuple(sorted(factorize(n)))
+
+
 def prime_power_split(n: int) -> list[tuple[int, int]]:
     """(p, a) pairs with p^a || n, primes ascending."""
     return sorted(factorize(n).items())

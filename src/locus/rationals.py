@@ -6,13 +6,17 @@ primes).  All operations are pure; instances are immutable (slotted, not
 tuples: len, + and < stay undefined), equal by value and safe to share
 between workers.  This module parses, factors (one element, or a set
 jointly), clears denominators and tests perfect powers; it keeps no class
-representatives.  A class mod (Q^x)^n is keyed from the factors where it is
-used: by the engine in classify.exponent_classes, and by the verifier in
-verify._columns.
+representatives.  A literal has one text path: _read checks its syntax and
+gives (numerator, denominator) ints, which factor factors apart, so a
+string never becomes a Fraction on its way to factored form;
+parse_rational builds its Fraction from the same reader.  A class mod
+(Q^x)^n is keyed from the factors where it is used: by the engine in
+classify.exponent_classes, and by the verifier in verify._columns.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Union
@@ -158,63 +162,78 @@ class FactoredRational:
         return r
 
 
-def parse_rational(text: str) -> Fraction:
-    """Strict syntax: optional sign, integer or num/den (den nonzero), base 10 only."""
+def _read(text: str) -> tuple[int, int]:
+    """The one reader of a literal: optional sign, an integer or num/den
+    (den nonzero), base 10 only, surrounding whitespace stripped.  Returns
+    (numerator, denominator) in lowest terms by one gcd, denominator
+    positive, numerator nonzero."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ParseError(f"not a rational literal: {text!r}")
     num, _, den = s.partition("/")
-    den = int(den or 1)
+    num, den = int(num), int(den or 1)
     if not den:
         raise ParseError(f"zero denominator: {text!r}")
-    value = Fraction(int(num), den)
-    if value == 0:
+    if not num:
         raise ZeroInput("zero is not a valid element")
-    return value
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
-def _fraction(x: RationalLike) -> Fraction:
-    """x as a nonzero Fraction, a string read by parse_rational."""
+def parse_rational(text: str) -> Fraction:
+    """The literal text as a nonzero Fraction (syntax: _read)."""
+    return Fraction(*_read(text))
+
+
+def _parts(x: RationalLike) -> tuple[int, int]:
+    """x as _read gives a literal: a string is read by it, an int or a
+    Fraction gives its own numerator and denominator, and anything else
+    goes through Fraction."""
     if isinstance(x, str):
-        return parse_rational(x)
-    if not isinstance(x, Fraction):
+        return _read(x)
+    if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     if not x:
         raise ZeroInput("cannot factor zero")
-    return x
+    return x.numerator, x.denominator
 
 
 def factor(x: RationalLike, *, known=()) -> FactoredRational:
-    """Factor a nonzero rational into sign * prod(p^e); known is passed to
-    primes.factorize for numerator and denominator, which divides out its
-    primes and splits a composite cofactor by a gcd with an entry before
-    rho, and changes no result."""
+    """Factor a nonzero rational into sign * prod(p^e).
+
+    A string goes straight from its text to ints (_read) and no Fraction is
+    built.  The numerator and denominator, prime to each other, are
+    factored apart, the denominator's primes with negative exponents; known
+    is passed to primes.factorize for both, which divides out its primes
+    and splits a composite cofactor by a gcd with an entry before rho, and
+    changes no result."""
     if isinstance(x, FactoredRational):
         return x
-    x = _fraction(x)
-    sign = 1 if x.numerator > 0 else -1
-    powers = factorize(abs(x.numerator), known=known)
-    for p, e in factorize(x.denominator, known=known).items():
-        powers[p] = powers.get(p, 0) - e
-    return FactoredRational.from_prime_powers(sign, powers)
+    num, den = _parts(x)
+    powers = factorize(abs(num), known=known)
+    if den != 1:
+        for p, e in factorize(den, known=known).items():
+            powers[p] = -e
+    return FactoredRational.from_prime_powers(1 if num > 0 else -1, powers)
 
 
 def factor_set(elements: Iterable[RationalLike]) -> list[FactoredRational]:
     """[factor(x) for x in elements], the elements factored jointly.
 
-    Every element is parsed before any is factored, so a malformed or zero
-    element raises before a factorization can.  The set's numerators and
-    denominators of at least 2^16 are the hints (factor's known) of every
-    element, so a large prime that two elements share is split off by a
-    gcd rather than searched for by rho.  An element that is already a
+    Every element is read (_parts) before any is factored, so a malformed
+    or zero element raises before a factorization can.  The set's
+    numerators and denominators of at least 2^16, in lowest terms, are the
+    hints (factor's known) of every element, so a large prime that two
+    elements share is split off by a gcd rather than searched for by rho.
+    Each element then goes to factor as given, which reads a string again
+    rather than through a Fraction.  An element that is already a
     FactoredRational passes through and gives no hints.
     """
-    xs = [x if isinstance(x, FactoredRational) else _fraction(x) for x in elements]
-    fresh = [x for x in xs if isinstance(x, Fraction)]
-    if not fresh:
+    xs = list(elements)
+    parts = [_parts(x) for x in xs if not isinstance(x, FactoredRational)]
+    if not parts:
         return xs
-    known = [v for x in fresh for v in (abs(x.numerator), x.denominator)
-             if v >= TRIAL_DIVISION_BOUND]
+    known = [v for num, den in parts for v in (abs(num), den) if v >= TRIAL_DIVISION_BOUND]
     return [factor(x, known=known) for x in xs]
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BadPrime
-from .primes import factorize, prime_walk
+from .primes import prime_factors, prime_walk
 from .rationals import FactoredRational, RationalLike, factor, factor_set
 
 # the primes up to which a failing verdict searches its counterexample prime
@@ -91,7 +91,7 @@ def default_exclusions(elements, k: int) -> frozenset[int]:
     """The excluded primes of every verdict and scan: {2}, the primes
     dividing k and all support primes."""
     out = {2}
-    out.update(factorize(k))
+    out.update(prime_factors(k))
     for x in factor_set(elements):
         out.update(x.support())
     return frozenset(out)
@@ -115,7 +115,7 @@ def _failing(xs: list[FactoredRational], k: int, primes):
 def _strides(k: int) -> tuple[int, ...]:
     """The strides of prime_walk that give the odd primes p with
     gcd(k, p - 1) > 1; at any other prime every unit is a k-th power."""
-    return (1,) if k % 2 == 0 else tuple(factorize(k))
+    return (1,) if k % 2 == 0 else prime_factors(k)
 
 
 def scan(elements, k: int, lo: int, hi: int) -> SieveReport:

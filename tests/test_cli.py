@@ -163,6 +163,22 @@ def test_usage_errors_exit_two_and_the_next_call_still_decides(capsys):
     assert code == 0 and doc["status"] == "holds"
 
 
+@pytest.mark.parametrize("argv", [["decide", "--n", "3"],
+                                  ["sieve", "--n", "3", "--elem", "5", "--hi", "60"],
+                                  ["oracle", "--n", "3", "--elem", "5"]])
+def test_a_negative_fraction_after_elem_is_a_value(capsys, argv):
+    # argparse takes -3 for a negative number but would take -3/4 for an option
+    code = main([*argv, "--elem", "-3/4"])
+    spaced = (code, *capsys.readouterr())
+    assert main([*argv, "--elem=-3/4"]) == code
+    assert (code, *capsys.readouterr()) == spaced
+    assert '"-3/4"' in spaced[1] and not spaced[2]
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--elem", "--n", "3"])
+    assert exc.value.code == 2
+    assert "argument --elem: expected one argument" in capsys.readouterr().err
+
+
 def outputs(capsys, calls):
     got = []
     for argv in calls:

@@ -2,12 +2,14 @@ import copy
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locus.rationals
 from locus.classify import exponent_classes
 from locus.errors import FactorizationCapacityExceeded, ParseError, ZeroInput
 from locus.primes import is_prime
@@ -39,6 +41,72 @@ def test_parse_rational_syntax():
     for bad in ["1.5", "3/-4", "0x10", "", "2e3", "1/0//", "1/0", "-3/0", "0/0"]:
         with pytest.raises((ParseError, ZeroInput)):
             parse_rational(bad)
+
+
+def outcome(f):
+    """f()'s value, or the type and message of what it raised."""
+    try:
+        return f()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def literal_as_fraction(text):
+    """A reference reader: parse_rational's syntax, the value built by
+    Fraction from the literal's own ints."""
+    s = text.strip()
+    if not re.match(r"^[+-]?\d+(/\d+)?$", s):
+        raise ParseError(f"not a rational literal: {text!r}")
+    num, _, den = s.partition("/")
+    if not int(den or 1):
+        raise ParseError(f"zero denominator: {text!r}")
+    value = Fraction(int(num), int(den or 1))
+    if not value:
+        raise ZeroInput("zero is not a valid element")
+    return value
+
+
+def literal_corpus():
+    rng = random.Random(7)
+    small = [2, 3, 5, 7, 11, 13, 65537, 10**6 + 3]
+    fixed = ["+7", "007", " 12/2 ", "-0/5", "1/0", "0/0", "3/-4", "1.5", "", " ",
+             "-3/4", "+12/-5", "1/2/3", "0x10", "2e3", "--3", "+-3", "1_000", "\u0663",
+             "-0", "0", "00/7", "4/06", "\t-18/12\n", "6/4 ", "- 3", "3 /4"]
+    randoms = []
+    for _ in range(300):
+        num = math.prod(rng.choices(small, k=rng.randint(0, 12))) * rng.choice([1, 1, 0])
+        den = math.prod(rng.choices(small, k=rng.randint(0, 6))) * rng.choice([1] * 9 + [0])
+        text = rng.choice(["", "+", "-"]) + "0" * rng.randint(0, 2) + str(num)
+        if rng.random() < 0.7:
+            text += "/" + "0" * rng.randint(0, 1) + str(den)
+        randoms.append(" " * rng.randint(0, 1) + text + " " * rng.randint(0, 1))
+    return fixed + randoms
+
+
+def test_the_text_path_equals_the_fraction_path():
+    # factor reads a literal straight to ints; through a Fraction it must
+    # give the same factors, or raise the same error with the same message
+    corpus = literal_corpus()
+    long_numerators = [str(2**200 * 3**50 * 65537), f"-{10**60}/{2**70 * 3}",
+                       str(2**200 * 3**50 * 10**6 + 3)]  # the last past capacity
+    assert any(len(s.strip()) > 40 for s in corpus)
+    for text in corpus + long_numerators:
+        expected = outcome(lambda: factor(parse_rational(text)))
+        assert outcome(lambda: factor(text)) == expected, text
+        assert outcome(lambda: parse_rational(text)) == outcome(
+            lambda: literal_as_fraction(text)), text
+    assert {type(outcome(lambda: factor(s))) for s in corpus} == {FactoredRational, tuple}
+
+
+def test_the_text_path_builds_no_fraction(monkeypatch):
+    class NoFraction:
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+    monkeypatch.setattr(locus.rationals, "Fraction", NoFraction)
+    assert factor_set(["12/2", "-3", "7/9"]) == [
+        FactoredRational(1, ((2, 1), (3, 1))), FactoredRational(-1, ((3, 1),)),
+        FactoredRational(1, ((3, -2), (7, 1)))]
+    assert factor("45/6") == FactoredRational(1, ((2, -1), (3, 1), (5, 1)))
 
 
 @given(nonzero_rationals)
@@ -154,7 +222,7 @@ def test_factor_set_equals_factor_on_sets_sharing_large_primes():
         assert factor_set(xs) == [factor(x) for x in xs], xs
 
 
-def test_factor_set_parses_every_element_before_factoring():
+def test_factor_set_parses_every_element_before_factoring(monkeypatch):
     # p * q is past factorization capacity alone; the malformed or zero
     # element after it is reported first
     p, q = 10**20 + 39, 10**22 + 9
@@ -162,6 +230,13 @@ def test_factor_set_parses_every_element_before_factoring():
         factor_set([str(p * q)])
     with pytest.raises(ParseError):
         factor_set([str(p * q), "2", "x"])
+    calls = []
+    monkeypatch.setattr(locus.rationals, "factorize", lambda *a, **k: calls.append(a))
+    for bad in ("x", "3/0", "1.5"):
+        with pytest.raises(ParseError):
+            factor_set([str(p * q), "12/5", bad])
+    assert not calls
+    monkeypatch.undo()
     with pytest.raises(ZeroInput):
         factor_set([p * q, 0])
     assert factor_set([]) == []

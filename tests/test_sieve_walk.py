@@ -131,3 +131,26 @@ def test_guards_fire_before_any_sieving(monkeypatch):
         scan(["2", "3"], 3, 10**8, 10**8 - 1)
     with pytest.raises(ValueError):
         scan(["2", "3"], 3, 10**18, 2)
+
+
+def test_an_exponent_is_factored_once(monkeypatch):
+    # default_exclusions and the walk's strides take the primes of k from
+    # primes.prime_factors, which factors each k once per process
+    assert [primes.prime_factors(k) for k in (1, 12, 105, 2**10, 97)] == \
+        [(), (2, 3), (3, 5, 7), (2,), (97,)]
+    elements = ["-2", "3/5", "22"]
+    before = {k: (default_exclusions(elements, k), scan(elements, k, 2, 300))
+              for k in K_GRID}
+
+    def factorize(n, **kwargs):
+        calls.append(n)
+        return kernel(n, **kwargs)
+    calls, kernel = [], primes.factorize
+    monkeypatch.setattr(primes, "factorize", factorize)
+    for k in K_GRID:
+        assert default_exclusions(elements, k) == before[k][0] == \
+            {2, 3, 5, 11, *primes.prime_factors(k)}
+        assert scan(elements, k, 2, 300) == before[k][1]
+        least = next(iter(before[k][1].failing_primes), None)
+        assert find_counterexample(elements, k, 300) == least
+    assert not calls
