@@ -38,7 +38,7 @@ EXIT_INCONSISTENT = 5
 
 _STATUS_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS}
 
-_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 @functools.cache
@@ -54,14 +54,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="element (integer or num/den); repeatable")
         p.add_argument("--file", help="file with one element per line")
         # argparse reads an argument as a value, not an option, when this
-        # matches it; its own pattern knows -3 and -1.5 but not -3/4
+        # matches it: a minus then a digit, so -3/4 is a value and a
+        # malformed one such as -3/-4 is a parse error, as after --elem=
         p._negative_number_matcher = _NEGATIVE_NUMBER
 
     p_decide = sub.add_parser("decide", help="full decision with certificate")
     p_decide.add_argument("--n", type=int, required=True)
     add_elements(p_decide)
     p_decide.add_argument("--ceiling", type=int, default=ENUMERATION_CEILING,
-                          help="bound on the candidates the cover search tries")
+                          help="bound on the candidates the cover search tries "
+                               "(default 2^19, about 1-2 s, the verifier's limit)")
     p_decide.add_argument("--evidence", action="store_true",
                           help="attach a sieve report to the verdict")
     p_decide.add_argument("--json", dest="json_path",

@@ -24,7 +24,10 @@ matrix, that is when some odd subset of the classes has a square product
 `_search` searches one problem on plain column tuples: one recursion over
 the image of a reduced row echelon form of the matrix (_echelon, one pass
 over its rows augmented by the identity), moved by the constants; a budget
-of candidate values bounds it, past which it raises InstanceTooLarge.
+of candidate values bounds it, past which it raises InstanceTooLarge.  The
+default, ENUMERATION_CEILING, is verify.COVER_RECHECK_LIMIT: the verifier
+walks the same classes and generators and draws the same values, so a
+cover found within it re-checks.
 `_classes` pins the coordinates it fixes to a + b y and leaves the rest
 free.  `covers` is that search with no constants, the linear problem
 alone.  `cover_verdict` is the one criterion that classify.decide applies
@@ -41,8 +44,7 @@ from itertools import islice
 from .errors import InstanceTooLarge
 from .primes import divisors, jacobi
 from .verdicts import FAILS, HOLDS, HyperplaneCover, UncoveredPoint, Verdict
-
-ENUMERATION_CEILING = 1 << 24
+from .verify import COVER_RECHECK_LIMIT as ENUMERATION_CEILING
 
 
 def _echelon(columns, n: int, s: int):

@@ -39,15 +39,6 @@ ORACLE_MODULUS_LIMIT = 27
 ORACLE_WORK_BUDGET = 1 << 20
 
 
-def _oracle_assignments(l: int, q: int) -> list:
-    """The sign vectors of every disjoint B, C with |B| != |C| mod q (1 on
-    B, -1 on C), cheapest first."""
-    out = [s for s in product((0, 1, -1), repeat=l)
-           if (s.count(1) - s.count(-1)) % q]
-    out.sort(key=lambda signs: l - signs.count(0))
-    return out
-
-
 def skalba_oracle(elements, q: int, m: int) -> Verdict:
     """Exact q^m-th power decision by exhaustive subset-product search."""
     if q == 2 or not is_prime(q):
@@ -78,11 +69,13 @@ def skalba_oracle(elements, q: int, m: int) -> Verdict:
 
     # re-verify before emitting, on exponent vectors read afresh from the
     # factored elements, not from table: for odd q^m the ratio of a pair is
-    # a q^m-th power exactly when sum s_j c_j e_j = 0 mod q^m
+    # a q^m-th power exactly when sum s_j c_j e_j = 0 mod q^m; the sign
+    # vectors are those of every disjoint B, C with |B| != |C| mod q
     rows = [[cj * x.exponent(p) for cj, x in zip(witness, xs)] for p in support]
-    for signs in _oracle_assignments(l, q):
-        assert any(sum(map(mul, signs, row)) % qm for row in rows), \
-            "skalba witness admits a perfect-power pair; oracle bug"
+    for signs in product((0, 1, -1), repeat=l):
+        if (signs.count(1) - signs.count(-1)) % q:
+            assert any(sum(map(mul, signs, row)) % qm for row in rows), \
+                "skalba witness admits a perfect-power pair; oracle bug"
     return Verdict(FAILS, SkalbaWitness(witness, q, m), excluded)
 
 

@@ -50,19 +50,15 @@ PRIME_RANGE_CEILING = 10**9
 _DIRECT_SIEVE = 1 << 22  # first_nonprime sieves up to here
 _SEGMENT = 1 << 17
 
-_blocks: list[tuple[list[int], int]] | None = None
 
-
+@lru_cache(maxsize=None)
 def _trial_blocks() -> list[tuple[list[int], int]]:
     """The table primes from _WALK_BOUND up, _BLOCK at a time, each block
     with the product of its primes."""
-    global _blocks
-    if _blocks is None:
-        ps = sieve_upto(TRIAL_DIVISION_BOUND - 1)
-        ps = ps[bisect_left(ps, _WALK_BOUND):]
-        _blocks = [(ps[i:i + _BLOCK], math.prod(ps[i:i + _BLOCK]))
-                   for i in range(0, len(ps), _BLOCK)]
-    return _blocks
+    ps = sieve_upto(TRIAL_DIVISION_BOUND - 1)
+    ps = ps[bisect_left(ps, _WALK_BOUND):]
+    return [(ps[i:i + _BLOCK], math.prod(ps[i:i + _BLOCK]))
+            for i in range(0, len(ps), _BLOCK)]
 
 
 def _odd_flags(lo: int, hi: int, base) -> bytearray:

@@ -27,8 +27,10 @@ admitting a pair amounts to.  Certificate kinds are checked against the
 status they may support, exactly the kinds that classify.decide and
 prime_power.skalba_oracle emit, at an integer n >= 2, and the cover
 re-check of a document tries at most COVER_RECHECK_LIMIT candidate values
-over all its classes.  None of the engine's decision code is imported: only
-the arithmetic layers (primes, rationals, sieve) and the status names.
+over all its classes, the budget that the engine's cover search draws on
+by default (covering.ENUMERATION_CEILING is this constant).  None of the
+engine's decision code is imported: only the arithmetic layers (primes,
+rationals, sieve) and the status names.
 The elements must be a list, and every element, member and root a
 string; each is factored by primes.factorize with the document's excluded
 primes as hints (its known), so a wrong or missing entry changes no
@@ -64,9 +66,8 @@ ALLOWED_KINDS = {
 }
 
 # candidate values the cover re-check of one document may try, counted over
-# all its classes, before it refuses the document as too large to re-check;
-# the engine's ENUMERATION_CEILING, 2^24 values, is larger, so a document
-# decided near that ceiling can be refused here
+# all its classes, before it refuses the document as too large to re-check:
+# about 1-2 s on either side (Python 3.11)
 COVER_RECHECK_LIMIT = 1 << 19
 
 # sign vectors an oracle witness re-check may test before it gives up

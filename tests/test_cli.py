@@ -167,12 +167,18 @@ def test_usage_errors_exit_two_and_the_next_call_still_decides(capsys):
                                   ["sieve", "--n", "3", "--elem", "5", "--hi", "60"],
                                   ["oracle", "--n", "3", "--elem", "5"]])
 def test_a_negative_fraction_after_elem_is_a_value(capsys, argv):
-    # argparse takes -3 for a negative number but would take -3/4 for an option
-    code = main([*argv, "--elem", "-3/4"])
-    spaced = (code, *capsys.readouterr())
-    assert main([*argv, "--elem=-3/4"]) == code
-    assert (code, *capsys.readouterr()) == spaced
-    assert '"-3/4"' in spaced[1] and not spaced[2]
+    # argparse's own pattern takes -3 for a value but -3/4 for an option; any
+    # value that starts with a minus and a digit reads the same spaced or
+    # after =, and a malformed one is a parse error either way
+    for value in ("-3/4", "-3/-4", "-3x"):
+        code = main([*argv, "--elem", value])
+        spaced = (code, *capsys.readouterr())
+        assert main([*argv, f"--elem={value}"]) == code
+        assert (code, *capsys.readouterr()) == spaced
+        if value == "-3/4":
+            assert '"-3/4"' in spaced[1] and not spaced[2]
+        else:
+            assert code == 3 and not spaced[1] and "not a rational literal" in spaced[2]
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--elem", "--n", "3"])
     assert exc.value.code == 2

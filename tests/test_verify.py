@@ -1,7 +1,10 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from locus.classify import decide
+from locus.errors import InstanceTooLarge
 from locus.rationals import factor
 from locus.verify import verify_document
 
@@ -256,13 +259,47 @@ def test_cover_recheck_limit_spans_the_old_enumeration_range():
     # every cover of prime modulus the engine once enumerated point by point
     # (q^r <= 2^24) still re-checks: at most 2 + q((q-1)^(r-1) - 1)/(q-2)
     # values, worst at q = 5, r = 10
-    from locus.covering import ENUMERATION_CEILING
     from locus.primes import sieve_upto
     from locus.verify import COVER_RECHECK_LIMIT
     need = {(q, r): 2 + q * ((q - 1) ** (r - 1) - 1) // (q - 2)
             for q in sieve_upto(1 << 12)[1:] for r in range(1, 25)
-            if q**r <= ENUMERATION_CEILING}
+            if q**r <= 1 << 24}
     assert max(need.values()) == need[5, 10] == 436907 <= COVER_RECHECK_LIMIT
+
+
+def budget_set(q, r):
+    # the first r primes and p_1...p_(r-1) p_r^(-c mod q) for c in Z/q: a
+    # cover of (Z/q)^r whose search cost grows quickly with q and r
+    import math
+
+    from locus.primes import sieve_upto
+    ps = sieve_upto(30)[:r]
+    return ps + [math.prod(ps[:-1]) * ps[-1] ** (-c % q) for c in range(q)]
+
+
+def test_engine_and_verifier_count_the_same_cover_values(monkeypatch):
+    import locus.verify
+    elements = budget_set(5, 8)
+    doc = doc_for(elements, 5, ceiling=23212)
+    assert doc["status"] == "holds" and doc["certificate"]["kind"] == "hyperplane_cover"
+    with pytest.raises(InstanceTooLarge):
+        decide(elements, 5, ceiling=23211)
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 23212)
+    assert verify_document(doc) == []
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 23211)
+    assert verify_document(doc) == ["cover too large to re-check"]
+
+
+def test_one_cover_budget_for_decide_and_verify():
+    # 345,256 values on each side, within the shared 2^19; the next prime
+    # puts the cover past it, and decide refuses it rather than emit a
+    # document that the verifier could not re-check
+    from locus import covering, verify
+    assert covering.ENUMERATION_CEILING is verify.COVER_RECHECK_LIMIT == 1 << 19
+    doc = doc_for(budget_set(7, 8), 7)
+    assert doc["status"] == "holds" and verify_document(doc) == []
+    with pytest.raises(InstanceTooLarge):
+        decide(budget_set(7, 9), 7)
 
 
 def test_accepts_wide_prime_modulus_cover(monkeypatch):
