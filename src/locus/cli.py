@@ -132,6 +132,8 @@ def _run_decide(args) -> int:
     elements = _load_elements(args)
     if args.n < 2:
         raise ParseError("--n must be >= 2")
+    if args.ceiling < 0:
+        raise ParseError("--ceiling must be >= 0")
     xs = factor_set(elements)
     verdict = decide(xs, args.n, ceiling=args.ceiling, attach_evidence=args.evidence)
     _emit(verdict.to_json(args.n, xs), args.json_path)

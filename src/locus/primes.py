@@ -12,11 +12,15 @@ certifies are divided out before the blocks, and a composite cofactor is
 split by its gcd with the first of them that gives a proper divisor before
 rho is tried, so a set factored jointly (rationals.factor_set) finds each
 large prime shared by two of its elements once.  Primality of
-every reported factor is certified by Miller-Rabin with a fixed witness
-set that is exact below ~3.3e24; a probable prime above that raises rather
-than degrading to a probabilistic answer, because downstream verdicts
-assume complete factorizations.  Compositeness needs no bound: one failed
-witness proves it, so larger composites are still split.
+every reported factor is certified by Miller-Rabin with the first k of 13
+prime witnesses, k the least with n below psi_k, the least odd composite
+that is a strong probable prime to the first k primes (OEIS A014233;
+Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math. Comp. 86,
+2017): 2 alone below 2047, 5 witnesses near 10^12, all 13 below ~3.3e24.
+A probable prime above that raises rather than degrading to a
+probabilistic answer, because downstream verdicts assume complete
+factorizations.  Compositeness needs no bound: one failed witness of all
+13 proves it, so larger composites are still split.
 
 Enumeration: an Eratosthenes sieve over the odd numbers only, one bytearray
 flag per odd number (_odd_flags), collected with itertools.compress.  One
@@ -28,7 +32,7 @@ its every-odd-prime case.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import compress
 from typing import Optional
@@ -39,6 +43,13 @@ from .errors import FactorizationCapacityExceeded, RangeTooLarge
 # (Sorenson-Webster: first 13 primes cover n < 3.317e24).
 MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# psi_1 .. psi_13 of OEIS A014233 (module docstring): the first k witnesses
+# are exact below psi_k
+_MR_TIERS = (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+             3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+             3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+             3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+             MR_DETERMINISTIC_BOUND)
 
 TRIAL_DIVISION_BOUND = 1 << 16
 _WALK_BOUND = 1 << 8  # table primes below this are tried one by one
@@ -134,7 +145,8 @@ def _miller_rabin(n: int, bases) -> bool:
 
 @lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n below MR_DETERMINISTIC_BOUND."""
+    """Deterministic primality for n below MR_DETERMINISTIC_BOUND, by the
+    first k witnesses, k least with n < _MR_TIERS[k - 1]."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
@@ -146,13 +158,17 @@ def is_prime(n: int) -> bool:
         raise FactorizationCapacityExceeded(
             f"cannot certify primality of {n}: above the deterministic bound"
         )
-    return _miller_rabin(n, MR_WITNESSES)
+    return _miller_rabin(n, MR_WITNESSES[:bisect_right(_MR_TIERS, n) + 1])
 
 
 def _brent_rho(n: int, cycle_limit: Optional[int] = None) -> int:
     """Nontrivial factor of odd composite n, deterministic parameter sweep.
 
-    With a cycle_limit, gives up once the cycle length passes it.
+    With a cycle_limit, gives up once the cycle length passes it.  Brent's
+    walk (BIT 20, 1980), four steps to a loop pass, and in the accumulate
+    phase one reduction per four differences: each gcd sees the same q mod
+    n as one step at a time.  Step counts are powers of two, so only
+    r = 1, 2 take single steps.
     """
     if n % 2 == 0:
         return 2
@@ -161,14 +177,26 @@ def _brent_rho(n: int, cycle_limit: Optional[int] = None) -> int:
         x = ys = y
         while g == 1:
             x = y
-            for _ in range(r):
+            for _ in range(r & 3):
+                y = (y * y + c) % n
+            for _ in range(r >> 2):
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                steps = min(m, r - k)
+                for _ in range(steps & 3):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
+                for _ in range(steps >> 2):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y = (y3 * y3 + c) % n
+                    q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
                 k += m
                 g = math.gcd(q, n)
             r <<= 1
@@ -225,7 +253,11 @@ def factorize(n: int, *, known=()) -> dict[int, int]:
     composite (a proof at any size).  Raises FactorizationCapacityExceeded
     for a probable prime above the deterministic bound, which cannot be
     certified, or when rho gives up on a composite above that bound once
-    its cycle length passes RHO_CYCLE_LIMIT (about 0.3 s, Python 3.11).
+    its cycle length passes RHO_CYCLE_LIMIT.  That takes about 0.2-0.3 s
+    for a 170-210 bit cofactor and grows with its size: about 1.1 s at 640
+    bits and 4 s at 1,400 (Python 3.11).  Below the bound rho runs with no
+    limit; its worst case there, two primes near 1.8 * 10^12 (81 bits),
+    takes about 2 s: factorize(1800000000047 * 1820000000011).
 
     known lists numbers the caller expects to share factors with n: a
     verdict document's excluded primes, or the numerators and denominators

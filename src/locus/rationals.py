@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import ParseError, ZeroInput
@@ -74,8 +75,7 @@ class FactoredRational:
 
     @classmethod
     def from_prime_powers(cls, sign: int, powers: dict[int, int]) -> "FactoredRational":
-        items = tuple(sorted((p, e) for p, e in powers.items() if e != 0))
-        return cls(sign, items)
+        return cls(sign, tuple(sorted(filter(itemgetter(1), powers.items()))))
 
     # -- views -------------------------------------------------------------
 

@@ -37,7 +37,8 @@ primes as hints (its known), so a wrong or missing entry changes no
 factorization.  What the hints leave
 takes factorize's own path, whose rho gives up on a composite above the
 Miller-Rabin bound once its cycle length passes primes.RHO_CYCLE_LIMIT, so
-a crafted element costs under a second per split attempt there.  The
+a crafted element costs about 0.3 s per split attempt there for a cofactor
+of 200 bits, and more for a larger one (factorize gives the times).  The
 excluded primes must then all be prime and include 2, the primes of n and
 every support prime of the elements.  An evidence block must match the
 document (exponent, cleared elements, excluded primes), and its density

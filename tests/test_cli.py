@@ -139,6 +139,10 @@ def test_parse_errors_exit_three(capsys):
     assert main(["sieve", "--n", "-3", "--elem", "2", "--hi", "100"]) == 3
     assert main(["sieve", "--n", "3", "--elem", "2", "--lo", "10", "--hi", "5"]) == 3
     assert main(["oracle", "--n", "0", "--elem", "2"]) == 3
+    capsys.readouterr()
+    # not a capacity error (exit 4) from a search with no budget
+    assert main(["decide", "--n", "3", "--elem", "2", "--ceiling", "-1"]) == 3
+    assert capsys.readouterr().err == "error: --ceiling must be >= 0\n"
 
 
 def test_zero_denominators_exit_three(capsys):
@@ -257,6 +261,9 @@ def test_help_is_that_of_a_fresh_parser(monkeypatch, capsys, command):
 def test_capacity_errors_exit_four(capsys):
     assert main(["sieve", "--n", "2", "--elem", "3", "--hi", str(10**9 + 7)]) == 4
     assert main(["oracle", "--n", "81", "--elem", "2", "--elem", "3"]) == 4
+    # a ceiling of 0 is a search that may draw no value
+    assert main(["decide", "--n", "3", "--elem", "2", "--elem", "3", "--elem", "5",
+                 "--elem", "30", "--ceiling", "0"]) == 4
 
 
 def test_file_input(tmp_path, capsys):

@@ -40,6 +40,40 @@ def test_is_prime_agrees_with_sieve():
         assert is_prime(n) == (n in primes)
 
 
+# A014233: psi_k, the least odd composite that is a strong probable prime to
+# each of the first k primes; the last is MR_DETERMINISTIC_BOUND
+A014233 = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051, 318665857834031151167461,
+           3317044064679887385961981]
+
+
+def test_is_prime_refuses_every_pseudoprime_of_the_witness_tiers():
+    assert primes._MR_TIERS == tuple(A014233)
+    assert A014233[-1] == MR_DETERMINISTIC_BOUND
+    for k, psi in enumerate(A014233, 1):
+        # psi_k fools the first k witnesses, the tier below psi_k
+        assert primes._miller_rabin(psi, primes.MR_WITNESSES[:k]), k
+        if psi < MR_DETERMINISTIC_BOUND:
+            assert not is_prime(psi), k
+        else:
+            with pytest.raises(FactorizationCapacityExceeded, match="deterministic bound"):
+                is_prime(psi)
+
+
+def test_the_witness_tiers_agree_with_every_witness():
+    rng = random.Random(13)
+    edges = [43, *dict.fromkeys(A014233)]
+    for lo, hi in zip(edges, edges[1:]):
+        for n in [lo, hi - 2, *(rng.randrange(lo, hi) | 1 for _ in range(300))]:
+            while n < hi:  # each odd draw, and the first prime from it
+                full = primes._miller_rabin(n, primes.MR_WITNESSES)
+                assert is_prime(n) == full, n
+                if full:
+                    break
+                n += 2
+
+
 @pytest.mark.parametrize("p", [10**9 + 7, 10**9 + 9, 2**61 - 1])
 def test_is_prime_large_known(p):
     assert is_prime(p)
@@ -215,6 +249,84 @@ def test_brent_rho_splits_large_factor_semiprimes():
     # the cycle limit still stops the splitter on a least factor of 2^61 - 1
     with pytest.raises(FactorizationCapacityExceeded, match="rho"):
         primes._brent_rho((2**61 - 1)**2 * (2**89 - 1), primes.RHO_CYCLE_LIMIT)
+
+
+def brent_one_step(n, cycle_limit=None, gcd=math.gcd):
+    """Brent's walk one step at a time, each difference reduced mod n: the
+    reference that _brent_rho's four-step loops must match bit for bit."""
+    for c in range(1, 200):
+        y, m, g, r, q = 2, 128, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                k += m
+                g = gcd(q, n)
+            r <<= 1
+            if cycle_limit and g == 1 and r > cycle_limit:
+                raise FactorizationCapacityExceeded(f"rho splitter gave up on {n}")
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+    raise FactorizationCapacityExceeded(f"rho splitter gave up on {n}")
+
+
+class GcdLog:
+    """math with a gcd that logs what it sees, a mod b."""
+
+    def __init__(self):
+        self.seen = []
+
+    def gcd(self, a, b):
+        self.seen.append(a % b)
+        return math.gcd(a, b)
+
+
+def gave_up_or(split, *args):
+    try:
+        return split(*args)
+    except FactorizationCapacityExceeded:
+        return "gave up"
+
+
+def rho_outcomes(monkeypatch, n, cycle_limit=None):
+    """(result, gcd log) of _brent_rho and of brent_one_step on n."""
+    new, old = GcdLog(), GcdLog()
+    with monkeypatch.context() as m:
+        m.setattr(primes, "math", new)
+        got = gave_up_or(primes._brent_rho, n, cycle_limit)
+    want = gave_up_or(brent_one_step, n, cycle_limit, old.gcd)
+    return (got, new.seen), (want, old.seen)
+
+
+def test_brent_rho_matches_the_one_step_walk(monkeypatch):
+    rng = random.Random(26)
+    semiprimes = [p * q for p, q in RHO_SEMIPRIMES]
+    while len(semiprimes) < len(RHO_SEMIPRIMES) + 30:
+        p = rng.randrange(2**16, 2 * 10**7) | 1
+        q = rng.randrange(p, 2**62) | 1
+        if is_prime(p) and is_prime(q):
+            semiprimes.append(p * q)
+    # every gcd sees the same number, and a cycle limit stops both walks at
+    # the same stage, or neither
+    for n in semiprimes:
+        for limit in (None, 1, 2, 4, 8, 64, 512, 4096):
+            new, old = rho_outcomes(monkeypatch, n, limit)
+            assert new == old and old[1], (n, limit)
+    big = (2**61 - 1)**2 * (2**89 - 1)
+    new, old = rho_outcomes(monkeypatch, big, primes.RHO_CYCLE_LIMIT)
+    assert new == old and old[0] == "gave up"
 
 
 def test_prime_range_matches_sieve():
