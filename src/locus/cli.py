@@ -2,8 +2,10 @@
 
 Subcommands: decide, sieve, oracle, generate, verify-certificate.  Output is
 deterministic JSON (fixed field order, normalized rationals) so runs can be
-diffed and scripted.  Exit codes: 0 holds / 1 fails for decisions, 2 usage
-error (argparse's SystemExit: a missing --n, or --n x), 3 parse error, 4
+diffed and scripted.  oracle is decide, byte for byte, on an odd prime
+power n, and a parse error on any other; it is kept for the benchmark's
+command mix.  Exit codes: 0 holds / 1 fails for decisions, 2 usage error
+(argparse's SystemExit: a missing --n, or --n x), 3 parse error, 4
 capacity error, 5 internal inconsistency.  The parser is built by the first
 main call and reused by every later one in the process; argparse keeps no
 state between calls on it.
@@ -21,9 +23,8 @@ from . import families
 from .classify import decide
 from .covering import ENUMERATION_CEILING
 from .errors import (FactorizationCapacityExceeded, InstanceTooLarge,
-                     InternalInconsistency, LocusError, OracleLimitExceeded,
-                     ParseError, RangeTooLarge, ZeroInput)
-from .prime_power import skalba_oracle
+                     InternalInconsistency, LocusError, ParseError,
+                     RangeTooLarge, ZeroInput)
 from .primes import prime_power_split
 from .rationals import factor_set, parse_rational
 from .sieve import scan
@@ -76,11 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sieve.add_argument("--hi", type=int, required=True)
     p_sieve.add_argument("--json", dest="json_path")
 
-    p_oracle = sub.add_parser("oracle", help="exhaustive subset-product oracle "
-                                             "(n must be an odd prime power)")
+    p_oracle = sub.add_parser("oracle", help="decide for an odd prime power n, "
+                                             "kept for the benchmark's command mix")
     p_oracle.add_argument("--n", type=int, required=True)
     add_elements(p_oracle)
     p_oracle.add_argument("--json", dest="json_path")
+    p_oracle.set_defaults(ceiling=ENUMERATION_CEILING, evidence=False)
 
     p_gen = sub.add_parser("generate", help="emit a witness family as JSON")
     p_gen.add_argument("--family", required=True,
@@ -152,17 +154,9 @@ def _run_sieve(args) -> int:
 
 
 def _run_oracle(args) -> int:
-    elements = _load_elements(args)
-    if args.n < 2:
-        raise ParseError("--n must be >= 2")
-    split = prime_power_split(args.n)
-    if len(split) != 1 or split[0][0] == 2:
+    if args.n < 2 or args.n % 2 == 0 or len(prime_power_split(args.n)) != 1:
         raise ParseError("oracle exponent must be an odd prime power")
-    q, m = split[0]
-    xs = factor_set(elements)
-    verdict = skalba_oracle(xs, q, m)
-    _emit(verdict.to_json(args.n, xs), args.json_path)
-    return _STATUS_EXIT[verdict.status]
+    return _run_decide(args)
 
 
 def _run_generate(args) -> int:
@@ -217,8 +211,7 @@ def main(argv=None) -> int:
     except (ParseError, ZeroInput, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (FactorizationCapacityExceeded, RangeTooLarge, InstanceTooLarge,
-            OracleLimitExceeded) as exc:
+    except (FactorizationCapacityExceeded, RangeTooLarge, InstanceTooLarge) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except InternalInconsistency as exc:

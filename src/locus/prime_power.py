@@ -1,8 +1,8 @@
 """Deciding q^m-th powers for odd q, and the subset-product oracle.
 
 decide_prime_power is the cover test over Z/q^m (covering.decide_q).  The
-oracle, behind `locus oracle` and the tests' reference, is the paper's
-Skalba criterion: it walks every exponent tuple c in (Z/q^m)^l in
+oracle, the tests' reference for the cover test, is the paper's Skalba
+criterion: it walks every exponent tuple c in (Z/q^m)^l in
 lexicographic order and looks for disjoint index sets B, C with
 |B| != |C| mod q whose weighted product ratio is a perfect q^m-th power; the
 first tuple with no such pair is the witness.  It exists to be dumb and
@@ -16,20 +16,21 @@ trustworthy; the only liberties taken are these:
   with no later index satisfies every completion.
 The search stops past ORACLE_WORK_BUDGET reach entries, and a witness is
 re-checked on every sign vector, on exponent vectors read afresh from the
-factored elements, before it is emitted.
+factored elements, before it is returned.  The answer is an OracleAnswer,
+no certificate: only classify.decide writes verdict documents.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from operator import mul
+from typing import NamedTuple, Optional
 
 from .covering import ENUMERATION_CEILING, decide_q
 from .errors import NonUnitExponent, OracleLimitExceeded
 from .primes import is_prime
 from .rationals import FactoredRational, factor_set
-from .sieve import default_exclusions
-from .verdicts import FAILS, HOLDS, OracleExhaustion, SkalbaWitness, Verdict
+from .verdicts import FAILS, HOLDS, Verdict
 
 ORACLE_ELEMENT_LIMIT = 8
 ORACLE_MODULUS_LIMIT = 27
@@ -39,7 +40,26 @@ ORACLE_MODULUS_LIMIT = 27
 ORACLE_WORK_BUDGET = 1 << 20
 
 
-def skalba_oracle(elements, q: int, m: int) -> Verdict:
+class OracleSearch(NamedTuple):
+    """The first witness tuple c, None when every tuple admits a pair, and
+    the tuples checked up to it, or all (q^m)^l of them."""
+
+    c: Optional[tuple[int, ...]]
+    tuples_checked: int
+
+
+class OracleAnswer(NamedTuple):
+    status: str
+    certificate: OracleSearch
+
+    def holds(self) -> bool:
+        return self.status == HOLDS
+
+    def fails(self) -> bool:
+        return self.status == FAILS
+
+
+def skalba_oracle(elements, q: int, m: int) -> OracleAnswer:
     """Exact q^m-th power decision by exhaustive subset-product search."""
     if q == 2 or not is_prime(q):
         raise ValueError("the subset-product criterion needs an odd prime q")
@@ -55,7 +75,6 @@ def skalba_oracle(elements, q: int, m: int) -> Verdict:
     if l == 0:
         raise ValueError("empty set has no verdict")
 
-    excluded = default_exclusions(xs, qm)
     # table[j][c] is the exponent vector of a_j^c mod q^m on the support:
     # the same factored arithmetic (multiplication adds exponents), just
     # without object churn
@@ -65,9 +84,9 @@ def skalba_oracle(elements, q: int, m: int) -> Verdict:
     witness, checked = _first_witness(table, q, qm)
 
     if witness is None:
-        return Verdict(HOLDS, OracleExhaustion(q, m, checked), excluded)
+        return OracleAnswer(HOLDS, OracleSearch(None, checked))
 
-    # re-verify before emitting, on exponent vectors read afresh from the
+    # re-verify before returning, on exponent vectors read afresh from the
     # factored elements, not from table: for odd q^m the ratio of a pair is
     # a q^m-th power exactly when sum s_j c_j e_j = 0 mod q^m; the sign
     # vectors are those of every disjoint B, C with |B| != |C| mod q
@@ -76,7 +95,7 @@ def skalba_oracle(elements, q: int, m: int) -> Verdict:
         if (signs.count(1) - signs.count(-1)) % q:
             assert any(sum(map(mul, signs, row)) % qm for row in rows), \
                 "skalba witness admits a perfect-power pair; oracle bug"
-    return Verdict(FAILS, SkalbaWitness(witness, q, m), excluded)
+    return OracleAnswer(FAILS, OracleSearch(witness, checked))
 
 
 def _first_witness(table, q: int, qm: int):

@@ -3,7 +3,9 @@
 A Verdict is Holds or Fails plus a certificate object and the finite set of
 primes the claim excludes.  Every certificate carries enough data to be
 re-verified without trusting the engine (see locus.verify).  All are
-typing.NamedTuple records; a certificate's kind is a class attribute.
+typing.NamedTuple records; a certificate's kind is a class attribute.  The
+three records here are the kinds classify.decide emits and the only kinds
+verify.ALLOWED_KINDS accepts.
 """
 
 from __future__ import annotations
@@ -64,31 +66,9 @@ class UncoveredPoint(NamedTuple):
     counterexample_prime: Optional[int] = None
 
 
-class SkalbaWitness(NamedTuple):
-    """Exponent tuple admitting no subset pair with perfect-power ratio."""
-
-    kind = "skalba_witness"
-    to_json = _certificate_json
-    c: tuple[int, ...]
-    q: int
-    m: int
-    counterexample_prime: Optional[int] = None
-
-
-class OracleExhaustion(NamedTuple):
-    """Every exponent tuple admitted a satisfying subset pair."""
-
-    kind = "oracle_exhaustion"
-    to_json = _certificate_json
-    q: int
-    m: int
-    tuples_checked: int
-
-
 class Verdict(NamedTuple):
     status: str
-    certificate: (PerfectPowerMember | HyperplaneCover | UncoveredPoint
-                  | SkalbaWitness | OracleExhaustion)
+    certificate: PerfectPowerMember | HyperplaneCover | UncoveredPoint
     excluded_primes: frozenset[int] = frozenset()
     evidence: Optional[dict] = None  # optional attached sieve report
 

@@ -3,29 +3,23 @@
 Given a verdict document (as produced by the CLI), re-check the certificate
 against the element set without trusting the engine's decision path.  Every
 check here recomputes from first principles: roots are re-raised, uncovered
-points re-evaluated, covers and exhaustions re-searched, witnesses re-tested,
-claimed failing primes tested for primality and re-tested, all of a
-document's in one batch.  The status is holds or fails, and every integer
-field holds ints alone (a float or a bool is refused).  One class key,
-_columns, reads the classes of a list mod (Q^x)^n straight off the factors:
-their support, led for even n by the sign entry -1, and their exponent
-vectors.  A member is checked by it to be in the class of an element, and
-a cover or an uncovered point has q = n and columns those of the cleared
-set, mapped onto the recorded support.  The verifier re-derives the classes
-of Frobenius elements on its own (_class: t, g = gcd(t - 1, n), the sign
-pinned to (t - 1)/2 and the parities of the fixed primes to Jacobi
-symbols): an uncovered point is checked in its class t in O(l*s), and a
-cover re-checked class by class, by a search over the image of the pinned
-columns on the verifier's own reduced echelon form.  n = 2 is no special
-case: its classes are t = 1 and t = 3.  A counterexample prime must be
-prime.  A Skalba witness and an oracle exhaustion are read on the element
-list as written, one entry per element, as the oracle writes them: a
-witness re-checked by testing every sign vector on the exponent vectors, at
-most ORACLE_RECHECK_LIMIT (2^20) of them, and an exhaustion as the cover of
-(Z/q^m)^s by the kernels of the exponent vectors mod q^m, which every tuple
-admitting a pair amounts to.  Certificate kinds are checked against the
-status they may support, exactly the kinds that classify.decide and
-prime_power.skalba_oracle emit, at an integer n >= 2, and the cover
+points re-evaluated, covers re-searched, claimed failing primes tested for
+primality and re-tested, all of a document's in one batch.  The status is
+holds or fails, and every integer field holds ints alone (a float or a bool
+is refused).  One class key, _columns, reads the classes of a list mod
+(Q^x)^n straight off the factors: their support, led for even n by the
+sign entry -1, and their exponent vectors.  A member is checked by it to be
+in the class of an element, and a cover or an uncovered point has q = n and
+columns those of the cleared set, mapped onto the recorded support.  The
+verifier re-derives the classes of Frobenius elements on its own (_class:
+t, g = gcd(t - 1, n), the sign pinned to (t - 1)/2 and the parities of the
+fixed primes to Jacobi symbols): an uncovered point is checked in its class
+t in O(l*s), and a cover re-checked class by class, by a search over the
+image of the pinned columns on the verifier's own reduced echelon form.
+n = 2 is no special case: its classes are t = 1 and t = 3.  A
+counterexample prime must be prime.  Certificate kinds are checked against
+the status they may support, exactly the kinds that classify.decide emits
+(the records of locus.verdicts), at an integer n >= 2, and the cover
 re-check of a document tries at most COVER_RECHECK_LIMIT candidate values
 over all its classes, the budget that the engine's cover search draws on
 by default (covering.ENUMERATION_CEILING is this constant).  None of the
@@ -52,7 +46,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 
 from .primes import divisors, factorize, first_nonprime, is_prime, jacobi
 from .rationals import clear_denominators, factor
@@ -62,8 +56,8 @@ from .verdicts import FAILS, HOLDS
 
 # the certificate kinds that can support each status
 ALLOWED_KINDS = {
-    HOLDS: {"perfect_power_member", "hyperplane_cover", "oracle_exhaustion"},
-    FAILS: {"uncovered_point", "skalba_witness"},
+    HOLDS: {"perfect_power_member", "hyperplane_cover"},
+    FAILS: {"uncovered_point"},
 }
 
 # candidate values the cover re-check of one document may try, counted over
@@ -71,12 +65,9 @@ ALLOWED_KINDS = {
 # about 1-2 s on either side (Python 3.11)
 COVER_RECHECK_LIMIT = 1 << 19
 
-# sign vectors an oracle witness re-check may test before it gives up
-ORACLE_RECHECK_LIMIT = 1 << 20
-
 # the certificate fields that hold an integer, or lists of integers
-INT_FIELDS = ("exponent", "q", "m", "t", "tuples_checked", "support", "coeffs",
-              "point", "c", "counterexample_prime")
+INT_FIELDS = ("exponent", "q", "t", "support", "coeffs", "point",
+              "counterexample_prime")
 
 
 class VerificationFailure(Exception):
@@ -189,84 +180,49 @@ def _verify_certificate(cert: dict, elements, cleared, n: int, status: str, know
         _need(cols[0] in cols[1:], f"{member} is not one of the decided elements")
         return
 
-    if kind in ("hyperplane_cover", "uncovered_point"):
-        q = cert["q"]
-        _need(q == n, f"cover modulus {q} is not the exponent {n}")
-        support = list(cert["support"])
-        coeffs = [tuple(c) for c in cert["coeffs"]]
-        # the set's columns mapped onto the recorded support: a cover may
-        # use some of them, a refutation must use all, and none may be zero
-        index = {p: i for i, p in enumerate(support)}
-        own, cols = _columns(cleared, n)
-        want = set()
-        for x, col in zip(cleared, cols):
-            mapped = [0] * len(support)
-            for p, e in zip(own, col):
-                if e:
-                    if p not in index:  # the message is built only on failure
-                        raise VerificationFailure(f"element {x} " + (
-                            "is negative and the support has no sign entry" if p == -1
-                            else "uses a prime outside the recorded support"))
-                    mapped[index[p]] = e
-            if not any(mapped):
-                _need(kind != "uncovered_point", f"element {x} is an n-th power for n = {n}")
-            want.add(tuple(mapped))
-        got = {c for c in coeffs if any(c)}
-        if kind == "hyperplane_cover":
-            _need(got <= want, "recorded columns contain vectors not induced by the set")
-            _need(_covers_mod(coeffs, n, support), "claimed cover has a hole")
-            return
-        _need(got == want, "recorded columns differ from those the set induces")
-        _need(("t" in cert) == (n % 2 == 0),
-              "a refutation names its class t exactly when n is even")
-        t = cert.get("t", 1)
-        _need(t % 2 == 1 and 0 < t < 2 * n and math.gcd(t, n) == 1,
-              f"class {t} is not an odd unit below 2n")
-        g, pins = _class(n, support, t)
-        point = tuple(cert["point"])
-        _need(len(point) == len(support), "point and support differ in length")
-        _need(all(b == 1 or (x - a) % (g if b == 0 else 2) == 0
-                  for (a, b), x in zip(pins, point)),
-              f"point is not pinned to the sign and parities of class {t}")
-        _need(all(sum(c * x for c, x in zip(col, point)) % g != 0
-                  for col in coeffs if any(col)),
-              "claimed uncovered point is covered")
-        _need_counterexample(cert, elements, n)
+    # a hyperplane cover or an uncovered point
+    q = cert["q"]
+    _need(q == n, f"cover modulus {q} is not the exponent {n}")
+    support = list(cert["support"])
+    coeffs = [tuple(c) for c in cert["coeffs"]]
+    # the set's columns mapped onto the recorded support: a cover may use
+    # some of them, a refutation must use all, and none may be zero
+    index = {p: i for i, p in enumerate(support)}
+    own, cols = _columns(cleared, n)
+    want = set()
+    for x, col in zip(cleared, cols):
+        mapped = [0] * len(support)
+        for p, e in zip(own, col):
+            if e:
+                if p not in index:  # the message is built only on failure
+                    raise VerificationFailure(f"element {x} " + (
+                        "is negative and the support has no sign entry" if p == -1
+                        else "uses a prime outside the recorded support"))
+                mapped[index[p]] = e
+        if not any(mapped):
+            _need(kind != "uncovered_point", f"element {x} is an n-th power for n = {n}")
+        want.add(tuple(mapped))
+    got = {c for c in coeffs if any(c)}
+    if kind == "hyperplane_cover":
+        _need(got <= want, "recorded columns contain vectors not induced by the set")
+        _need(_covers_mod(coeffs, n, support), "claimed cover has a hole")
         return
-
-    if kind == "skalba_witness":
-        q, m = cert["q"], cert["m"]
-        _need_oracle_modulus(q, m, n)
-        c = tuple(cert["c"])
-        # the oracle writes one entry per element of the raw list
-        _need(len(c) == len(cleared), "witness length differs from the element list")
-        _need(3 ** len(c) <= ORACLE_RECHECK_LIMIT,
-              "skalba witness too large to re-check")
-        # a pair B, C (signs 1 and -1) with |B| != |C| mod q whose ratio
-        # prod_B a_j^(c_j) / prod_C a_j^(c_j) is a q^m-th power refutes it
-        terms = [[cj * e for e in col] for cj, col in zip(c, _columns(cleared, n)[1])]
-        for signs in product((0, 1, -1), repeat=len(c)):
-            if (signs.count(1) - signs.count(-1)) % q:
-                _need(any(sum(sj * t[i] for sj, t in zip(signs, terms)) % n
-                          for i in range(len(terms[0]))),
-                      "witness tuple admits a perfect-power subset pair")
-        _need_counterexample(cert, elements, n)
-        return
-
-    if kind == "oracle_exhaustion":
-        q, m = cert["q"], cert["m"]
-        _need_oracle_modulus(q, m, n)
-        # as for a witness, the raw list
-        _need(n ** len(cleared) == cert["tuples_checked"],
-              "tuples checked are not (q^m)^l for the element list")
-        # every tuple admits a pair exactly when the kernels of the exponent
-        # vectors mod q^m cover (Z/q^m)^s, trivially so at a zero vector
-        support, cols = _columns(cleared, n)
-        _need(not all(map(any, cols)) or _covers_mod(cols, n, support),
-              "some exponent tuple admits no perfect-power subset pair")
-        return
-
-    raise VerificationFailure(f"unknown certificate kind {kind}")
+    _need(got == want, "recorded columns differ from those the set induces")
+    _need(("t" in cert) == (n % 2 == 0),
+          "a refutation names its class t exactly when n is even")
+    t = cert.get("t", 1)
+    _need(t % 2 == 1 and 0 < t < 2 * n and math.gcd(t, n) == 1,
+          f"class {t} is not an odd unit below 2n")
+    g, pins = _class(n, support, t)
+    point = tuple(cert["point"])
+    _need(len(point) == len(support), "point and support differ in length")
+    _need(all(b == 1 or (x - a) % (g if b == 0 else 2) == 0
+              for (a, b), x in zip(pins, point)),
+          f"point is not pinned to the sign and parities of class {t}")
+    _need(all(sum(c * x for c, x in zip(col, point)) % g != 0
+              for col in coeffs if any(col)),
+          "claimed uncovered point is covered")
+    _need_counterexample(cert, elements, n)
 
 
 def _need_counterexample(cert: dict, elements, n: int):
@@ -276,12 +232,6 @@ def _need_counterexample(cert: dict, elements, n: int):
         _need(is_prime(p), f"counterexample prime {p} is not prime")
         _need(verify_failing_prime(elements, n, p),
               "counterexample prime does not fail")
-
-
-def _need_oracle_modulus(q, m, n: int):
-    _need(q > 2 and is_prime(q), f"oracle modulus {q} is not an odd prime")
-    _need(1 <= m <= n.bit_length() and q**m == n,
-          "oracle modulus differs from the verdict exponent")
 
 
 def _columns(xs, n: int):

@@ -5,10 +5,11 @@ re-derived here by brute force: for n = 2 an odd subset with a square
 product; for odd n a plain loop over (Z/n)^s for a point off every kernel
 of x -> <x, e_j> mod n; for other even n the whole Galois group
 (galois_reference).  A certificate kind that supports only the other
-status proves nothing.  For the kinds whose assertion the brute force can
-re-derive as well (hyperplane_cover and uncovered_point with q = n,
-skalba_witness, oracle_exhaustion), the claim also includes that
-assertion; a missing field makes it false.
+status proves nothing, and the retired kinds skalba_witness and
+oracle_exhaustion support neither.  For the kinds whose assertion the brute
+force can re-derive as well (hyperplane_cover and uncovered_point with
+q = n), the claim also includes that assertion; a missing field makes it
+false.
 """
 
 from fractions import Fraction
@@ -17,14 +18,13 @@ from itertools import combinations, product
 from math import gcd
 
 import galois_reference
-from test_prime_power import brute_vectors
 
 from locus.classify import decide
-from locus.prime_power import skalba_oracle
 from locus.verify import verify_document
 
-HOLDS_KINDS = {"perfect_power_member", "hyperplane_cover", "oracle_exhaustion"}
-FAILS_KINDS = {"uncovered_point", "skalba_witness"}
+HOLDS_KINDS = {"perfect_power_member", "hyperplane_cover"}
+FAILS_KINDS = {"uncovered_point"}
+RETIRED_KINDS = {"skalba_witness", "oracle_exhaustion"}
 
 DECIDED = [(["8", "5"], 3), (["2", "3", "6", "18"], 3), (["2", "3", "12"], 3),
            (["2", "5", "7", "10", "14", "35"], 5), (["2", "3", "6", "18"], 9),
@@ -33,9 +33,7 @@ DECIDED = [(["8", "5"], 3), (["2", "3", "6", "18"], 3), (["2", "3", "12"], 3),
            (["8", "125", "1000", "125000"], 9),
            (["32", "3125", "100000", "312500000"], 15), (["2", "3", "7", "11"], 6),
            (["2", "3", "5"], 4), (["-4", "9", "3"], 4), (["4", "9", "36", "324", "5"], 6),
-           (["-12", "18"], 8)]
-ORACLE = [(["2", "3", "6", "18"], 3, 1), (["2", "3", "18"], 3, 1),
-          (["8", "5", "10", "50"], 3, 2)]
+           (["-12", "18"], 8), (["2", "3", "18"], 3), (["8", "5", "10", "50"], 9)]
 
 
 def vectors(elements):
@@ -57,15 +55,6 @@ def vectors(elements):
         assert num == den == 1, v
         vecs.append(vec)
     return support, vecs
-
-
-def odd_prime_powers(n):
-    for q in range(3, n + 1, 2):
-        if n % q == 0 and all(q % d for d in range(2, q)):
-            m = 0
-            while n % q ** (m + 1) == 0:
-                m += 1
-            yield q, m
 
 
 @lru_cache(maxsize=None)
@@ -93,13 +82,6 @@ def uncovered(vecs, n):
                for x in product(range(n), repeat=len(vecs[0])))
 
 
-def admits_pair(vecs, c, q, qm):
-    return any(all(sum(s * cj * v[i] for s, cj, v in zip(signs, c, vecs)) % qm == 0
-                   for i in range(len(vecs[0])))
-               for signs in product((0, 1, -1), repeat=len(vecs))
-               if (signs.count(1) - signs.count(-1)) % q)
-
-
 def certificate_true(doc):
     """The kind-specific assertion, where the brute force can re-derive it."""
     cert, n = doc["certificate"], doc["n"]
@@ -125,15 +107,6 @@ def certificate_true(doc):
         if cert["kind"] == "hyperplane_cover":
             return cols - {zero} <= induced and cover_holds(cols - {zero}, n, support)
         return cols == induced and zero not in cols and point_misses(cert, cols, n)
-    if cert["kind"] in ("skalba_witness", "oracle_exhaustion"):
-        q, m = cert["q"], cert["m"]
-        if q**m != n or q not in {p for p, _ in odd_prime_powers(n)}:
-            return False
-        if cert["kind"] == "skalba_witness":
-            c = cert["c"]
-            return len(c) == len(vecs) and not admits_pair(vecs, c, q, n)
-        return cert["tuples_checked"] == n ** len(vecs) and \
-            brute_vectors(vecs, q, m)[0] is None
     return True
 
 
@@ -185,10 +158,7 @@ def claim_true(doc):
 
 
 def genuine_documents():
-    docs = [decide(elements, n).to_json(n, elements) for elements, n in DECIDED]
-    docs += [skalba_oracle(elements, q, m).to_json(q**m, elements)
-             for elements, q, m in ORACLE]
-    return docs
+    return [decide(elements, n).to_json(n, elements) for elements, n in DECIDED]
 
 
 def copy(doc):
@@ -229,14 +199,6 @@ def mutants(doc, kinds):
                 point[j] += 1
                 shifted["certificate"]["point"] = point
                 yield f"shift the point's pinned entry at {p}", shifted
-    if cert["kind"] == "skalba_witness":
-        qm = cert["q"] ** cert["m"]
-        for i, step in product(range(len(cert["c"])), (1, -1)):
-            shifted = copy(doc)
-            c = list(cert["c"])
-            c[i] = (c[i] + step) % qm
-            shifted["certificate"]["c"] = c
-            yield f"shift witness entry {i} by {step}", shifted
 
 
 def test_genuine_documents_cover_every_kind_and_state_true_claims():
@@ -248,7 +210,7 @@ def test_genuine_documents_cover_every_kind_and_state_true_claims():
 
 
 def test_every_false_mutant_is_rejected():
-    kinds = HOLDS_KINDS | FAILS_KINDS
+    kinds = HOLDS_KINDS | FAILS_KINDS | RETIRED_KINDS
     false = true = 0
     for doc in genuine_documents():
         for what, mutant in mutants(doc, kinds):

@@ -66,7 +66,35 @@ def test_oracle_requires_odd_prime_power(capsys):
     code, doc = run(capsys, "oracle", "--n", "9", "--elem", "2", "--elem", "4",
                     "--elem", "8")
     assert code == 1
-    assert doc["certificate"]["kind"] == "skalba_witness"
+    assert doc["certificate"]["kind"] == "uncovered_point"
+
+
+def test_oracle_is_decide_on_odd_prime_powers(capsys):
+    # the same stdout bytes and exit code as decide: cubic quads at 9 and 27,
+    # a set that holds at 25, two primes above 10^6 and a negative fraction
+    import random
+    rng = random.Random(27)
+    cases = []
+    for _ in range(6):
+        a, b = rng.sample([2, 3, 5, 7, 11, 13], 2)
+        cases.append((rng.choice((9, 27)), [a, b, a * b, a * b * b]))
+    cases += [(25, [2**5, 7**5, 2**5 * 7**5, 2**5 * 7**10, 2**5 * 7**15, 2**5 * 7**20]),
+              (9, [1000003, 1000033]), (27, ["-3/4", 2, 6])]
+    codes = set()
+    for n, elements in cases:
+        argv = ["--n", str(n)] + [f"--elem={e}" for e in elements]
+        answers = []
+        for command in ("oracle", "decide"):
+            code = main([command, *argv])
+            answers.append((code, capsys.readouterr().out))
+        assert answers[0] == answers[1], (n, elements)
+        assert json.loads(answers[0][1])["n"] == n
+        codes.add(answers[0][0])
+    assert codes == {0, 1}
+    for n in (6, 4, 1):
+        assert main(["oracle", "--n", str(n), "--elem", "2"]) == 3
+        assert capsys.readouterr().err == \
+            "error: oracle exponent must be an odd prime power\n"
 
 
 def test_generate_families(capsys):
@@ -260,7 +288,8 @@ def test_help_is_that_of_a_fresh_parser(monkeypatch, capsys, command):
 
 def test_capacity_errors_exit_four(capsys):
     assert main(["sieve", "--n", "2", "--elem", "3", "--hi", str(10**9 + 7)]) == 4
-    assert main(["oracle", "--n", "81", "--elem", "2", "--elem", "3"]) == 4
+    # 2^89 - 1 is a probable prime past the deterministic Miller-Rabin bound
+    assert main(["oracle", "--n", "9", "--elem", str(2**89 - 1)]) == 4
     # a ceiling of 0 is a search that may draw no value
     assert main(["decide", "--n", "3", "--elem", "2", "--elem", "3", "--elem", "5",
                  "--elem", "30", "--ceiling", "0"]) == 4

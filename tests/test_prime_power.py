@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -141,7 +142,8 @@ def test_oracle_matches_plain_loop(case):
 
 def test_oracle_work_budget(monkeypatch, capsys):
     # the oracle settles {8, 5, 10, 50}, n = 9, after touching 53 reach
-    # entries; decide_prime_power never runs it
+    # entries; neither decide_prime_power nor `locus oracle`, which answers
+    # through decide, runs it
     monkeypatch.setattr(locus.prime_power, "ORACLE_WORK_BUDGET", 1000)
     assert skalba_oracle([8, 5, 10, 50], 3, 2).fails()
     monkeypatch.setattr(locus.prime_power, "ORACLE_WORK_BUDGET", 10)
@@ -149,8 +151,9 @@ def test_oracle_work_budget(monkeypatch, capsys):
         skalba_oracle([8, 5, 10, 50], 3, 2)
     assert decide_prime_power([8, 5, 10, 50], 3, 2).fails()
     argv = ["oracle", "--n", "9"] + [a for e in (8, 5, 10, 50) for a in ("--elem", str(e))]
-    assert main(argv) == 4
-    assert "oracle work budget exceeded" in capsys.readouterr().err
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["certificate"]["kind"] == "uncovered_point" and not err
 
 
 @pytest.mark.parametrize("elements,n", [

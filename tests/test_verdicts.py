@@ -1,15 +1,13 @@
 import pytest
 
 from locus.classify import decide
-from locus.verdicts import (FAILS, HOLDS, HyperplaneCover, OracleExhaustion,
-                            PerfectPowerMember, SkalbaWitness, UncoveredPoint, Verdict)
+from locus.verdicts import (FAILS, HOLDS, HyperplaneCover, PerfectPowerMember,
+                            UncoveredPoint, Verdict)
 
 CERTIFICATES = [
     PerfectPowerMember("8", "2", 3),
     HyperplaneCover(3, (2, 3), ((1, 0), (0, 1), (1, 1), (1, 2))),
     UncoveredPoint(3, (2, 3), ((1, 0), (0, 1)), (1, 1)),
-    SkalbaWitness((1, 1), 3, 1),
-    OracleExhaustion(3, 1, 9),
 ]
 
 
@@ -37,9 +35,8 @@ def test_optional_fields_are_written_once_set():
     assert list(full) == ["kind", "q", "support", "coeffs", "point", "t",
                           "counterexample_prime"]
     assert (full["t"], full["counterexample_prime"]) == (5, 7)
-    witness = CERTIFICATES[3]
-    assert "counterexample_prime" not in witness.to_json()
-    assert witness._replace(counterexample_prime=7).to_json()["counterexample_prime"] == 7
+    assert "counterexample_prime" not in point._replace(t=5).to_json()
+    assert point._replace(counterexample_prime=7).to_json()["counterexample_prime"] == 7
     # a field without a default is written even when it is None
     assert PerfectPowerMember("8", None, 3).to_json()["root"] is None
     # a failing decision sets the prime, and leaves t out for odd n

@@ -34,6 +34,12 @@ def test_accepts_engine_output():
         ([27, 125, 3375], 6),
         (["8", "5", "10", "50"], 9),
         (["1/2", 3, 12], 3),
+        # cubic quads lifted one and two layers, one with a fifth class,
+        # and one with the duplicate class 48 = 6 * 2^3
+        ([8, 125, 1000, 125000], 9),
+        ([512, 19683, 10077696, 198359290368], 27),
+        ([8, 27, 216, 5832, 5], 9),
+        ([2, 3, 6, 18, 48, 5], 3),
     ]
     for elements, n in cases:
         problems = verify_document(doc_for(elements, n))
@@ -101,17 +107,17 @@ def test_rejects_even_witness_subset():
 
 
 def test_rejects_tampered_skalba_witness():
-    doc = oracle_doc([8, 5, 10, 50], 3, 2)
-    assert doc["certificate"]["kind"] == "skalba_witness"
-    witness = doc["certificate"]["c"]
-    doc["certificate"]["c"] = [0, 0, 0, 0]  # the zero tuple is always satisfied
-    assert verify_document(doc)
-    # the oracle writes one entry per element: a witness for the classes
-    # alone, 4096 = 8 * 2^9 left out, indexes no list it wrote
-    doc = oracle_doc([8, 5, 10, 50, 4096], 3, 2)
-    assert len(doc["certificate"]["c"]) == 5 and verify_document(doc) == []
-    doc["certificate"]["c"] = witness
-    assert verify_document(doc) == ["witness length differs from the element list"]
+    # skalba_witness is a retired kind: a tampered witness is refused by its
+    # kind, before any field is read.  The zero tuple is always satisfied,
+    # and the witness (1, 1, 1, 2) of the four elements indexes no list of
+    # five.
+    for elements, c in [(["8", "5", "10", "50"], [0, 0, 0, 0]),
+                        (["8", "5", "10", "50", "4096"], [1, 1, 1, 2])]:
+        doc = {"n": 9, "elements": elements, "status": "fails",
+               "certificate": {"kind": "skalba_witness", "c": c, "q": 3, "m": 2},
+               "excluded_primes": [2, 3, 5]}
+        assert verify_document(doc) == ["certificate kind skalba_witness cannot "
+                                        "support status fails"]
 
 
 def test_rejects_fake_lift():
@@ -229,6 +235,7 @@ def test_certificate_kinds_match_the_verifier():
     emitted = {cls.kind for cls in vars(verdicts).values()
                if isinstance(cls, type) and hasattr(cls, "kind")}
     assert emitted == set().union(*verify.ALLOWED_KINDS.values())
+    assert emitted == {"perfect_power_member", "hyperplane_cover", "uncovered_point"}
 
 
 def test_refutation_needs_every_column():
@@ -461,99 +468,59 @@ def test_accepts_cofactors_above_the_deterministic_bound():
     assert verify_document(doc) == []
 
 
-def oracle_doc(elements, q, m):
-    from locus.prime_power import skalba_oracle
-    return skalba_oracle(elements, q, m).to_json(q**m, [str(factor(e)) for e in elements])
-
-
 def test_rejects_forged_oracle_exhaustion():
-    # {2} fails for n = 3 (2 is not a cube mod 7); one tuple is not 3^1
+    # {2} fails for n = 3 (2 is not a cube mod 7); oracle_exhaustion is a
+    # retired kind, so each forgery is refused by its kind
     doc = {"n": 3, "elements": ["2"], "status": "holds",
            "certificate": {"kind": "oracle_exhaustion", "q": 3, "m": 1,
                            "tuples_checked": 1},
            "excluded_primes": [2, 3]}
-    assert verify_document(doc) == ["tuples checked are not (q^m)^l for the "
-                                    "element list"]
-    doc["certificate"]["tuples_checked"] = 3
-    assert verify_document(doc) == ["some exponent tuple admits no perfect-power "
-                                    "subset pair"]
-    doc["certificate"].update(q=9, tuples_checked=9)
-    assert verify_document(doc) == ["oracle modulus 9 is not an odd prime"]
-    doc["certificate"].update(q=3, m=2, tuples_checked=9)
-    assert verify_document(doc) == ["oracle modulus differs from the verdict exponent"]
+    for forged in ({}, {"tuples_checked": 3}, {"q": 9, "tuples_checked": 9},
+                   {"q": 3, "m": 2, "tuples_checked": 9}):
+        doc["certificate"].update(forged)
+        assert verify_document(doc) == ["certificate kind oracle_exhaustion cannot "
+                                        "support status holds"]
 
 
-def test_accepts_genuine_oracle_exhaustion(tmp_path, capsys):
-    from locus.cli import main
-    path = tmp_path / "cubic.json"
-    argv = ["oracle", "--n", "3", "--json", str(path)]
-    assert main(argv + [a for e in (2, 3, 6, 18) for a in ("--elem", str(e))]) == 0
-    capsys.readouterr()
-    assert main(["verify-certificate", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out) == {"valid": True, "problems": []}
-    # a cubic quad lifted one layer holds for n = 9: 9^4 tuples
-    doc = oracle_doc([8, 125, 1000, 125000], 3, 2)
-    assert doc["certificate"] == {"kind": "oracle_exhaustion", "q": 3, "m": 2,
-                                  "tuples_checked": 6561}
-    assert verify_document(doc) == []
-    # the oracle counts tuples over the raw list: 3^6 here, although the
-    # duplicate class 48 = 6 * 2^3 leaves five classes
-    doc = oracle_doc([2, 3, 6, 18, 48, 5], 3, 1)
-    assert doc["certificate"]["tuples_checked"] == 3**6
-    assert verify_document(doc) == []
-    doc["certificate"]["tuples_checked"] = 3**5
-    assert verify_document(doc) == ["tuples checked are not (q^m)^l for the "
-                                    "element list"]
-
-
-def test_oracle_exhaustion_recheck_has_a_work_bound(monkeypatch):
-    import locus.verify
-    doc = oracle_doc([2, 3, 6, 18], 3, 1)
-    # re-checked as the four-line cover of F_3^2: 0 and 1 at the first
-    # coordinate, then 0, 1 and 2 at the second
-    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 4)
-    assert verify_document(doc) == ["cover too large to re-check"]
-    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 5)
-    assert verify_document(doc) == []
-
-
-def test_accepts_deep_oracle_exhaustions():
-    # a cubic quad lifted two layers holds mod 27 over 27^4 tuples, and with
-    # a fifth class mod 9 over 9^5; each re-checks as a cover in a few values
-    for elements, q, m in [([512, 19683, 10077696, 198359290368], 3, 3),
-                           ([8, 27, 216, 5832, 5], 3, 2)]:
-        doc = oracle_doc(elements, q, m)
-        assert doc["certificate"]["kind"] == "oracle_exhaustion"
-        assert doc["certificate"]["tuples_checked"] == (q**m) ** len(elements)
-        assert verify_document(doc) == []
-
-
-def test_oracle_exhaustion_recheck_agrees_with_the_oracle():
-    # the cover re-check accepts an exhaustion exactly when the oracle's own
-    # search over the tuples finds no witness; over two primes about one set
-    # in five holds
+def test_cover_recheck_agrees_with_the_oracle():
+    # the cover re-check accepts the sets' own exponent columns as a cover
+    # exactly when the oracle's search over the tuples finds no witness.  A
+    # set with a perfect n-th power member takes a member certificate and is
+    # left out; of the 251 random sets left only one holds, so 100 more are
+    # drawn from the q + 1 lines of (Z/q)^2, each at a random unit and, mod
+    # 9, layer, of which 21 hold
     import random
     from locus.prime_power import skalba_oracle
+    cases = []
     rng = random.Random(5)
     for _ in range(300):
         q, m = rng.choice([(3, 1), (5, 1), (3, 2)])
-        elements = [rng.choice([1, -1]) * 2 ** rng.randrange(q**m)
-                    * 3 ** rng.randrange(q**m) for _ in range(rng.randint(1, 5))]
+        exponents = [(rng.choice([1, -1]), rng.randrange(q**m), rng.randrange(q**m))
+                     for _ in range(rng.randint(1, 5))]
+        cases.append((q, m, exponents))
+    rng = random.Random(6)
+    for _ in range(100):
+        q, m = rng.choice([(3, 1), (5, 1), (3, 2)])
+        n = q**m
+        lines = [(1, 0)] + [(j, 1) for j in range(q)]
+        exponents = []
+        for a, b in rng.sample(lines, rng.randint(2, q + 1)):
+            u = rng.choice([u for u in range(1, n) if u % q]) * rng.choice((1, q)[:m])
+            exponents.append((1, a * u % n, b * u % n))
+        cases.append((q, m, exponents))
+    holds = 0
+    for q, m, exponents in cases:
+        if (0, 0) in {(a, b) for _, a, b in exponents}:
+            continue
+        elements = [sign * 2**a * 3**b for sign, a, b in exponents]
         doc = {"n": q**m, "elements": [str(e) for e in elements], "status": "holds",
-               "certificate": {"kind": "oracle_exhaustion", "q": q, "m": m,
-                               "tuples_checked": (q**m) ** len(elements)},
+               "certificate": {"kind": "hyperplane_cover", "q": q**m, "support": [2, 3],
+                               "coeffs": [[a, b] for _, a, b in exponents]},
                "excluded_primes": sorted({2, 3, q})}
-        assert (verify_document(doc) == []) == skalba_oracle(elements, q, m).holds(), \
-            (elements, q, m)
-
-
-def test_oracle_witness_recheck_has_a_work_bound():
-    # 3^13 sign vectors; the engine's oracle stops at 8 elements
-    from locus.primes import sieve_upto
-    primes = [str(p) for p in sieve_upto(50)[:13]]
-    doc = {"n": 3, "elements": primes, "status": "fails",
-           "certificate": {"kind": "skalba_witness", "c": [1] * 13, "q": 3, "m": 1}}
-    assert verify_document(doc) == ["skalba witness too large to re-check"]
+        accepted = verify_document(doc) == []
+        assert accepted == skalba_oracle(elements, q, m).holds(), (elements, q, m)
+        holds += accepted
+    assert holds == 22
 
 
 def test_counterexample_prime_must_be_prime():
@@ -595,7 +562,9 @@ def test_evidence_without_prime_needs_a_theorem():
 
 
 def test_rejects_retired_kinds():
-    # the kinds that neither decide nor the oracle emits, each on a true claim
+    # the kinds that decide does not emit, each on a true claim; the last two
+    # are the documents `locus oracle` once wrote for
+    # `--n 9 --elem 2 --elem 4 --elem 8` and `--n 3` on {2, 3, 6, 18}
     retired = [
         (["16"], 8, "holds", {"kind": "wang_exception", "element": "16", "b": "1", "n": 8}),
         (["-27", "4"], 6, "holds", {"kind": "exceptional_form", "case_tag": "A0eq1",
@@ -604,6 +573,10 @@ def test_rejects_retired_kinds():
                               "inner": {"kind": "evidence",
                                         "reason": "grunwald_wang_singleton"}}),
         (["2"], 8, "fails", {"kind": "evidence", "reason": "grunwald_wang_singleton"}),
+        (["2", "4", "8"], 9, "fails", {"kind": "skalba_witness", "c": [1, 1, 2],
+                                       "q": 3, "m": 2}),
+        (["2", "3", "6", "18"], 3, "holds", {"kind": "oracle_exhaustion", "q": 3, "m": 1,
+                                             "tuples_checked": 81}),
     ]
     for elements, n, status, cert in retired:
         doc = {"n": n, "elements": elements, "status": status, "certificate": cert}
@@ -849,11 +822,9 @@ def test_integer_fields_must_be_ints():
     # is refused in documents of every kind, with evidence too
     docs = [doc_for([2, 3, 6, 18], 3, attach_evidence=True, evidence_hi=100),
             doc_for([2, 3, 12], 3, attach_evidence=True, evidence_hi=100),
-            doc_for([2, 3, 5], 4), doc_for([512, 5], 9),
-            oracle_doc([2, 4, 8], 3, 2), oracle_doc([2, 3, 6, 18], 3, 1)]
+            doc_for([2, 3, 5], 4), doc_for([512, 5], 9)]
     kinds = {doc["certificate"]["kind"] for doc in docs}
-    assert kinds == {"hyperplane_cover", "uncovered_point", "perfect_power_member",
-                     "skalba_witness", "oracle_exhaustion"}
+    assert kinds == {"hyperplane_cover", "uncovered_point", "perfect_power_member"}
     for doc in docs:
         assert verify_document(doc) == []
         paths = list(int_paths(doc))
@@ -869,8 +840,8 @@ def test_integer_fields_must_be_ints():
                 problems = verify_document(bad)
                 assert len(problems) == 1 and "not an integer" in problems[0], (path, problems)
     # among them the fields where a float once passed
-    assert {("certificate", "q"), ("certificate", "m"), ("certificate", "exponent"),
-            ("certificate", "tuples_checked"), ("certificate", "point", 0),
+    assert {("certificate", "q"), ("certificate", "exponent"),
+            ("certificate", "t"), ("certificate", "point", 0),
             ("certificate", "support", 0), ("excluded_primes", 0),
             ("evidence", "params", "k"), ("evidence", "params", "lo"),
             ("evidence", "params", "hi")} <= {p for doc in docs for p in int_paths(doc)}
