@@ -56,14 +56,16 @@ def exponent_classes(xs: list[FactoredRational], n: int):
     for a negative class.  The perfect n-th powers have the zero column."""
     classes = {}
     for x in xs:
-        key = (x.sign if n % 2 == 0 else 1, tuple((p, e % n) for p, e in x.factors if e % n))
-        classes.setdefault(key, x)
+        key = (x.sign if n % 2 == 0 else 1, tuple([(p, e % n) for p, e in x.factors if e % n]))
+        if key not in classes:
+            classes[key] = x
     primes = sorted({p for _, powers in classes for p, _ in powers})
     support = tuple(primes) if n % 2 else (-1, *primes)
     columns = []
     for sign, powers in classes:
-        exponents = {-1: int(sign < 0), **dict(powers)}
-        columns.append(tuple(exponents.get(p, 0) for p in support))
+        exponents = dict(powers)
+        exponents[-1] = int(sign < 0)
+        columns.append(tuple([exponents.get(p, 0) for p in support]))
     return list(classes.values()), support, tuple(columns)
 
 

@@ -26,7 +26,7 @@ from .errors import (FactorizationCapacityExceeded, InstanceTooLarge,
                      InternalInconsistency, LocusError, ParseError,
                      RangeTooLarge, ZeroInput)
 from .primes import prime_power_split
-from .rationals import factor_set, parse_rational
+from .rationals import _read, factor_set
 from .sieve import scan
 from .verdicts import FAILS, HOLDS
 from .verify import verify_document
@@ -118,7 +118,7 @@ def _load_elements(args) -> list[str]:
     if not out:
         raise ParseError("no elements given (use --elem or --file)")
     for e in out:
-        parse_rational(e)
+        _read(e)  # syntax and zero checks up front; the literal is factored later
     return out
 
 

@@ -59,28 +59,35 @@ def _echelon(columns, n: int, s: int):
     the divisor d = gcd(entry, n), it becomes the generator of that pivot
     column and reduces the earlier generators' entries there below d.  For
     prime n, d = 1 and each pivot column is touched by its own generator
-    alone.
+    alone.  Once every row is taken, the later columns have nothing left to
+    reduce, so the loop stops there.
     """
     l = len(columns)
-    rows = [[col[p] % n for col in columns] + [int(i == p) for i in range(s)]
-            for p in range(s)]
+    rows = [[col[p] % n for col in columns] + [0] * s for p in range(s)]
+    for p, row in enumerate(rows):
+        row[l + p] = 1
     gens = []
     for j in range(l):
+        if not rows:
+            break  # full rank: every later column is a no-op
         while True:
-            live = sorted((row for row in rows if row[j]), key=lambda row: row[j])
+            live = [row for row in rows if row[j]]
             if len(live) < 2:
                 break
+            live.sort(key=lambda row: row[j])
+            top = live[0]
             for row in live[1:]:
-                c = row[j] // live[0][j]
-                row[:] = [(a - c * b) % n for a, b in zip(row, live[0])]
+                c = row[j] // top[j]
+                row[:] = [(a - c * b) % n for a, b in zip(row, top)]
         if not live:
             continue
-        rows.remove(live[0])
-        d = math.gcd(live[0][j], n)
-        u = pow(live[0][j] // d, -1, n // d)  # u h[j] = d mod n; make u a unit mod n
+        top = live[0]
+        rows.remove(top)  # top alone is nonzero at j, so this is top itself
+        d = math.gcd(top[j], n)
+        u = pow(top[j] // d, -1, n // d)  # u h[j] = d mod n; make u a unit mod n
         while math.gcd(u, n) > 1:
             u += n // d
-        pivot = [u * a % n for a in live[0]]
+        pivot = top if u == 1 else [u * a % n for a in top]
         for row in gens:
             c = row[j] // d
             if c:
@@ -123,8 +130,15 @@ def _search(columns, q: int, s: int, shift, budget):
             return None  # a form that vanishes everywhere
     gens = sorted(_echelon([col for col, _ in forms], q, s), key=lambda gen: (
         -sum(map(bool, gen[2])), next(i for i, a in enumerate(gen[2]) if a)))
-    last = [max(k for k, (_, _, h) in enumerate(gens) if h[i]) for i in range(len(forms))]
-    checks = [[i for i, k_i in enumerate(last) if k_i == k] for k in range(len(gens))]
+    last = [None] * len(forms)
+    for k, (_, _, h) in enumerate(gens):
+        for i, a in enumerate(h):
+            if a:
+                last[i] = k
+    assert None not in last, "a kept form is touched by no generator"
+    checks = [[] for _ in gens]
+    for i, k in enumerate(last):
+        checks[k].append(i)
     scale = not any(c % q for _, c in forms)
 
     def miss(k, z, zero):

@@ -7,9 +7,10 @@ tuples: len, + and < stay undefined), equal by value and safe to share
 between workers.  This module parses, factors (one element, or a set
 jointly), clears denominators and tests perfect powers; it keeps no class
 representatives.  A literal has one text path: _read checks its syntax and
-gives (numerator, denominator) ints, which factor factors apart, so a
-string never becomes a Fraction on its way to factored form;
-parse_rational builds its Fraction from the same reader.  A class mod
+gives (numerator, denominator) ints, which are factored apart
+(_factor_parts), so a string never becomes a Fraction on its way to
+factored form and factor_set reads each literal once; parse_rational
+builds its Fraction from the same reader.  A class mod
 (Q^x)^n is keyed from the factors where it is used: by the engine in
 classify.exponent_classes, and by the verifier in verify._columns.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import ParseError, ZeroInput
@@ -75,7 +75,7 @@ class FactoredRational:
 
     @classmethod
     def from_prime_powers(cls, sign: int, powers: dict[int, int]) -> "FactoredRational":
-        return cls(sign, tuple(sorted(filter(itemgetter(1), powers.items()))))
+        return cls(sign, tuple(sorted([(p, e) for p, e in powers.items() if e])))
 
     # -- views -------------------------------------------------------------
 
@@ -102,7 +102,7 @@ class FactoredRational:
         return d
 
     def support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
+        return tuple([p for p, _ in self.factors])
 
     def exponent(self, p: int) -> int:
         for q, e in self.factors:
@@ -203,13 +203,17 @@ def factor(x: RationalLike, *, known=()) -> FactoredRational:
 
     A string goes straight from its text to ints (_read) and no Fraction is
     built.  The numerator and denominator, prime to each other, are
-    factored apart, the denominator's primes with negative exponents; known
-    is passed to primes.factorize for both, which divides out its primes
-    and splits a composite cofactor by a gcd with an entry before rho, and
-    changes no result."""
+    factored apart (_factor_parts); known is passed to primes.factorize
+    for both, which divides out its primes and splits a composite cofactor
+    by a gcd with an entry before rho, and changes no result."""
     if isinstance(x, FactoredRational):
         return x
-    num, den = _parts(x)
+    return _factor_parts(*_parts(x), known)
+
+
+def _factor_parts(num: int, den: int, known) -> FactoredRational:
+    """num/den factored, num and den prime to each other, den > 0: the
+    denominator's primes with negative exponents."""
     powers = factorize(abs(num), known=known)
     if den != 1:
         for p, e in factorize(den, known=known).items():
@@ -220,21 +224,21 @@ def factor(x: RationalLike, *, known=()) -> FactoredRational:
 def factor_set(elements: Iterable[RationalLike]) -> list[FactoredRational]:
     """[factor(x) for x in elements], the elements factored jointly.
 
-    Every element is read (_parts) before any is factored, so a malformed
-    or zero element raises before a factorization can.  The set's
-    numerators and denominators of at least 2^16, in lowest terms, are the
-    hints (factor's known) of every element, so a large prime that two
-    elements share is split off by a gcd rather than searched for by rho.
-    Each element then goes to factor as given, which reads a string again
-    rather than through a Fraction.  An element that is already a
+    Every element is read once (_parts) before any is factored, so a
+    malformed or zero element raises before a factorization can.  The
+    set's numerators and denominators of at least 2^16, in lowest terms,
+    are the hints (factor's known) of every element, so a large prime that
+    two elements share is split off by a gcd rather than searched for by
+    rho.  The (numerator, denominator) read then goes straight to the
+    factoring (_factor_parts).  An element that is already a
     FactoredRational passes through and gives no hints.
     """
     xs = list(elements)
-    parts = [_parts(x) for x in xs if not isinstance(x, FactoredRational)]
-    if not parts:
+    parts = [None if isinstance(x, FactoredRational) else _parts(x) for x in xs]
+    if not any(parts):
         return xs
-    known = [v for num, den in parts for v in (abs(num), den) if v >= TRIAL_DIVISION_BOUND]
-    return [factor(x, known=known) for x in xs]
+    known = [v for nd in parts if nd for v in (abs(nd[0]), nd[1]) if v >= TRIAL_DIVISION_BOUND]
+    return [x if nd is None else _factor_parts(*nd, known) for x, nd in zip(xs, parts)]
 
 
 def clear_denominators(elements: Iterable[RationalLike], n: int) -> list[FactoredRational]:

@@ -19,7 +19,9 @@ for even k, for odd k those = 1 mod 2r for a prime r | k, half the primes
 at k = 3.  scan and find_counterexample take just those from one
 primes.prime_walk, and scan counts the rest without making them ints.
 find_counterexample walks segments that double from [2, 128] and stops at
-the first failing prime, which is usually small.  scan returns a
+the first failing prime, which is usually small; the segments up to
+COUNTEREXAMPLE_BOUND are sieved once per stride set and kept (_segment),
+and larger ones are sieved afresh, so the cache stays small.  scan returns a
 SieveReport, an immutable typing.NamedTuple record.
 """
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import BadPrime
@@ -90,10 +93,9 @@ def set_has_kth_power_mod_p(elements, k: int, p: int) -> bool:
 def default_exclusions(elements, k: int) -> frozenset[int]:
     """The excluded primes of every verdict and scan: {2}, the primes
     dividing k and all support primes."""
-    out = {2}
+    out = {p for x in factor_set(elements) for p, _ in x.factors}
+    out.add(2)
     out.update(prime_factors(k))
-    for x in factor_set(elements):
-        out.update(x.support())
     return frozenset(out)
 
 
@@ -146,10 +148,25 @@ def find_counterexample(elements, k: int, bound: int):
 
 
 def _walk_upto(strides: tuple[int, ...], bound: int):
+    """The primes of prime_walk up to bound, in segments that double from
+    [2, 128]; a segment that ends at or below COUNTEREXAMPLE_BOUND is
+    sieved once per stride set (_segment), a larger one afresh."""
     lo, hi = 2, 128
     while lo <= bound:
-        yield from prime_walk(lo, min(hi, bound), strides)[1]
+        end = min(hi, bound)
+        if end <= COUNTEREXAMPLE_BOUND:
+            yield from _segment(lo, end, strides)
+        else:
+            yield from prime_walk(lo, end, strides)[1]
         lo, hi = hi + 1, 2 * hi
+
+
+@lru_cache(maxsize=128)
+def _segment(lo: int, hi: int, strides: tuple[int, ...]) -> tuple[int, ...]:
+    """prime_walk's primes of [lo, hi], hi <= COUNTEREXAMPLE_BOUND, cached:
+    a failing verdict's search walks the same few segments every time, and
+    128 entries hold those of several stride sets."""
+    return tuple(prime_walk(lo, hi, strides)[1])
 
 
 def _tested(xs: list[FactoredRational], k: int, primes):

@@ -254,14 +254,19 @@ def _image_generators(cols, n: int):
     nonzero there, and that row, scaled by a unit to gcd(entry, n), becomes
     a generator; it reduces the earlier generators' entries in its column
     below its own, so for prime n no other generator touches that column.
+    Once every row is taken the later columns change nothing, and the loop
+    stops.
     """
     rows = [[c % n for c in row] for row in zip(*cols)]
     gens = []
     for j in range(len(cols)):
+        if not rows:
+            break
         while True:
-            live = sorted((r for r in rows if r[j]), key=lambda r: r[j])
+            live = [r for r in rows if r[j]]
             if len(live) < 2:
                 break
+            live.sort(key=lambda r: r[j])
             for r in live[1:]:
                 c = r[j] // live[0][j]
                 r[:] = [(a - c * b) % n for a, b in zip(r, live[0])]
@@ -343,8 +348,15 @@ def _misses(cols, n: int, shift, budget) -> bool:
     kept = [j for j, col in enumerate(cols) if any(e % n for e in col)]
     cols, shift = [cols[j] for j in kept], [shift[j] for j in kept]
     gens = sorted(_image_generators(cols, n), key=lambda g: -sum(map(bool, g[0])))
-    last = [max(k for k, (h, _) in enumerate(gens) if h[j]) for j in range(len(cols))]
-    checks = [[j for j, k_j in enumerate(last) if k_j == k] for k in range(len(gens))]
+    last = [None] * len(cols)
+    for k, (h, _) in enumerate(gens):
+        for j, a in enumerate(h):
+            if a:
+                last[j] = k
+    assert None not in last, "a kept column is touched by no generator"
+    checks = [[] for _ in gens]
+    for j, k in enumerate(last):
+        checks[k].append(j)
     scale = not any(c % n for c in shift)
 
     def miss(k, y, zero):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import locus.cli
+import locus.rationals
 from locus.cli import _build_parser, main
 
 
@@ -182,6 +183,29 @@ def test_zero_denominators_exit_three(capsys):
                  ["generate", "--family", "lifted", "--e", "2", "--elem", "1/0"]):
         assert main(argv) == 3, argv
         assert capsys.readouterr().err.startswith("error: zero denominator: "), argv
+
+
+def test_literals_are_checked_first_and_factored_once(tmp_path, monkeypatch, capsys):
+    # a malformed --file line or --elem 1/0 is the parse error, ahead of the
+    # --n check and of factoring the probable prime 2^89 - 1 (exit 4)
+    path = tmp_path / "elements.txt"
+    path.write_text(f"{2**89 - 1}\n 3/x \n6\n")
+    factored = []
+    factorize = locus.rationals.factorize
+    monkeypatch.setattr(locus.rationals, "factorize",
+                        lambda m, known=(): factored.append(m) or factorize(m, known=known))
+    for argv, message in (
+            (["decide", "--n", "1", "--file", str(path)], "not a rational literal: '3/x'"),
+            (["sieve", "--n", "3", "--file", str(path), "--lo", "9", "--hi", "5"],
+             "not a rational literal: '3/x'"),
+            (["decide", "--n", "1", "--elem", str(2**89 - 1), "--elem", "1/0"],
+             "zero denominator: '1/0'")):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+    assert not factored
+    code, doc = run(capsys, "decide", "--n", "3", "--elem", "12/5", "--elem", "-3")
+    assert code == 1 and doc["elements"] == ["12/5", "-3"]
+    assert sorted(factored) == [3, 5, 12]  # each numerator and denominator once
 
 
 def test_usage_errors_exit_two_and_the_next_call_still_decides(capsys):

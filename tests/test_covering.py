@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import additive_order, elimination_cases, image, span
+
 import locus.verify
 from locus import covering
 from locus.classify import decide
@@ -55,6 +57,25 @@ def prime_recheck_bound(q, r):
     at the first coordinate (0 and 1), then q at each later one below
     every surviving unit prefix."""
     return 2 + q * ((q - 1) ** (r - 1) - 1) // (q - 2)
+
+
+def test_echelon_generates_the_image():
+    """On seeded matrices over Z/n, full rank before the last column and
+    zero or repeated columns among them: h_k = r_k . E mod n, m_k is the
+    additive order of h_k, and the h_k span the image {x . E}."""
+    full_rank_early = 0
+    for n, s, cols in elimination_cases(11, 400):
+        gens = covering._echelon(cols, n, s)
+        assert len(gens) <= s
+        for m, r, h in gens:
+            assert len(r) == s and len(h) == len(cols)
+            assert list(h) == [sum(a * b for a, b in zip(r, col)) % n for col in cols]
+            assert m == additive_order(h, n)
+        want = image(cols, n, s)
+        assert span([(m, h) for m, _, h in gens], n, len(cols)) == want, (n, s, cols)
+        # every row is taken within the first s columns: the loop stops early
+        full_rank_early += len(cols) > s and len(covering._echelon(cols[:s], n, s)) == s
+    assert full_rank_early >= 100
 
 
 def test_decide_q_certificate_columns():

@@ -232,14 +232,43 @@ def test_factor_set_parses_every_element_before_factoring(monkeypatch):
         factor_set([str(p * q), "2", "x"])
     calls = []
     monkeypatch.setattr(locus.rationals, "factorize", lambda *a, **k: calls.append(a))
-    for bad in ("x", "3/0", "1.5"):
-        with pytest.raises(ParseError):
+    for bad, error in (("x", ParseError), ("3/0", ParseError), ("1.5", ParseError),
+                       ("0", ZeroInput), ("-0/7", ZeroInput), (0, ZeroInput),
+                       (Fraction(0), ZeroInput)):
+        with pytest.raises(error):
             factor_set([str(p * q), "12/5", bad])
     assert not calls
     monkeypatch.undo()
     with pytest.raises(ZeroInput):
         factor_set([p * q, 0])
     assert factor_set([]) == []
+
+
+def test_factor_set_reads_each_literal_once(monkeypatch):
+    texts = ["12/5", "-3", "12/5", "1000033/2"]
+    expected = [factor(t) for t in texts]
+    reads = []
+    read = locus.rationals._read
+    monkeypatch.setattr(locus.rationals, "_read", lambda text: reads.append(text) or read(text))
+    assert factor_set(texts) == expected
+    assert reads == texts
+
+
+def test_factored_entries_pass_through_and_give_no_hints(monkeypatch):
+    big = factor(1000003 * 7)
+    expected = [big, factor("1000033"), factor("6/1000037")]
+    hints = []
+    factorize = locus.rationals.factorize
+    def factorize_noting_hints(m, known=()):
+        hints.append(list(known))
+        return factorize(m, known=known)
+    monkeypatch.setattr(locus.rationals, "factorize", factorize_noting_hints)
+    out = factor_set([big, "1000033", "6/1000037"])
+    assert out == expected and out[0] is big
+    # 1000003 is no hint: only the read literals give them
+    assert len(hints) == 3 and all(h == [1000033, 1000037] for h in hints)
+    hints.clear()
+    assert factor_set([big]) == [big] and not hints
 
 
 def test_factored_rational_is_an_immutable_value():

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locus.sieve
 from locus.errors import BadPrime
 from locus.primes import is_prime, prime_range, sieve_upto
 from locus.rationals import factor
-from locus.sieve import (find_counterexample, first_non_failing,
+from locus.sieve import (COUNTEREXAMPLE_BOUND, find_counterexample, first_non_failing,
                          is_kth_power_mod_p, scan, set_has_kth_power_mod_p,
                          verify_failing_prime)
 
@@ -125,6 +126,23 @@ def test_counterexample_walk_across_segment_edges():
     assert find_counterexample([17, 42], 7, 126) is None
     assert find_counterexample([2], 257, 10**4) == 1543
     assert find_counterexample([2], 257, 1542) is None
+
+
+def test_counterexample_walk_caches_only_small_segments(monkeypatch):
+    # 10007 is the least prime = 1 mod 2 * 5003, and 2 is no 5003rd power
+    # there; [16] at 8 has no failing prime at all, so its walk runs to 10^6
+    walked = []
+    real = locus.sieve.prime_walk
+    monkeypatch.setattr(locus.sieve, "prime_walk",
+                        lambda lo, hi, strides: walked.append(hi) or real(lo, hi, strides))
+    locus.sieve._segment.cache_clear()
+    for elements, k, prime in (([2], 5003, 10007), ([16], 8, None)):
+        assert find_counterexample(elements, k, 10**6) == prime
+        walked.clear()
+        assert find_counterexample(elements, k, 10**6) == prime
+        assert walked and min(walked) > COUNTEREXAMPLE_BOUND
+    # per stride set, the seven segments [2, 128], ..., (4096, 8192] alone
+    assert locus.sieve._segment.cache_info().currsize == 2 * 7
 
 
 def test_verify_failing_prime():

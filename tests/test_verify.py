@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from corpus import additive_order, elimination_cases, image, span
+
 from locus.classify import decide
 from locus.errors import InstanceTooLarge
 from locus.rationals import factor
-from locus.verify import verify_document
+from locus.verify import _image_generators, verify_document
 
 
 def doc_for(elements, n, **kwargs):
@@ -905,3 +907,14 @@ def test_verdict_writes_elements_as_strings():
     doc = v.to_json(3, [2, 3, 6, 18])
     assert doc["elements"] == ["2", "3", "6", "18"]
     assert doc == v.to_json(3, ["2", "3", "6", "18"]) and verify_document(doc) == []
+
+
+def test_image_generators_span_the_image():
+    """The verifier's own elimination, on seeded matrices over Z/n with
+    full rank before the last column and zero or repeated columns among
+    them: each h has additive order m, and the h span the image {x . E}."""
+    for n, s, cols in elimination_cases(13, 400):
+        gens = _image_generators(cols, n)
+        assert len(gens) <= s
+        assert all(m == additive_order(h, n) for h, m in gens)
+        assert span([(m, h) for h, m in gens], n, len(cols)) == image(cols, n, s), (n, s, cols)
