@@ -10,7 +10,17 @@ representatives.  A literal has one text path: _read checks its syntax and
 gives (numerator, denominator) ints, which are factored apart
 (_factor_parts), so a string never becomes a Fraction on its way to
 factored form and factor_set reads each literal once; parse_rational
-builds its Fraction from the same reader.  A class mod
+builds its Fraction from the same reader.  A literal is factored at most
+once per process while it stays in the memo (_FACTORED): at most
+MEMO_CAP entries, keyed by the exact (numerator, denominator) in lowest
+terms and cleared when full, each holding the FactoredRational built from
+primes.factorize's output for that key.  Only a key whose numerator and
+denominator are both below primes.MR_DETERMINISTIC_BOUND is stored: there
+factorize always succeeds and gives the same result whatever its hints,
+so a hit is what any call would return, and above the bound a split that
+only hints made possible never lets a later hint-less call succeed.  So
+the engine and the verifier (which shares this layer) factor the same
+literal once.  A class mod
 (Q^x)^n is keyed from the factors where it is used: by the engine in
 classify.exponent_classes, and by the verifier in verify._columns.
 """
@@ -23,11 +33,14 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import ParseError, ZeroInput
-from .primes import TRIAL_DIVISION_BOUND, factorize, is_prime
+from .primes import MR_DETERMINISTIC_BOUND, TRIAL_DIVISION_BOUND, factorize, is_prime
 
 RationalLike = Union[int, str, Fraction, "FactoredRational"]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+# the factoring memo (module docstring): entries held before it is cleared
+MEMO_CAP = 256
 
 
 class FactoredRational:
@@ -205,20 +218,36 @@ def factor(x: RationalLike, *, known=()) -> FactoredRational:
     built.  The numerator and denominator, prime to each other, are
     factored apart (_factor_parts); known is passed to primes.factorize
     for both, which divides out its primes and splits a composite cofactor
-    by a gcd with an entry before rho, and changes no result."""
+    by a gcd with an entry before rho, and changes no result.  A literal
+    below primes.MR_DETERMINISTIC_BOUND that the process factored before
+    comes from the memo (module docstring), whatever known is.  A
+    FactoredRational passes through untouched and is never stored."""
     if isinstance(x, FactoredRational):
         return x
     return _factor_parts(*_parts(x), known)
 
 
+# the memo (module docstring): (numerator, denominator) -> its factored form
+_FACTORED: dict[tuple[int, int], FactoredRational] = {}
+
+
 def _factor_parts(num: int, den: int, known) -> FactoredRational:
     """num/den factored, num and den prime to each other, den > 0: the
-    denominator's primes with negative exponents."""
+    denominator's primes with negative exponents.  Looked up in the memo
+    first, and stored there when both are below the deterministic bound."""
+    x = _FACTORED.get((num, den))
+    if x is not None:
+        return x
     powers = factorize(abs(num), known=known)
     if den != 1:
         for p, e in factorize(den, known=known).items():
             powers[p] = -e
-    return FactoredRational.from_prime_powers(1 if num > 0 else -1, powers)
+    x = FactoredRational.from_prime_powers(1 if num > 0 else -1, powers)
+    if max(abs(num), den) < MR_DETERMINISTIC_BOUND:
+        if len(_FACTORED) >= MEMO_CAP:
+            _FACTORED.clear()
+        _FACTORED[num, den] = x
+    return x
 
 
 def factor_set(elements: Iterable[RationalLike]) -> list[FactoredRational]:
@@ -230,8 +259,9 @@ def factor_set(elements: Iterable[RationalLike]) -> list[FactoredRational]:
     are the hints (factor's known) of every element, so a large prime that
     two elements share is split off by a gcd rather than searched for by
     rho.  The (numerator, denominator) read then goes straight to the
-    factoring (_factor_parts).  An element that is already a
-    FactoredRational passes through and gives no hints.
+    factoring (_factor_parts), where a literal in the memo is not factored
+    again (module docstring).  An element that is already a
+    FactoredRational passes through, gives no hints and is never stored.
     """
     xs = list(elements)
     parts = [None if isinstance(x, FactoredRational) else _parts(x) for x in xs]
@@ -247,7 +277,11 @@ def clear_denominators(elements: Iterable[RationalLike], n: int) -> list[Factore
     The result is integral and each output sits in the same class of
     Q^x/(Q^x)^n as its input; with no denominator it is the factored input.
     """
-    xs = factor_set(elements)
+    return _clear(factor_set(elements), n)
+
+
+def _clear(xs: list[FactoredRational], n: int) -> list[FactoredRational]:
+    """clear_denominators of a list already factored."""
     scale: dict[int, int] = {}
     for x in xs:
         for p, e in x.factors:

@@ -28,7 +28,11 @@ rationals, sieve) and the status names.
 The elements must be a list, and every element, member and root a
 string; each is factored by primes.factorize with the document's excluded
 primes as hints (its known), so a wrong or missing entry changes no
-factorization.  What the hints leave
+factorization.  A factorization may instead come from the memo of
+rationals, which holds only outputs of primes.factorize keyed by their
+exact input, a numerator and denominator below the Miller-Rabin bound,
+where the hints change nothing; so an element the engine has just
+factored is not factored again.  What the hints leave
 takes factorize's own path, whose rho gives up on a composite above the
 Miller-Rabin bound once its cycle length passes primes.RHO_CYCLE_LIMIT, so
 a crafted element costs about 0.3 s per split attempt there for a cofactor
@@ -48,7 +52,7 @@ import math
 from fractions import Fraction
 from itertools import islice
 
-from .primes import divisors, factorize, first_nonprime, is_prime, jacobi
+from .primes import divisors, first_nonprime, is_prime, jacobi, prime_factors
 from .rationals import clear_denominators, factor
 from .sieve import first_non_failing, verify_failing_prime
 from .verdicts import FAILS, HOLDS
@@ -123,7 +127,7 @@ def _verify(doc: dict):
     _need_ints("excluded_primes", excluded)
     for p in excluded:
         _need(is_prime(p), f"excluded entry {p} is not prime")
-    missing = {2, *factorize(n), *(p for x in elements for p, _ in x.factors)} - set(excluded)
+    missing = {2, *prime_factors(n), *(p for x in elements for p, _ in x.factors)} - set(excluded)
     _need(not missing, f"excluded primes omit {sorted(missing)}")
     evidence = doc.get("evidence")
     if evidence is not None:

@@ -190,6 +190,7 @@ def test_literals_are_checked_first_and_factored_once(tmp_path, monkeypatch, cap
     # --n check and of factoring the probable prime 2^89 - 1 (exit 4)
     path = tmp_path / "elements.txt"
     path.write_text(f"{2**89 - 1}\n 3/x \n6\n")
+    locus.rationals._FACTORED.clear()  # literals an earlier test factored
     factored = []
     factorize = locus.rationals.factorize
     monkeypatch.setattr(locus.rationals, "factorize",

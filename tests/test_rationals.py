@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import pickle
 import random
@@ -9,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import criterion1_instances
+
 import locus.rationals
-from locus.classify import exponent_classes
+from locus.classify import decide, exponent_classes
 from locus.errors import FactorizationCapacityExceeded, ParseError, ZeroInput
-from locus.primes import is_prime
-from locus.rationals import (FactoredRational, clear_denominators, factor,
+from locus.primes import MR_DETERMINISTIC_BOUND, is_prime
+from locus.rationals import (MEMO_CAP, FactoredRational, clear_denominators, factor,
                              factor_set, is_perfect_power, parse_rational)
-from locus.verify import _columns
+from locus.verify import _columns, verify_document
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6),
@@ -258,6 +261,7 @@ def test_factored_entries_pass_through_and_give_no_hints(monkeypatch):
     big = factor(1000003 * 7)
     expected = [big, factor("1000033"), factor("6/1000037")]
     hints = []
+    locus.rationals._FACTORED.clear()  # so that every literal is factored
     factorize = locus.rationals.factorize
     def factorize_noting_hints(m, known=()):
         hints.append(list(known))
@@ -272,7 +276,9 @@ def test_factored_entries_pass_through_and_give_no_hints(monkeypatch):
 
 
 def test_factored_rational_is_an_immutable_value():
-    x, y, other = factor("-12/5"), factor(Fraction(-12, 5)), factor("12/5")
+    x = factor("-12/5")
+    locus.rationals._FACTORED.clear()  # else y is x, from the memo
+    y, other = factor(Fraction(-12, 5)), factor("12/5")
     for name in ("sign", "factors", "extra"):
         with pytest.raises(AttributeError):
             setattr(x, name, 1)
@@ -293,3 +299,102 @@ def test_factored_rational_is_an_immutable_value():
         assert type(z) is FactoredRational and z == x and str(z) == "-12/5"
     assert repr(x) == "FactoredRational(sign=-1, factors=((2, 2), (3, 1), (5, -1)))"
     assert copy.deepcopy({x: [x]}) == {y: [y]}
+
+
+def memo_literals():
+    """Seeded signed literals, some not in lowest terms or with a leading
+    zero or plus, the elements of the n = 5 corpus with signs and
+    denominators, and three past the Miller-Rabin bound, last."""
+    rng = random.Random(29)
+    pool = (2, 3, 5, 7, 11, 13, 97, 65537, 10**6 + 3, 10**9 + 7)
+    texts = []
+    for _ in range(400):
+        num = math.prod(rng.choices(pool, k=rng.randint(0, 6)))
+        den = math.prod(rng.choices(pool, k=rng.randint(1, 3))) if rng.random() < 0.5 else 1
+        texts.append(rng.choice(["", "+", "-"]) + "0" * rng.randint(0, 1) + str(num)
+                     + (f"/{den}" if den > 1 or rng.random() < 0.2 else ""))
+    for _, _, elements in criterion1_instances(5, max_size=1):
+        for x in elements:
+            texts += [str(x), f"-{x}", str(x.inverse()), f"-{x}/{x.numerator * 7}"]
+    return texts + [str(2**90 * 3), f"-{2**85 * 5}/7", f"{3**60}/{2**80}"]
+
+
+def test_the_memo_changes_no_factorization():
+    # each literal factored with the memo cleared first, then from a memo
+    # that factor_set filled with the hints of its batch: equal values, with
+    # equal strings; every literal below the bound is then a hit
+    memo = locus.rationals._FACTORED
+    texts = memo_literals()
+    assert len(texts) >= 500
+    cold = []
+    for text in texts:
+        memo.clear()
+        cold.append(factor(text))
+    assert [x.value() for x in cold] == [parse_rational(t) for t in texts]
+    memo.clear()
+    for i in range(0, len(texts), 5):
+        batch, expected = texts[i:i + 5], cold[i:i + 5]
+        assert factor_set(batch) == expected
+        warm = [factor(t) for t in batch]
+        assert warm == expected and [str(x) for x in warm] == [str(x) for x in expected]
+    past = [t for t in texts
+            if max(abs(parse_rational(t).numerator), parse_rational(t).denominator)
+            >= MR_DETERMINISTIC_BOUND]
+    assert past[-3:] == texts[-3:] and len(past) < len(texts) // 10
+    assert [t for t in texts if factor(t) is not factor(t)] == past
+
+
+def test_decide_and_verify_documents_do_not_depend_on_the_memo():
+    # seeded sets over n in 2..27, decided and verified with the memo
+    # cleared before each call, then twice with it warm: the same bytes
+    memo = locus.rationals._FACTORED
+    rng = random.Random(2029)
+    cases = []
+    for _ in range(80):
+        n = rng.randint(2, 27)
+        primes = rng.sample((2, 3, 5, 7, 11, 13), rng.randint(1, 3))
+        elements = []
+        for _ in range(rng.randint(1, 5)):
+            num = rng.choice((1, -1)) * math.prod(p ** rng.choice((0, 1, 2, 3, n - 1, n))
+                                                  for p in primes)
+            den = rng.choice(primes) ** rng.randint(1, n) if rng.random() < 0.4 else 1
+            elements.append(str(Fraction(num, den)))
+        cases.append((n, elements))
+
+    def run(cold):
+        out = []
+        for n, elements in cases:
+            if cold:
+                memo.clear()
+            doc = decide(elements, n).to_json(n, elements)
+            if cold:
+                memo.clear()
+            out.append((json.dumps(doc), verify_document(doc)))
+        return out
+    first = run(cold=True)
+    assert run(cold=False) == first == run(cold=False)
+    assert len({n for n, _ in cases}) > 15
+    assert all(answer == [] for _, answer in first)
+
+
+def test_a_split_that_only_hints_made_is_not_remembered():
+    # p * q alone is past capacity; jointly, each product splits by a gcd
+    # with another, and that must not let a later p * q succeed
+    p, q, r = 10**20 + 39, 10**22 + 9, 10**24 + 7
+    assert factor_set([str(p * q), str(p * r), str(q * r)]) == [
+        FactoredRational(1, ((p, 1), (q, 1))), FactoredRational(1, ((p, 1), (r, 1))),
+        FactoredRational(1, ((q, 1), (r, 1)))]
+    with pytest.raises(FactorizationCapacityExceeded):
+        factor(str(p * q))
+
+
+def test_the_memo_is_bounded_and_holds_no_factored_input():
+    memo = locus.rationals._FACTORED
+    memo.clear()
+    x = FactoredRational(-1, ((2, 3), (5, -1)))
+    assert factor(x) is x and factor_set([x, x]) == [x, x] and not memo
+    sizes = []
+    for m in range(2, 2 * MEMO_CAP + 50):
+        factor(f"-{m}/{2 * m + 1}")
+        sizes.append(len(memo))
+    assert max(sizes) == MEMO_CAP and 0 < len(memo) <= MEMO_CAP

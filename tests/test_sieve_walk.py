@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from locus import primes, sieve
+from locus import primes, rationals, sieve
 from locus.classify import decide
 from locus.errors import RangeTooLarge
 from locus.primes import PRIME_RANGE_CEILING, prime_range
@@ -136,6 +136,7 @@ def test_guards_fire_before_any_sieving(monkeypatch):
 def test_an_exponent_is_factored_once(monkeypatch):
     # default_exclusions and the walk's strides take the primes of k from
     # primes.prime_factors, which factors each k once per process
+    rationals._FACTORED.clear()  # literals an earlier test factored
     assert [primes.prime_factors(k) for k in (1, 12, 105, 2**10, 97)] == \
         [(), (2, 3), (3, 5, 7), (2,), (97,)]
     elements = ["-2", "3/5", "22"]
