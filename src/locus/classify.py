@@ -10,8 +10,8 @@ from __future__ import annotations
 from .errors import InternalInconsistency, ZeroInput
 from .covering import ENUMERATION_CEILING, cover_verdict
 from .families import ExceptionalForm, match_exceptional_pair  # noqa: F401
-from .rationals import FactoredRational, _clear, factor_set
-from .sieve import COUNTEREXAMPLE_BOUND, _counterexample, _exclusions, scan
+from .rationals import FactoredRational, clear_denominators, factor_set
+from .sieve import COUNTEREXAMPLE_BOUND, default_exclusions, find_counterexample, scan
 from .verdicts import HOLDS, PerfectPowerMember, Verdict
 
 
@@ -25,21 +25,22 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
     The routes run without a counterexample search of their own: a failing
     verdict gets its prime here, searched over the whole cleared set, so
     that the support primes of dropped duplicates stay excluded.  The set
-    is factored once (factor_set); clearing, the exclusions and the
-    counterexample search take the factored list as it is.
+    is factored once (factor_set); clear_denominators, default_exclusions
+    and find_counterexample are called by their public names, which a
+    trace wraps, and factor_set passes the factored list through to them.
     """
     if n < 2:
         raise ValueError("exponent must be >= 2")
     raw = factor_set(elements)
     if not raw:
         raise ZeroInput("empty set has no verdict")
-    cleared = _clear(raw, n)
+    cleared = clear_denominators(raw, n)
     v = _route(*exponent_classes(cleared, n), n, ceiling)
     cert = v.certificate
     if v.fails() and want_counterexample:
-        prime = _counterexample(cleared, n, COUNTEREXAMPLE_BOUND)
+        prime = find_counterexample(cleared, n, COUNTEREXAMPLE_BOUND)
         cert = cert._replace(counterexample_prime=prime)
-    excluded, evidence = _exclusions(cleared, n), None
+    excluded, evidence = default_exclusions(cleared, n), None
     if attach_evidence:
         report = scan(cleared, n, 2, evidence_hi)
         evidence = report.to_json()

@@ -22,11 +22,11 @@ import sys
 from . import families
 from .classify import decide
 from .covering import ENUMERATION_CEILING
-from .errors import (FactorizationCapacityExceeded, InstanceTooLarge,
-                     InternalInconsistency, LocusError, ParseError,
-                     RangeTooLarge, ZeroInput)
+from .errors import (DegenerateParameters, FactorizationCapacityExceeded,
+                     InstanceTooLarge, InternalInconsistency, LocusError,
+                     ParseError, RangeTooLarge, ZeroInput)
 from .primes import prime_power_split
-from .rationals import _read, factor_set
+from .rationals import factor_set, parse_rational
 from .sieve import scan
 from .verdicts import FAILS, HOLDS
 from .verify import verify_document
@@ -118,7 +118,7 @@ def _load_elements(args) -> list[str]:
     if not out:
         raise ParseError("no elements given (use --elem or --file)")
     for e in out:
-        _read(e)  # syntax and zero checks up front; the literal is factored later
+        parse_rational(e)  # syntax and zero checks up front; factored later
     return out
 
 
@@ -185,8 +185,11 @@ def _run_generate(args) -> int:
         if args.n is None or args.case_tag is None or args.alpha1 is None \
                 or args.alpha2 is None:
             raise ParseError("exceptional-pair needs --n, --case, --alpha1, --alpha2")
-        fam = families.exceptional_pair(args.n, args.case_tag, args.j,
-                                        args.alpha1, args.alpha2)
+        try:  # the one literal grammar; a zero alpha keeps families' message
+            alphas = parse_rational(args.alpha1), parse_rational(args.alpha2)
+        except ZeroInput:
+            raise DegenerateParameters("alpha parameters must be nonzero") from None
+        fam = families.exceptional_pair(args.n, args.case_tag, args.j, *alphas)
     _emit([str(x) for x in fam], args.json_path)
     return 0
 

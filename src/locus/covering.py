@@ -230,8 +230,7 @@ def cover_verdict(support, columns, n: int, ceiling: int) -> Verdict:
     return Verdict(HOLDS, HyperplaneCover(n, support, columns))
 
 
-def decide_q(elements, n: int, *, want_counterexample: bool = True,
-             ceiling: int = ENUMERATION_CEILING) -> Verdict:
+def decide_q(elements, n: int, *, want_counterexample: bool = True) -> Verdict:
     """Does the set contain an n-th power in Z_p for almost every p (odd n)?
 
     classify.decide for odd n > 1, which reaches cover_verdict.
@@ -239,5 +238,4 @@ def decide_q(elements, n: int, *, want_counterexample: bool = True,
     if n < 3 or n % 2 == 0:
         raise ValueError("decide_q needs an odd n >= 3")
     from .classify import decide
-    return decide(elements, n, want_counterexample=want_counterexample,
-                  ceiling=ceiling)
+    return decide(elements, n, want_counterexample=want_counterexample)

@@ -26,7 +26,7 @@ from itertools import product
 from operator import mul
 from typing import NamedTuple, Optional
 
-from .covering import ENUMERATION_CEILING, decide_q
+from .covering import decide_q
 from .errors import NonUnitExponent, OracleLimitExceeded
 from .primes import is_prime
 from .rationals import FactoredRational, factor_set
@@ -162,13 +162,11 @@ def _first_witness(table, q: int, qm: int):
 
 
 def decide_prime_power(elements, q: int, m: int, *,
-                       want_counterexample: bool = True,
-                       ceiling: int = ENUMERATION_CEILING) -> Verdict:
+                       want_counterexample: bool = True) -> Verdict:
     """Does the set contain a q^m-th power in Z_p for almost every p (odd q)?"""
     if q == 2 or not is_prime(q):
         raise ValueError("decide_prime_power needs an odd prime q")
-    return decide_q(elements, q**m, want_counterexample=want_counterexample,
-                    ceiling=ceiling)
+    return decide_q(elements, q**m, want_counterexample=want_counterexample)
 
 
 def exponentiate_classes(elements, c, q: int) -> list[FactoredRational]:

@@ -10,7 +10,9 @@ representatives.  A literal has one text path: _read checks its syntax and
 gives (numerator, denominator) ints, which are factored apart
 (_factor_parts), so a string never becomes a Fraction on its way to
 factored form and factor_set reads each literal once; parse_rational
-builds its Fraction from the same reader.  A literal is factored at most
+builds its Fraction from the same reader.  factor_set hands an already
+factored list back after one type test per entry, so the public helpers
+that call it take such a list too.  A literal is factored at most
 once per process while it stays in the memo (_FACTORED): at most
 MEMO_CAP entries, keyed by the exact (numerator, denominator) in lowest
 terms and cleared when full, each holding the FactoredRational built from
@@ -261,12 +263,14 @@ def factor_set(elements: Iterable[RationalLike]) -> list[FactoredRational]:
     rho.  The (numerator, denominator) read then goes straight to the
     factoring (_factor_parts), where a literal in the memo is not factored
     again (module docstring).  An element that is already a
-    FactoredRational passes through, gives no hints and is never stored.
+    FactoredRational passes through, gives no hints and is never stored; a
+    list of them alone is returned as it is after one type test per entry,
+    before any element is read.
     """
     xs = list(elements)
-    parts = [None if isinstance(x, FactoredRational) else _parts(x) for x in xs]
-    if not any(parts):
+    if {*map(type, xs)} <= {FactoredRational}:
         return xs
+    parts = [None if isinstance(x, FactoredRational) else _parts(x) for x in xs]
     known = [v for nd in parts if nd for v in (abs(nd[0]), nd[1]) if v >= TRIAL_DIVISION_BOUND]
     return [x if nd is None else _factor_parts(*nd, known) for x, nd in zip(xs, parts)]
 
@@ -277,11 +281,7 @@ def clear_denominators(elements: Iterable[RationalLike], n: int) -> list[Factore
     The result is integral and each output sits in the same class of
     Q^x/(Q^x)^n as its input; with no denominator it is the factored input.
     """
-    return _clear(factor_set(elements), n)
-
-
-def _clear(xs: list[FactoredRational], n: int) -> list[FactoredRational]:
-    """clear_denominators of a list already factored."""
+    xs = factor_set(elements)
     scale: dict[int, int] = {}
     for x in xs:
         for p, e in x.factors:

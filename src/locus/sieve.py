@@ -93,12 +93,7 @@ def set_has_kth_power_mod_p(elements, k: int, p: int) -> bool:
 def default_exclusions(elements, k: int) -> frozenset[int]:
     """The excluded primes of every verdict and scan: {2}, the primes
     dividing k and all support primes."""
-    return _exclusions(factor_set(elements), k)
-
-
-def _exclusions(xs: list[FactoredRational], k: int) -> frozenset[int]:
-    """default_exclusions of a list already factored."""
-    out = {p for x in xs for p, _ in x.factors}
+    out = {p for x in factor_set(elements) for p, _ in x.factors}
     out.add(2)
     out.update(prime_factors(k))
     return frozenset(out)
@@ -132,7 +127,7 @@ def scan(elements, k: int, lo: int, hi: int) -> SieveReport:
     if lo > hi:
         raise ValueError("scan range is empty the wrong way round")
     xs = factor_set(elements)
-    excl = _exclusions(xs, k)
+    excl = default_exclusions(xs, k)
     count, candidates = prime_walk(lo, hi, _strides(k))
     return SieveReport(
         elements=tuple(str(x) for x in xs),
@@ -148,11 +143,7 @@ def scan(elements, k: int, lo: int, hi: int) -> SieveReport:
 def find_counterexample(elements, k: int, bound: int):
     """Least non-excluded prime <= bound where no element is a k-th residue,
     walking the primes that can fail in [2, 128], (128, 256], ..."""
-    return _counterexample(factor_set(elements), k, bound)
-
-
-def _counterexample(xs: list[FactoredRational], k: int, bound: int):
-    """find_counterexample of a list already factored."""
+    xs = factor_set(elements)
     return next(_failing(xs, k, _tested(xs, k, _walk_upto(_strides(k), bound))), None)
 
 

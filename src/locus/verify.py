@@ -25,7 +25,7 @@ over all its classes, the budget that the engine's cover search draws on
 by default (covering.ENUMERATION_CEILING is this constant).  None of the
 engine's decision code is imported: only the arithmetic layers (primes,
 rationals, sieve) and the status names.
-The elements must be a list, and every element, member and root a
+The elements must be a nonempty list, and every element, member and root a
 string; each is factored by primes.factorize with the document's excluded
 primes as hints (its known), so a wrong or missing entry changes no
 factorization.  A factorization may instead come from the memo of
@@ -118,6 +118,7 @@ def _verify(doc: dict):
     excluded = doc.get("excluded_primes", [])
     known = [p for p in excluded if type(p) is int] if type(excluded) is list else ()
     _need(type(doc["elements"]) is list, f"elements {doc['elements']!r} is not a list")
+    _need(doc["elements"], "elements is empty: an empty set has no verdict")
     elements = [factor(_need_str("element", e), known=known) for e in doc["elements"]]
     status = doc["status"]
     cert = doc["certificate"]

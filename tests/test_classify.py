@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locus.classify
 from locus.classify import (ExceptionalForm, decide, exponent_classes,
                             match_exceptional_pair)
 from locus.errors import NotEven, WrongCardinality, ZeroInput
@@ -76,6 +77,24 @@ def test_match_against_wang8_style_member():
     form = match_exceptional_pair([2**12, 7], 24)
     assert form is not None and form.case_tag == "A0ge3_2half"
     assert form.alpha2 == 7
+
+
+def test_decide_calls_the_public_helpers_once(monkeypatch):
+    # bench/spans.py times clearing, the exclusions and the counterexample
+    # search by wrapping these public names where decide finds them: a
+    # failing decide searches once and a holding one never, and both clear
+    # and take the exclusions once
+    calls = []
+    for name in ("clear_denominators", "default_exclusions", "find_counterexample"):
+        fn = getattr(locus.classify, name)
+        monkeypatch.setattr(locus.classify, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    v = decide(["2", "3", "12"], 3)
+    assert v.fails() and v.certificate.counterexample_prime == 7
+    assert sorted(calls) == ["clear_denominators", "default_exclusions", "find_counterexample"]
+    calls.clear()
+    assert decide(["2", "3", "6", "18"], 3).holds()
+    assert sorted(calls) == ["clear_denominators", "default_exclusions"]
 
 
 def test_decide_examples_from_overview():

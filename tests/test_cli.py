@@ -136,6 +136,21 @@ def test_generate_every_family_needs_its_arguments(capsys):
     assert "distinct" in capsys.readouterr().err
 
 
+def test_generate_reads_alphas_as_literals(capsys):
+    # an alpha is read by the literal grammar of --elem: a malformed one, a
+    # zero denominator or a zero is a parse error (exit 3), not a traceback
+    # under the "fails" exit 1; a decimal is no literal
+    pair = ["generate", "--family", "exceptional-pair", "--n", "4", "--case", "A0eq2_neg2"]
+    for alpha1, message in (("x", "not a rational literal: 'x'"),
+                            ("1/0", "zero denominator: '1/0'"),
+                            ("0", "alpha parameters must be nonzero"),
+                            ("0.5", "not a rational literal: '0.5'")):
+        assert main([*pair, "--alpha1", alpha1, "--alpha2", "1"]) == 3, alpha1
+        assert capsys.readouterr().err == f"error: {message}\n", alpha1
+    code, doc = run(capsys, *pair, "--alpha1", "3/2", "--alpha2", "1")
+    assert code == 0 and doc == ["-81/4", "1"]
+
+
 def test_verify_certificate_reads_stdin(monkeypatch, capsys):
     import io
     code, doc = run(capsys, "decide", "--n", "3", "--elem", "2", "--elem", "3",

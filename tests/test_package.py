@@ -59,6 +59,19 @@ def test_verifier_imports_no_decision_code():
                           "families", "cli"}, reached
 
 
+def test_no_module_imports_another_modules_private_names():
+    # each concept has one public entry: a module that needs another's
+    # helper calls its public name, so no `from .other import _name`
+    package = Path(locus.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or
+                                                     (node.module or "").startswith("locus")):
+                private += [(path.stem, a.name) for a in node.names if a.name.startswith("_")]
+    assert not private, private
+
+
 def test_benchmark_traced_names_resolve():
     # bench/spans.py wraps each (module, name) of its TRACED list by name, so
     # a public name deleted here would break a traced benchmark run; the

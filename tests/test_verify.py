@@ -6,7 +6,7 @@ import pytest
 from corpus import additive_order, elimination_cases, image, span
 
 from locus.classify import decide
-from locus.errors import InstanceTooLarge
+from locus.errors import InstanceTooLarge, ZeroInput
 from locus.rationals import factor
 from locus.verify import _image_generators, verify_document
 
@@ -891,6 +891,21 @@ def test_elements_must_be_a_list():
         bad = json.loads(json.dumps(doc))
         bad["elements"] = bad_value
         assert verify_document(bad) == [f"elements {bad_value!r} is not a list"]
+
+
+def test_an_empty_element_list_is_refused():
+    # decide has no verdict on the empty set, so no document of it is true;
+    # these refutations were accepted, their columns vacuously uncovered
+    with pytest.raises(ZeroInput):
+        decide([], 3)
+    docs = [{"n": 3, "elements": [], "status": "fails", "excluded_primes": [2, 3],
+             "certificate": {"kind": "uncovered_point", "q": 3, "support": [],
+                             "coeffs": [], "point": []}},
+            {"n": 4, "elements": [], "status": "fails", "excluded_primes": [2],
+             "certificate": {"kind": "uncovered_point", "q": 4, "support": [-1],
+                             "coeffs": [], "point": [0], "t": 1}}]
+    for doc in docs:
+        assert verify_document(doc) == ["elements is empty: an empty set has no verdict"]
 
 
 def test_zero_denominator_elements_are_refused():
