@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_elements(p_decide)
     p_decide.add_argument("--ceiling", type=int, default=ENUMERATION_CEILING,
                           help="bound on the candidates the cover search tries "
-                               "(default 2^19, about 1-2 s, the verifier's limit)")
+                               "(default 2^19, the verifier's limit; about 7 s on README's M6)")
     p_decide.add_argument("--evidence", action="store_true",
                           help="attach a sieve report to the verdict")
     p_decide.add_argument("--json", dest="json_path",

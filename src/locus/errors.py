@@ -14,8 +14,8 @@ class ZeroInput(LocusError):
 
 
 class FactorizationCapacityExceeded(LocusError):
-    """A cofactor survived every configured factoring method, or is too
-    large for the deterministic primality test."""
+    """A cofactor survived every factoring method or is too large for the
+    deterministic primality test, or a value passes rationals.DIGIT_CAP digits."""
 
 
 class BadPrime(LocusError):

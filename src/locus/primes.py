@@ -23,10 +23,13 @@ factorizations.  Compositeness needs no bound: one failed witness of all
 13 proves it, so larger composites are still split.
 
 Enumeration: an Eratosthenes sieve over the odd numbers only, one bytearray
-flag per odd number (_odd_flags), collected with itertools.compress.  One
-walk, prime_walk, sieves [lo, hi] alone in segments of 2^17, counts their
-primes and makes ints of only the progressions asked for; prime_range is
-its every-odd-prime case.
+flag per odd number (_odd_flags), collected with itertools.compress.  The
+process keeps one table of these flags (_prime_table), sized in powers of
+two from 2^12 numbers to TABLE_CAP = 2^20 (512 KB) and swapped in whole.
+One walk, prime_walk, takes [lo, hi] in segments of 2^17, each a slice of
+the table or, past it, sieved alone (Bays and Hudson, BIT 17, 1977),
+counts their primes and makes ints of only the progressions asked for;
+prime_range and sieve_upto are its every-odd-prime case.
 """
 
 from __future__ import annotations
@@ -58,8 +61,9 @@ _BLOCK = 128  # the rest, this many to a gcd
 # length: enough for a least factor up to about 3*10^9, and a bound on the work
 RHO_CYCLE_LIMIT = 1 << 16
 PRIME_RANGE_CEILING = 10**9
-_DIRECT_SIEVE = 1 << 22  # first_nonprime sieves up to here
 _SEGMENT = 1 << 17
+TABLE_CAP = 1 << 20  # numbers the prime table covers at most (module docstring)
+_TABLE: tuple[int, bytearray] = (0, bytearray())  # (hi, flags): _prime_table
 
 
 @lru_cache(maxsize=None)
@@ -92,27 +96,31 @@ def _odd_flags(lo: int, hi: int, base) -> bytearray:
     return flags
 
 
+def _prime_table(n: int) -> tuple[int, bytearray]:
+    """The table (hi, flags), flags[i] = 1 iff 2i + 1 <= hi is prime, first
+    rebuilt at the least power of two from 2^12 reaching min(n, TABLE_CAP);
+    a composite among the odd numbers that cross off marks only composites."""
+    global _TABLE
+    if _TABLE[0] < min(n, TABLE_CAP):
+        hi = max(1 << 12, 1 << (min(n, TABLE_CAP) - 1).bit_length())
+        _TABLE = hi, _odd_flags(1, hi, range(3, math.isqrt(hi) + 1, 2))
+    return _TABLE
+
+
 def sieve_upto(n: int) -> list[int]:
-    """All primes <= n by an Eratosthenes sieve over the odd numbers."""
-    if n < 2:
-        return []
-    flags = _odd_flags(1, n, sieve_upto(math.isqrt(n))[1:])
-    return [2, *compress(range(1, n + 1, 2), flags)]
-
-
-_WALK_PRIMES = sieve_upto(_WALK_BOUND - 1)
+    """All primes <= n: prime_range from 2, so the table's up to TABLE_CAP."""
+    return prime_range(2, n)
 
 
 def first_nonprime(numbers) -> Optional[int]:
     """The first of the numbers that is not prime, or None.
 
-    Those up to 2^22 are looked up in one odd-only sieve up to the largest
-    of them; is_prime tests those above 2^22.
+    Those up to TABLE_CAP are looked up in the prime table, grown to the
+    largest of them; is_prime tests those above TABLE_CAP.
     """
-    hi = max([1] + [p for p in numbers if p <= _DIRECT_SIEVE])
-    flags = _odd_flags(1, hi, sieve_upto(math.isqrt(hi))[1:])
+    flags = _prime_table(max([1] + [p for p in numbers if p <= TABLE_CAP]))[1]
     for p in numbers:
-        if p > _DIRECT_SIEVE:
+        if p > TABLE_CAP:
             prime = is_prime(p)
         else:
             prime = p == 2 or (p > 2 and p % 2 == 1 and flags[p // 2] == 1)
@@ -322,18 +330,20 @@ def factorize(n: int, *, known=()) -> dict[int, int]:
 
 def prime_walk(lo: int, hi: int, strides: tuple[int, ...]) -> tuple[int, list[int]]:
     """The number of odd primes in [lo, hi] and, ascending, those = 1 mod 2r
-    for some r in strides (r = 1: all), sieved in segments of _SEGMENT
-    numbers by the odd primes up to sqrt(hi).  A segment's primes are
-    counted by bytearray.count; the odd numbers = 1 mod 2r sit r flags
-    apart, so one stride slice of the flags picks out a progression."""
+    for some r in strides (r = 1: all), in segments of _SEGMENT numbers: a
+    slice of the prime table, grown to hi, when the segment ends within it,
+    else sieved by the table's odd primes up to sqrt(hi).  A segment's
+    primes are counted by bytearray.count; the odd numbers = 1 mod 2r sit r
+    flags apart, so one stride slice of the flags picks out a progression."""
     if hi > PRIME_RANGE_CEILING:
         raise RangeTooLarge(f"prime range ceiling is {PRIME_RANGE_CEILING}, got {hi}")
     count, out = 0, []
     start = max(lo, 1) | 1
-    base = sieve_upto(math.isqrt(hi))[1:]
+    top, table = _prime_table(hi)  # top >= sqrt(hi), as hi <= PRIME_RANGE_CEILING
+    base = list(compress(range(1, math.isqrt(hi) + 1, 2), table)) if hi > top else ()
     while start <= hi:
         end = min(start + _SEGMENT - 1, hi)  # _SEGMENT is even: start stays odd
-        flags = _odd_flags(start, end, base)
+        flags = table[start // 2:(end + 1) // 2] if end <= top else _odd_flags(start, end, base)
         count += flags.count(1)
         picks = []
         for r in strides:
@@ -348,6 +358,9 @@ def prime_range(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p <= hi: 2, then every odd prime of prime_walk."""
     odd = prime_walk(lo, hi, (1,))[1]
     return [2, *odd] if lo <= 2 <= hi else odd
+
+
+_WALK_PRIMES = sieve_upto(_WALK_BOUND - 1)
 
 
 @lru_cache(maxsize=4096)

@@ -22,7 +22,9 @@ factorize always succeeds and gives the same result whatever its hints,
 so a hit is what any call would return, and above the bound a split that
 only hints made possible never lets a later hint-less call succeed.  So
 the engine and the verifier (which shares this layer) factor the same
-literal once.  A class mod
+literal once.  A numerator or denominator read or printed has at most
+DIGIT_CAP digits, under the interpreter's own 4,300; past it _read and str
+raise FactorizationCapacityExceeded.  A class mod
 (Q^x)^n is keyed from the factors where it is used: by the engine in
 classify.exponent_classes, and by the verifier in verify._columns.
 """
@@ -34,7 +36,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import ParseError, ZeroInput
+from .errors import FactorizationCapacityExceeded, ParseError, ZeroInput
 from .primes import MR_DETERMINISTIC_BOUND, TRIAL_DIVISION_BOUND, factorize, is_prime
 
 RationalLike = Union[int, str, Fraction, "FactoredRational"]
@@ -43,6 +45,8 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 # the factoring memo (module docstring): entries held before it is cleared
 MEMO_CAP = 256
+DIGIT_CAP = 4000  # digits read or printed per part (module docstring)
+_PRINT_LIMIT = 10**DIGIT_CAP
 
 
 class FactoredRational:
@@ -133,6 +137,8 @@ class FactoredRational:
 
     def __str__(self) -> str:
         n, d = self.numerator, self.denominator
+        if d >= _PRINT_LIMIT or not -_PRINT_LIMIT < n < _PRINT_LIMIT:
+            raise FactorizationCapacityExceeded(f"a value past DIGIT_CAP = {DIGIT_CAP} digits")
         return str(n) if d == 1 else f"{n}/{d}"
 
     # -- arithmetic --------------------------------------------------------
@@ -179,13 +185,15 @@ class FactoredRational:
 
 def _read(text: str) -> tuple[int, int]:
     """The one reader of a literal: optional sign, an integer or num/den
-    (den nonzero), base 10 only, surrounding whitespace stripped.  Returns
-    (numerator, denominator) in lowest terms by one gcd, denominator
-    positive, numerator nonzero."""
+    (den nonzero), base 10 only, surrounding whitespace stripped, DIGIT_CAP
+    digits a part at most.  Returns (numerator, denominator) in lowest terms
+    by one gcd, denominator positive, numerator nonzero."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ParseError(f"not a rational literal: {text!r}")
     num, _, den = s.partition("/")
+    if len(s) > DIGIT_CAP and max(len(num.lstrip("+-")), len(den)) > DIGIT_CAP:
+        raise FactorizationCapacityExceeded(f"a literal past DIGIT_CAP = {DIGIT_CAP} digits")
     num, den = int(num), int(den or 1)
     if not den:
         raise ParseError(f"zero denominator: {text!r}")

@@ -19,17 +19,16 @@ for even k, for odd k those = 1 mod 2r for a prime r | k, half the primes
 at k = 3.  scan and find_counterexample take just those from one
 primes.prime_walk, and scan counts the rest without making them ints.
 find_counterexample walks segments that double from [2, 128] and stops at
-the first failing prime, which is usually small; the segments up to
-COUNTEREXAMPLE_BOUND are sieved once per stride set and kept (_segment),
-and larger ones are sieved afresh, so the cache stays small.  scan returns a
-SieveReport, an immutable typing.NamedTuple record.
+the first failing prime, which is usually small.  Neither sieves a range
+that ends within primes.TABLE_CAP: its flags are a slice of the process's
+prime table (primes.prime_walk).  scan returns a SieveReport, an immutable
+typing.NamedTuple record.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import BadPrime
@@ -148,25 +147,13 @@ def find_counterexample(elements, k: int, bound: int):
 
 
 def _walk_upto(strides: tuple[int, ...], bound: int):
-    """The primes of prime_walk up to bound, in segments that double from
-    [2, 128]; a segment that ends at or below COUNTEREXAMPLE_BOUND is
-    sieved once per stride set (_segment), a larger one afresh."""
+    """The primes of prime_walk up to bound, one prime_walk per segment of
+    [2, 128], (128, 256], ... so the search makes ints only of the segments
+    it reaches."""
     lo, hi = 2, 128
     while lo <= bound:
-        end = min(hi, bound)
-        if end <= COUNTEREXAMPLE_BOUND:
-            yield from _segment(lo, end, strides)
-        else:
-            yield from prime_walk(lo, end, strides)[1]
+        yield from prime_walk(lo, min(hi, bound), strides)[1]
         lo, hi = hi + 1, 2 * hi
-
-
-@lru_cache(maxsize=128)
-def _segment(lo: int, hi: int, strides: tuple[int, ...]) -> tuple[int, ...]:
-    """prime_walk's primes of [lo, hi], hi <= COUNTEREXAMPLE_BOUND, cached:
-    a failing verdict's search walks the same few segments every time, and
-    128 entries hold those of several stride sets."""
-    return tuple(prime_walk(lo, hi, strides)[1])
 
 
 def _tested(xs: list[FactoredRational], k: int, primes):

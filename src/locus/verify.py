@@ -66,7 +66,8 @@ ALLOWED_KINDS = {
 
 # candidate values the cover re-check of one document may try, counted over
 # all its classes, before it refuses the document as too large to re-check:
-# about 1-2 s on either side (Python 3.11)
+# a value costs a check per form, so decide spends it in about 7 s on the 236
+# forms of the README's Mycielski set M6 at n = 5 (Python 3.11)
 COVER_RECHECK_LIMIT = 1 << 19
 
 # the certificate fields that hold an integer, or lists of integers

@@ -335,6 +335,22 @@ def test_capacity_errors_exit_four(capsys):
                  "--elem", "30", "--ceiling", "0"]) == 4
 
 
+def test_an_oversized_literal_exits_four(capsys):
+    # 5,000 digits, past rationals.DIGIT_CAP and the interpreter's own
+    # limit on int conversions: a capacity error, not a ValueError's exit 1
+    assert main(["decide", "--n", "3", "--elem", "7" * 5000]) == 4
+    out = capsys.readouterr()
+    assert not out.out and "DIGIT_CAP = 4000" in out.err
+
+
+def test_an_oversized_cleared_member_exits_four(capsys):
+    # 1/2^12000 has 3,613 digits and holds at 3, as its cleared form 2^24000
+    # is a cube, whose 7,225 digits no document may print
+    assert main(["decide", "--n", "3", "--elem", f"1/{2**12000}"]) == 4
+    out = capsys.readouterr()
+    assert not out.out and "DIGIT_CAP = 4000" in out.err
+
+
 def test_file_input(tmp_path, capsys):
     path = tmp_path / "elements.txt"
     path.write_text("2\n3\n6\n18\n")

@@ -105,6 +105,14 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
     assert not loaded & {"dataclasses", "inspect"}, loaded & {"dataclasses", "inspect"}
 
 
+def test_import_builds_a_small_prime_table():
+    # the table grows on demand from 2^12 numbers: neither import pays for
+    # a larger sieve
+    for module in ("locus", "locus.cli"):
+        out = fresh_stdout(f"import {module}, locus.primes as p; print(p._TABLE[0])")
+        assert 0 <= int(out) <= 1 << 12, (module, out)
+
+
 def test_cli_import_builds_no_parser():
     # the parser is built by the first main call, so neither `import locus`
     # nor `import locus.cli` pays for it

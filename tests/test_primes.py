@@ -1,14 +1,15 @@
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 
 import pytest
 
 from locus import primes
 from locus.errors import FactorizationCapacityExceeded, RangeTooLarge
-from locus.primes import (MR_DETERMINISTIC_BOUND, divisors, factorize,
+from locus.primes import (MR_DETERMINISTIC_BOUND, TABLE_CAP, divisors, factorize,
                           first_nonprime, is_prime, jacobi, prime_power_split,
-                          prime_range, sieve_upto)
+                          prime_range, prime_walk, sieve_upto)
 
 
 def test_is_prime_small():
@@ -351,12 +352,46 @@ def test_sieve_upto_matches_trial_division():
     for n in range(-1, 2001):
         assert sieve_upto(n) == [p for p in primes if p <= n], n
     assert len(sieve_upto(10**6)) == 78498
+    # across the prime table's cap
+    direct = _sieved(TABLE_CAP + (1 << 17) + 1)
+    for n in (TABLE_CAP - 1, TABLE_CAP, TABLE_CAP + 1, TABLE_CAP + (1 << 17) + 1):
+        assert sieve_upto(n) == [p for p in direct if p <= n], n
+
+
+def _sieved(n):
+    """The primes <= n from one sieve of its own, with every odd number up
+    to sqrt(n) crossing off: no prime table."""
+    flags = primes._odd_flags(1, n, range(3, math.isqrt(n) + 1, 2))
+    return [2, *(m for m, f in zip(range(1, n + 1, 2), flags) if f)]
+
+
+def test_prime_walk_reads_the_table_as_a_sieve_would(monkeypatch):
+    # at and around the cap, and across it, from an empty table: the first
+    # stride set of each range grows the table, the others and a second pass
+    # read it grown
+    direct = _sieved(TABLE_CAP + (1 << 18))
+
+    def want(lo, hi, strides):
+        odd = direct[bisect_left(direct, max(lo, 3)):bisect_right(direct, hi)]
+        return len(odd), [p for p in odd if any(p % (2 * r) == 1 for r in strides)]
+    # 32761 = 181^2, and 181 = isqrt(2^15) must cross off in a table of 2^15
+    ranges = [(lo, lo + 3000) for lo in (1, 4090, 8190, 29768, 70000, 600000)]
+    ranges += [(TABLE_CAP - 5000, TABLE_CAP + d) for d in (-1, 0, 1)]
+    ranges += [(TABLE_CAP - 1, TABLE_CAP + 1), (TABLE_CAP - 3, TABLE_CAP + 3)]
+    ranges += [(TABLE_CAP - (1 << 17) + d, TABLE_CAP + d) for d in (-2, -1, 0, 1, 2)]
+    ranges += [(TABLE_CAP - 1000 + d, TABLE_CAP + (1 << 17) + d) for d in (-1, 0, 1)]
+    monkeypatch.setattr(primes, "_TABLE", (0, bytearray()))
+    for _ in range(2):
+        for lo, hi in ranges:
+            for strides in ((1,), (3,), (5, 7), (3, 5, 7), (11, 2)):
+                assert prime_walk(lo, hi, strides) == want(lo, hi, strides), (lo, hi, strides)
+                assert primes._TABLE[0] >= min(hi, TABLE_CAP)
+    assert primes._TABLE[0] == TABLE_CAP
 
 
 def test_prime_range_at_segment_edges():
-    # prime_range sieves [lo, lo + 2^17) at a time; put lo and hi at +-1
-    # of 2^22, where first_nonprime's one sieve stops, and of segment edges
-    # that fall on a prime
+    # prime_range sieves [lo, lo + 2^17) at a time past the prime table;
+    # put lo and hi at +-1 of 2^22 and of segment edges that fall on a prime
     direct = sieve_upto((1 << 22) + (1 << 19))
     assert all(is_prime(p) for p in direct[-50:])
 
@@ -373,15 +408,16 @@ def test_prime_range_at_segment_edges():
             assert prime_range(lo, hi) == want(lo, hi), (lo, hi)
 
 
-def test_first_nonprime():
+def test_first_nonprime(monkeypatch):
+    monkeypatch.setattr(primes, "_TABLE", (0, bytearray()))  # grown by each call
     assert first_nonprime([]) is None
     assert first_nonprime([2, 3, 5, 7, 4194301]) is None
     small = [p for p in range(-3, 2000) if first_nonprime([p]) is None]
     assert small == [p for p in range(2000) if is_prime(p)]
     assert first_nonprime([7, 25, 37]) == 25
     assert first_nonprime([3, 1]) == 1
-    # 2^22 + 3 = 13 * 19 * 16981 lies above the one sieve, and
-    # 2^22 - 1 = 3 * 23 * 89 * 683 inside it
+    # above the prime table each number is tested on its own: 2^22 + 3 =
+    # 13 * 19 * 16981 and 2^22 - 1 = 3 * 23 * 89 * 683
     assert first_nonprime([4194301, 4194307]) == 4194307
     assert first_nonprime([4194303, 4194307]) == 4194303
     assert first_nonprime([1 << 22, 4194301]) == 1 << 22
@@ -389,12 +425,21 @@ def test_first_nonprime():
     assert first_nonprime([65521, 65537]) is None
     assert first_nonprime([65521, 65535, 65537]) == 65535
     assert first_nonprime([65537, 65537 * 3]) == 65537 * 3
-    # around the table of primes below 10^6: 999983 and 1000003 are prime
+    # around 10^6, where trial division once stopped: 999983 and 1000003
+    # are prime
     near = range(10**6 - 40, 10**6 + 40)
     assert [p for p in near if first_nonprime([p]) is None] == \
         [p for p in near if is_prime(p)]
     assert first_nonprime([999983, 1000003, 1000001]) == 1000001  # 101 * 9901
     assert first_nonprime([1000003, 1009**2]) == 1009**2  # the sieve needs 1009
+    # on both sides of the prime table's cap, and of 2^22, where one sieve
+    # of the numbers once stopped
+    for edge in (TABLE_CAP, 1 << 22):
+        near = range(edge - 60, edge + 60)
+        assert [p for p in near if first_nonprime([p]) is None] == \
+            [p for p in near if is_prime(p)]
+        assert first_nonprime(list(near)) == edge - 60
+    assert first_nonprime([TABLE_CAP - 3, TABLE_CAP + 7, TABLE_CAP + 1]) == TABLE_CAP + 1
 
 
 def test_prime_range_ceiling():

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import locus.sieve
+from locus import primes
 from locus.errors import BadPrime
-from locus.primes import is_prime, prime_range, sieve_upto
+from locus.primes import TABLE_CAP, is_prime, prime_range, sieve_upto
 from locus.rationals import factor
-from locus.sieve import (COUNTEREXAMPLE_BOUND, find_counterexample, first_non_failing,
-                         is_kth_power_mod_p, scan, set_has_kth_power_mod_p,
+from locus.sieve import (find_counterexample, first_non_failing, is_kth_power_mod_p,
+                         scan, set_has_kth_power_mod_p,
                          verify_failing_prime)
 
 
@@ -128,21 +128,27 @@ def test_counterexample_walk_across_segment_edges():
     assert find_counterexample([2], 257, 1542) is None
 
 
-def test_counterexample_walk_caches_only_small_segments(monkeypatch):
+def test_counterexample_walk_reads_the_prime_table(monkeypatch):
     # 10007 is the least prime = 1 mod 2 * 5003, and 2 is no 5003rd power
-    # there; [16] at 8 has no failing prime at all, so its walk runs to 10^6
-    walked = []
-    real = locus.sieve.prime_walk
-    monkeypatch.setattr(locus.sieve, "prime_walk",
-                        lambda lo, hi, strides: walked.append(hi) or real(lo, hi, strides))
-    locus.sieve._segment.cache_clear()
+    # there; [16] at 8 has no failing prime at all, so its walk runs to the
+    # bound.  Once the table holds the range, no walk or scan below the cap
+    # sieves again, and a walk past the cap grows the table to the cap alone
+    sieved = []
+    real = primes._odd_flags
+    monkeypatch.setattr(primes, "_odd_flags",
+                        lambda lo, hi, base: sieved.append(lo) or real(lo, hi, base))
+    below = 10**6
     for elements, k, prime in (([2], 5003, 10007), ([16], 8, None)):
-        assert find_counterexample(elements, k, 10**6) == prime
-        walked.clear()
-        assert find_counterexample(elements, k, 10**6) == prime
-        assert walked and min(walked) > COUNTEREXAMPLE_BOUND
-    # per stride set, the seven segments [2, 128], ..., (4096, 8192] alone
-    assert locus.sieve._segment.cache_info().currsize == 2 * 7
+        assert find_counterexample(elements, k, below) == prime
+        report = scan(elements, k, below - 5000, below)
+        sieved.clear()
+        assert find_counterexample(elements, k, below) == prime
+        assert scan(elements, k, below - 5000, below) == report
+        assert not sieved
+    for hi in (TABLE_CAP + 1, 1 << 21, 1 << 23):
+        count, _ = primes.prime_walk(hi - 1000, hi, (1,))
+        assert sieved and min(sieved) > TABLE_CAP - (1 << 17)
+        assert primes._TABLE[0] == TABLE_CAP and count == len(prime_range(hi - 1000, hi))
 
 
 def test_verify_failing_prime():

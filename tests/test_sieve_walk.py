@@ -120,9 +120,13 @@ def test_find_counterexample_at_the_doubling_edges():
 
 
 def test_guards_fire_before_any_sieving(monkeypatch):
+    # from an empty prime table, so that growing it would sieve too; a
+    # refused range leaves the table as it was
     def no_flags(*args):
         raise AssertionError("flags allocated for a refused range")
     monkeypatch.setattr(primes, "_odd_flags", no_flags)
+    monkeypatch.setattr(primes, "_TABLE", (0, bytearray()))
+    table = primes._TABLE
     with pytest.raises(RangeTooLarge):
         scan(["2", "3"], 3, 2, PRIME_RANGE_CEILING + 1)
     with pytest.raises(RangeTooLarge):
@@ -131,6 +135,7 @@ def test_guards_fire_before_any_sieving(monkeypatch):
         scan(["2", "3"], 3, 10**8, 10**8 - 1)
     with pytest.raises(ValueError):
         scan(["2", "3"], 3, 10**18, 2)
+    assert primes._TABLE is table
 
 
 def test_an_exponent_is_factored_once(monkeypatch):

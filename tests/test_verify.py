@@ -609,7 +609,7 @@ def test_rejects_composite_failing_primes():
     assert doc["evidence"]["failing_primes"] == [7, 37]
     doc["evidence"]["failing_primes"] = [7, 25, 37]  # the set "fails" mod 25
     assert verify_document(doc) == ["claimed failing prime 25 is not prime"]
-    # above 2^22 each listed number is tested on its own: 2^22 + 3 =
+    # above the prime table each listed number is tested on its own: 2^22 + 3 =
     # 13 * 19 * 16981, and no element is a cube residue modulo it
     doc["evidence"]["params"]["hi"] = 4194307
     doc["evidence"]["failing_primes"] = [7, 37, 4194307]
@@ -915,6 +915,24 @@ def test_zero_denominator_elements_are_refused():
         bad["elements"] = [bad_value, "3"]
         assert verify_document(bad) == [
             f"malformed document: ParseError(\"zero denominator: '{bad_value}'\")"]
+
+
+def test_oversized_literals_are_refused_by_the_cap():
+    # a literal past rationals.DIGIT_CAP was refused by the interpreter's own
+    # limit on int conversions, as a ValueError that did not name it
+    doc = doc_for(["2", "3"], 3)
+    for bad_value in ("7" * 5000, f"-1/{'3' * 4001}"):
+        bad = json.loads(json.dumps(doc))
+        bad["elements"] = [bad_value, "3"]
+        problems = verify_document(bad)
+        assert len(problems) == 1 and "DIGIT_CAP = 4000" in problems[0], problems
+    # the member a document would need for 1/2^12000 at 3, 2^24000
+    member = {"n": 3, "elements": [f"1/{2**12000}"], "status": "holds",
+              "certificate": {"kind": "perfect_power_member", "element": "1" + "0" * 7224,
+                              "root": str(2**8000), "exponent": 3},
+              "excluded_primes": [2, 3]}
+    problems = verify_document(member)
+    assert len(problems) == 1 and "DIGIT_CAP = 4000" in problems[0], problems
 
 
 def test_verdict_writes_elements_as_strings():
