@@ -8,7 +8,7 @@ match_exceptional_pair are re-exported here under their old path.
 from __future__ import annotations
 
 from .errors import InternalInconsistency, ZeroInput
-from .covering import ENUMERATION_CEILING, cover_verdict
+from .covering import cover_verdict
 from .families import ExceptionalForm, match_exceptional_pair  # noqa: F401
 from .rationals import FactoredRational, clear_denominators, factor_set
 from .sieve import COUNTEREXAMPLE_BOUND, default_exclusions, find_counterexample, scan
@@ -16,8 +16,7 @@ from .verdicts import HOLDS, PerfectPowerMember, Verdict
 
 
 def decide(elements, n: int, *, want_counterexample: bool = True,
-           ceiling: int = ENUMERATION_CEILING, attach_evidence: bool = False,
-           evidence_hi: int = 10**4) -> Verdict:
+           attach_evidence: bool = False, evidence_hi: int = 10**4) -> Verdict:
     """Does the set contain an n-th power in Q_p for almost every prime p?
 
     The only router: denominators are cleared, the classes mod (Q^x)^n
@@ -28,6 +27,8 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
     is factored once (factor_set); clear_denominators, default_exclusions
     and find_counterexample are called by their public names, which a
     trace wraps, and factor_set passes the factored list through to them.
+    The cover search draws on the verifier's own budget (covering), so
+    every cover decide emits re-checks; past it, InstanceTooLarge.
     """
     if n < 2:
         raise ValueError("exponent must be >= 2")
@@ -35,7 +36,7 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
     if not raw:
         raise ZeroInput("empty set has no verdict")
     cleared = clear_denominators(raw, n)
-    v = _route(*exponent_classes(cleared, n), n, ceiling)
+    v = _route(*exponent_classes(cleared, n), n)
     cert = v.certificate
     if v.fails() and want_counterexample:
         prime = find_counterexample(cleared, n, COUNTEREXAMPLE_BOUND)
@@ -72,11 +73,11 @@ def exponent_classes(xs: list[FactoredRational], n: int):
     return list(classes.values()), support, tuple(columns)
 
 
-def _route(reps: list[FactoredRational], support, columns, n: int, ceiling: int) -> Verdict:
+def _route(reps: list[FactoredRational], support, columns, n: int) -> Verdict:
     """Verdict for the classes of exponent_classes: a perfect member holds,
     and otherwise the cover criterion over the classes of the Galois group
     decides, n = 2 included."""
     for x, col in zip(reps, columns):
         if not any(col):
             return Verdict(HOLDS, PerfectPowerMember(str(x), str(x.nth_root(n)), n))
-    return cover_verdict(support, columns, n, ceiling)
+    return cover_verdict(support, columns, n)

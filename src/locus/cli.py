@@ -21,7 +21,6 @@ import sys
 
 from . import families
 from .classify import decide
-from .covering import ENUMERATION_CEILING
 from .errors import (DegenerateParameters, FactorizationCapacityExceeded,
                      InstanceTooLarge, InternalInconsistency, LocusError,
                      ParseError, RangeTooLarge, ZeroInput)
@@ -62,9 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_decide = sub.add_parser("decide", help="full decision with certificate")
     p_decide.add_argument("--n", type=int, required=True)
     add_elements(p_decide)
-    p_decide.add_argument("--ceiling", type=int, default=ENUMERATION_CEILING,
-                          help="bound on the candidates the cover search tries "
-                               "(default 2^19, the verifier's limit; about 7 s on README's M6)")
     p_decide.add_argument("--evidence", action="store_true",
                           help="attach a sieve report to the verdict")
     p_decide.add_argument("--json", dest="json_path",
@@ -82,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--n", type=int, required=True)
     add_elements(p_oracle)
     p_oracle.add_argument("--json", dest="json_path")
-    p_oracle.set_defaults(ceiling=ENUMERATION_CEILING, evidence=False)
+    p_oracle.set_defaults(evidence=False)
 
     p_gen = sub.add_parser("generate", help="emit a witness family as JSON")
     p_gen.add_argument("--family", required=True,
@@ -134,10 +130,8 @@ def _run_decide(args) -> int:
     elements = _load_elements(args)
     if args.n < 2:
         raise ParseError("--n must be >= 2")
-    if args.ceiling < 0:
-        raise ParseError("--ceiling must be >= 0")
     xs = factor_set(elements)
-    verdict = decide(xs, args.n, ceiling=args.ceiling, attach_evidence=args.evidence)
+    verdict = decide(xs, args.n, attach_evidence=args.evidence)
     _emit(verdict.to_json(args.n, xs), args.json_path)
     return _STATUS_EXIT[verdict.status]
 

@@ -25,9 +25,9 @@ matrix, that is when some odd subset of the classes has a square product
 the image of a reduced row echelon form of the matrix (_echelon, one pass
 over its rows augmented by the identity), moved by the constants; a budget
 of candidate values bounds it, past which it raises InstanceTooLarge.  The
-default, ENUMERATION_CEILING, is verify.COVER_RECHECK_LIMIT: the verifier
-walks the same classes and generators and draws the same values, so a
-cover found within it re-checks.
+budget is verify.COVER_RECHECK_LIMIT, read at the start of each call: the
+verifier walks the same classes and generators and draws the same values,
+so every cover the engine emits re-checks.
 `_classes` pins the coordinates it fixes to a + b y and leaves the rest
 free.  `covers` is that search with no constants, the linear problem
 alone.  `cover_verdict` is the one criterion that classify.decide applies
@@ -41,10 +41,10 @@ from __future__ import annotations
 import math
 from itertools import islice
 
+from . import verify
 from .errors import InstanceTooLarge
 from .primes import divisors, jacobi
 from .verdicts import FAILS, HOLDS, HyperplaneCover, UncoveredPoint, Verdict
-from .verify import COVER_RECHECK_LIMIT as ENUMERATION_CEILING
 
 
 def _echelon(columns, n: int, s: int):
@@ -96,15 +96,15 @@ def _echelon(columns, n: int, s: int):
     return [(n // math.gcd(n, *row[:l]), row[l:], row[:l]) for row in gens]
 
 
-def covers(columns, q: int, s: int, ceiling: int = ENUMERATION_CEILING):
+def covers(columns, q: int, s: int):
     """None when the kernels of x -> <x, c> mod q, c over the columns, cover
     (Z/q)^s; otherwise some point of (Z/q)^s off every kernel, as a tuple.
-    Any modulus q.  ceiling bounds the values tried; past it
+    Any modulus q.  Past verify.COVER_RECHECK_LIMIT values tried,
     InstanceTooLarge.
     """
     if not columns:
         raise ValueError("column list must be nonempty")
-    return _search(columns, q, s, (0,) * len(columns), iter(range(ceiling)))
+    return _search(columns, q, s, (0,) * len(columns), iter(range(verify.COVER_RECHECK_LIMIT)))
 
 
 def _search(columns, q: int, s: int, shift, budget):
@@ -202,17 +202,17 @@ def _pinned(columns, pins):
     return moved, [sum(a * col[j] for j, a, _ in pins) for col in columns]
 
 
-def cover_verdict(support, columns, n: int, ceiling: int) -> Verdict:
+def cover_verdict(support, columns, n: int) -> Verdict:
     """Verdict for the distinct classes mod (Q^x)^n of a set, n >= 2, none
     of them a perfect n-th power, given as their exponent columns over the
     support (classify.exponent_classes).  Each class of _classes is an
     affine cover problem over Z/g; the walk over the classes and every
-    search draw on one budget of ceiling values.  A point where every
-    column's form is nonzero mod g fails, with its t for even n; if no class
-    has one, the set holds.  The failing verdict carries no counterexample
-    prime; classify.decide searches one.
+    search draw on one budget of verify.COVER_RECHECK_LIMIT values.  A point
+    where every column's form is nonzero mod g fails, with its t for even n;
+    if no class has one, the set holds.  The failing verdict carries no
+    counterexample prime; classify.decide searches one.
     """
-    budget = iter(range(ceiling))
+    budget = iter(range(verify.COVER_RECHECK_LIMIT))
     for t, g, pins in _classes(n, support, budget):
         moved, shift = _pinned(columns, pins)
         y = _search(moved, g, len(support), shift, budget)

@@ -27,7 +27,7 @@ class RangeTooLarge(LocusError):
 
 
 class InstanceTooLarge(LocusError):
-    """Cover search past the configured bound on the candidates it tries."""
+    """Cover search past verify.COVER_RECHECK_LIMIT candidate values."""
 
 
 class OracleLimitExceeded(LocusError):

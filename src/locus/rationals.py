@@ -209,13 +209,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _parts(x: RationalLike) -> tuple[int, int]:
-    """x as _read gives a literal: a string is read by it, an int or a
-    Fraction gives its own numerator and denominator, and anything else
-    goes through Fraction."""
+    """x as _read gives a literal: a string is read by it, and an int or a
+    Fraction gives its own numerator and denominator.  Any other type is a
+    ParseError: a bool, float or Decimal prints as no literal to read back."""
     if isinstance(x, str):
         return _read(x)
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+    if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+        raise ParseError(f"not a rational: {type(x).__name__} {x!r}")
     if not x:
         raise ZeroInput("cannot factor zero")
     return x.numerator, x.denominator

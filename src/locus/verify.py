@@ -21,8 +21,8 @@ counterexample prime must be prime.  Certificate kinds are checked against
 the status they may support, exactly the kinds that classify.decide emits
 (the records of locus.verdicts), at an integer n >= 2, and the cover
 re-check of a document tries at most COVER_RECHECK_LIMIT candidate values
-over all its classes, the budget that the engine's cover search draws on
-by default (covering.ENUMERATION_CEILING is this constant).  None of the
+over all its classes, the engine's cover budget too; past it, DIGIT_CAP
+or rho's cycle limit, a document is too large to re-check.  None of the
 engine's decision code is imported: only the arithmetic layers (primes,
 rationals, sieve) and the status names.
 The elements must be a nonempty list, and every element, member and root a
@@ -53,7 +53,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .primes import divisors, first_nonprime, is_prime, jacobi, prime_factors
-from .rationals import clear_denominators, factor
+from .rationals import FactorizationCapacityExceeded, clear_denominators, factor
 from .sieve import first_non_failing, verify_failing_prime
 from .verdicts import FAILS, HOLDS
 
@@ -64,10 +64,10 @@ ALLOWED_KINDS = {
     FAILS: {"uncovered_point"},
 }
 
-# candidate values the cover re-check of one document may try, counted over
-# all its classes, before it refuses the document as too large to re-check:
-# a value costs a check per form, so decide spends it in about 7 s on the 236
-# forms of the README's Mycielski set M6 at n = 5 (Python 3.11)
+# the one cover budget, here and in covering (read at each call): candidate
+# values a cover search may try over all classes of one set; a value costs a
+# check per form, so decide spends it in about 7 s on the 236 forms of the
+# README's Mycielski set M6 at n = 5 (Python 3.11.7)
 COVER_RECHECK_LIMIT = 1 << 19
 
 # the certificate fields that hold an integer, or lists of integers
@@ -91,6 +91,8 @@ def verify_document(doc: dict) -> list[str]:
         return []
     except VerificationFailure as exc:
         return [str(exc)]
+    except FactorizationCapacityExceeded as exc:  # like the cover budget's refusal
+        return [f"too large to re-check: {exc}"]
     except Exception as exc:  # malformed documents
         return [f"malformed document: {exc!r}"]
 

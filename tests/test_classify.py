@@ -422,13 +422,16 @@ def test_one_ceiling_for_every_class(monkeypatch):
     # every class of [4, 9, 36, 324, 5] for n = 6 is searched in full; the
     # walk over the 6 odd t below 12 and the searches take 20 values
     # together (5 for t = 1 and 9 for t = 7), no search alone more than 9
-    from locus import covering
+    from locus import covering, verify
     from locus.errors import InstanceTooLarge
     elements = [4, 9, 36, 324, 5]
-    assert decide(elements, 6, ceiling=20).holds()
+    columns = decide(elements, 6).certificate.coeffs
+    monkeypatch.setattr(verify, "COVER_RECHECK_LIMIT", 20)
+    assert decide(elements, 6).holds()
+    monkeypatch.setattr(verify, "COVER_RECHECK_LIMIT", 19)
     with pytest.raises(InstanceTooLarge):
-        decide(elements, 6, ceiling=19)
-    support, columns = (-1, 2, 3, 5), decide(elements, 6).certificate.coeffs
+        decide(elements, 6)
+    support = (-1, 2, 3, 5)
     classes = covering._classes(6, support, iter(range(6)))
     assert len(classes) > 1
     for t, g, pins in classes:
@@ -436,12 +439,14 @@ def test_one_ceiling_for_every_class(monkeypatch):
         assert covering._search(moved, g, len(support), shift, iter(range(19))) is None
 
 
-def test_large_even_n_ends_at_the_ceiling():
-    # the class walk of an even n draws on the ceiling: n = 10^8 has 10^8
-    # odd t below 2n, far more than the ceiling allows
+def test_large_even_n_ends_at_the_ceiling(monkeypatch):
+    # the class walk of an even n draws on the cover budget: n = 10^8 has
+    # 10^8 odd t below 2n, far more than the budget allows
+    from locus import verify
     from locus.errors import InstanceTooLarge
     with pytest.raises(InstanceTooLarge):
-        decide([2], 10**8, ceiling=1000)
+        decide([2], 10**8)
+    monkeypatch.setattr(verify, "COVER_RECHECK_LIMIT", 1000)
     with pytest.raises(InstanceTooLarge):
         decide([2], 10**8)
 

@@ -4,6 +4,7 @@ import pytest
 
 import locus.cli
 import locus.rationals
+import locus.verify
 from locus.cli import _build_parser, main
 
 
@@ -183,10 +184,6 @@ def test_parse_errors_exit_three(capsys):
     assert main(["sieve", "--n", "-3", "--elem", "2", "--hi", "100"]) == 3
     assert main(["sieve", "--n", "3", "--elem", "2", "--lo", "10", "--hi", "5"]) == 3
     assert main(["oracle", "--n", "0", "--elem", "2"]) == 3
-    capsys.readouterr()
-    # not a capacity error (exit 4) from a search with no budget
-    assert main(["decide", "--n", "3", "--elem", "2", "--ceiling", "-1"]) == 3
-    assert capsys.readouterr().err == "error: --ceiling must be >= 0\n"
 
 
 def test_zero_denominators_exit_three(capsys):
@@ -272,10 +269,8 @@ SEQUENCES = {
                  ["decide", "--n", "3", "--elem", "2"]],
     "lo": [["sieve", "--n", "3", "--elem", "2", "--elem", "3", "--lo", "50", "--hi", "200"],
            ["sieve", "--n", "3", "--elem", "2", "--elem", "3", "--hi", "200"]],
-    "ceiling": [["decide", "--n", "3", "--elem", "2", "--elem", "3", "--elem", "5",
-                 "--elem", "30", "--ceiling", "5"],
-                ["decide", "--n", "3", "--elem", "2", "--elem", "3", "--elem", "5",
-                 "--elem", "30"]],
+    "evidence": [["decide", "--n", "3", "--elem", "2", "--elem", "3", "--evidence"],
+                 ["decide", "--n", "3", "--elem", "2", "--elem", "3"]],
     "family": [["generate", "--family", "cubic-quad", "--a", "2", "--b", "3"],
                ["generate", "--family", "square-triple", "--p1", "3", "--p2", "5"]],
 }
@@ -326,13 +321,23 @@ def test_help_is_that_of_a_fresh_parser(monkeypatch, capsys, command):
     assert help_text(capsys, argv) == shared
 
 
-def test_capacity_errors_exit_four(capsys):
+def test_capacity_errors_exit_four(capsys, monkeypatch):
     assert main(["sieve", "--n", "2", "--elem", "3", "--hi", str(10**9 + 7)]) == 4
     # 2^89 - 1 is a probable prime past the deterministic Miller-Rabin bound
     assert main(["oracle", "--n", "9", "--elem", str(2**89 - 1)]) == 4
-    # a ceiling of 0 is a search that may draw no value
+    # a cover budget of 0 is a search that may draw no value
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 0)
     assert main(["decide", "--n", "3", "--elem", "2", "--elem", "3", "--elem", "5",
-                 "--elem", "30", "--ceiling", "0"]) == 4
+                 "--elem", "30"]) == 4
+
+
+def test_the_cover_budget_is_no_option(capsys):
+    # the budget is the verifier's constant, so decide takes no --ceiling
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", "--n", "3", "--elem", "2", "--ceiling", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ceiling 5" in capsys.readouterr().err
+    assert "ceiling" not in help_text(capsys, ["decide"]).out
 
 
 def test_an_oversized_literal_exits_four(capsys):

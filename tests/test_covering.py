@@ -114,32 +114,38 @@ def test_covers_duplicate_collapse():
     assert covers(cols, 3, 2) is None
 
 
-def test_covers_ceiling():
+def test_covers_ceiling(monkeypatch):
     # the four-line cover of F_3^2 tries 0 and 1 at its first coordinate,
     # then 0, 1 and 2 at its second
     cols = [(1, 0), (0, 1), (1, 1), (1, 2)]
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 4)
     with pytest.raises(InstanceTooLarge):
-        covers(cols, 3, 2, ceiling=4)
-    assert covers(cols, 3, 2, ceiling=5) is None
+        covers(cols, 3, 2)
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 5)
+    assert covers(cols, 3, 2) is None
     # the lines through the origin of two coordinates cover F_7^10; pruning
     # settles it in 9 values (0 and 1, then all of F_7 at the second
     # coordinate) where the plain loop over (F_7^*)^9 needs 6^9
     cols = [tuple(int(i == j) for j in range(10)) for i in range(10)]
     cols += [(1, a) + (0,) * 8 for a in range(1, 7)] + [(1,) * 10]
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 8)
     with pytest.raises(InstanceTooLarge):
-        covers(cols, 7, 10, ceiling=8)
-    assert covers(cols, 7, 10, ceiling=9) is None
+        covers(cols, 7, 10)
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 9)
+    assert covers(cols, 7, 10) is None
 
 
-def test_divisor_walk_stays_within_the_ceiling():
+def test_divisor_walk_stays_within_the_ceiling(monkeypatch):
     # at a prime n near 10^12 the search tries 0, then the divisor 1 of n:
     # two values, where listing the divisors below n ran for hours at any
-    # ceiling
+    # budget
     n = 1000000000039
-    with pytest.raises(InstanceTooLarge):
-        decide(["2"], n, ceiling=1)
-    assert decide(["2"], n, ceiling=2).certificate.point == (1,)
     assert decide(["2", "3", "6", "12"], 3 * n).fails()
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 1)
+    with pytest.raises(InstanceTooLarge):
+        decide(["2"], n)
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 2)
+    assert decide(["2"], n).certificate.point == (1,)
 
 
 @st.composite
@@ -218,12 +224,12 @@ def test_shifted_covers_agree_with_plain_loop(case, g, data):
     misses = [x for x in product(range(g), repeat=s)
               if all((c0 + sum(c * v for c, v in zip(col, x))) % g
                      for col, c0 in zip(cols, shift))]
-    got = covering._search(cols, g, s, shift, iter(range(covering.ENUMERATION_CEILING)))
+    got = covering._search(cols, g, s, shift, iter(range(locus.verify.COVER_RECHECK_LIMIT)))
     assert (got is None) == (not misses)
     assert got is None or got in misses
 
 
-def test_covers_mod_examples():
+def test_covers_mod_examples(monkeypatch):
     # the optimal family lifted by 3 covers (Z/9)^2; unlifted it misses (3, 1)
     cols = [(3, 0), (0, 3), (3, 3), (3, 6)]
     assert covers(cols, 9, 2) is None
@@ -244,8 +250,9 @@ def test_covers_mod_examples():
     # a form that vanishes mod n covers everything; one column never does
     assert covers([(15, 0), (1, 2)], 15, 2) is None
     assert covers([(5, 10, 3)], 15, 3) is not None
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 1)
     with pytest.raises(InstanceTooLarge):
-        covers(cols, 9, 2, ceiling=1)
+        covers(cols, 9, 2)
     with pytest.raises(ValueError):
         covers([], 9, 2)
 

@@ -1,7 +1,8 @@
 """A frozen record of decide's output on seeded random sets.
 
 Every document decide writes, and every InstanceTooLarge it raises at a
-small ceiling, is joined in order and hashed.  A change to the engine that
+small cover budget (verify.COVER_RECHECK_LIMIT patched for the case), is
+joined in order and hashed.  A change to the engine that
 is meant to leave its output alone must leave these hashes alone; a change
 that means to alter an output says so and records the new hash.  The first
 record covers signed integers; the second signed fractions, whose
@@ -12,7 +13,9 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
+from locus import verify
 from locus.classify import decide
 from locus.errors import InstanceTooLarge
 
@@ -59,11 +62,11 @@ def _fraction_cases(count: int):
 
 
 def _record(n, elements, ceiling, evidence=False) -> str:
-    kwargs = {} if ceiling is None else {"ceiling": ceiling}
-    if evidence:
-        kwargs.update(attach_evidence=True, evidence_hi=300)
+    kwargs = {"attach_evidence": True, "evidence_hi": 300} if evidence else {}
+    limit = verify.COVER_RECHECK_LIMIT if ceiling is None else ceiling
     try:
-        doc = decide(elements, n, **kwargs).to_json(n, [str(x) for x in elements])
+        with mock.patch.object(verify, "COVER_RECHECK_LIMIT", limit):
+            doc = decide(elements, n, **kwargs).to_json(n, [str(x) for x in elements])
     except InstanceTooLarge as exc:
         return f"InstanceTooLarge {n} {elements} {ceiling}: {exc}"
     return json.dumps(doc)

@@ -1,5 +1,7 @@
 import ast
 import importlib
+import inspect
+import json
 import os
 import subprocess
 import sys
@@ -83,6 +85,32 @@ def test_benchmark_traced_names_resolve():
     assert traced
     for module, name in traced:
         assert hasattr(importlib.import_module(f"locus.{module}"), name), (module, name)
+
+
+def test_benchmark_options_resolve():
+    # bench/run.py calls classify.decide with each instance's kwargs and
+    # cli.main with each command's argv, so an option removed here would
+    # break a benchmark run; one seeded round of each workload is built by
+    # bench/corpus.py in a fresh interpreter, where its module name is free
+    from locus.classify import decide
+    from locus.cli import _build_parser
+    bench = str(Path(__file__).parents[1] / "bench")
+    rounds = json.loads(fresh_stdout(
+        f"import sys, json; sys.path.insert(0, {bench!r}); import corpus\n"
+        "rounds = {w: corpus.make_round(w, 1, 0, set()) for w in corpus.ROUNDS}\n"
+        "print(json.dumps({w: [[k for i in r.instances for k in i.kwargs],"
+        " [c.argv('doc.json') for c in r.commands]] for w, r in rounds.items()}))"))
+    assert set(rounds) == {"exact", "evidence", "large-factors", "cli"}
+    assert any(keywords for keywords, _ in rounds.values())
+    parameters = inspect.signature(decide).parameters
+    for workload, (keywords, commands) in rounds.items():
+        assert commands, workload
+        assert set(keywords) <= set(parameters), (workload, keywords)
+        for argv in commands:
+            try:
+                _build_parser().parse_args(argv)
+            except SystemExit:
+                raise AssertionError(f"{workload} command no longer parses: {argv}") from None
 
 
 def fresh_stdout(code: str) -> str:

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,16 @@ def test_factor_examples():
     assert factor(1) == FactoredRational(1, ())
     assert factor(-27) == FactoredRational(-1, ((3, 3),))
     assert factor(Fraction(12, 5)) == FactoredRational(1, ((2, 2), (3, 1), (5, -1)))
+
+
+@pytest.mark.parametrize("value", [0.5, Decimal("0.1"), True], ids=["float", "Decimal", "bool"])
+def test_only_exact_rationals_are_read(value):
+    # none prints as a literal: a document would write 0.5 as "0.5" and True
+    # as "True", which no verifier reads back, so each is refused up front
+    match = f"not a rational: {type(value).__name__}"
+    for call in (factor, lambda x: factor_set([x, 3]), lambda x: decide([x, 3], 3)):
+        with pytest.raises(ParseError, match=match):
+            call(value)
 
 
 def test_factor_zero_rejected():

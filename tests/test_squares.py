@@ -165,8 +165,11 @@ def test_seeded_signed_fractions_agree_with_brute_force():
         assert verify_document(v.to_json(2, elements)) == [], elements
 
 
-def test_squares_obey_the_ceiling():
+def test_squares_obey_the_ceiling(monkeypatch):
     # the walk over t = 1, 3 draws 2 values and each class's search 4
+    import locus.verify
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 9)
     with pytest.raises(InstanceTooLarge):
-        decide(["3", "5", "15"], 2, ceiling=9)
-    assert decide(["3", "5", "15"], 2, ceiling=10).status == HOLDS
+        decide(["3", "5", "15"], 2)
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 10)
+    assert decide(["3", "5", "15"], 2).status == HOLDS

@@ -286,16 +286,27 @@ def budget_set(q, r):
     return ps + [math.prod(ps[:-1]) * ps[-1] ** (-c % q) for c in range(q)]
 
 
-def test_engine_and_verifier_count_the_same_cover_values(monkeypatch):
+# (elements, n, the values its cover takes): an odd n, an even n, whose
+# walk draws its n values first (5 for t = 1 and 9 for t = 7 after the 6),
+# and n = 2 (2 for t = 1, 3, then 4 per class)
+COVER_VALUES = {"odd-n": (budget_set(5, 8), 5, 23212),
+                "even-n": ([4, 9, 36, 324, 5], 6, 20),
+                "n2": (["3", "5", "15"], 2, 10)}
+
+
+@pytest.mark.parametrize("elements, n, k", COVER_VALUES.values(), ids=COVER_VALUES)
+def test_engine_and_verifier_count_the_same_cover_values(monkeypatch, elements, n, k):
+    # one patched constant limits both sides: at k the cover is emitted and
+    # re-checks, at k - 1 decide refuses it and the verifier refuses its
+    # document alike
     import locus.verify
-    elements = budget_set(5, 8)
-    doc = doc_for(elements, 5, ceiling=23212)
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", k)
+    doc = doc_for(elements, n)
     assert doc["status"] == "holds" and doc["certificate"]["kind"] == "hyperplane_cover"
-    with pytest.raises(InstanceTooLarge):
-        decide(elements, 5, ceiling=23211)
-    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 23212)
     assert verify_document(doc) == []
-    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 23211)
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", k - 1)
+    with pytest.raises(InstanceTooLarge):
+        decide(elements, n)
     assert verify_document(doc) == ["cover too large to re-check"]
 
 
@@ -303,8 +314,8 @@ def test_one_cover_budget_for_decide_and_verify():
     # 345,256 values on each side, within the shared 2^19; the next prime
     # puts the cover past it, and decide refuses it rather than emit a
     # document that the verifier could not re-check
-    from locus import covering, verify
-    assert covering.ENUMERATION_CEILING is verify.COVER_RECHECK_LIMIT == 1 << 19
+    from locus import verify
+    assert verify.COVER_RECHECK_LIMIT == 1 << 19
     doc = doc_for(budget_set(7, 8), 7)
     assert doc["status"] == "holds" and verify_document(doc) == []
     with pytest.raises(InstanceTooLarge):
@@ -713,8 +724,7 @@ def test_hints_accept_supports_beyond_the_factoring_bounds():
     assert verify_document(doc) == ["counterexample prime does not fail"]
     doc["certificate"]["counterexample_prime"] = 13
     doc["excluded_primes"] = [2, 3, p * q]  # a composite entry is no hint
-    assert verify_document(doc)[0].startswith("malformed document: "
-                                              "FactorizationCapacityExceeded")
+    assert verify_document(doc) == [f"too large to re-check: rho splitter gave up on {p * q}"]
 
 
 def test_missing_and_composite_hints():
@@ -926,6 +936,7 @@ def test_oversized_literals_are_refused_by_the_cap():
         bad["elements"] = [bad_value, "3"]
         problems = verify_document(bad)
         assert len(problems) == 1 and "DIGIT_CAP = 4000" in problems[0], problems
+        assert problems[0].startswith("too large to re-check: "), problems
     # the member a document would need for 1/2^12000 at 3, 2^24000
     member = {"n": 3, "elements": [f"1/{2**12000}"], "status": "holds",
               "certificate": {"kind": "perfect_power_member", "element": "1" + "0" * 7224,
@@ -933,6 +944,7 @@ def test_oversized_literals_are_refused_by_the_cap():
               "excluded_primes": [2, 3]}
     problems = verify_document(member)
     assert len(problems) == 1 and "DIGIT_CAP = 4000" in problems[0], problems
+    assert problems[0].startswith("too large to re-check: "), problems
 
 
 def test_verdict_writes_elements_as_strings():
