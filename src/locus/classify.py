@@ -24,9 +24,9 @@ def decide(elements, n: int, *, want_counterexample: bool = True,
     The routes run without a counterexample search of their own: a failing
     verdict gets its prime here, searched over the whole cleared set, so
     that the support primes of dropped duplicates stay excluded.  The set
-    is factored once (factor_set); clear_denominators, default_exclusions
-    and find_counterexample are called by their public names, which a
-    trace wraps, and factor_set passes the factored list through to them.
+    is factored once (factor_set), each literal read once; the public
+    clear_denominators, default_exclusions and find_counterexample, which a
+    trace wraps, take the factored list on after one type test.
     The cover search draws on the verifier's own budget (covering), so
     every cover decide emits re-checks; past it, InstanceTooLarge.
     """

@@ -14,6 +14,7 @@ state between calls on it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -28,7 +29,7 @@ from .primes import prime_power_split
 from .rationals import factor_set, parse_rational
 from .sieve import scan
 from .verdicts import FAILS, HOLDS
-from .verify import verify_document
+from .verify import TOO_LARGE, verify_document
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -189,14 +190,17 @@ def _run_generate(args) -> int:
 
 
 def _run_verify(args) -> int:
-    if args.path == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(args.path) as fh:
+    try:
+        with contextlib.nullcontext(sys.stdin) if args.path == "-" else open(args.path) as fh:
             doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeError):
+        raise
+    except ValueError as exc:  # json's int() past the interpreter's digit limit
+        raise FactorizationCapacityExceeded(f"a JSON integer too long: {exc}") from None
     problems = verify_document(doc)
     _emit({"valid": not problems, "problems": problems}, None)
-    return 1 if problems else 0
+    too_large = problems and problems[0].startswith(TOO_LARGE)
+    return EXIT_CAPACITY if too_large else EXIT_FAILS if problems else EXIT_HOLDS
 
 
 def main(argv=None) -> int:
@@ -205,7 +209,7 @@ def main(argv=None) -> int:
         run = {"decide": _run_decide, "sieve": _run_sieve, "oracle": _run_oracle,
                "generate": _run_generate, "verify-certificate": _run_verify}
         return run[args.command](args)
-    except (ParseError, ZeroInput, json.JSONDecodeError, OSError) as exc:
+    except (ParseError, ZeroInput, json.JSONDecodeError, UnicodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (FactorizationCapacityExceeded, RangeTooLarge, InstanceTooLarge) as exc:

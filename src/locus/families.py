@@ -25,7 +25,7 @@ def _reject_degenerate(values: list[FactoredRational], expect: int,
     uniq = {v.value() for v in values}
     if len(uniq) != expect:
         raise DegenerateParameters(f"parameters collapse the set to {sorted(uniq)}")
-    if not allow_units and any(v.is_unit() for v in values):
+    if not allow_units and any(not v.factors for v in values):
         raise DegenerateParameters("generated family contains a unit")
 
 
@@ -157,7 +157,7 @@ def _instantiate(form: ExceptionalForm, n: int) -> list[FactoredRational]:
     """The pair of form's template of n, its alphas substituted."""
     for tag, pj, (c1, k1), second in _templates(n):
         if (tag, pj) == (form.case_tag, form.pj):
-            c2, k2 = second or (FactoredRational.one(), 1)
+            c2, k2 = second or (factor(1), 1)
             return [c1 * factor(form.alpha1) ** k1, c2 * factor(form.alpha2) ** k2]
     raise InapplicableCase(f"template {form.case_tag} not applicable to n = {n}")
 

@@ -1,32 +1,29 @@
 """Exact arithmetic on factored nonzero rationals.
 
-A FactoredRational is a sign together with an ascending list of
-(prime, exponent) pairs, exponents nonzero (negative for denominator
-primes).  All operations are pure; instances are immutable (slotted, not
-tuples: len, + and < stay undefined), equal by value and safe to share
-between workers.  This module parses, factors (one element, or a set
-jointly), clears denominators and tests perfect powers; it keeps no class
-representatives.  A literal has one text path: _read checks its syntax and
-gives (numerator, denominator) ints, which are factored apart
-(_factor_parts), so a string never becomes a Fraction on its way to
-factored form and factor_set reads each literal once; parse_rational
-builds its Fraction from the same reader.  factor_set hands an already
-factored list back after one type test per entry, so the public helpers
-that call it take such a list too.  A literal is factored at most
-once per process while it stays in the memo (_FACTORED): at most
-MEMO_CAP entries, keyed by the exact (numerator, denominator) in lowest
-terms and cleared when full, each holding the FactoredRational built from
-primes.factorize's output for that key.  Only a key whose numerator and
-denominator are both below primes.MR_DETERMINISTIC_BOUND is stored: there
-factorize always succeeds and gives the same result whatever its hints,
-so a hit is what any call would return, and above the bound a split that
-only hints made possible never lets a later hint-less call succeed.  So
-the engine and the verifier (which shares this layer) factor the same
-literal once.  A numerator or denominator read or printed has at most
-DIGIT_CAP digits, under the interpreter's own 4,300; past it _read and str
-raise FactorizationCapacityExceeded.  A class mod
-(Q^x)^n is keyed from the factors where it is used: by the engine in
-classify.exponent_classes, and by the verifier in verify._columns.
+A FactoredRational is a sign and an ascending tuple of (prime, exponent)
+pairs, exponents nonzero (negative for denominator primes): immutable
+(slotted, not a tuple, so len, + and < stay undefined), equal by value,
+safe to share between workers, and every operation on it pure.  Its public
+constructor checks those parts; products, powers, inverses and roots, and
+factorize's certified output, are built from checked parts without the
+checks (_made).  This module parses, factors (one element, or a set
+jointly), clears denominators and tests perfect powers; a class mod
+(Q^x)^n is keyed where it is used (classify.exponent_classes,
+verify._columns).  A literal has one text path: _read gives its
+(numerator, denominator) ints, factored apart (_factor_parts), so no
+Fraction is built and factor_set reads each literal once.  factor_set and
+clear_denominators return a read-only list (_Factored) that factor_set
+hands back after one type test, so each public helper that calls it passes
+a factored list on in O(1).  A literal is factored at most once per
+process while it stays in the memo (_FACTORED): MEMO_CAP entries at most,
+keyed by the lowest-terms (numerator, denominator) and cleared when full,
+and only for keys with both parts below primes.MR_DETERMINISTIC_BOUND,
+where factorize always succeeds with one result whatever its hints.  So a
+hit is what any call would return, a split that only hints made possible
+above the bound is never kept, and the engine and the verifier (which
+shares this layer) factor a literal once.  A part read or printed has at
+most DIGIT_CAP digits, under the interpreter's own 4,300; past it _read and
+str raise FactorizationCapacityExceeded.
 """
 
 from __future__ import annotations
@@ -50,7 +47,8 @@ _PRINT_LIMIT = 10**DIGIT_CAP
 
 
 class FactoredRational:
-    """sign * prod(p^e); empty factor list is +1 or -1."""
+    """sign * prod(p^e); empty factor list is +1 or -1.  The constructor and
+    from_prime_powers check sign, primality, ascending order, nonzero e."""
 
     __slots__ = ("sign", "factors")
 
@@ -66,8 +64,8 @@ class FactoredRational:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             last = p
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "factors", factors)
+        _SIGN(self, sign)
+        _FACTORS(self, factors)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -89,20 +87,13 @@ class FactoredRational:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def one(cls) -> "FactoredRational":
-        return cls(1, ())
-
-    @classmethod
     def from_prime_powers(cls, sign: int, powers: dict[int, int]) -> "FactoredRational":
         return cls(sign, tuple(sorted([(p, e) for p, e in powers.items() if e])))
 
     # -- views -------------------------------------------------------------
 
     def value(self) -> Fraction:
-        out = Fraction(self.sign)
-        for p, e in self.factors:
-            out *= Fraction(p) ** e
-        return out
+        return Fraction(self.numerator, self.denominator)
 
     @property
     def numerator(self) -> int:
@@ -124,13 +115,7 @@ class FactoredRational:
         return tuple([p for p, _ in self.factors])
 
     def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
-    def is_unit(self) -> bool:
-        return not self.factors
+        return dict(self.factors).get(p, 0)
 
     def is_integral(self) -> bool:
         return all(e > 0 for _, e in self.factors)
@@ -147,19 +132,20 @@ class FactoredRational:
         merged = dict(self.factors)
         for p, e in other.factors:
             merged[p] = merged.get(p, 0) + e
-        return FactoredRational.from_prime_powers(self.sign * other.sign, merged)
+        # one sort merges the two ascending runs (other's new primes follow)
+        return _made(self.sign * other.sign, tuple(sorted([pe for pe in merged.items() if pe[1]])))
 
     def __truediv__(self, other: "FactoredRational") -> "FactoredRational":
         return self * other.inverse()
 
     def inverse(self) -> "FactoredRational":
-        return FactoredRational(self.sign, tuple((p, -e) for p, e in self.factors))
+        return _made(self.sign, tuple([(p, -e) for p, e in self.factors]))
 
     def __pow__(self, k: int) -> "FactoredRational":
         if k == 0:
-            return FactoredRational.one()
+            return _made(1, ())
         sign = self.sign if k % 2 else 1
-        return FactoredRational(sign, tuple((p, e * k) for p, e in self.factors))
+        return _made(sign, tuple([(p, e * k) for p, e in self.factors]))
 
     def nth_root(self, k: int) -> "FactoredRational | None":
         """Canonical k-th root, or None when no rational root exists.
@@ -173,14 +159,38 @@ class FactoredRational:
         if any(e % k for _, e in self.factors):
             return None
         sign = self.sign if k % 2 else 1
-        return FactoredRational(sign, tuple((p, e // k) for p, e in self.factors))
+        return _made(sign, tuple([(p, e // k) for p, e in self.factors]))
 
     def residue_mod(self, p: int) -> int:
         """Value mod p in [0, p-1]; p must not divide the denominator."""
-        r = self.sign % p
-        for q, e in self.factors:
-            r = r * pow(q, e, p) % p
-        return r
+        return math.prod([pow(q, e, p) for q, e in self.factors], start=self.sign) % p
+
+
+_SIGN, _FACTORS = FactoredRational.sign.__set__, FactoredRational.factors.__set__
+
+
+def _made(sign: int, factors: tuple[tuple[int, int], ...]) -> FactoredRational:
+    """FactoredRational(sign, factors) unchecked, from parts that pass the checks."""
+    x = object.__new__(FactoredRational)
+    _SIGN(x, sign)
+    _FACTORS(x, factors)
+    return x
+
+
+class _Factored(list):
+    """factor_set's list: FactoredRationals only and read-only, so known by
+    its type alone; a copy, slice, sum or pickle of one is a plain list."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a factored list is read-only: copy it with list()")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+    def __reduce__(self):
+        return list, (list(self),)
 
 
 def _read(text: str) -> tuple[int, int]:
@@ -252,7 +262,7 @@ def _factor_parts(num: int, den: int, known) -> FactoredRational:
     if den != 1:
         for p, e in factorize(den, known=known).items():
             powers[p] = -e
-    x = FactoredRational.from_prime_powers(1 if num > 0 else -1, powers)
+    x = _made(1 if num > 0 else -1, tuple(sorted(powers.items())))  # certified primes
     if max(abs(num), den) < MR_DETERMINISTIC_BOUND:
         if len(_FACTORED) >= MEMO_CAP:
             _FACTORED.clear()
@@ -261,33 +271,37 @@ def _factor_parts(num: int, den: int, known) -> FactoredRational:
 
 
 def factor_set(elements: Iterable[RationalLike]) -> list[FactoredRational]:
-    """[factor(x) for x in elements], the elements factored jointly.
+    """[factor(x) for x in elements], the elements factored jointly, as a
+    read-only _Factored list.
 
-    Every element is read once (_parts) before any is factored, so a
-    malformed or zero element raises before a factorization can.  The
-    set's numerators and denominators of at least 2^16, in lowest terms,
-    are the hints (factor's known) of every element, so a large prime that
-    two elements share is split off by a gcd rather than searched for by
-    rho.  The (numerator, denominator) read then goes straight to the
-    factoring (_factor_parts), where a literal in the memo is not factored
-    again (module docstring).  An element that is already a
-    FactoredRational passes through, gives no hints and is never stored; a
-    list of them alone is returned as it is after one type test per entry,
-    before any element is read.
+    Such a list comes back as it is after one type test, and a list of
+    FactoredRationals alone is wrapped after one per entry, before any
+    element is read.  Otherwise every element is read once (_parts) before
+    any is factored, so a malformed or zero element raises before a
+    factorization can.  The set's numerators and denominators of at least
+    2^16, in lowest terms, are the hints (factor's known) of every element,
+    so a large prime that two elements share is split off by a gcd rather
+    than searched for by rho.  The (numerator, denominator) read then goes
+    straight to the factoring (_factor_parts), where a literal in the memo
+    is not factored again.  An element that is already a FactoredRational
+    passes through, gives no hints and is never stored.
     """
+    if type(elements) is _Factored:
+        return elements
     xs = list(elements)
     if {*map(type, xs)} <= {FactoredRational}:
-        return xs
+        return _Factored(xs)
     parts = [None if isinstance(x, FactoredRational) else _parts(x) for x in xs]
     known = [v for nd in parts if nd for v in (abs(nd[0]), nd[1]) if v >= TRIAL_DIVISION_BOUND]
-    return [x if nd is None else _factor_parts(*nd, known) for x, nd in zip(xs, parts)]
+    return _Factored([x if nd is None else _factor_parts(*nd, known) for x, nd in zip(xs, parts)])
 
 
 def clear_denominators(elements: Iterable[RationalLike], n: int) -> list[FactoredRational]:
     """Multiply every element by (product of all denominators)^n.
 
-    The result is integral and each output sits in the same class of
-    Q^x/(Q^x)^n as its input; with no denominator it is the factored input.
+    The result, a read-only list as factor_set's, is integral and each
+    output sits in the same class of Q^x/(Q^x)^n as its input; with no
+    denominator it is the factored input itself.
     """
     xs = factor_set(elements)
     scale: dict[int, int] = {}
@@ -297,8 +311,8 @@ def clear_denominators(elements: Iterable[RationalLike], n: int) -> list[Factore
                 scale[p] = scale.get(p, 0) - e
     if not scale:
         return xs
-    bump = FactoredRational.from_prime_powers(1, {p: e * n for p, e in scale.items()})
-    out = [x * bump for x in xs]
+    bump = _made(1, tuple(sorted([(p, e * n) for p, e in scale.items()])))
+    out = _Factored([x * bump for x in xs])
     assert all(y.is_integral() for y in out)
     return out
 

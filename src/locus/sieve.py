@@ -93,9 +93,7 @@ def default_exclusions(elements, k: int) -> frozenset[int]:
     """The excluded primes of every verdict and scan: {2}, the primes
     dividing k and all support primes."""
     out = {p for x in factor_set(elements) for p, _ in x.factors}
-    out.add(2)
-    out.update(prime_factors(k))
-    return frozenset(out)
+    return frozenset(out.union((2,), prime_factors(k)))
 
 
 def _failing(xs: list[FactoredRational], k: int, primes):
@@ -140,26 +138,24 @@ def scan(elements, k: int, lo: int, hi: int) -> SieveReport:
 
 
 def find_counterexample(elements, k: int, bound: int):
-    """Least non-excluded prime <= bound where no element is a k-th residue,
-    walking the primes that can fail in [2, 128], (128, 256], ..."""
-    xs = factor_set(elements)
-    return next(_failing(xs, k, _tested(xs, k, _walk_upto(_strides(k), bound))), None)
+    """Least non-excluded prime <= bound where no element is a k-th residue.
 
-
-def _walk_upto(strides: tuple[int, ...], bound: int):
-    """The primes of prime_walk up to bound, one prime_walk per segment of
-    [2, 128], (128, 256], ... so the search makes ints only of the segments
-    it reaches."""
-    lo, hi = 2, 128
+    The primes that can fail are walked one prime_walk per segment of
+    [2, 128], (128, 256], ..., so only the segments reached become ints;
+    each goes to the kernel as a list, and most searches end in the first."""
+    xs, strides, lo, hi = factor_set(elements), _strides(k), 2, 128
     while lo <= bound:
-        yield from prime_walk(lo, min(hi, bound), strides)[1]
+        segment = prime_walk(lo, min(hi, bound), strides)[1]
+        if (p := next(_failing(xs, k, _tested(xs, k, segment)), None)) is not None:
+            return p
         lo, hi = hi + 1, 2 * hi
+    return None
 
 
 def _tested(xs: list[FactoredRational], k: int, primes):
     """The primes of a sequence that default_exclusions leaves in: from 3
     up, prime to k and off every support."""
-    bad = {p for x in xs for p in x.support()}
+    bad = {p for x in xs for p, _ in x.factors}
     return (p for p in primes if p >= 3 and k % p and p not in bad)
 
 

@@ -22,28 +22,24 @@ the status they may support, exactly the kinds that classify.decide emits
 (the records of locus.verdicts), at an integer n >= 2, and the cover
 re-check of a document tries at most COVER_RECHECK_LIMIT candidate values
 over all its classes, the engine's cover budget too; past it, DIGIT_CAP
-or rho's cycle limit, a document is too large to re-check.  None of the
-engine's decision code is imported: only the arithmetic layers (primes,
-rationals, sieve) and the status names.
+or rho's cycle limit, a document is too large to re-check (TOO_LARGE).
+None of the engine's decision code is imported: only the arithmetic layers
+(primes, rationals, sieve) and the status names.
 The elements must be a nonempty list, and every element, member and root a
 string; each is factored by primes.factorize with the document's excluded
 primes as hints (its known), so a wrong or missing entry changes no
-factorization.  A factorization may instead come from the memo of
-rationals, which holds only outputs of primes.factorize keyed by their
-exact input, a numerator and denominator below the Miller-Rabin bound,
-where the hints change nothing; so an element the engine has just
-factored is not factored again.  What the hints leave
-takes factorize's own path, whose rho gives up on a composite above the
-Miller-Rabin bound once its cycle length passes primes.RHO_CYCLE_LIMIT, so
-a crafted element costs about 0.3 s per split attempt there for a cofactor
-of 200 bits, and more for a larger one (factorize gives the times).  The
-excluded primes must then all be prime and include 2, the primes of n and
-every support prime of the elements.  An evidence block must match the
-document (exponent, cleared elements, excluded primes), and its density
-must be its failing count over tested_count.  tested_count is not
-recounted, which would sieve [lo, hi], but bounded in O(1): at most
-(hi - lo) // 2 + 2, and at most 1.25506 hi / ln hi, Rosser and
-Schoenfeld's bound on pi(hi).
+factorization, or comes from the memo of rationals, where hints change
+nothing.  What the hints leave takes factorize's own path, whose rho gives
+up on a composite above the Miller-Rabin bound once its cycle length passes
+primes.RHO_CYCLE_LIMIT, so a crafted element costs about 0.3 s per split
+attempt there for a cofactor of 200 bits, and more for a larger one
+(factorize gives the times).  The excluded primes must then be prime (a
+support prime is, by that factorization) and include 2, the primes of n and
+every support prime.  An evidence block must match the document (exponent,
+cleared elements, excluded primes), and its density must be its failing
+count over tested_count.  tested_count is not recounted, which would sieve
+[lo, hi], but bounded in O(1): at most (hi - lo) // 2 + 2, and at most
+1.25506 hi / ln hi, Rosser and Schoenfeld's bound on pi(hi).
 """
 
 from __future__ import annotations
@@ -70,6 +66,10 @@ ALLOWED_KINDS = {
 # README's Mycielski set M6 at n = 5 (Python 3.11.7)
 COVER_RECHECK_LIMIT = 1 << 19
 
+# the problems of a document past a capacity bound (the cover budget's, then
+# the rest's): too large to re-check, not invalid, so the CLI exits 4 on them
+TOO_LARGE = ("cover too large to re-check", "too large to re-check: ")
+
 # the certificate fields that hold an integer, or lists of integers
 INT_FIELDS = ("exponent", "q", "t", "support", "coeffs", "point",
               "counterexample_prime")
@@ -92,7 +92,7 @@ def verify_document(doc: dict) -> list[str]:
     except VerificationFailure as exc:
         return [str(exc)]
     except FactorizationCapacityExceeded as exc:  # like the cover budget's refusal
-        return [f"too large to re-check: {exc}"]
+        return [f"{TOO_LARGE[1]}{exc}"]
     except Exception as exc:  # malformed documents
         return [f"malformed document: {exc!r}"]
 
@@ -129,9 +129,10 @@ def _verify(doc: dict):
     cleared = clear_denominators(elements, n)
     _verify_certificate(cert, elements, cleared, n, status, known)
     _need_ints("excluded_primes", excluded)
+    support = {p for x in elements for p, _ in x.factors}  # factorize certified these
     for p in excluded:
-        _need(is_prime(p), f"excluded entry {p} is not prime")
-    missing = {2, *prime_factors(n), *(p for x in elements for p, _ in x.factors)} - set(excluded)
+        _need(p in support or is_prime(p), f"excluded entry {p} is not prime")
+    missing = {2, *prime_factors(n), *support} - set(excluded)
     _need(not missing, f"excluded primes omit {sorted(missing)}")
     evidence = doc.get("evidence")
     if evidence is not None:
@@ -322,7 +323,7 @@ def _covers_mod(coeffs, n: int, support) -> bool:
         units = [1]
     else:  # one value per odd t below 2n, drawn before the walk
         _need(next(islice(budget, n - 1, None), None) is not None,
-              "cover too large to re-check")
+              TOO_LARGE[0])
         units = (t for t in range(1, 2 * n, 2) if math.gcd(t, n) == 1)
     seen = set()
     for t in units:
@@ -372,7 +373,7 @@ def _misses(cols, n: int, shift, budget) -> bool:
             return True
         h, m = gens[k]
         for v in (0, *divisors(m)[:-1]) if scale and zero else range(m):
-            _need(next(budget, None) is not None, "cover too large to re-check")
+            _need(next(budget, None) is not None, TOO_LARGE[0])
             z = [(a + v * b) % n for a, b in zip(y, h)]
             if all(z[j] for j in checks[k]) and miss(k + 1, z, zero and not v):
                 return True

@@ -474,3 +474,51 @@ def test_decide_large_factor_golden_output(tmp_path, capsys):
                  str(1000003 * 10000019), "--json", str(doc_path)]) == 1
     assert capsys.readouterr().out == LARGE_FACTOR_DECIDE
     assert main(["verify-certificate", str(doc_path)]) == 0
+
+
+def test_verify_certificate_exits_four_for_documents_too_large_to_recheck(
+        tmp_path, monkeypatch, capsys):
+    # a document past a capacity bound is refused as too large to re-check,
+    # not found invalid: exit 4, as decide's capacity errors, with the
+    # problem still printed
+    _, doc = run(capsys, "decide", "--n", "3", "--elem", "2", "--elem", "3")
+    path = tmp_path / "doc.json"
+    for bad_value in ("7" * 5000, f"-1/{'3' * 4001}"):  # past rationals.DIGIT_CAP
+        path.write_text(json.dumps(dict(doc, elements=[bad_value, "3"])))
+        code, out = run(capsys, "verify-certificate", str(path))
+        assert code == 4 and not out["valid"], out
+        assert out["problems"][0].startswith("too large to re-check: "), out
+    _, doc = run(capsys, "decide", "--n", "3", *(f"--elem={e}" for e in (2, 3, 6, 18)))
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 4)
+    assert run(capsys, "verify-certificate", str(path)) == (
+        4, {"valid": False, "problems": ["cover too large to re-check"]})
+    monkeypatch.setattr(locus.verify, "COVER_RECHECK_LIMIT", 5)
+    assert run(capsys, "verify-certificate", str(path)) == (0, {"valid": True, "problems": []})
+    # an invalid document still exits 1
+    doc["certificate"]["coeffs"][0][0] += 1
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify-certificate", str(path))
+    assert code == 1 and not out["valid"] and "too large" not in out["problems"][0], out
+
+
+def test_verify_certificate_refuses_json_integers_past_the_interpreter_limit(
+        tmp_path, monkeypatch, capsys):
+    # json.load raises a plain ValueError, not a JSONDecodeError, for an
+    # integer of more than the interpreter's 4,300 digits
+    import io
+    text = '{"n": ' + "7" * 5000 + ', "elements": ["2"]}'
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["verify-certificate", str(path)]) == 4
+    out = capsys.readouterr()
+    assert not out.out and out.err.startswith("capacity error: "), out
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["verify-certificate", "-"]) == 4
+    out = capsys.readouterr()
+    assert not out.out and out.err.startswith("capacity error: "), out
+    # bytes that are no text are a parse error, as a document or as elements
+    path.write_bytes(b"\xff\xfe{")
+    for argv in (["verify-certificate", str(path)], ["decide", "--n", "3", "--file", str(path)]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: "), argv

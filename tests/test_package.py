@@ -113,6 +113,34 @@ def test_benchmark_options_resolve():
                 raise AssertionError(f"{workload} command no longer parses: {argv}") from None
 
 
+def test_decide_reads_each_literal_once_and_checks_no_derived_value(monkeypatch):
+    # a count, not a time, guards the exact workload's glue: on one seeded
+    # round of bench/corpus.py (built in a fresh interpreter, as above),
+    # decide reads each literal once, and every FactoredRational it builds
+    # comes from parts already checked, so the public constructor, which
+    # re-checks sign, order and primality, never runs
+    import locus.rationals
+    from locus.classify import decide
+    from locus.rationals import FactoredRational
+    bench = str(Path(__file__).parents[1] / "bench")
+    instances = json.loads(fresh_stdout(
+        f"import sys, json; sys.path.insert(0, {bench!r}); import corpus\n"
+        "rnd = corpus.make_round('exact', 1, 0, set())\n"
+        "print(json.dumps([[i.texts, i.n, i.kwargs] for i in rnd.instances]))"))
+    assert len(instances) >= 20
+    reads, checks = [], []
+    read, init = locus.rationals._read, FactoredRational.__init__
+    monkeypatch.setattr(locus.rationals, "_read", lambda text: reads.append(text) or read(text))
+    monkeypatch.setattr(FactoredRational, "__init__",
+                        lambda self, *args: checks.append(args) or init(self, *args))
+    for texts, n, kwargs in instances:
+        locus.rationals._FACTORED.clear()  # so that every literal is factored
+        reads.clear()
+        decide(texts, n, **kwargs)
+        assert reads == texts and not checks, (texts, n, checks)
+    assert FactoredRational(1, ((2, 1),)) and checks == [(1, ((2, 1),))]
+
+
 def fresh_stdout(code: str) -> str:
     # -S keeps site's imports out
     src = str(Path(locus.__file__).parents[1])

@@ -409,3 +409,64 @@ def test_the_memo_is_bounded_and_holds_no_factored_input():
         factor(f"-{m}/{2 * m + 1}")
         sizes.append(len(memo))
     assert max(sizes) == MEMO_CAP and 0 < len(memo) <= MEMO_CAP
+
+
+def test_the_public_constructor_checks_its_parts():
+    non_primes = [(1, ((4, 1),)), (1, ((1, 1),)), (-1, ((0, 2),)), (1, ((2, 1), (91, -1)))]
+    signs = [(0, ()), (2, ((2, 1),)), (-2, ())]
+    order = [(1, ((3, 1), (3, 2))), (1, ((5, 1), (3, 1))), (-1, ((2, 1), (7, 1), (5, -1)))]
+    zeros = [(1, ((2, 0),)), (-1, ((2, 1), (3, 0), (5, 1)))]
+    for sign, factors in non_primes + signs + order + zeros:
+        with pytest.raises(ValueError):
+            FactoredRational(sign, factors)
+    # a dict has no order and from_prime_powers drops its zero exponents
+    for sign, factors in non_primes + signs:
+        with pytest.raises(ValueError):
+            FactoredRational.from_prime_powers(sign, dict(factors))
+    assert FactoredRational.from_prime_powers(-1, {7: 1, 2: -3, 5: 0}) == FactoredRational(
+        -1, ((2, -3), (7, 1)))
+
+
+@given(nonzero_rationals, nonzero_rationals, st.integers(min_value=-6, max_value=6),
+       st.integers(min_value=1, max_value=6))
+@settings(max_examples=200, deadline=None)
+def test_derived_values_pass_the_public_checks(x, y, k, n):
+    # products, quotients, powers, inverses, roots and cleared sets are built
+    # without the constructor's checks; each would pass them, so a merge
+    # that left its factors unsorted or kept a zero exponent shows here
+    fx, fy = factor(x), factor(y)
+    derived = [fx * fy, fx / fy, fx * fx.inverse(), fx ** k, fx.inverse(),
+               (fx ** n).nth_root(n), *clear_denominators([x, y, fx ** k], n)]
+    for z in derived:
+        assert FactoredRational(z.sign, z.factors) == z
+    assert [z.value() for z in derived[:5]] == [x * y, x / y, 1, x ** k, 1 / x]
+
+
+def test_factored_lists_pass_through_in_one_type_test(monkeypatch):
+    xs = factor_set(["12/5", "-3", "7", "1000033/2"])
+    cleared = clear_denominators(xs, 3)
+    plain = clear_denominators([factor("2"), factor("7")], 3)  # no denominator
+    calls = []
+    for name in ("_parts", "_read", "_factor_parts"):
+        monkeypatch.setattr(locus.rationals, name, lambda *args, name=name: calls.append(name))
+    for out in (xs, cleared, plain):
+        assert factor_set(out) is out
+    assert clear_denominators(cleared, 3) is cleared and clear_denominators(plain, 5) is plain
+    assert not calls
+    # a read-only list: no caller changes it, so no string rides through
+    for change in (lambda: xs.append("3"), lambda: xs.__setitem__(0, "3"),
+                   lambda: xs.extend(["3"]), lambda: xs.insert(0, "3"),
+                   lambda: xs.__iadd__(["3"]), lambda: xs.sort(key=str), lambda: xs.pop()):
+        with pytest.raises(TypeError):
+            change()
+    assert all(type(x) is FactoredRational for x in xs) and len(xs) == 4
+    # a copy can change, and is read again entry by entry
+    monkeypatch.undo()
+    for copied in (list(xs), xs[:], xs + [], copy.copy(xs), pickle.loads(pickle.dumps(xs))):
+        assert type(copied) is list and copied == xs
+        copied[0] = "3"
+        assert factor_set(copied) == [factor(3), *xs[1:]]
+    changed = list(xs)
+    changed.append("x")
+    with pytest.raises(ParseError):
+        factor_set(changed)

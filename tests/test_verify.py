@@ -748,6 +748,18 @@ def test_missing_and_composite_hints():
     assert verify_document(bad)[0].startswith("malformed document: TypeError")
 
 
+def test_support_primes_are_certified_by_the_factorization(monkeypatch):
+    # the verifier's own factorization proves each support prime prime, so
+    # the excluded-prime check runs Miller-Rabin only on the other entries
+    import locus.verify
+    from locus.primes import is_prime
+    doc = doc_for([str(SEMIPRIMES[0]), "2", "3"], 3)
+    asked = []
+    monkeypatch.setattr(locus.verify, "is_prime", lambda p: asked.append(p) or is_prime(p))
+    assert verify_document(doc) == [] and asked
+    assert not {4123477, 496399531, 2, 3} & set(asked), asked
+
+
 def test_evidence_arithmetic_must_match_the_document():
     doc = doc_for(["2", "3"], 3, attach_evidence=True, evidence_hi=2000)
     ev = doc["evidence"]
