@@ -19,6 +19,7 @@ import functools
 import json
 import re
 import sys
+from fractions import Fraction
 
 from . import families
 from .classify import decide
@@ -40,6 +41,14 @@ EXIT_INCONSISTENT = 5
 _STATUS_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS}
 
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+# generate's integer-argument families: constructor and its int --flags, in order
+_FAMILIES = {
+    "cubic-quad": (families.cubic_quad, ("a", "b")),
+    "square-triple": (families.square_triple, ("p1", "p2")),
+    "odd-optimal": (families.odd_optimal, ("q1", "q2", "n")),
+    "even-optimal": (families.even_optimal, ("q1", "q2", "n")),
+}
 
 
 @functools.cache
@@ -85,14 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--family", required=True,
                        choices=["cubic-quad", "square-triple", "lifted",
                                 "odd-optimal", "even-optimal", "exceptional-pair"])
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--a", type=int)
-    p_gen.add_argument("--b", type=int)
-    p_gen.add_argument("--p1", type=int)
-    p_gen.add_argument("--p2", type=int)
-    p_gen.add_argument("--q1", type=int)
-    p_gen.add_argument("--q2", type=int)
-    p_gen.add_argument("--e", type=int)
+    # --n, shared with exceptional-pair, leads; lifted's --e closes
+    for flag in dict.fromkeys(["n", *(f for _, fs in _FAMILIES.values() for f in fs), "e"]):
+        p_gen.add_argument(f"--{flag}", type=int)
     add_elements(p_gen)
     p_gen.add_argument("--case", dest="case_tag")
     p_gen.add_argument("--j", type=int)
@@ -107,16 +111,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_elements(args) -> list[str]:
+def _load_elements(args) -> list[Fraction]:
     out = list(args.elem)
     if args.file:
         with open(args.file) as fh:
             out.extend(line.strip() for line in fh if line.strip())
     if not out:
         raise ParseError("no elements given (use --elem or --file)")
-    for e in out:
-        parse_rational(e)  # syntax and zero checks up front; factored later
-    return out
+    return [parse_rational(e) for e in out]  # every literal read once, up front
 
 
 def _emit(doc: dict, json_path: str | None) -> None:
@@ -156,29 +158,19 @@ def _run_oracle(args) -> int:
 
 def _run_generate(args) -> int:
     kind = args.family
-    if kind == "cubic-quad":
-        if args.a is None or args.b is None:
-            raise ParseError("cubic-quad needs --a and --b")
-        fam = families.cubic_quad(args.a, args.b)
-    elif kind == "square-triple":
-        if args.p1 is None or args.p2 is None:
-            raise ParseError("square-triple needs --p1 and --p2")
-        fam = families.square_triple(args.p1, args.p2)
+    if kind in _FAMILIES:
+        make, flags = _FAMILIES[kind]
+        values = [getattr(args, flag) for flag in flags]
+        if None in values:
+            *head, last = (f"--{flag}" for flag in flags)
+            raise ParseError(f"{kind} needs {', '.join(head)} and {last}")
+        fam = make(*values)
     elif kind == "lifted":
         if args.e is None:
             raise ParseError("lifted needs --e and elements")
         fam = families.lifted(_load_elements(args), args.e)
-    elif kind == "odd-optimal":
-        if args.q1 is None or args.q2 is None or args.n is None:
-            raise ParseError("odd-optimal needs --q1, --q2 and --n")
-        fam = families.odd_optimal(args.q1, args.q2, args.n)
-    elif kind == "even-optimal":
-        if args.q1 is None or args.q2 is None or args.n is None:
-            raise ParseError("even-optimal needs --q1, --q2 and --n")
-        fam = families.even_optimal(args.q1, args.q2, args.n)
     else:
-        if args.n is None or args.case_tag is None or args.alpha1 is None \
-                or args.alpha2 is None:
+        if None in (args.n, args.case_tag, args.alpha1, args.alpha2):
             raise ParseError("exceptional-pair needs --n, --case, --alpha1, --alpha2")
         try:  # the one literal grammar; a zero alpha keeps families' message
             alphas = parse_rational(args.alpha1), parse_rational(args.alpha2)
@@ -209,16 +201,13 @@ def main(argv=None) -> int:
         run = {"decide": _run_decide, "sieve": _run_sieve, "oracle": _run_oracle,
                "generate": _run_generate, "verify-certificate": _run_verify}
         return run[args.command](args)
-    except (ParseError, ZeroInput, json.JSONDecodeError, UnicodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (FactorizationCapacityExceeded, RangeTooLarge, InstanceTooLarge) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except InternalInconsistency as exc:
         print(f"INTERNAL INCONSISTENCY (bug): {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except LocusError as exc:
+    except (LocusError, json.JSONDecodeError, UnicodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -87,11 +87,6 @@ def even_optimal(q1: int, q2: int, n: int) -> list[FactoredRational]:
     """{q1, q2, q1*q2} raised to n/2, for even n."""
     if n < 2 or n % 2:
         raise DegenerateParameters(f"even n required, got {n}")
-    for q in (q1, q2):
-        if q == 2 or not is_prime(q):
-            raise DegenerateParameters(f"{q} is not an odd prime")
-    if q1 == q2:
-        raise DegenerateParameters("primes must be distinct")
     return [x ** (n // 2) for x in square_triple(q1, q2)]
 
 

@@ -157,7 +157,7 @@ def is_prime(n: int) -> bool:
     first k witnesses, k least with n < _MR_TIERS[k - 1]."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in MR_WITNESSES:
         if n == p:
             return True
         if n % p == 0:

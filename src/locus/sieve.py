@@ -91,7 +91,10 @@ def set_has_kth_power_mod_p(elements, k: int, p: int) -> bool:
 
 def default_exclusions(elements, k: int) -> frozenset[int]:
     """The excluded primes of every verdict and scan: {2}, the primes
-    dividing k and all support primes."""
+    dividing k and all support primes.  The one check of k >= 1 for scan,
+    find_counterexample and first_non_failing, before any prime is walked."""
+    if k < 1:
+        raise ValueError("power degree must be >= 1")
     out = {p for x in factor_set(elements) for p, _ in x.factors}
     return frozenset(out.union((2,), prime_factors(k)))
 
@@ -143,33 +146,31 @@ def find_counterexample(elements, k: int, bound: int):
     The primes that can fail are walked one prime_walk per segment of
     [2, 128], (128, 256], ..., so only the segments reached become ints;
     each goes to the kernel as a list, and most searches end in the first."""
-    xs, strides, lo, hi = factor_set(elements), _strides(k), 2, 128
+    xs = factor_set(elements)
+    excl, strides, lo, hi = default_exclusions(xs, k), _strides(k), 2, 128
     while lo <= bound:
         segment = prime_walk(lo, min(hi, bound), strides)[1]
-        if (p := next(_failing(xs, k, _tested(xs, k, segment)), None)) is not None:
+        if (p := next(_failing(xs, k, _tested(excl, segment)), None)) is not None:
             return p
         lo, hi = hi + 1, 2 * hi
     return None
 
 
-def _tested(xs: list[FactoredRational], k: int, primes):
-    """The primes of a sequence that default_exclusions leaves in: from 3
-    up, prime to k and off every support."""
-    bad = {p for x in xs for p, _ in x.factors}
-    return (p for p in primes if p >= 3 and k % p and p not in bad)
+def _tested(excl: frozenset[int], primes):
+    """The primes of a sequence from 3 up that excl (default_exclusions) leaves in."""
+    return (p for p in primes if p >= 3 and p not in excl)
 
 
 def first_non_failing(elements, k: int, primes):
     """The first of a sequence of claimed failing primes that does not fail,
     or None when all of them fail.
 
-    A claim is void below 3 and at a prime dividing k or some element's
-    support.  The elements are factored and prepared once for the batch.
+    A claim is void below 3 and at an excluded prime (default_exclusions);
+    the claims are taken to be primes, which the verifier checks first.
+    The elements are factored and prepared once for the batch.
     """
-    if k < 1:
-        raise ValueError("power degree must be >= 1")
     xs = factor_set(elements)
-    failing = set(_failing(xs, k, _tested(xs, k, primes)))
+    failing = set(_failing(xs, k, _tested(default_exclusions(xs, k), primes)))
     return next((p for p in primes if p not in failing), None)
 
 

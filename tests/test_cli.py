@@ -132,6 +132,19 @@ def test_generate_every_family_needs_its_arguments(capsys):
         # the family name alone: every family needs some argument
         assert main(["generate", "--family", args[0]]) == 3, args[0]
         assert "needs" in capsys.readouterr().err
+    # each integer-argument family with any one flag left out names all
+    # its flags, in order
+    needs = {"cubic-quad": (["--a", "2", "--b", "3"], "--a and --b"),
+             "square-triple": (["--p1", "3", "--p2", "5"], "--p1 and --p2"),
+             "odd-optimal": (["--q1", "2", "--q2", "5", "--n", "3"],
+                             "--q1, --q2 and --n"),
+             "even-optimal": (["--q1", "3", "--q2", "5", "--n", "4"],
+                              "--q1, --q2 and --n")}
+    for family, (flags, listed) in needs.items():
+        for i in range(0, len(flags), 2):
+            argv = ["generate", "--family", family, *flags[:i], *flags[i + 2:]]
+            assert main(argv) == 3, argv
+            assert capsys.readouterr().err == f"error: {family} needs {listed}\n", argv
     # arguments that collapse the family take the generic LocusError path
     assert main(["generate", "--family", "cubic-quad", "--a", "2", "--b", "2"]) == 3
     assert "distinct" in capsys.readouterr().err

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locus.sieve
 from locus import primes
 from locus.errors import BadPrime
 from locus.primes import TABLE_CAP, is_prime, prime_range, sieve_upto
 from locus.rationals import factor
-from locus.sieve import (find_counterexample, first_non_failing, is_kth_power_mod_p,
-                         scan, set_has_kth_power_mod_p,
+from locus.sieve import (default_exclusions, find_counterexample, first_non_failing,
+                         is_kth_power_mod_p, scan, set_has_kth_power_mod_p,
                          verify_failing_prime)
 
 
@@ -169,6 +170,23 @@ def test_first_non_failing():
     assert first_non_failing([2, 3, 12], 3, [11, 2]) == 11
     with pytest.raises(ValueError):
         first_non_failing([2], 0, [7])
+
+
+def test_every_driver_checks_the_power_degree_before_walking(monkeypatch):
+    # k < 1 is one ValueError from scan, find_counterexample and
+    # first_non_failing (and default_exclusions, where it is checked),
+    # raised before any prime is walked
+    def no_walk(*args):
+        raise AssertionError("a prime was walked")
+    monkeypatch.setattr(locus.sieve, "prime_walk", no_walk)
+    for k in (0, -3):
+        for call in (lambda: scan(["2"], k, 2, 50),
+                     lambda: find_counterexample(["2"], k, 100),
+                     lambda: first_non_failing(["2"], k, [7]),
+                     lambda: verify_failing_prime(["2"], k, 7),
+                     lambda: default_exclusions(["2"], k)):
+            with pytest.raises(ValueError, match=r"^power degree must be >= 1$"):
+                call()
 
 
 SIGNED_RATIONALS = st.fractions(min_value=-10**4, max_value=10**4,
