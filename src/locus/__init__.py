@@ -10,8 +10,7 @@ from .families import (cubic_quad, even_optimal, exceptional_pair, lifted,
 from .prime_power import decide_prime_power, exponentiate_classes, skalba_oracle
 from .rationals import (FactoredRational, clear_denominators, factor,
                         is_perfect_power, parse_rational)
-from .sieve import (SieveReport, find_counterexample, is_kth_power_mod_p,
-                    scan, set_has_kth_power_mod_p)
+from .sieve import SieveReport, find_counterexample, scan
 from .squares import decide_square
 from .verdicts import FAILS, HOLDS, Verdict
 from .verify import verify_document
@@ -22,8 +21,7 @@ __all__ = [
     "Verdict", "clear_denominators", "covers", "cubic_quad", "decide",
     "decide_prime_power", "decide_q", "decide_square", "even_optimal",
     "exceptional_pair", "exponentiate_classes", "factor", "find_counterexample",
-    "is_kth_power_mod_p", "is_perfect_power", "lifted", "match_exceptional_pair",
-    "odd_optimal", "parse_rational", "scan",
-    "set_has_kth_power_mod_p", "skalba_oracle", "square_triple",
+    "is_perfect_power", "lifted", "match_exceptional_pair",
+    "odd_optimal", "parse_rational", "scan", "skalba_oracle", "square_triple",
     "verify_document",
 ]

@@ -18,10 +18,6 @@ class FactorizationCapacityExceeded(LocusError):
     deterministic primality test, or a value passes rationals.DIGIT_CAP digits."""
 
 
-class BadPrime(LocusError):
-    """Modulus is 2 or divides the support of the tested element."""
-
-
 class RangeTooLarge(LocusError):
     """Prime scan range beyond the configured ceiling."""
 

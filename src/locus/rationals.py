@@ -161,10 +161,6 @@ class FactoredRational:
         sign = self.sign if k % 2 else 1
         return _made(sign, tuple([(p, e // k) for p, e in self.factors]))
 
-    def residue_mod(self, p: int) -> int:
-        """Value mod p in [0, p-1]; p must not divide the denominator."""
-        return math.prod([pow(q, e, p) for q, e in self.factors], start=self.sign) % p
-
 
 _SIGN, _FACTORS = FactoredRational.sign.__set__, FactoredRational.factors.__set__
 

@@ -11,8 +11,8 @@ power exactly when r^((p-1)/d) = 1.  Each element is prepared once as its
 signed numerator and denominator; per prime, d = 1 makes every residue a
 k-th power, and otherwise num/den passes when num^e = den^e mod p with
 e = (p-1)/d, so the cost per prime does not grow with k.  scan,
-find_counterexample and the verifier's re-check (first_non_failing) all run
-this one kernel; is_kth_power_mod_p stays the per-element reference.
+find_counterexample and the claim check (first_non_failing, which the
+verifier calls) all run this one kernel, the library's only residue test.
 
 Only a prime with gcd(k, p-1) > 1 can fail (_strides): every odd prime
 for even k, for odd k those = 1 mod 2r for a prime r | k, half the primes
@@ -31,9 +31,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BadPrime
-from .primes import prime_factors, prime_walk
-from .rationals import FactoredRational, RationalLike, factor, factor_set
+from .primes import first_nonprime, prime_factors, prime_walk
+from .rationals import FactoredRational, factor_set
 
 # the primes up to which a failing verdict searches its counterexample prime
 COUNTEREXAMPLE_BOUND = 10**4
@@ -66,27 +65,6 @@ class SieveReport(NamedTuple):
             "tested_count": self.tested_count,
             "failing_density": f"{d.numerator}/{d.denominator}",
         }
-
-
-def is_kth_power_mod_p(a: RationalLike, k: int, p: int) -> bool:
-    """Euler test: a^((p-1)/d) == 1 mod p with d = gcd(k, p-1).
-
-    p must be odd and coprime to a's support.
-    """
-    fa = factor(a)
-    if p == 2:
-        raise BadPrime("p = 2 is excluded from residue tests")
-    if p in fa.support():
-        raise BadPrime(f"{p} divides the support of {fa}")
-    if k < 1:
-        raise ValueError("power degree must be >= 1")
-    r = fa.residue_mod(p)
-    d = math.gcd(k, p - 1)
-    return pow(r, (p - 1) // d, p) == 1
-
-
-def set_has_kth_power_mod_p(elements, k: int, p: int) -> bool:
-    return any(is_kth_power_mod_p(a, k, p) for a in elements)
 
 
 def default_exclusions(elements, k: int) -> frozenset[int]:
@@ -162,16 +140,18 @@ def _tested(excl: frozenset[int], primes):
 
 
 def first_non_failing(elements, k: int, primes):
-    """The first of a sequence of claimed failing primes that does not fail,
-    or None when all of them fail.
+    """The first of a sequence of claimed failing primes that is not a prime
+    at which the set fails, or None when all of them are.
 
-    A claim is void below 3 and at an excluded prime (default_exclusions);
-    the claims are taken to be primes, which the verifier checks first.
-    The elements are factored and prepared once for the batch.
+    A claim is void when it is not prime (primes.first_nonprime: composite,
+    0, 1 and negatives), and at 2 and any other excluded prime
+    (default_exclusions).  The elements are factored and prepared once for
+    the batch.
     """
     xs = factor_set(elements)
     failing = set(_failing(xs, k, _tested(default_exclusions(xs, k), primes)))
-    return next((p for p in primes if p not in failing), None)
+    nonprime = first_nonprime(primes)
+    return next((p for p in primes if p == nonprime or p not in failing), None)
 
 
 def verify_failing_prime(elements, k: int, p: int) -> bool:

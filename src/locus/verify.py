@@ -3,10 +3,11 @@
 Given a verdict document (as produced by the CLI), re-check the certificate
 against the element set without trusting the engine's decision path.  Every
 check here recomputes from first principles: roots are re-raised, uncovered
-points re-evaluated, covers re-searched, claimed failing primes tested for
-primality and re-tested, all of a document's in one batch.  The status is
-holds or fails, and every integer field holds ints alone (a float or a bool
-is refused).  One class key, _columns, reads the classes of a list mod
+points re-evaluated, covers re-searched, claimed failing primes, all of a
+document's in one batch, put to the sieve's claim check (first_non_failing:
+each must be a prime where the set fails).  The status is holds or fails,
+and every integer field holds ints alone (a float or a bool is refused).
+One class key, _columns, reads the classes of a list mod
 (Q^x)^n straight off the factors: their support, led for even n by the
 sign entry -1, and their exponent vectors.  A member is checked by it to be
 in the class of an element, and a cover or an uncovered point has q = n and
@@ -17,12 +18,13 @@ fixed primes to Jacobi symbols): an uncovered point is checked in its class
 t in O(l*s), and a cover re-checked class by class, by a search over the
 image of the pinned columns on the verifier's own reduced echelon form.
 n = 2 is no special case: its classes are t = 1 and t = 3.  A
-counterexample prime must be prime.  Certificate kinds are checked against
-the status they may support, exactly the kinds that classify.decide emits
-(the records of locus.verdicts), at an integer n >= 2, and the cover
-re-check of a document tries at most COVER_RECHECK_LIMIT candidate values
-over all its classes, the engine's cover budget too; past it, DIGIT_CAP
-or rho's cycle limit, a document is too large to re-check (TOO_LARGE).
+counterexample prime passes the same claim check.  Certificate kinds are
+checked against the status they may support, exactly the kinds that
+classify.decide emits (the records of locus.verdicts), at an integer
+n >= 2, and the cover re-check of a document tries at most
+COVER_RECHECK_LIMIT candidate values over all its classes, the engine's
+cover budget too; past it, DIGIT_CAP or rho's cycle limit, a document is
+too large to re-check (TOO_LARGE).
 None of the engine's decision code is imported: only the arithmetic layers
 (primes, rationals, sieve) and the status names.
 The elements must be a nonempty list, and every element, member and root a
@@ -48,7 +50,7 @@ import math
 from fractions import Fraction
 from itertools import islice
 
-from .primes import divisors, first_nonprime, is_prime, jacobi, prime_factors
+from .primes import divisors, is_prime, jacobi, prime_factors
 from .rationals import FactorizationCapacityExceeded, clear_denominators, factor
 from .sieve import first_non_failing, verify_failing_prime
 from .verdicts import FAILS, HOLDS
@@ -146,10 +148,10 @@ def _verify(doc: dict):
               "claimed failing primes are not strictly ascending")
         _need(not primes or params["lo"] <= primes[0] and primes[-1] <= params["hi"],
               "claimed failing primes lie outside the scanned range")
-        p = first_nonprime(primes)
-        _need(p is None, f"claimed failing prime {p} is not prime")
         p = first_non_failing(elements, n, primes)
-        _need(p is None, f"claimed failing prime {p} does not fail")
+        if p is not None:
+            _need(is_prime(p), f"claimed failing prime {p} is not prime")
+            raise VerificationFailure(f"claimed failing prime {p} does not fail")
         if status == HOLDS:
             _need(not primes, "holds verdict carries sieve failures; inconsistency")
         # the block's own arithmetic; tested_count is not recounted, which
@@ -238,9 +240,9 @@ def _need_counterexample(cert: dict, elements, n: int):
     """A recorded counterexample prime must be a prime where the set fails."""
     if "counterexample_prime" in cert:
         p = cert["counterexample_prime"]
-        _need(is_prime(p), f"counterexample prime {p} is not prime")
-        _need(verify_failing_prime(elements, n, p),
-              "counterexample prime does not fail")
+        if not verify_failing_prime(elements, n, p):
+            _need(is_prime(p), f"counterexample prime {p} is not prime")
+            raise VerificationFailure("counterexample prime does not fail")
 
 
 def _columns(xs, n: int):

@@ -84,3 +84,10 @@ def density(elements, n):
 
 def holds(elements, n):
     return density(elements, n) == 0
+
+
+def euler_member(a, k, p):
+    """Euler's criterion at one odd prime p prime to the rational a: is a
+    a k-th power mod p?  The per-prime test whose failures density counts."""
+    a = Fraction(a)
+    return pow(a.numerator * pow(a.denominator, -1, p), (p - 1) // gcd(k, p - 1), p) == 1

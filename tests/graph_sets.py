@@ -25,6 +25,20 @@ def cycle(m):
     return m, tuple((v, (v + 1) % m) for v in range(m))
 
 
+def petersen():
+    """The Petersen graph: an outer 5-cycle, an inner pentagram and five
+    spokes; chi = 3."""
+    outer = tuple((v, (v + 1) % 5) for v in range(5))
+    inner = tuple((5 + v, 5 + (v + 2) % 5) for v in range(5))
+    return 10, outer + inner + tuple((v, 5 + v) for v in range(5))
+
+
+def random_graph(m, prob, rng):
+    """G(m, prob): each pair of the m vertices an edge with probability
+    prob, drawn from the random.Random rng."""
+    return m, tuple(e for e in combinations(range(m), 2) if rng.random() < prob)
+
+
 def mycielski(graph):
     """Mycielski's construction (Colloq. Math. 3, 1955): a copy u_v of each
     vertex v joined to v's neighbours, and one more vertex joined to every
@@ -37,23 +51,27 @@ def mycielski(graph):
 
 def chromatic_number(graph):
     """The least k with a proper k-colouring, by backtracking over the
-    vertices in order; small graphs only."""
+    vertices by falling degree, each taking a colour already used or the
+    next new one; small graphs only (M5 takes about 0.2 s)."""
     m, edges = graph
+    degree = [sum(v in e for e in edges) for v in range(m)]
+    rank = {v: i for i, v in enumerate(sorted(range(m), key=lambda v: -degree[v]))}
     earlier = [[] for _ in range(m)]
     for u, v in edges:
-        earlier[max(u, v)].append(min(u, v))
+        u, v = sorted((rank[u], rank[v]))
+        earlier[v].append(u)
 
-    def colour(v, colours, k):
+    def colour(v, colours, k, used):
         if v == m:
             return True
-        for c in range(k):
+        for c in range(min(k, used + 1)):
             if all(colours[u] != c for u in earlier[v]):
                 colours[v] = c
-                if colour(v + 1, colours, k):
+                if colour(v + 1, colours, k, max(used, c + 1)):
                     return True
         return False
 
-    return next(k for k in range(1, m + 1) if colour(0, [None] * m, k))
+    return next(k for k in range(1, m + 1) if colour(0, [None] * m, k, 0))
 
 
 def _primes_prime_to(n):

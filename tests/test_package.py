@@ -23,9 +23,8 @@ def test_public_names_are_pinned():
         "cubic_quad", "decide", "decide_prime_power", "decide_q", "decide_square",
         "even_optimal", "exceptional_pair",
         "exponentiate_classes", "factor", "find_counterexample",
-        "is_kth_power_mod_p", "is_perfect_power", "lifted", "match_exceptional_pair",
-        "odd_optimal", "parse_rational", "scan",
-        "set_has_kth_power_mod_p", "skalba_oracle", "square_triple",
+        "is_perfect_power", "lifted", "match_exceptional_pair",
+        "odd_optimal", "parse_rational", "scan", "skalba_oracle", "square_triple",
         "verify_document",
     }
     assert len(locus.__all__) == len(set(locus.__all__))
@@ -72,6 +71,20 @@ def test_no_module_imports_another_modules_private_names():
                                                      (node.module or "").startswith("locus")):
                 private += [(path.stem, a.name) for a in node.names if a.name.startswith("_")]
     assert not private, private
+
+
+def test_every_error_class_is_raised():
+    # an error class that no code raises is dead: each LocusError subclass
+    # of errors.py but the base appears in some raise of the package
+    from locus import errors
+    classes = {name for name, c in vars(errors).items() if isinstance(c, type)
+               and issubclass(c, errors.LocusError) and c is not errors.LocusError}
+    assert "ParseError" in classes
+    raised = {node.id for path in Path(locus.__file__).parent.glob("*.py")
+              for stmt in ast.walk(ast.parse(path.read_text()))
+              if isinstance(stmt, ast.Raise) and stmt.exc is not None
+              for node in ast.walk(stmt.exc) if isinstance(node, ast.Name)}
+    assert not classes - raised, sorted(classes - raised)
 
 
 def test_benchmark_traced_names_resolve():

@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 import locus.sieve
 from locus import primes
-from locus.errors import BadPrime
 from locus.primes import TABLE_CAP, is_prime, prime_range, sieve_upto
 from locus.rationals import factor
 from locus.sieve import (default_exclusions, find_counterexample, first_non_failing,
-                         is_kth_power_mod_p, scan, set_has_kth_power_mod_p,
-                         verify_failing_prime)
+                         scan, verify_failing_prime)
+
+from galois_reference import euler_member
+
+ODD_PRIMES = [p for p in sieve_upto(200) if p > 2]
+K_GRID = (1, 2, 3, 4, 6, 9, 12)
 
 
 def brute_residues(p, k):
@@ -23,44 +26,55 @@ def brute_member(a: Fraction, k, p):
     return r in brute_residues(p, k)
 
 
+def _claimable(values, k, p):
+    """A claim the kernel does not void: p divides neither k nor any value.
+    Brute force may call a voided claim failing (p = 3, k = 12)."""
+    return k % p and all(v.numerator % p and v.denominator % p for v in values)
+
+
 def test_examples():
-    assert not is_kth_power_mod_p(factor(2), 3, 7)      # cubes mod 7 = {1, 6}
-    assert is_kth_power_mod_p(factor(16), 8, 17)        # 16^2 = 256 = 1 mod 17
-    assert is_kth_power_mod_p(factor(1), 5, 11)
-    assert is_kth_power_mod_p(factor(6), 3, 7)
-
-
-def test_bad_prime():
-    with pytest.raises(BadPrime):
-        is_kth_power_mod_p(factor(2), 3, 2)
-    with pytest.raises(BadPrime):
-        is_kth_power_mod_p(factor(14), 3, 7)
+    assert verify_failing_prime([2], 3, 7)          # cubes mod 7 = {1, 6}
+    assert not verify_failing_prime([16], 8, 17)    # 16^2 = 256 = 1 mod 17
+    assert not verify_failing_prime([1], 5, 11)
+    assert not verify_failing_prime([6], 3, 7)
 
 
 def test_agreement_with_bruteforce():
-    primes = [p for p in sieve_upto(200) if p > 2]
-    for p in primes:
-        for a in range(-50, 51):
-            if a == 0 or a % p == 0:
-                continue
-            for k in (1, 2, 3, 4, 6, 9, 12):
-                assert is_kth_power_mod_p(factor(a), k, p) == \
-                    brute_member(Fraction(a), k, p), (a, k, p)
+    for a in range(-50, 51):
+        if a == 0:
+            continue
+        for k in K_GRID:
+            claims = [p for p in ODD_PRIMES if _claimable([Fraction(a)], k, p)]
+            failing = [p for p in claims if not brute_member(Fraction(a), k, p)]
+            assert first_non_failing([a], k, failing) is None, (a, k)
+            for p in claims:
+                assert verify_failing_prime([a], k, p) == (p in failing), (a, k, p)
 
 
 def test_rational_elements():
     # 1/2 mod 7 = 4, and 4 is a cube mod 7? cubes = {1,6} -> no
-    assert not is_kth_power_mod_p(factor(Fraction(1, 2)), 3, 7)
+    assert verify_failing_prime([Fraction(1, 2)], 3, 7)
     assert brute_member(Fraction(1, 2), 3, 7) is False
+    for k in K_GRID:
+        for p in ODD_PRIMES:
+            if _claimable([Fraction(1, 2)], k, p):
+                assert verify_failing_prime(["1/2"], k, p) == \
+                    (not brute_member(Fraction(1, 2), k, p)), (k, p)
 
 
 def test_set_level():
-    xs = [factor(x) for x in (2, 3, 6, 18)]
-    assert set_has_kth_power_mod_p(xs, 3, 7)
-    xs = [factor(x) for x in (2, 3, 12)]
-    assert not set_has_kth_power_mod_p(xs, 3, 7)
-    xs = [factor(-27), factor(4)]
-    assert set_has_kth_power_mod_p(xs, 6, 13)  # -27 = 12 mod 13, a 6th power
+    assert not verify_failing_prime([2, 3, 6, 18], 3, 7)
+    assert verify_failing_prime([2, 3, 12], 3, 7)
+    assert not verify_failing_prime([-27, 4], 6, 13)  # -27 = 12 mod 13, a 6th power
+    for values in ([2, 3, 6, 18], [2, 3, 12], [-27, 4], [Fraction(1, 2), 5, -7]):
+        fs = [Fraction(v) for v in values]
+        for k in K_GRID:
+            claims = [p for p in ODD_PRIMES if _claimable(fs, k, p)]
+            failing = [p for p in claims
+                       if not any(brute_member(v, k, p) for v in fs)]
+            passing = [p for p in claims if p not in failing]
+            assert first_non_failing(values, k, failing) is None, (values, k)
+            assert first_non_failing(values, k, claims) == next(iter(passing), None)
 
 
 def test_scan_examples():
@@ -157,6 +171,15 @@ def test_verify_failing_prime():
     assert not verify_failing_prime([2, 3, 12], 3, 11)
     assert not verify_failing_prime([2, 3, 12], 3, 2)
     assert not verify_failing_prime([2, 3, 12], 3, 3)  # divides support and k
+    assert not verify_failing_prime([2], 12, 3)  # divides k; brute force calls it failing
+
+
+def test_a_claim_that_is_not_prime_never_fails():
+    # 2 is no cube mod 25 (gcd(3, 24) = 3 and 2^8 = 6 mod 25), and 9 divides
+    # no exclusion at k = 18, so only the primality check voids these claims
+    assert not verify_failing_prime([2], 3, 25)
+    assert not verify_failing_prime(["2"], 18, 9)
+    assert first_non_failing([2], 3, [7, 25, 13]) == 25
 
 
 def test_first_non_failing():
@@ -209,7 +232,7 @@ def test_kernel_matches_plain_loop(values, k, bounds):
     start = 2 if hi <= 3000 else lo
     tested = [p for p in range(start, hi + 1) if is_prime(p) and p != 2
               and k % p and all(x.exponent(p) == 0 for x in xs)]
-    failing = [p for p in tested if not set_has_kth_power_mod_p(xs, k, p)]
+    failing = [p for p in tested if not any(euler_member(v, k, p) for v in values)]
 
     rep = scan(texts, k, lo, hi)
     assert rep.failing_primes == tuple(p for p in failing if p >= lo)

@@ -1,5 +1,5 @@
 """The sieve walk on a seeded grid: a frozen record of scan's output, and
-the walk checked against prime_range and the plain residue test.
+the walk checked against prime_range and Euler's criterion.
 
 Every k in K_GRID is scanned over ranges from lo = 1, 2 and 3 that end on
 or next to the edges of the 2^17-number segments the sieve walks, over a
@@ -22,8 +22,9 @@ from locus import primes, rationals, sieve
 from locus.classify import decide
 from locus.errors import RangeTooLarge
 from locus.primes import PRIME_RANGE_CEILING, prime_range
-from locus.sieve import (default_exclusions, find_counterexample,
-                         is_kth_power_mod_p, scan)
+from locus.sieve import default_exclusions, find_counterexample, scan
+
+from galois_reference import euler_member
 
 K_GRID = (2, 3, 4, 5, 6, 9, 12, 15, 105)
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -104,7 +105,7 @@ def test_scan_tests_the_primes_that_can_fail(monkeypatch):
 
 def test_find_counterexample_at_the_doubling_edges():
     # the search walks [2, 128], (128, 256], ...; at and around each edge it
-    # finds the least prime that fails by the per-element reference test
+    # finds the least prime that fails by Euler's criterion (euler_member)
     edges = [1 << j for j in range(7, 14)]
     top = edges[-1] + 1
     rng = random.Random(20261019)
@@ -113,7 +114,7 @@ def test_find_counterexample_at_the_doubling_edges():
             elements = _elements(rng)
             excl = default_exclusions(elements, k)
             failing = [p for p in prime_range(2, top) if p not in excl
-                       and not any(is_kth_power_mod_p(x, k, p) for x in elements)]
+                       and not any(euler_member(x, k, p) for x in elements)]
             for bound in [2, 3] + [e + d for e in edges for d in (-1, 0, 1)]:
                 least = next((p for p in failing if p <= bound), None)
                 assert find_counterexample(elements, k, bound) == least, (elements, k, bound)

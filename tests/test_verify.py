@@ -627,6 +627,14 @@ def test_rejects_composite_failing_primes():
     assert verify_document(doc) == ["claimed failing prime 4194307 is not prime"]
 
 
+def test_the_first_faulty_claim_is_named():
+    # one claim check: 11 does not fail (2 is a cube mod 11) and comes before
+    # the composite 25, so it is the claim named, whatever its fault
+    doc = doc_for([2, 3, 12], 3, attach_evidence=True, evidence_hi=100)
+    doc["evidence"]["failing_primes"] = [7, 11, 25, 37]
+    assert verify_document(doc) == ["claimed failing prime 11 does not fail"]
+
+
 def test_even_refutation_is_checked_in_its_class():
     # [2, 3, 7, 11] fails for n = 6 at t = 5 mod 12: g = 2, the sign pinned
     # to h = 2 = 0 mod 2, and 3 to the parity of (3/5) = -1
@@ -750,13 +758,15 @@ def test_missing_and_composite_hints():
 
 def test_support_primes_are_certified_by_the_factorization(monkeypatch):
     # the verifier's own factorization proves each support prime prime, so
-    # the excluded-prime check runs Miller-Rabin only on the other entries
+    # the excluded-prime check runs Miller-Rabin only on the other entries,
+    # here the extra entry 5
     import locus.verify
     from locus.primes import is_prime
     doc = doc_for([str(SEMIPRIMES[0]), "2", "3"], 3)
+    doc["excluded_primes"] = sorted(doc["excluded_primes"] + [5])
     asked = []
     monkeypatch.setattr(locus.verify, "is_prime", lambda p: asked.append(p) or is_prime(p))
-    assert verify_document(doc) == [] and asked
+    assert verify_document(doc) == [] and 5 in asked
     assert not {4123477, 496399531, 2, 3} & set(asked), asked
 
 
